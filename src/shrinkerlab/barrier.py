@@ -35,7 +35,6 @@ __all__ = [
     "lipschitz_barrier",
     "measured_lipschitz",
     "SeparationHypothesis",
-    "SeparationSurface",
     "separation_check",
     "PlaneSurface",
     "CylinderSurface",
@@ -157,21 +156,6 @@ def _clamp01(t):
     return np.clip(t, 0.0, 1.0)
 
 
-def _batch_unsigned(piece, pts):
-    return np.abs(np.asarray(piece.raw_signed(pts), dtype=float))
-
-
-def _batch_project(piece, pts):
-    pts = np.asarray(pts, dtype=float)
-    if isinstance(piece, SphereBoundary):
-        r = np.linalg.norm(pts, axis=1)
-        return piece.radius * pts / np.maximum(r, 1e-300)[:, None]
-    if isinstance(piece, PlaneBoundary):
-        n = np.asarray(piece.normal)
-        return pts - (pts @ n - piece.offset)[:, None] * n[None, :]
-    return np.array([piece.project(p) for p in pts])
-
-
 def boundary_separation(domain, per_dim=128):
     """inf dist(Sigma_1, Sigma_2); exact for the model pairs, sampled otherwise."""
     if domain.sigma2 is None:
@@ -184,7 +168,7 @@ def boundary_separation(domain, per_dim=128):
         return abs(p2.radius - p1.radius)
     nodes, _ = domain.sigma1.quad_nodes(domain.ambient_dim, domain.exhaustion_radius,
                                         per_dim=per_dim)
-    return float(np.min(_batch_unsigned(p2, nodes)))
+    return float(np.min(np.abs(domain.sigma2.depth(nodes))))
 
 
 def lipschitz_barrier(mode, domain):
@@ -197,7 +181,7 @@ def lipschitz_barrier(mode, domain):
     """
     if domain.sigma2 is None:
         raise ParameterError("the separation barriers need two boundary pieces")
-    p1, p2 = domain.sigma1.piece, domain.sigma2.piece
+    ob1, ob2 = domain.sigma1, domain.sigma2
 
     if mode == "positive-distance":
         D = boundary_separation(domain)
@@ -208,14 +192,14 @@ def lipschitz_barrier(mode, domain):
 
         def batch(pts):
             pts = np.atleast_2d(np.asarray(pts, dtype=float))
-            d1 = _batch_unsigned(p1, pts)
-            d2 = _batch_unsigned(p2, pts)
+            d1 = np.abs(ob1.depth(pts))
+            d2 = np.abs(ob2.depth(pts))
             return _clamp01((d1 - d2 + D) / (2.0 * D))
     elif mode == "projection":
         def batch(pts):
             pts = np.atleast_2d(np.asarray(pts, dtype=float))
-            d1 = _batch_unsigned(p1, pts)
-            denom = _batch_unsigned(p2, _batch_project(p1, pts))
+            d1 = np.abs(ob1.depth(pts))
+            denom = np.abs(ob2.depth(ob1.project(pts)))
             return _clamp01(d1 / np.maximum(denom, 1e-300))
     else:
         raise ParameterError(f"unknown barrier mode {mode!r}")
@@ -275,29 +259,21 @@ class SeparationHypothesis:
                 f"tube/separation rates violate m*c + b < 1/2 (m={m}, c={self.c}, b={self.b})")
 
 
-class SeparationSurface:
-    """Sampling/distances interface for separation checks (not a solver piece)."""
-
-    ambient_dim = None
-
-    def distance_to_point(self, x):
-        raise NotImplementedError
-
-    def sample_at_norm(self, norm, count):
-        """Points of the surface with |z| = norm, or None if unreachable."""
-        raise NotImplementedError
+# Separation surfaces are sampled, not solved on: `distance(pts)` maps (N, n)
+# points to their (N,) unsigned distances to the surface, and
+# `sample_at_norm(norm, count)` returns surface points z with |z| = norm, or
+# None when the surface does not reach that norm.
 
 
-class PlaneSurface(SeparationSurface):
+class PlaneSurface:
+    """Hyperplane {<normal, x> = offset}."""
+
     def __init__(self, normal, offset=0.0):
         self.piece = PlaneBoundary(tuple(normal), float(offset))
         self.ambient_dim = len(self.piece.normal)
 
-    def distance_to_point(self, x):
-        return float(np.abs(self.piece.raw_signed(np.asarray(x, dtype=float))))
-
-    def distance_batch(self, pts):
-        return _batch_unsigned(self.piece, pts)
+    def distance(self, pts):
+        return np.abs(self.piece.raw_signed(pts))
 
     def sample_at_norm(self, norm, count):
         off = self.piece.offset
@@ -311,7 +287,7 @@ class PlaneSurface(SeparationSurface):
         return off * n[None, :] + reach * dirs @ tangents
 
 
-class CylinderSurface(SeparationSurface):
+class CylinderSurface:
     """S^k of radius sqrt(k) times R^(m-k), spherical factor in coords 0..k."""
 
     def __init__(self, k, m):
@@ -319,8 +295,9 @@ class CylinderSurface(SeparationSurface):
         self.model = Cylinder(k=k, m=m)
         self.ambient_dim = m + 1
 
-    def distance_to_point(self, x):
-        return abs(self.model.signed_distance(x))
+    def distance(self, pts):
+        rho = np.linalg.norm(np.asarray(pts, dtype=float)[:, : self.model.k + 1], axis=1)
+        return np.abs(rho - self.model.radius)
 
     def sample_at_norm(self, norm, count):
         k = self.model.k
@@ -335,14 +312,14 @@ class CylinderSurface(SeparationSurface):
         return pts
 
 
-class GraphSurface(SeparationSurface):
+class GraphSurface:
     """Graph {x_n = height(|x_hat|)} over the horizontal hyperplane."""
 
     def __init__(self, height, ambient_dim=3):
         self.height = height
         self.ambient_dim = ambient_dim
 
-    def distance_to_point(self, x):
+    def distance(self, pts):
         raise ParameterError("graph surface is used only as a sampled sigma2")
 
     def sample_at_norm(self, norm, count):
@@ -393,8 +370,7 @@ def separation_check(hyp, sigma1, sigma2, sample_norms, directions=8, margin=1e-
         if pts is None:
             truncated = True
             continue
-        dists = (sigma1.distance_batch(pts) if hasattr(sigma1, "distance_batch")
-                 else np.array([sigma1.distance_to_point(p) for p in pts]))
+        dists = sigma1.distance(pts)
         norms = np.linalg.norm(pts, axis=1)
         scale = np.exp(hyp.b * norms ** 2) * np.polyval(list(hyp.poly_p), norms)
         ratios.append((s, float(np.min(dists * scale))))

@@ -7,8 +7,9 @@ plus CSV artifacts into the output directory.  Timestamps live in a separate
 run_meta.json so reruns with identical configuration reproduce report bytes
 exactly.
 
-Exit codes: 0 success, 1 usage/parameter error, 2 contract violation (a
-module invariant failed).
+Exit codes: 0 success; 1 usage/parameter error, including a problem with no
+Dirichlet data; 2 contract violation (a module invariant failed, a linear
+solve did not converge, or a quadrature missed its tolerance).
 """
 
 import argparse
@@ -28,7 +29,8 @@ from . import mc
 from . import reilly as rl
 from . import solver as sv
 from .acceptance import format_table, run_acceptance
-from .errors import ContractViolation, ParameterError
+from .errors import (ContractViolation, ParameterError, QuadratureError,
+                     SingularSystemError, SolverConvergenceError)
 from .fields import ScalarField
 
 # --------------------------------------------------------------------------
@@ -449,10 +451,11 @@ def main(argv=None):
         return 1 if exc.code not in (0, None) else 0
     try:
         args.func(args)
-    except ContractViolation as exc:
+    except (ContractViolation, SolverConvergenceError, QuadratureError) as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return 2
-    except (ParameterError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (ParameterError, SingularSystemError, FileNotFoundError, json.JSONDecodeError,
+            ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     return 0

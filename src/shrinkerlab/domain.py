@@ -2,10 +2,14 @@
 
 A DomainSpec describes the region Omega enclosed by two boundary pieces
 (Dirichlet data 0 on sigma1, 1 on sigma2) intersected with an exhaustion
-ball.  Boundary pieces expose vectorized signed distances, exterior-oriented
-geometry (normal, second fundamental form, weighted mean curvature), nearest
-point projection, and deterministic surface quadrature rules; everything the
-solver, the energy bookkeeping and the Reilly integrals need.
+ball.  Every geometric question about a piece goes through one batched
+protocol: points are arrays of shape (n,) or (N, n) and answers carry one
+entry (or row) per point.  A piece provides `raw_signed`, `raw_normal`,
+`principal_curvatures`, `project` and `quad_nodes(ambient_dim, max_radius,
+per_dim)`; OrientedBoundary turns these into `depth`, `exterior_normal`,
+`principal_curvatures`, `weighted_mean_curvature`, `project` and
+`quad_nodes` for the side Omega occupies.  That is everything the solver,
+the energy bookkeeping, the barriers and the Reilly integrals need.
 
 Orientation bookkeeping: each piece is wrapped with the side of its zero set
 that Omega occupies, so `depth` is positive inside Omega and the reported
@@ -34,6 +38,11 @@ __all__ = [
 ]
 
 
+def _angles(per_dim):
+    """Midpoint rule in the angle: nodes and the common weight on [0, 2 pi)."""
+    return 2.0 * math.pi * (np.arange(per_dim) + 0.5) / per_dim, 2.0 * math.pi / per_dim
+
+
 @dataclass(frozen=True)
 class PlaneBoundary:
     """Affine hyperplane {<normal, x> = offset}."""
@@ -56,32 +65,31 @@ class PlaneBoundary:
         return x @ np.asarray(self.normal) - self.offset
 
     def raw_normal(self, x):
-        return np.asarray(self.normal, dtype=float)
+        return np.broadcast_to(np.asarray(self.normal), np.shape(x))
 
     def project(self, x):
         x = np.asarray(x, dtype=float)
-        return x - self.raw_signed(x) * np.asarray(self.normal)
+        return x - self.raw_signed(x)[..., None] * np.asarray(self.normal)
 
     def principal_curvatures(self, x, exterior_sign):
-        return np.zeros(self.ambient_dim - 1)
+        shape = np.shape(x)
+        return np.zeros(shape[:-1] + (shape[-1] - 1,))
 
-    def quad_nodes(self, max_radius, per_dim=256):
+    def quad_nodes(self, ambient_dim, max_radius, per_dim=256):
         """Quadrature of the plane clipped to the origin-centered ball."""
         n = np.asarray(self.normal)
-        dim = self.ambient_dim
         if abs(self.offset) >= max_radius:
-            return np.zeros((0, dim)), np.zeros(0)
+            return np.zeros((0, ambient_dim)), np.zeros(0)
         reach = math.sqrt(max_radius ** 2 - self.offset ** 2)
         tangents = complement_frame(n)
         base = self.offset * n
-        if dim == 2:
+        if ambient_dim == 2:
             t, w = gauss_legendre(per_dim, -reach, reach)
             pts = base[None, :] + t[:, None] * tangents[0][None, :]
             return pts, w
-        if dim == 3:
+        if ambient_dim == 3:
             r, wr = gauss_legendre(per_dim, 0.0, reach)
-            th = 2.0 * math.pi * (np.arange(per_dim) + 0.5) / per_dim
-            wth = 2.0 * math.pi / per_dim
+            th, wth = _angles(per_dim)
             rg, tg = np.meshgrid(r, th, indexing="ij")
             pts = (base[None, :]
                    + (rg * np.cos(tg)).reshape(-1, 1) * tangents[0][None, :]
@@ -96,7 +104,10 @@ class PlaneBoundary:
 
 @dataclass(frozen=True)
 class SphereBoundary:
-    """Round sphere of the given radius centered at the origin."""
+    """Round sphere of the given radius centered at the origin.
+
+    The radial normal is undefined at the center; it is reported as 0 there.
+    """
 
     radius: float
 
@@ -110,27 +121,25 @@ class SphereBoundary:
 
     def raw_normal(self, x):
         x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x)
-        if r == 0.0:
-            raise ParameterError("sphere normal undefined at the center")
-        return x / r
+        return x / np.maximum(np.linalg.norm(x, axis=-1), 1e-300)[..., None]
 
     def project(self, x):
-        return self.radius * self.raw_normal(x)
+        x = np.asarray(x, dtype=float)
+        return self.radius * x / np.maximum(np.linalg.norm(x, axis=-1), 1e-300)[..., None]
 
     def principal_curvatures(self, x, exterior_sign):
         # A(X,Y) = -<D_X nu, Y> with nu = exterior_sign * radial
-        dim = np.asarray(x).shape[-1]
-        return np.full(dim - 1, -exterior_sign / self.radius)
+        shape = np.shape(x)
+        return np.full(shape[:-1] + (shape[-1] - 1,), -exterior_sign / self.radius)
 
-    def quad_nodes_dim(self, dim, per_dim=256):
+    def quad_nodes(self, ambient_dim, max_radius, per_dim=256):
+        """Quadrature of the whole sphere; max_radius does not clip it."""
         rho = self.radius
-        th = 2.0 * math.pi * (np.arange(per_dim) + 0.5) / per_dim
-        wth = 2.0 * math.pi / per_dim
-        if dim == 2:
+        th, wth = _angles(per_dim)
+        if ambient_dim == 2:
             pts = rho * np.stack([np.cos(th), np.sin(th)], axis=1)
             return pts, np.full(per_dim, wth * rho)
-        if dim == 3:
+        if ambient_dim == 3:
             # Archimedes: d(sigma) = rho^2 dtheta dz on z in [-1, 1]
             z, wz = gauss_legendre(per_dim, -1.0, 1.0)
             zg, tg = np.meshgrid(z, th, indexing="ij")
@@ -146,7 +155,8 @@ class SphereBoundary:
 
 @dataclass(frozen=True)
 class LevelSetBoundary:
-    """Generic level-set boundary {s(x) = 0}; carries no curvature data."""
+    """Generic level-set boundary {s(x) = 0}: a signed function and nothing
+    else, so every protocol question beyond `raw_signed` is refused."""
 
     func: callable
 
@@ -157,30 +167,12 @@ class LevelSetBoundary:
         return np.array([float(self.func(row)) for row in x.reshape(-1, x.shape[-1])]) \
             .reshape(x.shape[:-1])
 
-    def raw_normal(self, x, h=1e-6):
-        x = np.asarray(x, dtype=float)
-        g = np.empty(x.size)
-        for i in range(x.size):
-            e = np.zeros(x.size)
-            e[i] = h
-            g[i] = (self.func(x + e) - self.func(x - e)) / (2 * h)
-        nrm = np.linalg.norm(g)
-        if nrm == 0:
-            raise ParameterError("level-set gradient vanished on the boundary")
-        return g / nrm
-
-    def project(self, x):
-        x = np.asarray(x, dtype=float)
-        for _ in range(40):
-            s = self.raw_signed(x)
-            if abs(s) < 1e-13:
-                break
-            x = x - s * self.raw_normal(x)
-        return x
-
-    def principal_curvatures(self, x, exterior_sign):
+    def _missing(self, *args, **kwargs):
         raise MissingGeometryError(
-            "boundary curvature unavailable: level-set boundary carries no second derivatives")
+            "level-set boundary carries no curvature data: its normal, curvatures, "
+            "projection and surface quadrature are unavailable")
+
+    raw_normal = project = principal_curvatures = quad_nodes = _missing
 
     def to_json(self):
         raise ParameterError("level-set boundaries are not JSON-serializable")
@@ -191,7 +183,8 @@ class OrientedBoundary:
 
     side=+1 means Omega lies where raw_signed > 0.  depth() is positive
     inside Omega; exterior_normal() points out of Omega; curvature data is
-    expressed with respect to that exterior normal.
+    expressed with respect to that exterior normal.  Every method takes
+    points of shape (n,) or (N, n).
     """
 
     def __init__(self, piece, side):
@@ -206,33 +199,21 @@ class OrientedBoundary:
     def exterior_normal(self, x):
         return -self.side * self.piece.raw_normal(x)
 
+    def principal_curvatures(self, x):
+        """Principal curvatures of A(X,Y) = -<D_X nu, Y>, one row per point."""
+        return self.piece.principal_curvatures(x, exterior_sign=-self.side)
+
+    def weighted_mean_curvature(self, x):
+        """H_f = tr A + <x, nu> with respect to the exterior normal."""
+        x = np.asarray(x, dtype=float)
+        return (np.sum(self.principal_curvatures(x), axis=-1)
+                + np.einsum("...i,...i->...", x, self.exterior_normal(x)))
+
     def project(self, x):
         return self.piece.project(x)
 
-    def tangent_frame(self, x):
-        return complement_frame(self.exterior_normal(x))
-
-    def second_fundamental(self, x):
-        """A in an orthonormal tangent frame, convention A(X,Y) = -<D_X nu, Y>."""
-        kappas = self.piece.principal_curvatures(x, exterior_sign=-self.side)
-        return np.diag(kappas)
-
-    def mean_curvature(self, x):
-        return float(np.sum(self.piece.principal_curvatures(x, exterior_sign=-self.side)))
-
-    def weighted_mean_curvature(self, x):
-        """Scalar H_f = tr A + <x, nu> with respect to the exterior normal."""
-        x = np.asarray(x, dtype=float)
-        return self.mean_curvature(x) + float(np.dot(x, self.exterior_normal(x)))
-
     def quad_nodes(self, ambient_dim, max_radius, per_dim=256):
-        piece = self.piece
-        if isinstance(piece, SphereBoundary):
-            return piece.quad_nodes_dim(ambient_dim, per_dim)
-        if isinstance(piece, PlaneBoundary):
-            return piece.quad_nodes(max_radius, per_dim)
-        raise MissingGeometryError(
-            f"surface quadrature unavailable for {type(piece).__name__}")
+        return self.piece.quad_nodes(ambient_dim, max_radius, per_dim)
 
     def to_json(self):
         obj = self.piece.to_json()
@@ -272,18 +253,6 @@ class DomainSpec:
         if self.sigma2 is not None:
             out.append(("sigma2", self.sigma2))
         return out
-
-    def inside(self, x):
-        """True strictly between the boundary pieces (ball not included)."""
-        result = None
-        for _, ob in self.pieces():
-            d = ob.depth(x)
-            ok = d > 0
-            result = ok if result is None else (result & ok)
-        return result
-
-    def depths(self, x):
-        return {label: ob.depth(x) for label, ob in self.pieces()}
 
     def grid_box(self, radius=None):
         """Axis box covering Omega intersected with the exhaustion ball."""

@@ -49,9 +49,6 @@ def gaussian_ball_mass(d, radius):
         lambda r: r ** (d - 1) * math.exp(-0.5 * r * r), 0.0, radius, tol=1e-13)
 
 
-GAUSSIAN_TOTAL_MASS_1D = math.sqrt(2.0 * math.pi)
-
-
 @dataclass
 class GrowthEntry:
     R: float

@@ -4,8 +4,8 @@
 class ContractViolation(Exception):
     """A documented invariant of a public operation failed at runtime.
 
-    The CLI maps this to exit code 2; everything else that goes wrong is a
-    usage/parameter problem (exit 1).
+    The CLI maps this, SolverConvergenceError and QuadratureError to exit
+    code 2; parameter problems and SingularSystemError map to exit 1.
     """
 
 

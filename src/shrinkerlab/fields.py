@@ -15,30 +15,6 @@ import numpy as np
 
 from .errors import BoundaryStencilError, ParameterError
 
-GAUSSIAN_RICCI_LOWER_BOUND = 1.0
-
-
-@dataclass(frozen=True)
-class WeightSpec:
-    """Carrier for the weight data (f, e^-f, Bakry-Emery lower bound).
-
-    Only the Gaussian instance is validated by the test suite; the carrier
-    allows other weights structurally but no operation here consumes them.
-    """
-
-    name: str = "gaussian"
-    ricci_lower_bound: float = GAUSSIAN_RICCI_LOWER_BOUND
-
-    def f(self, x):
-        x = np.asarray(x, dtype=float)
-        return 0.5 * float(np.dot(x, x))
-
-    def density(self, x):
-        return float(np.exp(-self.f(x)))
-
-
-GAUSSIAN = WeightSpec()
-
 
 @dataclass(frozen=True)
 class BoundingBox:
@@ -139,24 +115,31 @@ def weighted_divergence(vfld, p, h=None):
     return div - float(np.dot(vfld(p), p))
 
 
-def hessian(fld, p, h=None):
-    """Full central-difference Hessian (used by the Reilly volume integrand)."""
-    p = np.asarray(p, dtype=float)
-    h = default_step(p) if h is None else float(h)
-    _check_stencil(fld, p, 2.0 * h)
-    n = p.size
-    f0 = fld(p)
-    out = np.empty((n, n))
+def fd_gradient_hessian(batch, pts, h):
+    """Gradient (N, n) and Hessian (N, n, n) at each row of pts (N, n) by
+    central differences of step h; batch maps (N, n) points to (N,) values."""
+    N, n = pts.shape
+    f0 = batch(pts)
+    grad = np.empty((N, n))
+    hess = np.empty((N, n, n))
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = h
+        fp = batch(pts + e)
+        fm = batch(pts - e)
+        grad[:, i] = (fp - fm) / (2.0 * h)
+        hess[:, i, i] = (fp - 2.0 * f0 + fm) / (h * h)
     for i in range(n):
         ei = np.zeros(n)
         ei[i] = h
-        out[i, i] = (fld(p + ei) - 2.0 * f0 + fld(p - ei)) / (h * h)
         for j in range(i + 1, n):
             ej = np.zeros(n)
             ej[j] = h
-            out[i, j] = out[j, i] = (fld(p + ei + ej) - fld(p + ei - ej)
-                                     - fld(p - ei + ej) + fld(p - ei - ej)) / (4.0 * h * h)
-    return out
+            mixed = (batch(pts + ei + ej) - batch(pts + ei - ej)
+                     - batch(pts - ei + ej) + batch(pts - ei - ej)) / (4.0 * h * h)
+            hess[:, i, j] = mixed
+            hess[:, j, i] = mixed
+    return grad, hess
 
 
 # --------------------------------------------------------------------------

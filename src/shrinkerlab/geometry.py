@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation, ParameterError
+from .fields import fd_gradient_hessian
 from .quadrature import halton, sphere_directions
 
 __all__ = [
@@ -356,41 +357,16 @@ class CylinderIdentityReport:
     sqrtu_slack: float  # None when the sample sits over the axis plane (u = 0)
 
 
-def _fd_gradient(fn, x, h):
-    n = x.size
-    g = np.empty(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        g[i] = (fn(x + e) - fn(x - e)) / (2 * h)
-    return g
-
-
-def _fd_hessian(fn, x, h):
-    n = x.size
-    f0 = fn(x)
-    hess = np.empty((n, n))
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        hess[i, i] = (fn(x + ei) - 2 * f0 + fn(x - ei)) / (h * h)
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h
-            hess[i, j] = hess[j, i] = (fn(x + ei + ej) - fn(x + ei - ej)
-                                       - fn(x - ei + ej) + fn(x - ei - ej)) / (4 * h * h)
-    return hess
-
-
-def _surface_drift_laplacian(fn, sample, fd_step):
-    """Weighted surface Laplacian of an ambient function at the sample.
+def _surface_drift_laplacian(batch, sample, fd_step):
+    """Weighted surface Laplacian of an ambient function (given by its batch
+    evaluator) at the sample.
 
     Uses Lap_S f = sum_i Hess f(t_i, t_i) + (tr A) df/dnu together with the
     tangential drift term -<x_tan, grad_S f> of the Gaussian weight.
     """
     x, nu, frame = sample.point, sample.normal, sample.frame
-    grad = _fd_gradient(fn, x, fd_step)
-    hess = _fd_hessian(fn, x, fd_step)
+    grad, hess = fd_gradient_hessian(batch, x[None, :], fd_step)
+    grad, hess = grad[0], hess[0]
     grad_nu = float(np.dot(grad, nu))
     grad_tan = grad - grad_nu * nu
     lap_surface = float(np.einsum("ij,jk,ik->", frame, hess, frame)) \
@@ -419,12 +395,14 @@ def cylinder_identities(k, sample, fd_step=None):
     if fd_step is None:
         fd_step = 0.01 * (1.0 + float(np.linalg.norm(x)))
 
-    def u_fn(y):
-        return float(np.dot(y[: k + 1], y[: k + 1]))
+    def u_batch(ys):
+        # row-wise dot products through matmul, which rounds as np.dot does
+        v = ys[:, : k + 1]
+        return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
 
-    u = u_fn(x)
+    u = float(u_batch(x[None, :])[0])
     nu = sample.normal
-    lap_f_u, grad_u, grad_u_tan = _surface_drift_laplacian(u_fn, sample, fd_step)
+    lap_f_u, grad_u, grad_u_tan = _surface_drift_laplacian(u_batch, sample, fd_step)
 
     nbar_sq = float(np.dot(nu[: k + 1], nu[: k + 1]))
     xbar_dot_nu = float(np.dot(x[: k + 1], nu[: k + 1]))

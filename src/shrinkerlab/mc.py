@@ -9,9 +9,10 @@ Reproducibility: path i draws from a Philox counter-based stream keyed by
 (seed, i), so results are bit-identical regardless of execution order, and
 the hit-count reduction is plain integer addition.
 
-First-crossing detection is the naive per-step sign test with a snap band;
-its boundary bias is O(sqrt(dt)) and is quantified by `bias_study` rather
-than corrected (no Brownian bridge in this version).
+First-crossing detection is the per-step sign test with a snap band of
+width 0.5826 sqrt(2 dt) (Broadie-Glasserman-Kou), which corrects the
+O(sqrt(dt)) discrete-monitoring bias to leading order; `bias_study`
+quantifies what remains.  There is no Brownian-bridge crossing test.
 """
 
 import math

@@ -18,10 +18,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .domain import PlaneBoundary, SphereBoundary
-from .energy import marching_boundary_integral, weighted_gradient_cells
+from .energy import _interface_segments, marching_boundary_integral, weighted_gradient_cells
 from .errors import MissingGeometryError, ParameterError
-from .fields import GridField
+from .fields import GridField, fd_gradient_hessian
 
 __all__ = ["CutoffFamily", "ReillyReport", "reilly_residual",
            "energy_growth_chain", "ChainReport"]
@@ -169,61 +168,6 @@ def _box_fraction(depth, normal, h):
     return frac
 
 
-def _piece_depth_and_normal(ob, pts):
-    """Vectorized (depth into Omega, unit gradient of that depth).
-
-    Only the exactly-parametrized pieces support this; level sets would need
-    second derivatives the carrier does not have.
-    """
-    piece = ob.piece
-    if isinstance(piece, PlaneBoundary):
-        depth = ob.side * (pts @ np.asarray(piece.normal) - piece.offset)
-        normal = np.broadcast_to(ob.side * np.asarray(piece.normal), pts.shape)
-        return depth, normal
-    if isinstance(piece, SphereBoundary):
-        r = np.linalg.norm(pts, axis=1)
-        depth = ob.side * (r - piece.radius)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            unit = np.where(r[:, None] > 0, pts / np.maximum(r, 1e-300)[:, None], 0.0)
-        return depth, ob.side * unit
-    raise MissingGeometryError(
-        f"boundary curvature unavailable for {type(piece).__name__}: "
-        "signed-distance second derivatives are missing")
-
-
-# --------------------------------------------------------------------------
-# finite differences of the test field, vectorized over many points
-
-
-def _fd_all(u, pts, fd_h):
-    """Gradient and Hessian of u at each row of pts by central differences."""
-    N, n = pts.shape
-    h = fd_h
-    f0 = u.batch(pts)
-    grad = np.empty((N, n))
-    hess = np.empty((N, n, n))
-    shifts = {}
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        fp = u.batch(pts + e)
-        fm = u.batch(pts - e)
-        shifts[i] = (fp, fm)
-        grad[:, i] = (fp - fm) / (2.0 * h)
-        hess[:, i, i] = (fp - 2.0 * f0 + fm) / (h * h)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h
-            mixed = (u.batch(pts + ei + ej) - u.batch(pts + ei - ej)
-                     - u.batch(pts - ei + ej) + u.batch(pts - ei - ej)) / (4.0 * h * h)
-            hess[:, i, j] = mixed
-            hess[:, j, i] = mixed
-    return grad, hess
-
-
 def _volume_side(u, phi, domain, mesh_h, fd_h, chunk=400_000):
     """Volume integrals of the identity; returns (terms dict, total)."""
     lo, hi = domain.grid_box(domain.exhaustion_radius)
@@ -240,8 +184,9 @@ def _volume_side(u, phi, domain, mesh_h, fd_h, chunk=400_000):
         pts = centers_all[start:start + chunk]
         frac = np.ones(pts.shape[0])
         for _, ob in domain.pieces():
-            depth, normal = _piece_depth_and_normal(ob, pts)
-            frac = frac * _box_fraction(depth, normal, h)
+            # the unit gradient of the depth is the inward normal
+            normal = -ob.exterior_normal(pts)
+            frac = frac * _box_fraction(ob.depth(pts), normal, h)
         keep = frac > 0.0
         if not np.any(keep):
             continue
@@ -249,7 +194,7 @@ def _volume_side(u, phi, domain, mesh_h, fd_h, chunk=400_000):
         frac = frac[keep]
 
         step = fd_h if fd_h is not None else 1e-5 * (1.0 + np.max(np.linalg.norm(pts, axis=1)))
-        grad, hess = _fd_all(u, pts, step)
+        grad, hess = fd_gradient_hessian(u.batch, pts, step)
         lap_f = np.einsum("kii->k", hess) - np.einsum("ki,ki->k", pts, grad)
         hess_sq = np.einsum("kij,kij->k", hess, hess)
         ricci = np.einsum("ki,ki->k", grad, grad)  # Ric_f = identity (Gaussian)
@@ -277,16 +222,15 @@ def _boundary_side(u, phi, domain, fd_h, per_dim=384):
         if nodes.shape[0] == 0:
             continue
         step = fd_h if fd_h is not None else 1e-5 * (1.0 + float(np.max(np.linalg.norm(nodes, axis=1))))
-        grad, hess = _fd_all(u, nodes, step)
+        grad, hess = fd_gradient_hessian(u.batch, nodes, step)
 
-        kappas = np.array([ob.piece.principal_curvatures(p, exterior_sign=-ob.side)
-                           for p in nodes])
+        kappas = ob.principal_curvatures(nodes)
         if not np.allclose(kappas, kappas[:, :1]):
             raise MissingGeometryError("non-umbilic boundary pieces are not supported")
         kappa = kappas[:, 0]
         tr_a = kappa * (n - 1)
 
-        nus = np.array([ob.exterior_normal(p) for p in nodes])
+        nus = ob.exterior_normal(nodes)
         du_dnu = np.einsum("ki,ki->k", grad, nus)
         grad_tan = grad - du_dnu[:, None] * nus
         grad_tan_sq = np.einsum("ki,ki->k", grad_tan, grad_tan)
@@ -298,7 +242,8 @@ def _boundary_side(u, phi, domain, fd_h, per_dim=384):
         hess_nunu = np.einsum("ki,ki->k", hess_nu, nus)
         lap_surface = np.einsum("kii->k", hess) - hess_nunu + tr_a * du_dnu
         lap_f_surface = lap_surface - np.einsum("ki,ki->k", x_tan, grad_tan)
-        lap_term = -(lap_f_surface - _weighted_mean_curvature(ob, nodes, tr_a) * du_dnu) * du_dnu
+        h_f = tr_a + np.einsum("ki,ki->k", nodes, nus)
+        lap_term = -(lap_f_surface - h_f * du_dnu) * du_dnu
 
         phi_sq = np.asarray(phi(nodes)) ** 2
         w = np.exp(-0.5 * np.sum(nodes ** 2, axis=1)) * weights * phi_sq
@@ -307,11 +252,6 @@ def _boundary_side(u, phi, domain, fd_h, per_dim=384):
         terms["surface_laplacian"] += float(np.sum(lap_term * w))
     total = sum(terms.values())
     return terms, total
-
-
-def _weighted_mean_curvature(ob, nodes, tr_a):
-    nus = np.array([ob.exterior_normal(p) for p in nodes])
-    return tr_a + np.einsum("ki,ki->k", nodes, nus)
 
 
 def reilly_residual(u, phi, domain, mesh_h, fd_h=None):
@@ -391,15 +331,11 @@ def energy_growth_chain(solution, domain, radii, eps=2.0, K=1.0):
             solution, domain, label,
             lambda p, dudnu, ob=ob: ob.weighted_mean_curvature(p) * dudnu ** 2,
             boundary_value=bv)
-        boundary_terms[label] = term
-        segs_hf = [abs(ob.weighted_mean_curvature(mid))
-                   for mid, _ in _piece_samples(solution, label)]
-        f_minimal[label] = bool(max(segs_hf, default=0.0) <= 1e-8)
+        boundary_terms[label] = float(term)
+        mids = np.array([mid for mid, _ in _interface_segments(solution, label)])
+        h_f = ob.weighted_mean_curvature(mids.reshape(-1, domain.ambient_dim))
+        f_minimal[label] = bool(np.max(np.abs(h_f), initial=0.0) <= 1e-8)
     return ChainReport(per_R=per_R, consistent=consistent,
                        boundary_terms=boundary_terms, f_minimal=f_minimal,
                        eps=eps, K=K)
 
-
-def _piece_samples(solution, label):
-    from .energy import _interface_segments
-    return _interface_segments(solution, label)

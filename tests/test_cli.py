@@ -3,8 +3,9 @@ import os
 
 import pytest
 
+from shrinkerlab import solver
 from shrinkerlab.cli import dumps17, main, validate_config, DOMAIN_SCHEMA
-from shrinkerlab.errors import ParameterError
+from shrinkerlab.errors import ParameterError, QuadratureError
 
 
 @pytest.fixture()
@@ -132,6 +133,32 @@ def test_exit_codes(tmp_path, slab_config):
     bad.write_text(json.dumps({"kind": "slab", "h1": -1, "h2": 1, "weird": 3}))
     assert main(["solve", "--domain", str(bad), "--h", "0.1"]) == 1
 
+
+
+def _raise_quadrature_error(*args, **kwargs):
+    raise QuadratureError("adaptive Simpson missed its tolerance", achieved_tol=1e-3)
+
+
+_SLAB = {"kind": "slab", "h1": -1, "h2": 1, "ambient_dim": 2, "radius": 4.0}
+
+
+@pytest.mark.parametrize("domain, flags, failing_solve, expected", [
+    # SolverConvergenceError: no Krylov solve reaches a 1e-30 residual
+    (_SLAB, ["--h", "0.0625", "--tol", "1e-30"], None, 2),
+    # QuadratureError raised by the solve
+    (_SLAB, ["--h", "0.0625"], _raise_quadrature_error, 2),
+    # SingularSystemError: the ball's sphere lies outside the exhaustion ball
+    ({"kind": "ball", "rho": 5.0, "ambient_dim": 2, "radius": 2.0}, ["--h", "0.125"], None, 1),
+], ids=["no-convergence", "quadrature", "singular"])
+def test_library_errors_map_to_exit_codes(tmp_path, monkeypatch, capsys, domain, flags,
+                                          failing_solve, expected):
+    if failing_solve is not None:
+        monkeypatch.setattr(solver, "solve_mixed_bvp", failing_solve)
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(domain))
+    assert main(["solve", "--domain", str(path), *flags,
+                 "--output-dir", _out(tmp_path, "err")]) == expected
+    assert "Traceback" not in capsys.readouterr().err
 
 def test_separation_cases(tmp_path):
     out = _out(tmp_path, "sep")

@@ -1,0 +1,116 @@
+"""Properties of the batched boundary protocol on plane and sphere pieces."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from shrinkerlab import domain as dm
+from shrinkerlab.errors import MissingGeometryError
+
+PROTOCOL = ("depth", "exterior_normal", "principal_curvatures",
+            "weighted_mean_curvature", "project")
+
+
+@st.composite
+def planes(draw, dim):
+    v = draw(arrays(float, dim, elements=st.floats(-1.0, 1.0)).filter(
+        lambda v: np.linalg.norm(v) > 0.1))
+    return dm.PlaneBoundary(tuple(v / np.linalg.norm(v)), draw(st.floats(-2.0, 2.0)))
+
+
+spheres = st.builds(dm.SphereBoundary, st.floats(0.1, 5.0))
+
+
+@st.composite
+def cases(draw):
+    """(oriented piece, (N, n) points with every row off the origin)."""
+    dim = draw(st.sampled_from([2, 3]))
+    piece = draw(st.one_of(planes(dim), spheres))
+    side = draw(st.sampled_from([+1, -1]))
+    count = draw(st.integers(1, 12))
+    pts = draw(arrays(float, (count, dim), elements=st.floats(-5.0, 5.0)).filter(
+        lambda p: np.all(np.linalg.norm(p, axis=1) > 1e-3)))
+    return dm.OrientedBoundary(piece, side), pts
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases())
+def test_batched_answers_match_row_by_row(case):
+    ob, pts = case
+    for name in PROTOCOL:
+        method = getattr(ob, name)
+        batched = np.asarray(method(pts))
+        assert batched.shape[0] == pts.shape[0], name
+        rows = np.array([method(p) for p in pts])
+        # a plane's batch is a matrix-vector product and a row a dot product:
+        # both are exact to rounding, not always to the same last bit
+        np.testing.assert_allclose(batched, rows, rtol=1e-14, atol=1e-14, err_msg=name)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases())
+def test_projection_lands_on_the_zero_set(case):
+    ob, pts = case
+    assert np.max(np.abs(ob.piece.raw_signed(ob.project(pts)))) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases())
+def test_exterior_normal_is_unit_and_outward(case):
+    ob, pts = case
+    nu = ob.exterior_normal(pts)
+    np.testing.assert_allclose(np.linalg.norm(nu, axis=1), 1.0, rtol=1e-14)
+    # stepping along the exterior normal lowers the depth at unit rate
+    step = 1e-6
+    slope = (ob.depth(pts + step * nu) - ob.depth(pts)) / step
+    np.testing.assert_allclose(slope, -1.0, atol=1e-5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=st.sampled_from([2, 3]), radius=st.floats(0.1, 5.0),
+       per_dim=st.sampled_from([4, 16, 64]), max_radius=st.floats(0.1, 6.0))
+def test_sphere_quadrature_weights_sum_to_the_area(dim, radius, per_dim, max_radius):
+    piece = dm.SphereBoundary(radius)
+    nodes, weights = dm.OrientedBoundary(piece, -1).quad_nodes(dim, max_radius, per_dim)
+    area = 2.0 * math.pi * radius if dim == 2 else 4.0 * math.pi * radius ** 2
+    assert math.isclose(float(np.sum(weights)), area, rel_tol=1e-12)
+    assert np.max(np.abs(piece.raw_signed(nodes))) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), dim=st.sampled_from([2, 3]), per_dim=st.sampled_from([4, 16, 64]),
+       max_radius=st.floats(2.5, 6.0))
+def test_plane_quadrature_weights_sum_to_the_clipped_area(data, dim, per_dim, max_radius):
+    piece = data.draw(planes(dim))
+    nodes, weights = dm.OrientedBoundary(piece, +1).quad_nodes(dim, max_radius, per_dim)
+    reach = math.sqrt(max_radius ** 2 - piece.offset ** 2)
+    area = 2.0 * reach if dim == 2 else math.pi * reach ** 2
+    assert math.isclose(float(np.sum(weights)), area, rel_tol=1e-12)
+    assert np.max(np.abs(piece.raw_signed(nodes))) <= 1e-12
+    assert np.max(np.linalg.norm(nodes, axis=1)) <= max_radius * (1.0 + 1e-12)
+
+
+def test_plane_outside_the_ball_has_no_nodes():
+    nodes, weights = dm.PlaneBoundary((0.0, 1.0), 3.0).quad_nodes(2, 2.0)
+    assert nodes.shape == (0, 2) and weights.shape == (0,)
+
+
+def test_sphere_normal_vanishes_at_the_center():
+    ob = dm.OrientedBoundary(dm.SphereBoundary(1.0), -1)
+    assert np.all(ob.exterior_normal(np.zeros(3)) == 0.0)
+    assert np.all(ob.exterior_normal(np.zeros((4, 3))) == 0.0)
+
+
+def test_level_set_boundary_answers_only_signed_distance():
+    ob = dm.OrientedBoundary(dm.LevelSetBoundary(lambda x: 1.0 - float(np.dot(x, x))), +1)
+    pts = np.array([[0.5, 0.0], [0.0, 2.0]])
+    np.testing.assert_allclose(ob.depth(pts), [0.75, -3.0])
+    calls = [lambda: ob.exterior_normal(pts), lambda: ob.principal_curvatures(pts),
+             lambda: ob.weighted_mean_curvature(pts), lambda: ob.project(pts),
+             lambda: ob.quad_nodes(2, 3.0)]
+    for call in calls:
+        with pytest.raises(MissingGeometryError, match="curvature"):
+            call()
