@@ -270,13 +270,11 @@ def criterion_10_barrier_suite():
 
     ann_dom = dm.annulus_domain(0.5, 2.0, ambient_dim=2)
     sol = sv.solve_mixed_bvp(ann_dom, h=1 / 32, tol=1e-11)
-    grads = []
-    for mid, _ in en._interface_segments(sol, "sigma2"):
-        nu = ann_dom.sigma2.exterior_normal(mid)
-        u1 = sol.field(mid - sol.grid.h * nu)
-        u2 = sol.field(mid - 2 * sol.grid.h * nu)
-        grads.append(abs((3.0 - 4.0 * u1 + u2) / (2 * sol.grid.h)))
-    measured = max(grads)
+    mids, _ = en._interface_segments(sol, "sigma2")
+    nu = ann_dom.sigma2.exterior_normal(mids)
+    u1 = sol.field.batch(mids - sol.grid.h * nu)
+    u2 = sol.field.batch(mids - 2 * sol.grid.h * nu)
+    measured = float(np.max(np.abs((3.0 - 4.0 * u1 + u2) / (2 * sol.grid.h))))
     bound = br.estimate_gradient(2.0, R=2.0, dist_to_sigma1=1.5, m=1)
     ok = ok and measured <= bound
     return ok, (f"worst endpoint gap {worst_end:.1e} (<= 1e-10), 27-point bound holds, "

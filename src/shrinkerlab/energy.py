@@ -225,8 +225,9 @@ def energy_growth_profile(solution, domain, radii):
 def _interface_segments(solution, label):
     """Marching-squares reconstruction of a Dirichlet interface (2D grids).
 
-    Yields (midpoint, length) per cut cell; points beyond the exhaustion ball
-    are dropped.
+    Returns the midpoints (M, 2) and lengths (M,) of the segments in the cut
+    cells, in row-major cell order; saddle cells and segments whose midpoint
+    lies beyond the exhaustion ball are dropped.
     """
     grid = solution.grid
     if grid.ndim != 2:
@@ -238,60 +239,52 @@ def _interface_segments(solution, label):
     # lands on the node itself (aligned planes pass through lattice rows)
     d[np.abs(d) <= grid.snap] = -1e-30
     xs, ys = grid.axes
-    segs = []
-    sign = np.sign(d)
-    flip_x = sign[:-1, :] * sign[1:, :] < 0
-    flip_y = sign[:, :-1] * sign[:, 1:] < 0
-    cut_cells = (flip_x[:, :-1] | flip_x[:, 1:] | flip_y[:-1, :] | flip_y[1:, :])
-    for i, j in zip(*np.nonzero(cut_cells)):
-        pts = []
-        corners = {(0, 0): d[i, j], (1, 0): d[i + 1, j],
-                   (0, 1): d[i, j + 1], (1, 1): d[i + 1, j + 1]}
-        edges = (((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 0), (0, 1)), ((1, 0), (1, 1)))
-        for a, b in edges:
-            da, db = corners[a], corners[b]
-            if da == db or da * db > 0:
-                continue
+    flip_x = d[:-1, :] * d[1:, :] < 0
+    flip_y = d[:, :-1] * d[:, 1:] < 0
+    ci, cj = np.nonzero(flip_x[:, :-1] | flip_x[:, 1:] | flip_y[:-1, :] | flip_y[1:, :])
+    crossings, points = [], []
+    for (ai, aj), (bi, bj) in (((0, 0), (1, 0)), ((0, 1), (1, 1)),
+                               ((0, 0), (0, 1)), ((1, 0), (1, 1))):
+        da, db = d[ci + ai, cj + aj], d[ci + bi, cj + bj]
+        crossings.append(da * db < 0)
+        xa, ya = xs[ci + ai], ys[cj + aj]
+        with np.errstate(divide="ignore", invalid="ignore"):  # edges without a crossing
             t = da / (da - db)
-            px = xs[i + a[0]] + t * (xs[i + b[0]] - xs[i + a[0]])
-            py = ys[j + a[1]] + t * (ys[j + b[1]] - ys[j + a[1]])
-            pts.append((px, py))
-        if len(pts) != 2:
-            continue  # degenerate or saddle cell; measure-zero for smooth interfaces
-        p0, p1 = np.array(pts[0]), np.array(pts[1])
-        mid = 0.5 * (p0 + p1)
-        if np.linalg.norm(mid) > grid.radius:
-            continue
-        segs.append((mid, float(np.linalg.norm(p1 - p0))))
-    return segs
+            points.append(np.stack([xa + t * (xs[ci + bi] - xa),
+                                    ya + t * (ys[cj + bj] - ya)], axis=1))
+    crossings, points = np.array(crossings), np.array(points)
+    # two crossings per cell; saddles (four) are measure-zero for smooth interfaces
+    two = crossings.sum(axis=0) == 2
+    cells = np.nonzero(two)[0]
+    first = np.argmax(crossings[:, two], axis=0)
+    second = 3 - np.argmax(crossings[::-1, two], axis=0)
+    p0, p1 = points[first, cells], points[second, cells]
+    mids = 0.5 * (p0 + p1)
+    keep = np.linalg.norm(mids, axis=1) <= grid.radius
+    return mids[keep], np.linalg.norm(p1 - p0, axis=1)[keep]
 
 
 def marching_boundary_integral(solution, domain, label, integrand, boundary_value):
-    """Integrate `integrand(point, du/dnu)` over a Dirichlet piece with the
+    """Integrate `integrand(points, du/dnu)` over a Dirichlet piece with the
     surface Gaussian weight; du/dnu is a one-sided second-order stencil along
-    the exterior normal."""
+    the exterior normal.  The integrand maps (M, n) points and (M,) normal
+    derivatives to (M,) values."""
     ob = dict(domain.pieces())[label]
-    grid = solution.grid
-    h = grid.h
-    total = 0.0
-    segs = _interface_segments(solution, label)
-    if not segs:
+    h = solution.grid.h
+    mids, lengths = _interface_segments(solution, label)
+    if mids.shape[0] == 0:
         raise ParameterError(f"boundary piece {label} has no reconstructed interface")
     # stay clear of the exhaustion sphere: stencils there would read mirrored
     # ghost values, and the surface Gaussian weight makes the collar negligible
-    reach = grid.radius - 3.0 * h
-    for mid, length in segs:
-        if np.linalg.norm(mid) > reach:
-            continue
-        nu = ob.exterior_normal(mid)
-        u1 = solution.field(mid - h * nu)
-        u2 = solution.field(mid - 2.0 * h * nu)
-        if math.isnan(u1) or math.isnan(u2):
-            continue
-        dudnu = (3.0 * boundary_value - 4.0 * u1 + u2) / (2.0 * h)
-        weight = math.exp(-0.5 * float(np.dot(mid, mid)))
-        total += integrand(mid, dudnu) * weight * length
-    return total
+    near = np.linalg.norm(mids, axis=1) <= solution.grid.radius - 3.0 * h
+    nu = ob.exterior_normal(mids)
+    u1 = solution.field.batch(mids - h * nu)
+    u2 = solution.field.batch(mids - 2.0 * h * nu)
+    ok = near & ~np.isnan(u1) & ~np.isnan(u2)
+    mids, lengths = mids[ok], lengths[ok]
+    dudnu = (3.0 * boundary_value - 4.0 * u1[ok] + u2[ok]) / (2.0 * h)
+    weight = np.exp(-0.5 * np.sum(mids * mids, axis=1))
+    return float(np.sum(integrand(mids, dudnu) * weight * lengths))
 
 
 def boundary_flux(solution, domain):

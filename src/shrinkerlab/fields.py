@@ -167,7 +167,8 @@ class GridField(ScalarField):
             raise ParameterError("grid dims, origin and spacing are inconsistent")
         hi = self.origin + (np.array(self.values.shape) - 1) * self.spacing
         super().__init__(self._interpolate,
-                         declared_domain=BoundingBox(tuple(self.origin), tuple(hi)))
+                         declared_domain=BoundingBox(tuple(self.origin), tuple(hi)),
+                         batch_evaluator=self._interpolate)
         self.values.setflags(write=False)
 
     @property
@@ -189,6 +190,7 @@ class GridField(ScalarField):
         return idx, frac
 
     def _interpolate(self, p):
+        """Multilinear value at an (n,) point, or (N,) values at (N, n) points."""
         idx, frac = self._locate(p)
         n = self.ndim
         acc = 0.0
@@ -197,9 +199,9 @@ class GridField(ScalarField):
             offs = []
             for ax in range(n):
                 bit = (corner >> ax) & 1
-                w *= frac[ax] if bit else (1.0 - frac[ax])
-                offs.append(idx[ax] + bit)
-            acc += w * self.values[tuple(offs)]
+                w = w * (frac[..., ax] if bit else (1.0 - frac[..., ax]))
+                offs.append(idx[..., ax] + bit)
+            acc = acc + w * self.values[tuple(offs)]
         return acc
 
     def stencil_order(self, p):

@@ -1,9 +1,10 @@
 """Deterministic quadrature and low-discrepancy sampling helpers.
 
-Adaptive Simpson is the workhorse for the 1D profile integrals (barrier
-profiles, radial/slab closed forms).  Gauss-Legendre panels back the surface
-integrals, and the Halton sequence provides reproducible quasi-random points
-for sampling shells and surfaces.
+Adaptive Simpson integrates the barrier profile psi and the energies of the
+closed-form profiles.  Gauss-Legendre panels back the surface integrals and
+the cumulative tables of the radial/slab closed forms, and the Halton
+sequence provides reproducible quasi-random points for sampling shells and
+surfaces.
 """
 
 from functools import lru_cache

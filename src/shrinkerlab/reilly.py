@@ -332,8 +332,8 @@ def energy_growth_chain(solution, domain, radii, eps=2.0, K=1.0):
             lambda p, dudnu, ob=ob: ob.weighted_mean_curvature(p) * dudnu ** 2,
             boundary_value=bv)
         boundary_terms[label] = float(term)
-        mids = np.array([mid for mid, _ in _interface_segments(solution, label)])
-        h_f = ob.weighted_mean_curvature(mids.reshape(-1, domain.ambient_dim))
+        mids, _ = _interface_segments(solution, label)
+        h_f = ob.weighted_mean_curvature(mids)
         f_minimal[label] = bool(np.max(np.abs(h_f), initial=0.0) <= 1e-8)
     return ChainReport(per_R=per_R, consistent=consistent,
                        boundary_terms=boundary_terms, f_minimal=f_minimal,

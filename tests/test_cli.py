@@ -160,6 +160,15 @@ def test_library_errors_map_to_exit_codes(tmp_path, monkeypatch, capsys, domain,
                  "--output-dir", _out(tmp_path, "err")]) == expected
     assert "Traceback" not in capsys.readouterr().err
 
+def test_solve_with_an_empty_compare_set_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "ann.json"
+    path.write_text(json.dumps({"kind": "annulus", "a": 0.5, "b": 2.0, "ambient_dim": 2}))
+    assert main(["solve", "--domain", str(path), "--h", "0.125", "--compare-radius", "0.3",
+                 "--output-dir", _out(tmp_path, "empty")]) == 1
+    err = capsys.readouterr().err
+    assert "usage error: no solved node lies within_radius=0.3" in err
+
+
 def test_separation_cases(tmp_path):
     out = _out(tmp_path, "sep")
     assert main(["separation", "--case", "plane-cylinder", "--output-dir", out]) == 0

@@ -112,3 +112,24 @@ def test_energy_report_serializes(slab_grid_solution, slab_dom):
     assert set(obj) >= {"total_energy", "growth_profile", "caccioppoli_lhs",
                         "caccioppoli_rhs", "boundary_flux", "tail_sup_estimate"}
     assert rep.growth_csv().splitlines()[0] == "R,value"
+
+
+def test_batched_boundary_integral_matches_segment_loop(annulus_grid_solution, annulus_dom):
+    # reference: one normal, two field reads and one integrand call per segment
+    sol, ob, h = annulus_grid_solution, annulus_dom.sigma2, annulus_grid_solution.grid.h
+    mids, lengths = en._interface_segments(sol, "sigma2")
+    assert mids.shape == (lengths.size, 2) and lengths.size > 0
+    total = 0.0
+    for mid, length in zip(mids, lengths):
+        if math.hypot(*mid) > sol.grid.radius - 3.0 * h:
+            continue
+        nu = ob.exterior_normal(mid)
+        u1, u2 = sol.field(mid - h * nu), sol.field(mid - 2.0 * h * nu)
+        if not (math.isnan(u1) or math.isnan(u2)):
+            dudnu = (3.0 - 4.0 * u1 + u2) / (2.0 * h)
+            total += ob.weighted_mean_curvature(mid) * dudnu ** 2 * math.exp(
+                -0.5 * float(mid @ mid)) * length
+    batched = en.marching_boundary_integral(
+        sol, annulus_dom, "sigma2",
+        lambda p, dudnu: ob.weighted_mean_curvature(p) * dudnu ** 2, boundary_value=1.0)
+    assert batched == pytest.approx(total, rel=1e-12)

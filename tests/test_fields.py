@@ -118,3 +118,20 @@ class TestGridField:
         g = field.gradient(p)
         assert g[1] == pytest.approx(prof.derivative(p[1]), abs=5e-3)
         assert abs(g[0]) < 5e-3
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_grid_batch_matches_pointwise(dim):
+    rng = np.random.default_rng(20240801 + dim)
+    shape = (9, 7, 5)[:dim]
+    gf = fl.GridField(origin=rng.uniform(-1, 1, dim), spacing=rng.uniform(0.1, 0.3, dim),
+                      values=rng.standard_normal(shape))
+    hi = gf.origin + (np.array(shape) - 1) * gf.spacing
+    P = rng.uniform(gf.origin, hi, size=(300, dim))
+    for ax in range(dim):   # points on cell faces
+        rows = slice(40 * ax, 40 * (ax + 1))
+        P[rows, ax] = gf.node_coordinates(ax)[rng.integers(0, shape[ax], 40)]
+    P = np.vstack([P, hi, gf.origin])   # the last node and the first
+    batch = gf.batch(P)
+    assert batch.shape == (P.shape[0],)
+    np.testing.assert_allclose(batch, [gf(p) for p in P], rtol=0, atol=1e-15)

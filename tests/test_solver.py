@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import erfi, expi
 
 from shrinkerlab import domain as dm
 from shrinkerlab import solver as sv
 from shrinkerlab.errors import (ParameterError, SingularSystemError)
+from shrinkerlab.fields import GridField
 
 # frozen from an independent Gauss-Kronrod quadrature of the closed forms
 RADIAL_U_AT_1 = 0.28880994490040635
@@ -45,6 +49,107 @@ class TestClosedForms:
     def test_slab_depends_only_on_height(self):
         prof = sv.solve_slab(-1, 1).profile
         assert prof(np.array([3.7, 0.25])) == prof(np.array([-1.2, 0.25]))
+
+
+@st.composite
+def profiles(draw):
+    """(profile, lower end, upper end) over random slabs and annuli in R^2..R^4."""
+    lo = draw(st.floats(0.2, 2.0))
+    hi = lo + draw(st.floats(0.05, 3.0))
+    if draw(st.booleans()):
+        lo, hi = lo - 2.5, hi - 2.5
+        return sv.SlabProfile(lo, hi), lo, hi
+    return sv.RadialProfile(lo, hi, draw(st.sampled_from([2, 3, 4]))), lo, hi
+
+
+@st.composite
+def profiles_and_coordinates(draw):
+    prof, lo, hi = draw(profiles())
+    ts = draw(arrays(float, draw(st.integers(1, 40)),
+                     elements=st.floats(lo - 1.0, hi + 1.0)))
+    return prof, lo, hi, ts
+
+
+class TestBatchedProfiles:
+    @settings(max_examples=300, deadline=None)
+    @given(profiles_and_coordinates())
+    def test_array_value_is_elementwise_scalar_value(self, case):
+        prof, _, _, ts = case
+        batch = prof.value(ts)
+        assert batch.shape == ts.shape
+        scalars = [prof.value(float(t)) for t in ts]
+        assert all(type(v) is float for v in scalars)
+        assert batch.tolist() == scalars
+
+    @settings(max_examples=300, deadline=None)
+    @given(profiles_and_coordinates())
+    def test_range_and_monotonicity(self, case):
+        prof, _, _, ts = case
+        vals = prof.value(np.sort(ts))
+        assert np.all((vals >= 0.0) & (vals <= 1.0))
+        assert np.all(np.diff(vals) >= 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(profiles(), st.floats(0.0, 10.0))
+    def test_exact_ends(self, case, beyond):
+        prof, lo, hi = case
+        assert prof.value(lo) == 0.0 and prof.value(lo - beyond) == 0.0
+        assert prof.value(hi) == 1.0 and prof.value(hi + beyond) == 1.0
+        assert prof.value(np.array([lo - beyond, lo, hi, hi + beyond])).tolist() == [
+            0.0, 0.0, 1.0, 1.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(profiles())
+    def test_closed_forms(self, case):
+        prof, lo, hi = case
+        slab = isinstance(prof, sv.SlabProfile)
+        assume(slab or prof.ambient_dim == 2)
+        t = np.linspace(lo, hi, 33)
+        if slab:
+            F = np.sqrt(np.pi / 2) * erfi(t / np.sqrt(2))   # int e^(t^2/2)
+        else:
+            F = 0.5 * expi(0.5 * t * t)                     # int s^-1 e^(s^2/2)
+        exact = (F - F[0]) / (F[-1] - F[0])
+        assert np.max(np.abs(prof.value(t) - exact)) <= 1e-13
+
+    def test_points_batch_matches_rows(self, quasi_points):
+        for prof in (sv.SlabProfile(-1, 1, ambient_dim=3, axis=1),
+                     sv.RadialProfile(0.5, 2.5, 3)):
+            P = quasi_points[3]
+            rows = [prof(p) for p in P]
+            assert all(type(v) is float for v in rows)
+            assert prof(P).tolist() == rows
+            assert prof.as_field().batch(P).tolist() == rows
+
+    def test_max_node_error_calls_reference_once(self, annulus_grid_solution,
+                                                 radial_profile):
+        shapes = []
+
+        def reference(pts):
+            shapes.append(np.shape(pts))
+            return radial_profile.profile(pts)
+
+        err = sv.max_node_error(annulus_grid_solution, reference)
+        assert len(shapes) == 1
+        assert len(shapes[0]) == 2 and shapes[0][1] == 2 and shapes[0][0] > 1
+        assert err == sv.max_node_error(annulus_grid_solution, radial_profile.profile)
+
+
+class TestEmptyComparisonSets:
+    def test_max_node_error_names_within_radius(self, annulus_grid_solution,
+                                                radial_profile):
+        with pytest.raises(ParameterError, match="within_radius"):
+            sv.max_node_error(annulus_grid_solution, radial_profile.profile,
+                              within_radius=0.3)
+
+    def test_sup_difference_names_empty_compact(self, annulus_grid_solution):
+        sol = annulus_grid_solution
+        blank = sv.Solution(
+            field=GridField(sol.field.origin, sol.field.spacing,
+                            np.full(sol.field.shape, np.nan)),
+            report=sv.SolveReport(), grid=sol.grid)
+        with pytest.raises(ParameterError, match="no node solved on both"):
+            sv._sup_difference_on_compact(sol, blank, compact_radius=1.5)
 
 
 class TestMixedBvp:
