@@ -11,6 +11,8 @@ infinity.
 
 import math
 
+import numpy as np
+
 from shrinkerlab import barrier as br
 from shrinkerlab import domain as dm
 from shrinkerlab import energy as en
@@ -29,13 +31,13 @@ print(f"  control (linear profile, must violate): "
 print("\n== gradient bound vs the annulus solution")
 ann = dm.annulus_domain(0.5, 2.0, ambient_dim=2)
 sol = sv.solve_mixed_bvp(ann, h=1 / 32, tol=1e-11)
-grads = []
-for mid, _ in en._interface_segments(sol, "sigma2"):
-    nu = ann.sigma2.exterior_normal(mid)
-    u1, u2 = sol.field(mid - sol.grid.h * nu), sol.field(mid - 2 * sol.grid.h * nu)
-    grads.append(abs((3.0 - 4.0 * u1 + u2) / (2 * sol.grid.h)))
+mids, _ = en._interface_segments(sol, "sigma2")
+nu = ann.sigma2.exterior_normal(mids)
+u1 = sol.field.batch(mids - sol.grid.h * nu)
+u2 = sol.field.batch(mids - 2 * sol.grid.h * nu)
+grad_max = float(np.max(np.abs((3.0 - 4.0 * u1 + u2) / (2 * sol.grid.h))))
 bound = br.estimate_gradient(2.0, R=2.0, dist_to_sigma1=1.5, m=1)
-print(f"  measured max |grad u| on the outer circle: {max(grads):.4f}")
+print(f"  measured max |grad u| on the outer circle: {grad_max:.4f}")
 print(f"  barrier bound (tangency norm 2, R = 2):    {bound:.4f}")
 
 print("\n== Lipschitz competitors dominate the minimizer")

@@ -255,10 +255,9 @@ def _interface_segments(solution, label):
     crossings, points = np.array(crossings), np.array(points)
     # two crossings per cell; saddles (four) are measure-zero for smooth interfaces
     two = crossings.sum(axis=0) == 2
-    cells = np.nonzero(two)[0]
-    first = np.argmax(crossings[:, two], axis=0)
-    second = 3 - np.argmax(crossings[::-1, two], axis=0)
-    p0, p1 = points[first, cells], points[second, cells]
+    # boolean indexing is row-major, so each cell's two crossings stay in edge order
+    sel = points.transpose(1, 0, 2)[two][crossings.T[two]].reshape(-1, 2, 2)
+    p0, p1 = sel[:, 0], sel[:, 1]
     mids = 0.5 * (p0 + p1)
     keep = np.linalg.norm(mids, axis=1) <= grid.radius
     return mids[keep], np.linalg.norm(p1 - p0, axis=1)[keep]

@@ -471,7 +471,12 @@ def max_node_error(solution, reference, within_radius=None):
     if pts.shape[0] == 0:
         raise ParameterError(f"no solved node lies within_radius={within_radius}")
     vals = solution.field.values.reshape(-1)[mask]
-    return float(np.max(np.abs(vals - reference(pts))))
+    ref = np.asarray(reference(pts), dtype=float)
+    if ref.shape != vals.shape:
+        raise ContractViolation(
+            f"reference must map the ({pts.shape[0]}, {pts.shape[1]}) node array to "
+            f"({pts.shape[0]},) values in one call; it returned shape {ref.shape}")
+    return float(np.max(np.abs(vals - ref)))
 
 
 def solve_exhaustion(domain, radii, h, tol=1e-6, linear_tol=1e-10, max_iter=20000,

@@ -1,0 +1,21 @@
+"""Smoke test: the quick demo scripts run to completion.
+
+Demos 03 (Dirichlet problems at fine meshes) and 07 (Monte Carlo hitting
+probabilities) take half a minute each and exercise the same code as
+acceptance criteria 4 and 6, so they are not run here.
+"""
+
+import pathlib
+import runpy
+
+import pytest
+
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+QUICK = ["01_model_shrinkers", "02_weighted_operators", "04_energy_and_caccioppoli",
+         "05_reilly_identity", "06_barriers_and_gradient_bounds"]
+
+
+@pytest.mark.parametrize("name", QUICK)
+def test_quick_demo_runs(name, capsys):
+    runpy.run_path(str(DEMOS / f"{name}.py"), run_name="__main__")
+    assert capsys.readouterr().out.strip()

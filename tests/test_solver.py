@@ -8,7 +8,7 @@ from scipy.special import erfi, expi
 
 from shrinkerlab import domain as dm
 from shrinkerlab import solver as sv
-from shrinkerlab.errors import (ParameterError, SingularSystemError)
+from shrinkerlab.errors import ContractViolation, ParameterError, SingularSystemError
 from shrinkerlab.fields import GridField
 
 # frozen from an independent Gauss-Kronrod quadrature of the closed forms
@@ -133,6 +133,10 @@ class TestBatchedProfiles:
         assert len(shapes) == 1
         assert len(shapes[0]) == 2 and shapes[0][1] == 2 and shapes[0][0] > 1
         assert err == sv.max_node_error(annulus_grid_solution, radial_profile.profile)
+
+    def test_max_node_error_rejects_a_pointwise_reference(self, annulus_grid_solution):
+        with pytest.raises(ContractViolation, match="in one call"):
+            sv.max_node_error(annulus_grid_solution, lambda p: float(np.linalg.norm(p)))
 
 
 class TestEmptyComparisonSets:
