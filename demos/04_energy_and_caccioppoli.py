@@ -13,7 +13,7 @@ from shrinkerlab import solver as sv
 slab = sv.solve_slab(-1, 1, ambient_dim=2)
 rad = sv.solve_radial(0.5, 2.0, 2)
 
-print("== profile energies (adaptive quadrature, exact tangential mass)")
+print("== profile energies (closed forms c / F(hi), exact tangential mass)")
 print(f"  slab(-1,1):    E = {en.dirichlet_energy(slab):.12f}")
 print(f"  annulus(.5,2): E = {en.dirichlet_energy(rad):.12f}")
 

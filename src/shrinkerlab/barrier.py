@@ -3,11 +3,13 @@
 The barrier profile solves  psi'' + psi' (m/(d+R) - d + |z|) = 0  on a shell
 of width a outside a tangent ball of radius R, normalized to run from 0 to 1:
 
-    psi(d) = int_0^d e^(t^2/2) (t+R)^-m e^(-|z|t) dt  /  (same over [0, a]).
+    psi(d) = int_0^d e^(t^2/2) (t+R)^-m e^(-|z|t) dt  /  (same over [0, a]),
 
-Composed with the distance to the ball it is a weighted-superharmonic upper
-barrier, which yields the boundary gradient bound
-(R+1)^m / R^m * e^|z| / dist implemented by `estimate_gradient`.
+tabulated on the shared Gauss-Legendre panels of `CumulativeProfile`, so
+psi(0) = 0 and psi(a) = 1 hold exactly.  Composed with the distance to the
+ball it is a weighted-superharmonic upper barrier, which yields the boundary
+gradient bound (R+1)^m / R^m * e^|z| / dist implemented by
+`estimate_gradient`.
 
 The Lipschitz separation barriers (clamped distance quotients) provide finite
 energy competitors pinned to 0 and 1 on the two boundary pieces, and
@@ -24,7 +26,7 @@ import numpy as np
 from .domain import PlaneBoundary, SphereBoundary
 from .errors import ContractViolation, ParameterError
 from .fields import ScalarField, weighted_laplacian
-from .quadrature import adaptive_simpson, halton, sphere_directions
+from .quadrature import CumulativeProfile, halton, sphere_directions
 
 __all__ = [
     "BarrierParams",
@@ -61,33 +63,37 @@ class BarrierParams:
             raise ParameterError("|z| must be nonnegative")
 
 
+_FD_STEP = 1e-5   # central-difference step of `supersolution_check`
+
+
+class BarrierProfile(CumulativeProfile):
+    """psi(d) for scalar or (N,) distances d; 0 below the shell, 1 beyond."""
+
+    def __init__(self, params):
+        self.params = params
+        super().__init__(0.0, params.a, samples=257)
+
+    def density(self, t):
+        R, m, z = self.params.R, self.params.m, self.params.z_norm
+        return np.exp(0.5 * t * t - z * t) / (t + R) ** m
+
+    def __call__(self, d):
+        return self.value(d)
+
+
 @dataclass
 class BarrierResult:
-    psi: callable          # psi(d) on [0, a] (extends smoothly beyond)
+    psi: BarrierProfile
     psi_prime_0: float
     rough_bound: float     # (R+a)^m / (R^m a) * e^(a |z|)
     gradient_estimate: float
     params: BarrierParams
 
 
-def _barrier_integrand(params):
-    R, m, z = params.R, params.m, params.z_norm
-
-    def g(t):
-        return math.exp(0.5 * t * t - z * t) / (t + R) ** m
-
-    return g
-
-
-def build_psi(params, quad_tol=1e-10):
+def build_psi(params):
     """Construct the normalized barrier profile and its slope data."""
-    g = _barrier_integrand(params)
-    denom = adaptive_simpson(g, 0.0, params.a, tol=quad_tol)
-
-    def psi(d):
-        return adaptive_simpson(g, 0.0, float(d), tol=quad_tol) / denom
-
-    psi_prime_0 = 1.0 / (params.R ** params.m * denom)
+    psi = BarrierProfile(params)
+    psi_prime_0 = psi.derivative(0.0)
     rough = ((params.R + params.a) ** params.m / (params.R ** params.m * params.a)
              * math.exp(params.a * params.z_norm))
     if psi_prime_0 > rough * (1.0 + 1e-12):
@@ -98,14 +104,14 @@ def build_psi(params, quad_tol=1e-10):
                          gradient_estimate=grad_est, params=params)
 
 
-def supersolution_check(params, samples, quad_tol=1e-10, fd_step=1e-5,
-                        profile="ode"):
+def supersolution_check(params, samples, profile="ode"):
     """Maximum of Lap_f(psi o d) over quasi-random shell points.
 
     The shell sits outside the ball of radius R centered at (|z| + R) e_1,
     tangent to |z| e_1; the ODE profile must give a nonpositive maximum up to
-    differencing noise.  profile="linear" replaces psi by d/a as a control
-    that the check actually detects sign violations.
+    differencing noise (central differences of step _FD_STEP, one batched
+    `weighted_laplacian` call).  profile="linear" replaces psi by d/a as a
+    control that the check actually detects sign violations.
     """
     if samples <= 0:
         warnings.warn("empty shell sample: supersolution check is vacuous",
@@ -116,8 +122,7 @@ def supersolution_check(params, samples, quad_tol=1e-10, fd_step=1e-5,
     center[0] = params.z_norm + params.R
 
     if profile == "ode":
-        result = build_psi(params, quad_tol=quad_tol)
-        psi = result.psi
+        psi = build_psi(params).psi
     elif profile == "linear":
         def psi(d):
             return d / params.a
@@ -129,11 +134,11 @@ def supersolution_check(params, samples, quad_tol=1e-10, fd_step=1e-5,
     dirs = sphere_directions(samples, n)
     points = center[None, :] + radii[:, None] * dirs
 
-    fld = ScalarField(lambda x: psi(float(np.linalg.norm(x - center)) - params.R))
-    worst = -math.inf
-    for p in points:
-        worst = max(worst, weighted_laplacian(fld, p, h=fd_step))
-    return worst
+    def batch(pts):
+        return psi(np.linalg.norm(pts - center, axis=-1) - params.R)
+
+    fld = ScalarField(batch, batch_evaluator=batch)
+    return float(np.max(weighted_laplacian(fld, points, h=_FD_STEP)))
 
 
 def estimate_gradient(z, R, dist_to_sigma1, m):

@@ -1,22 +1,26 @@
 """Weighted Dirichlet energy, growth profiles, and the Caccioppoli check.
 
 Grid energies use a midpoint rule over cells whose corners are all inside the
-classified region (documented first-order near the boundary); profile-backed
-solutions integrate their 1D reduction with adaptive quadrature and carry the
-exact Gaussian mass of the reduced directions.  Surface integrals on grids
-reconstruct the Dirichlet interface cell by cell (marching squares) with a
-second-order one-sided normal stencil into the domain.
+classified region (documented first-order near the boundary).  Profile-backed
+solutions have closed forms: u' = g / F(hi), so Green's identity gives the
+energy (1/2) c / F(hi) and the flux c / F(hi), where c is the Gaussian mass
+of the reduced directions, (2 pi)^((n-1)/2) for the slab and |S^(n-1)| for
+the annulus.  The annulus energy inside B_R is c u(min(b, R)) / F(hi); the
+slab's is one order-64 Gauss-Legendre rule in theta with s = R sin(theta).
+Surface integrals on grids reconstruct the Dirichlet interface cell by cell
+(marching squares) with a second-order one-sided normal stencil into the
+domain.
 """
 
 import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.special import erf, gammaln
+from scipy.special import gammainc, gammaln
 
 from .errors import MissingGeometryError, ParameterError
-from .quadrature import adaptive_simpson
-from .solver import EXTERIOR, RadialProfile, SlabProfile
+from .quadrature import gauss_legendre
+from .solver import EXTERIOR, SlabProfile
 
 __all__ = [
     "EnergyReport",
@@ -38,15 +42,12 @@ def sphere_measure(d):
 
 
 def gaussian_ball_mass(d, radius):
-    """int_{|t| <= radius, t in R^d} e^{-|t|^2/2} dt (d = 0 gives 1)."""
+    """int_{|t| <= radius, t in R^d} e^{-|t|^2/2} dt (d = 0 gives 1), for a
+    scalar or an array of radii."""
     if d == 0:
         return 1.0
-    if radius <= 0:
-        return 0.0
-    if d == 1:
-        return math.sqrt(2.0 * math.pi) * float(erf(radius / math.sqrt(2.0)))
-    return sphere_measure(d) * adaptive_simpson(
-        lambda r: r ** (d - 1) * math.exp(-0.5 * r * r), 0.0, radius, tol=1e-13)
+    r = np.maximum(radius, 0.0)
+    return (2.0 * math.pi) ** (d / 2.0) * gammainc(d / 2.0, 0.5 * r * r)
 
 
 @dataclass
@@ -100,25 +101,31 @@ class EnergyReport:
 # volume energies
 
 
-def _profile_energy_density(solution):
-    """(integrand, lo, hi) with integrand(s) = |u'|^2 * reduced weighted measure."""
-    prof = solution.profile
+def _reduced_mass(prof):
+    """Gaussian mass c of the directions a profile does not depend on, so
+    that the exact solution has int |grad u|^2 e^-f = c / F(hi)."""
     if isinstance(prof, SlabProfile):
-        tangential = (2.0 * math.pi) ** ((prof.ambient_dim - 1) / 2.0)
+        return (2.0 * math.pi) ** ((prof.ambient_dim - 1) / 2.0)
+    return sphere_measure(prof.ambient_dim)
 
-        def density(s):
-            return prof.derivative(s) ** 2 * math.exp(-0.5 * s * s) * tangential
 
-        return density, prof.h1, prof.h2
-    if isinstance(prof, RadialProfile):
-        omega = sphere_measure(prof.ambient_dim)
+def _slab_ball_mass(prof, R):
+    """int_{B_R} |grad u|^2 e^-f for a slab profile.
 
-        def density(r):
-            return (prof.derivative(r) ** 2 * math.exp(-0.5 * r * r)
-                    * omega * r ** (prof.ambient_dim - 1))
-
-        return density, prof.a, prof.b
-    raise ParameterError(f"unknown profile type {type(prof).__name__}")
+    The slice at height s is a tangential ball of radius sqrt(R^2 - s^2), and
+    |u'(s)|^2 e^(-s^2/2) = g(s) / F(hi)^2; s = R sin(theta) turns the sqrt
+    endpoint singularity into the smooth factor R cos(theta).
+    """
+    lo, hi = max(prof.h1, -R), min(prof.h2, R)
+    if lo >= hi:
+        return 0.0
+    t0, t1 = math.asin(lo / R), math.asin(hi / R)
+    x, w = gauss_legendre(64)
+    theta = t0 + (t1 - t0) * x
+    reach = R * np.cos(theta)
+    dens = (prof.density(R * np.sin(theta))
+            * gaussian_ball_mass(prof.ambient_dim - 1, reach) * reach)
+    return (t1 - t0) * float(np.dot(w, dens)) / prof.normalization ** 2
 
 
 def weighted_gradient_cells(solution):
@@ -167,8 +174,7 @@ def weighted_gradient_cells(solution):
 def dirichlet_energy(solution, domain=None):
     """Weighted energy (1/2) int |grad u|^2 e^-f over the solved region."""
     if solution.profile is not None:
-        density, lo, hi = _profile_energy_density(solution)
-        return 0.5 * adaptive_simpson(density, lo, hi, tol=1e-12)
+        return 0.5 * _reduced_mass(solution.profile) / solution.profile.normalization
     _, cells = weighted_gradient_cells(solution)
     return 0.5 * float(np.sum(cells))
 
@@ -183,29 +189,10 @@ def energy_growth_profile(solution, domain, radii):
         prof = solution.profile
         for R in radii:
             if isinstance(prof, SlabProfile):
-                lo = max(prof.h1, -R)
-                hi = min(prof.h2, R)
-                if lo >= hi:
-                    mass = 0.0
-                else:
-                    d_tan = prof.ambient_dim - 1
-
-                    def density(s):
-                        reach = math.sqrt(max(R * R - s * s, 0.0))
-                        return (prof.derivative(s) ** 2 * math.exp(-0.5 * s * s)
-                                * gaussian_ball_mass(d_tan, reach))
-
-                    mass = adaptive_simpson(density, lo, hi, tol=1e-12)
+                mass = _slab_ball_mass(prof, R)
             else:
-                omega = sphere_measure(prof.ambient_dim)
-                hi = min(prof.b, R)
-                if hi <= prof.a:
-                    mass = 0.0
-                else:
-                    mass = omega * adaptive_simpson(
-                        lambda r: (prof.derivative(r) ** 2 * math.exp(-0.5 * r * r)
-                                   * r ** (prof.ambient_dim - 1)),
-                        prof.a, hi, tol=1e-12)
+                mass = (_reduced_mass(prof) * prof.value(min(prof.b, R))
+                        / prof.normalization)
             entries.append(GrowthEntry(R=R, value=mass / (R * R)))
         return entries
 
@@ -289,13 +276,7 @@ def marching_boundary_integral(solution, domain, label, integrand, boundary_valu
 def boundary_flux(solution, domain):
     """int_{Sigma_2} |grad u| with the surface Gaussian weight."""
     if solution.profile is not None:
-        prof = solution.profile
-        if isinstance(prof, SlabProfile):
-            tangential = (2.0 * math.pi) ** ((prof.ambient_dim - 1) / 2.0)
-            return prof.derivative(prof.h2) * math.exp(-0.5 * prof.h2 ** 2) * tangential
-        omega = sphere_measure(prof.ambient_dim)
-        return (prof.derivative(prof.b) * math.exp(-0.5 * prof.b ** 2)
-                * omega * prof.b ** (prof.ambient_dim - 1))
+        return _reduced_mass(solution.profile) / solution.profile.normalization
     if domain is None or domain.sigma2 is None:
         raise ParameterError("boundary flux needs a domain with a sigma2 piece")
     return marching_boundary_integral(solution, domain, "sigma2",
@@ -337,12 +318,11 @@ def energy_report(solution, domain, radii):
 # energies of plain fields (barrier competitors)
 
 
-def energy_of_field(fld, domain, resolution=1 / 128, radius=None, batch_eval=None):
-    """Midpoint-rule weighted energy of a callable field over Omega.
+def energy_of_field(fld, domain, resolution=1 / 128, radius=None):
+    """Midpoint-rule weighted energy of a scalar field over Omega.
 
-    The gradient is a central difference at half the cell size.  `batch_eval`
-    may supply a vectorized evaluator mapping (N, n) arrays to (N,) values;
-    otherwise the field is called pointwise (slow for fine resolutions).
+    The gradient is a central difference at half the cell size, read through
+    `fld.batch` on the whole array of cell centers.
     """
     if radius is None:
         radius = min(domain.exhaustion_radius, 8.0)
@@ -358,17 +338,11 @@ def energy_of_field(fld, domain, resolution=1 / 128, radius=None, batch_eval=Non
     inside &= np.linalg.norm(centers, axis=1) <= radius
     centers = centers[inside]
 
-    if batch_eval is None:
-        batch_eval = getattr(fld, "batch_eval", None)
-    if batch_eval is None:
-        def batch_eval(pts):
-            return np.array([fld(p) for p in pts])
-
     delta = 0.5 * h
     grad_sq = np.zeros(centers.shape[0])
     for ax in range(centers.shape[1]):
         e = np.zeros(centers.shape[1])
         e[ax] = delta
-        grad_sq += ((batch_eval(centers + e) - batch_eval(centers - e)) / (2 * delta)) ** 2
+        grad_sq += ((fld.batch(centers + e) - fld.batch(centers - e)) / (2 * delta)) ** 2
     w = np.exp(-0.5 * np.sum(centers ** 2, axis=1))
     return 0.5 * float(np.sum(grad_sq * w)) * h ** centers.shape[1]

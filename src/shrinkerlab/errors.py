@@ -14,7 +14,11 @@ class ParameterError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """A quadrature could not reach the requested tolerance.
+
+    The package's own integrals are fixed Gauss-Legendre rules and closed
+    forms, which never raise it; it stays part of the CLI error contract.
+    """
 
     def __init__(self, message, achieved_tol=None):
         super().__init__(message)

@@ -3,8 +3,12 @@
 The weight is fixed to f(x) = |x|^2 / 2, so the weighted Laplacian is the
 Ornstein-Uhlenbeck operator  Lap u - <x, grad u>  and the weighted divergence
 of a vector field is  div X - <X, x>.  All derivatives are central finite
-differences with a relative default step; grid-backed fields switch to
-one-sided stencils within one cell of their box and report the reduced order.
+differences with a relative default step.  `gradient` and
+`weighted_laplacian` take an (n,) point or (N, n) points and run on
+`fd_gradient_hessian`, the one batched stencil; `weighted_divergence` stays
+pointwise, since vector fields have no batch evaluator.  Grid-backed fields
+switch to one-sided stencils within one cell of their box and report the
+reduced order.
 """
 
 import io
@@ -61,45 +65,42 @@ class VectorField:
 
 
 def default_step(p):
-    """Relative differencing step 1e-4 (1 + |p|); the drift grows linearly."""
-    return 1e-4 * (1.0 + float(np.linalg.norm(p)))
+    """Relative differencing step 1e-4 (1 + |p|) of an (n,) point, or of each
+    row of (N, n) points; the drift grows linearly."""
+    return 1e-4 * (1.0 + np.linalg.norm(p, axis=-1))
 
 
 def _check_stencil(fld, p, h):
     box = getattr(fld, "declared_domain", None)
     if box is not None and not box.contains(p, margin=h):
         raise BoundaryStencilError(
-            f"stencil of width {h} at {np.asarray(p)} leaves the declared domain")
+            f"stencil of width {np.max(h):.6g} at {np.asarray(p)} leaves the "
+            "declared domain")
+
+
+def _stencil_rows(fld, p, h):
+    """(N, n) rows of p and one step per row, checked against the domain."""
+    pts = np.atleast_2d(np.asarray(p, dtype=float))
+    steps = default_step(pts) if h is None else np.full(pts.shape[0], float(h))
+    _check_stencil(fld, pts, steps[:, None])
+    return pts, steps
 
 
 def gradient(fld, p, h=None):
-    """Central-difference gradient, O(h^2)."""
-    p = np.asarray(p, dtype=float)
-    h = default_step(p) if h is None else float(h)
-    _check_stencil(fld, p, h)
-    g = np.empty(p.size)
-    for i in range(p.size):
-        e = np.zeros(p.size)
-        e[i] = h
-        g[i] = (fld(p + e) - fld(p - e)) / (2.0 * h)
-    return g
+    """Central-difference gradient, O(h^2), at an (n,) point or at each row
+    of (N, n) points."""
+    pts, steps = _stencil_rows(fld, p, h)
+    grad, _ = fd_gradient_hessian(fld.batch, pts, steps)
+    return grad.reshape(np.shape(p))
 
 
 def weighted_laplacian(fld, p, h=None):
-    """Ornstein-Uhlenbeck operator Lap u - <x, grad u> by central differences."""
-    p = np.asarray(p, dtype=float)
-    h = default_step(p) if h is None else float(h)
-    _check_stencil(fld, p, h)
-    f0 = fld(p)
-    lap = 0.0
-    grad = np.empty(p.size)
-    for i in range(p.size):
-        e = np.zeros(p.size)
-        e[i] = h
-        fp, fm = fld(p + e), fld(p - e)
-        lap += (fp - 2.0 * f0 + fm) / (h * h)
-        grad[i] = (fp - fm) / (2.0 * h)
-    return lap - float(np.dot(p, grad))
+    """Ornstein-Uhlenbeck operator Lap u - <x, grad u> by central differences:
+    a float at an (n,) point, an (N,) array at (N, n) points."""
+    pts, steps = _stencil_rows(fld, p, h)
+    grad, hess = fd_gradient_hessian(fld.batch, pts, steps)
+    lap = np.trace(hess, axis1=1, axis2=2) - np.sum(pts * grad, axis=1)
+    return float(lap[0]) if np.ndim(p) == 1 else lap
 
 
 def weighted_divergence(vfld, p, h=None):
@@ -117,24 +118,24 @@ def weighted_divergence(vfld, p, h=None):
 
 def fd_gradient_hessian(batch, pts, h):
     """Gradient (N, n) and Hessian (N, n, n) at each row of pts (N, n) by
-    central differences of step h; batch maps (N, n) points to (N,) values."""
+    central differences of step h, one scalar or one step per row (N,);
+    batch maps (N, n) points to (N,) values."""
     N, n = pts.shape
+    h = np.asarray(h, dtype=float).reshape(-1)
+    shifts = h[:, None] * np.eye(n)[:, None, :]   # shifts[i]: step h along axis i
     f0 = batch(pts)
     grad = np.empty((N, n))
     hess = np.empty((N, n, n))
     for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
+        e = shifts[i]
         fp = batch(pts + e)
         fm = batch(pts - e)
         grad[:, i] = (fp - fm) / (2.0 * h)
         hess[:, i, i] = (fp - 2.0 * f0 + fm) / (h * h)
     for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
+        ei = shifts[i]
         for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h
+            ej = shifts[j]
             mixed = (batch(pts + ei + ej) - batch(pts + ei - ej)
                      - batch(pts - ei + ej) + batch(pts - ei - ej)) / (4.0 * h * h)
             hess[:, i, j] = mixed

@@ -1,69 +1,21 @@
 """Deterministic quadrature and low-discrepancy sampling helpers.
 
-Adaptive Simpson integrates the barrier profile psi and the energies of the
-closed-form profiles.  Gauss-Legendre panels back the surface integrals and
-the cumulative tables of the radial/slab closed forms, and the Halton
-sequence provides reproducible quasi-random points for sampling shells and
-surfaces.
+Every 1D integral in the package is a closed form or a fixed rule from the
+cached `gauss_legendre` table, and so are the boundary pieces' surface
+quadratures.  `CumulativeProfile` turns a positive density into the
+normalized cumulative integral behind the slab and radial closed forms and
+the barrier profile psi.  The Halton sequence provides reproducible
+quasi-random points for sampling shells and surfaces.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import ParameterError
+from .fields import ScalarField
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def adaptive_simpson(f, a, b, tol=1e-10, max_intervals=10 ** 6):
-    """Integrate ``f`` on [a, b] to absolute tolerance ``tol``.
-
-    Classic adaptive Simpson with Richardson acceptance (|S_left + S_right -
-    S_whole| <= 15 tol).  Raises :class:`QuadratureError` carrying the worst
-    accepted interval error if the interval budget runs out.
-
-    The integrand is assumed smooth; endpoints are evaluated once.
-    """
-    if a == b:
-        return 0.0
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
-
-    def _simpson(x0, f0, x2, f2):
-        x1 = 0.5 * (x0 + x2)
-        f1 = f(x1)
-        return x1, f1, (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    fa, fb = f(a), f(b)
-    m, fm, whole = _simpson(a, fa, b, fb)
-    # stack entries: (x0, f0, x2, f2, xm, fm, S, local_tol)
-    stack = [(a, fa, b, fb, m, fm, whole, tol)]
-    total = 0.0
-    used = 1
-    worst = 0.0
-    while stack:
-        x0, f0, x2, f2, xm, fm_, S, ltol = stack.pop()
-        lm, flm, S_l = _simpson(x0, f0, xm, fm_)
-        rm, frm, S_r = _simpson(xm, fm_, x2, f2)
-        used += 2
-        err = S_l + S_r - S
-        if abs(err) <= 15.0 * ltol or (x2 - x0) < 1e-14 * (b - a):
-            total += S_l + S_r + err / 15.0
-            worst = max(worst, abs(err) / 15.0)
-        elif used >= max_intervals:
-            raise QuadratureError(
-                f"adaptive Simpson exhausted {max_intervals} intervals "
-                f"(worst interval error {abs(err) / 15.0:.3e} > tol {tol:.3e})",
-                achieved_tol=abs(err) / 15.0,
-            )
-        else:
-            half = 0.5 * ltol
-            stack.append((x0, f0, xm, fm_, lm, flm, S_l, half))
-            stack.append((xm, fm_, x2, f2, rm, frm, S_r, half))
-    return sign * total
 
 
 @lru_cache(maxsize=64)
@@ -73,6 +25,52 @@ def gauss_legendre(n, a=0.0, b=1.0):
     x = 0.5 * (b - a) * (x + 1.0) + a
     w = 0.5 * (b - a) * w
     return x, w
+
+
+class CumulativeProfile:
+    """u(t) = F(t) / F(hi) for the cumulative integral F(t) = int_lo^t g of a
+    positive density g (the subclass's `density`), tabulated on `samples`
+    equispaced nodes.
+
+    F at a node is the running sum of order-8 Gauss-Legendre panels, stored
+    divided by F(hi) = `normalization`; between nodes one more order-8 panel
+    covers [node, t].  `value` maps a scalar to a float and an (N,) array to
+    an (N,) array, with exactly 0 at and below lo and exactly 1 at and above
+    hi; `derivative(t)` is g(t) / F(hi) at a scalar t; `as_field` wraps a
+    subclass's `__call__` as a scalar field with the same batch evaluator.
+    """
+
+    def __init__(self, lo, hi, samples):
+        if samples < 2:
+            raise ParameterError("need at least 2 profile samples")
+        self._nodes = np.linspace(lo, hi, samples)
+        cum = np.cumsum(self._integral_from(self._nodes[:-1], self._nodes[1:]))
+        self.normalization = float(cum[-1])
+        self._table = np.concatenate([[0.0], cum]) / self.normalization
+
+    def _integral_from(self, x0, t):
+        """Order-8 Gauss-Legendre integral of g over [x0, t], row by row."""
+        xi, w = gauss_legendre(8)
+        width = t - x0
+        g = self.density(x0[:, None] + width[:, None] * xi)
+        # an explicit left-to-right sum rounds each row alike at any N
+        return width * sum(wk * gk for wk, gk in zip(w, g.T))
+
+    def value(self, t):
+        t = np.asarray(t, dtype=float)
+        s = np.clip(t.reshape(-1), self._nodes[0], self._nodes[-1])
+        i = np.minimum(np.searchsorted(self._nodes, s, side="right") - 1,
+                       self._nodes.size - 2)
+        u = self._table[i] + self._integral_from(self._nodes[i], s) / self.normalization
+        u = np.where(s >= self._nodes[-1], 1.0, np.minimum(u, 1.0))
+        return float(u[0]) if t.ndim == 0 else u
+
+    def derivative(self, t):
+        t = np.clip(np.asarray(t, dtype=float), self._nodes[0], self._nodes[-1])
+        return float(self.density(t) / self.normalization)
+
+    def as_field(self):
+        return ScalarField(self.__call__, batch_evaluator=self.__call__)
 
 
 def halton(count, dim, skip=20):

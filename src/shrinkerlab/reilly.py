@@ -137,22 +137,19 @@ def _box_fraction(depth, normal, h):
     ac = a[cut]
     t = depth[cut] + 0.5 * h * np.sum(ac, axis=1)
 
-    # drop near-zero components (interface parallel to those axes)
-    eps = 1e-12
-    active = ac > eps
+    # drop components that are zero or negligible next to the largest (the
+    # interface is then parallel to those axes): the inclusion-exclusion sum
+    # below divides by their product, so tiny ones would swamp it in rounding
+    active = ac > np.maximum(1e-12, 1e-5 * ac.max(axis=1, keepdims=True))
     d_eff = active.sum(axis=1)
     out = np.empty(t.size)
     for d in range(1, n + 1):
         rows = d_eff == d
         if not np.any(rows):
             continue
-        ar = ac[rows]
         tr = t[rows]
-        comp = np.zeros((rows.sum(), d))
-        comp_list = []
-        for row_a in ar:
-            comp_list.append(row_a[row_a > eps])
-        comp = np.array(comp_list)
+        # each row keeps exactly d active components, in axis order
+        comp = ac[rows][active[rows]].reshape(-1, d)
         vol = np.zeros(rows.sum())
         idx = list(range(d))
         for size in range(d + 1):

@@ -22,7 +22,7 @@ import scipy.sparse.linalg as spla
 from .errors import (ContractViolation, ParameterError, SingularSystemError,
                      SolverConvergenceError)
 from .fields import GridField, ScalarField
-from .quadrature import gauss_legendre
+from .quadrature import CumulativeProfile
 
 __all__ = [
     "SolveReport",
@@ -73,54 +73,11 @@ class Solution:
 
 
 # --------------------------------------------------------------------------
-# closed-form 1D reductions
+# closed-form 1D reductions: `__call__` maps an (n,) point to a float and
+# (N, n) points to an (N,) array
 
 
-class _Profile:
-    """u(t) = F(t) / F(hi) for the cumulative integral F(t) = int_lo^t g of a
-    positive density g, tabulated on `samples` equispaced nodes.
-
-    F at a node is the running sum of order-8 Gauss-Legendre panels, stored
-    divided by F(hi); between nodes one more order-8 panel covers [node, t].
-    `value` maps a scalar to a float and an (N,) array to an (N,) array, with
-    exactly 0 at and below lo and exactly 1 at and above hi; `__call__` maps
-    an (n,) point to a float and (N, n) points to an (N,) array.
-    """
-
-    def __init__(self, lo, hi, samples):
-        if samples < 2:
-            raise ParameterError("need at least 2 profile samples")
-        self._nodes = np.linspace(lo, hi, samples)
-        cum = np.cumsum(self._integral_from(self._nodes[:-1], self._nodes[1:]))
-        self.normalization = float(cum[-1])
-        self._table = np.concatenate([[0.0], cum]) / self.normalization
-
-    def _integral_from(self, x0, t):
-        """Order-8 Gauss-Legendre integral of g over [x0, t], row by row."""
-        xi, w = gauss_legendre(8)
-        width = t - x0
-        g = self.density(x0[:, None] + width[:, None] * xi)
-        # an explicit left-to-right sum rounds each row alike at any N
-        return width * sum(wk * gk for wk, gk in zip(w, g.T))
-
-    def value(self, t):
-        t = np.asarray(t, dtype=float)
-        s = np.clip(t.reshape(-1), self._nodes[0], self._nodes[-1])
-        i = np.minimum(np.searchsorted(self._nodes, s, side="right") - 1,
-                       self._nodes.size - 2)
-        u = self._table[i] + self._integral_from(self._nodes[i], s) / self.normalization
-        u = np.where(s >= self._nodes[-1], 1.0, np.minimum(u, 1.0))
-        return float(u[0]) if t.ndim == 0 else u
-
-    def derivative(self, t):
-        t = np.clip(np.asarray(t, dtype=float), self._nodes[0], self._nodes[-1])
-        return float(self.density(t) / self.normalization)
-
-    def as_field(self):
-        return ScalarField(self.__call__, batch_evaluator=self.__call__)
-
-
-class RadialProfile(_Profile):
+class RadialProfile(CumulativeProfile):
     """u(r) = int_a^r s^(1-n) e^(s^2/2) ds, normalized to u(b) = 1."""
 
     def __init__(self, a, b, ambient_dim, samples=257):
@@ -134,7 +91,7 @@ class RadialProfile(_Profile):
         return self.value(np.linalg.norm(np.asarray(p, dtype=float), axis=-1))
 
 
-class SlabProfile(_Profile):
+class SlabProfile(CumulativeProfile):
     """u(s) = int_h1^s e^(t^2/2) dt, normalized; depends on one coordinate."""
 
     def __init__(self, h1, h2, ambient_dim=2, axis=-1, samples=257):

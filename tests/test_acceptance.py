@@ -4,11 +4,18 @@ Each test prints its pass/fail line (visible with pytest -s; the CLI
 `acceptance` subcommand prints the same table).
 """
 
+import json
 import time
+from pathlib import Path
 
 import pytest
 
 from shrinkerlab import acceptance as acc
+
+# criteria whose detail line must print the values of the committed report;
+# 1, 2, 5 and 8 print rounding-level values and 6, 7 are slow
+REPORT = Path(__file__).resolve().parents[1] / "runs" / "acceptance" / "report.json"
+FROZEN_DETAILS = (3, 4, 9, 10, 11, 12)
 
 
 def _run(index, name, fn):
@@ -18,6 +25,9 @@ def _run(index, name, fn):
                                detail=detail, runtime=time.time() - t0).line()
     print(line)
     assert passed, line
+    if index in FROZEN_DETAILS:
+        frozen = {c["index"]: c["detail"] for c in json.loads(REPORT.read_text())["criteria"]}
+        assert detail == frozen[index]
 
 
 def test_criterion_01_shrinker_residuals():

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from shrinkerlab import barrier as br
 from shrinkerlab import domain as dm
 from shrinkerlab import energy as en
 from shrinkerlab.errors import ParameterError
+from shrinkerlab.quadrature import halton, sphere_directions
 
 # frozen from an independent Gauss-Kronrod quadrature of
 # 1 / int_0^1 e^(t^2/2) (1+t)^-2 dt
@@ -41,6 +44,26 @@ class TestPsi:
                         res = br.build_psi(br.BarrierParams(R=R, a=a, m=m, z_norm=z))
                         assert res.psi_prime_0 <= res.rough_bound * (1 + 1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(R=st.floats(0.25, 4.0), a=st.floats(0.1, 3.0), m=st.integers(1, 4),
+           z=st.floats(0.0, 6.0))
+    def test_table_matches_quadrature(self, R, a, m, z):
+        res = br.build_psi(br.BarrierParams(R=R, a=a, m=m, z_norm=z))
+
+        def g(t):
+            return math.exp(0.5 * t * t - z * t) / (t + R) ** m
+
+        def integral(d):
+            return quad(g, 0.0, d, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+        ds = np.linspace(0.0, a, 9)
+        vals = res.psi(ds)
+        np.testing.assert_allclose(vals, [integral(d) / integral(a) for d in ds],
+                                   rtol=0.0, atol=1e-12)
+        assert res.psi(0.0) == 0.0 and res.psi(a) == 1.0
+        assert np.all(np.diff(vals) > 0.0)
+        assert res.psi_prime_0 == res.psi.derivative(0.0)
+
     def test_param_validation(self):
         with pytest.raises(ParameterError):
             br.BarrierParams(R=0.0, a=1.0, m=2)
@@ -63,6 +86,19 @@ class TestSupersolution:
         v = br.supersolution_check(br.BarrierParams(R=1.0, a=1.0, m=2, z_norm=0.0),
                                    300, profile="linear")
         assert v > 0.0
+
+    @pytest.mark.parametrize("R,a,m,z,samples", [(1.0, 1.0, 2, 0.0, 1000),
+                                                  (1.0, 0.5, 2, 2.0, 200)])
+    def test_matches_the_analytic_operator(self, R, a, m, z, samples):
+        # on the shell Lap_f(psi o d) = -psi'(d) (|z| + R) (1 + nu_1), nu the unit
+        # vector from the ball centre; the check samples the same Halton points
+        params = br.BarrierParams(R=R, a=a, m=m, z_norm=z)
+        psi = br.build_psi(params).psi
+        d = (0.05 + 0.9 * halton(samples, 1)[:, 0]) * a
+        nu = sphere_directions(samples, m + 1)
+        exact = -np.array([psi.derivative(t) for t in d]) * (z + R) * (1.0 + nu[:, 0])
+        assert br.supersolution_check(params, samples) == pytest.approx(exact.max(),
+                                                                        abs=5e-5)
 
     def test_empty_sample_is_vacuous(self):
         with pytest.warns(RuntimeWarning, match="vacuous"):

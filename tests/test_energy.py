@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from scipy.integrate import quad
 
 from shrinkerlab import domain as dm
 from shrinkerlab import energy as en
@@ -133,3 +134,52 @@ def test_batched_boundary_integral_matches_segment_loop(annulus_grid_solution, a
         sol, annulus_dom, "sigma2",
         lambda p, dudnu: ob.weighted_mean_curvature(p) * dudnu ** 2, boundary_value=1.0)
     assert batched == pytest.approx(total, rel=1e-12)
+
+
+# --------------------------------------------------------------------------
+# closed forms against independent scipy quadrature
+
+def _quad(f, lo, hi):
+    return quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0] if lo < hi else 0.0
+
+
+def _ball_mass_reference(d, r):
+    if d == 0:
+        return 1.0
+    omega = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    return omega * _quad(lambda rho: rho ** (d - 1) * math.exp(-0.5 * rho * rho), 0.0, r)
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3, 4])
+def test_gaussian_ball_mass_matches_quadrature(d):
+    for r in (0.0, 0.3, 1.0, 2.5, 6.0):
+        assert en.gaussian_ball_mass(d, r) == pytest.approx(_ball_mass_reference(d, r),
+                                                            rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("h1,h2", [(-0.5, 1.5), (0.5, 2.0)])
+def test_slab_growth_matches_quadrature(n, h1, h2):
+    # R below both |h1| and h2, between them, and beyond both
+    radii = [0.3, 1.0, 3.0]
+    norm = _quad(lambda t: math.exp(0.5 * t * t), h1, h2)
+    entries = en.energy_growth_profile(sv.solve_slab(h1, h2, ambient_dim=n), None, radii)
+    for R, entry in zip(radii, entries):
+        # |u'(s)|^2 e^(-s^2/2) = e^(s^2/2) / F^2 on the slice of height s
+        mass = _quad(lambda s: math.exp(0.5 * s * s)
+                     * _ball_mass_reference(n - 1, math.sqrt(max(R * R - s * s, 0.0))),
+                     max(h1, -R), min(h2, R)) / norm ** 2
+        assert entry.value == pytest.approx(mass / (R * R), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_radial_growth_matches_quadrature(n):
+    a, b = 0.5, 2.0
+    radii = [0.3, 1.2, 3.0]   # R < a, a < R < b, R > b
+    g = lambda r: r ** (1 - n) * math.exp(0.5 * r * r)
+    norm = _quad(g, a, b)
+    omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    entries = en.energy_growth_profile(sv.solve_radial(a, b, n), None, radii)
+    for R, entry in zip(radii, entries):
+        mass = omega * _quad(g, a, min(b, R)) / norm ** 2
+        assert entry.value == pytest.approx(mass / (R * R), rel=1e-12, abs=0.0)

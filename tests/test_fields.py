@@ -78,6 +78,36 @@ def test_declared_domain_guard():
     assert fl.weighted_laplacian(f, [0.5, 0.0], h=1e-3) == pytest.approx(-0.5, abs=1e-8)
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_batched_operators_match_row_by_row(dim):
+    rng = np.random.default_rng(20240802 + dim)
+    P = rng.uniform(-2.0, 2.0, size=(60, dim))
+    pointwise = fl.ScalarField(lambda x: math.sin(x[0]) * math.exp(0.3 * x[1]))
+    batched = fl.ScalarField(lambda x: math.cos(0.7 * x[0]) + 0.1 * x[-1] ** 3,
+                             batch_evaluator=lambda X: np.cos(0.7 * X[:, 0])
+                             + 0.1 * X[:, -1] ** 3)
+    for f in (pointwise, batched):
+        for h in (None, 1e-3):
+            G = fl.gradient(f, P, h=h)
+            L = fl.weighted_laplacian(f, P, h=h)
+            assert G.shape == P.shape and L.shape == (P.shape[0],)
+            np.testing.assert_array_equal(G, [fl.gradient(f, p, h=h) for p in P])
+            np.testing.assert_array_equal(L, [fl.weighted_laplacian(f, p, h=h) for p in P])
+
+
+def test_declared_domain_guard_rejects_a_batch_with_one_bad_row():
+    box = fl.BoundingBox(lo=(-1.0, -1.0), hi=(1.0, 1.0))
+    f = fl.ScalarField(lambda x: x[0], declared_domain=box)
+    P = np.array([[0.5, 0.0], [-0.2, 0.3], [0.99999, 0.0], [0.0, -0.4]])
+    with pytest.raises(BoundaryStencilError):
+        fl.weighted_laplacian(f, P, h=1e-3)
+    with pytest.raises(BoundaryStencilError):
+        fl.gradient(f, P, h=1e-3)
+    good = np.delete(P, 2, axis=0)
+    np.testing.assert_allclose(fl.weighted_laplacian(f, good, h=1e-3), -good[:, 0],
+                               atol=1e-8)
+
+
 class TestGridField:
     def _grid(self):
         xs = np.linspace(0, 1, 5)

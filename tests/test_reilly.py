@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from shrinkerlab import domain as dm
 from shrinkerlab import reilly as rl
@@ -144,6 +145,33 @@ def test_box_fraction_basics():
     X, Y = np.meshgrid(xs, xs)
     exact = np.mean(depth[0] + 0.6 * X + 0.8 * Y >= 0)
     assert f[0] == pytest.approx(exact, abs=2e-3)
+
+
+# normal components: zero, tiny (near axis-parallel interfaces) or general
+_COMPONENT = st.one_of(
+    st.just(0.0), st.floats(-1.0, 1.0),
+    st.builds(lambda e, sign: sign * 10.0 ** e, st.floats(-13.0, -6.0),
+              st.sampled_from([1.0, -1.0])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(comps=st.lists(_COMPONENT, min_size=2, max_size=3), scale=st.floats(0.2, 1.0),
+       h=st.floats(0.01, 1.0), shift=st.floats(-1.0, 1.0))
+@example(comps=[0.7, 3e-12, 5e-12], scale=1.0, h=1.0, shift=-0.3)
+def test_box_fraction_matches_midpoint_count(comps, scale, h, shift):
+    # a plane crosses at most dim * k^(dim-1) of the k^dim sub-cells, so the
+    # midpoint count is within dim / k of the exact fraction
+    dim = len(comps)
+    norm = float(np.linalg.norm(comps))
+    assume(norm > 1e-3)
+    normal = np.array(comps) / norm * scale
+    depth = shift * h
+    k = 40 if dim == 2 else 16
+    sub = ((np.arange(k) + 0.5) / k - 0.5) * h
+    Y = np.stack(np.meshgrid(*[sub] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    brute = float(np.mean(depth + Y @ normal >= 0.0))
+    frac = rl._box_fraction(np.array([depth]), normal[None, :], h)[0]
+    assert abs(frac - brute) <= dim / k
 
 
 def test_chain_needs_grid(annulus_dom, radial_profile):
