@@ -6,12 +6,16 @@ second-order central stencil, switching the drift to upwind differences
 whenever the cell Peclet number would break the M-matrix property, imposes
 Dirichlet data on curved boundaries through shortened stencil legs (the cut
 point found on the signed-distance zero crossing), and mirrors values across
-the exhaustion sphere for the homogeneous Neumann condition.
+the exhaustion sphere for the homogeneous Neumann condition.  The linear
+system is solved by BiCGStab preconditioned with a Galerkin geometric
+multigrid V-cycle on the lattice's h -> 2h hierarchy, so iteration counts do
+not grow as h shrinks.
 
 The discrete maximum principle is a hard postcondition: produced solutions
 live in [0, 1].
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 
@@ -325,9 +329,10 @@ def _assemble(grid, domain, boundary_values=(0.0, 1.0)):
     rows.append(np.arange(n_unknown))
     cols.append(np.arange(n_unknown))
     vals.append(diag)
-    A = sps.csr_matrix((np.concatenate(vals),
-                        (np.concatenate(rows), np.concatenate(cols))),
-                       shape=(n_unknown, n_unknown))
+    # the CSR conversion is the memory peak of a solve: free the pieces first
+    entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    del rows, cols, vals
+    A = sps.csr_matrix(entries, shape=(n_unknown, n_unknown))
     return A, rhs, flat_solved, defensive_mirrors
 
 
@@ -336,14 +341,111 @@ def _weighted_residual(A_scaled, b_scaled, x, weights):
     return float(math.sqrt(np.sum(weights * r * r) / np.sum(weights)))
 
 
-def solve_mixed_bvp(domain, grid=None, tol=1e-10, max_iter=20000, h=None,
+# --------------------------------------------------------------------------
+# Galerkin geometric multigrid (Briggs-Henson-McCormick, A Multigrid
+# Tutorial, 2000; Trottenberg-Oosterlee-Schueller, Multigrid, 2001)
+
+_OMEGA = 0.8            # damped-Jacobi weight of the smoother
+_SWEEPS = 2             # smoothing sweeps before and after each coarse correction
+_COARSEST = 2000        # coarsen until at most this many unknowns, then factor
+
+
+def _prolongation(idx):
+    """Multilinear prolongation from the even sublattice of global indices.
+
+    `idx` is the (n, d) array of global lattice indices of the unknowns.  Each
+    index i takes the parents floor(i/2) and ceil(i/2) with weight 1/2 along
+    every axis (one parent of weight 1 for even i), so a node has up to 2^d
+    parents.  Returns (P, coarse_idx): P is n x m over the m parents that some
+    node references, numbered in lexicographic order of their indices.
+    """
+    n, d = idx.shape
+    corners = np.array(list(itertools.product((0, 1), repeat=d)))
+    lo = idx.min(axis=0) >> 1
+    shape = tuple(((idx.max(axis=0) + 1) >> 1) - lo + 1)
+    # flat index of each node's parents in the coarse bounding box, (n, 2^d)
+    flat = np.ravel_multi_index(
+        tuple(((idx[:, ax, None] + corners[:, ax]) >> 1) - lo[ax] for ax in range(d)), shape)
+    # a mask and its running count number the parents like a 1-D np.unique
+    # would, without sorting n 2^d keys
+    used = np.zeros(math.prod(shape), dtype=bool)
+    used[flat] = True
+    cols = (np.cumsum(used) - 1)[flat]
+    P = sps.csr_matrix((np.full(flat.size, 0.5 ** d), cols.reshape(-1),
+                        np.arange(0, flat.size + 1, corners.shape[0])),
+                       shape=(n, np.count_nonzero(used)))
+    P.sum_duplicates()
+    coarse_idx = np.array(np.unravel_index(np.flatnonzero(used), shape)).T + lo
+    return P, coarse_idx
+
+
+class _VCycle:
+    """One V-cycle of the Galerkin hierarchy A_{l+1} = P_l^T A_l P_l.
+
+    Damped Jacobi smooths every level but the coarsest, which is factored
+    with sparse LU.  Called with a residual, the cycle starts from zero, so
+    it is a fixed linear operator and can precondition BiCGStab.
+    """
+
+    def __init__(self, A, idx):
+        self.levels = []            # (A, omega / diag, P, P^T) of each smoothed level
+        while A.shape[0] > _COARSEST:
+            P, idx = _prolongation(idx)
+            if P.shape[1] >= A.shape[0]:
+                break
+            self.levels.append((A, _OMEGA / A.diagonal(), P, P.T.tocsr()))
+            A = (P.T @ (A @ P)).tocsr()
+        self.unknowns = [lvl[0].shape[0] for lvl in self.levels] + [A.shape[0]]
+        try:
+            self.coarse = spla.splu(A.tocsc())
+        except RuntimeError as exc:
+            raise SingularSystemError(
+                f"coarsest multigrid operator ({A.shape[0]} unknowns) is singular: {exc}") from exc
+
+    def __call__(self, r, level=0):
+        if level == len(self.levels):
+            return self.coarse.solve(r)
+        A, wdinv, P, Pt = self.levels[level]
+        x = wdinv * r
+        for _ in range(_SWEEPS - 1):
+            x += wdinv * (r - A @ x)
+        x += P @ self(Pt @ (r - A @ x), level + 1)
+        for _ in range(_SWEEPS):
+            x += wdinv * (r - A @ x)
+        return x
+
+
+def _multigrid_bicgstab(A_s, b_s, x0, idx, weights, tol, max_iter):
+    """BiCGStab on A_s x = b_s, preconditioned with one V-cycle per application.
+
+    Returns (x, weighted residual after every iteration, unknowns per level).
+    The hierarchy lives only inside this call, so it is freed before the
+    caller allocates the long-lived output field; allocated the other way
+    round, that field would keep the hierarchy's heap memory resident.
+    """
+    vcycle = _VCycle(A_s, idx)
+    history = []
+
+    def _callback(xk):
+        history.append(_weighted_residual(A_s, b_s, xk, weights))
+
+    M = spla.LinearOperator(A_s.shape, matvec=vcycle, dtype=float)
+    x, _ = spla.bicgstab(A_s, b_s, x0=x0, rtol=1e-14, atol=0.01 * tol,
+                         maxiter=max_iter, M=M, callback=_callback)
+    return x, history, vcycle.unknowns
+
+
+def solve_mixed_bvp(domain, grid=None, tol=1e-10, max_iter=200, h=None,
                     initial_guess=None, boundary_values=(0.0, 1.0)):
     """Solve the mixed problem on Omega_k: Lap_f u = 0, u = 0 / 1 on the two
     boundary pieces, homogeneous Neumann across the exhaustion sphere.
 
-    The linear system is solved by BiCGStab with Jacobi scaling; convergence
-    is declared in the Gaussian-weighted residual norm of the scaled system.
-    The returned field satisfies 0 <= u <= 1 (discrete maximum principle).
+    The Jacobi-scaled system D^-1 A u = D^-1 b is solved by BiCGStab,
+    preconditioned with one Galerkin geometric-multigrid V-cycle (damped
+    Jacobi smoothing, sparse LU on the coarsest level), so the iteration
+    count does not grow as h shrinks.  Convergence is declared in the
+    Gaussian-weighted residual norm of the scaled system.  The returned field
+    satisfies 0 <= u <= 1 (discrete maximum principle).
     """
     if grid is None:
         if h is None:
@@ -369,17 +471,10 @@ def solve_mixed_bvp(domain, grid=None, tol=1e-10, max_iter=20000, h=None,
         if x0.shape != (n,):
             raise ParameterError(f"initial guess must have {n} entries")
 
-    history = []
-    iterations = 0
-
-    def _callback(xk):
-        nonlocal iterations
-        iterations += 1
-        if iterations % 50 == 0:
-            history.append(_weighted_residual(A_s, b_s, xk, weights))
-
-    x, info = spla.bicgstab(A_s, b_s, x0=x0, rtol=1e-14, atol=0.01 * tol,
-                            maxiter=max_iter, callback=_callback)
+    idx = np.array(np.unravel_index(flat_solved, grid.shape)).T + grid.lo_idx
+    x, history, level_unknowns = _multigrid_bicgstab(A_s, b_s, x0, idx, weights,
+                                                     tol, max_iter)
+    iterations = len(history)
     wres = _weighted_residual(A_s, b_s, x, weights)
     history.append(wres)
     if wres > tol:
@@ -407,7 +502,9 @@ def solve_mixed_bvp(domain, grid=None, tol=1e-10, max_iter=20000, h=None,
                  "interior_nodes": grid.node_count(INTERIOR),
                  "neumann_nodes": grid.node_count(NEUMANN_GAMMA),
                  "dirichlet_nodes": grid.node_count(DIRICHLET0) + grid.node_count(DIRICHLET1),
-                 "defensive_mirrors": defensive})
+                 "defensive_mirrors": defensive,
+                 "levels": len(level_unknowns), "level_unknowns": level_unknowns,
+                 "residual_history": history})
     return Solution(field=gf, report=report, domain=domain, grid=grid)
 
 
@@ -436,7 +533,7 @@ def max_node_error(solution, reference, within_radius=None):
     return float(np.max(np.abs(vals - ref)))
 
 
-def solve_exhaustion(domain, radii, h, tol=1e-6, linear_tol=1e-10, max_iter=20000,
+def solve_exhaustion(domain, radii, h, tol=1e-6, linear_tol=1e-10, max_iter=200,
                      compact_radius=None):
     """Solve the mixed problem on a growing family of exhaustion balls.
 

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.sparse import csr_matrix, diags as sps_diags
+from scipy.sparse.linalg import spsolve
 from scipy.special import erfi, expi
 
 from shrinkerlab import domain as dm
@@ -211,6 +213,112 @@ class TestMixedBvp:
         squeezed = dm.annulus_domain(0.5, 0.55, ambient_dim=2)
         with pytest.raises(ParameterError, match="2 grid cells"):
             sv.Grid(squeezed, h=1 / 16)
+
+
+@st.composite
+def mixed_problems(draw, max_radius=3.0):
+    """(domain, h) over random slabs with sub-cell offsets and random annuli.
+
+    Slabs reach |x| = max_radius; beyond |x| = 2 / h the drift is upwinded.
+    """
+    h = 1 / draw(st.integers(8, 32))
+    if draw(st.booleans()):
+        h1 = -1.0 + draw(st.floats(0.0, 1.0)) * h
+        h2 = h1 + draw(st.floats(0.5, 2.0))
+        radius = draw(st.floats(1.5, max_radius))
+        return dm.slab_domain(h1, h2, ambient_dim=2, radius=radius), h
+    a = draw(st.floats(0.3, 1.0))
+    return dm.annulus_domain(a, a + draw(st.floats(0.5, 1.5)), ambient_dim=2), h
+
+
+class TestMixedBvpProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_problems(max_radius=24.0))
+    # drift upwinded for |x| > 16, next to cut legs
+    @example((dm.slab_domain(-1 + 0.3 / 8, 1 + 0.3 / 8, ambient_dim=2, radius=24.0), 1 / 8))
+    def test_assembled_operator_is_an_m_matrix(self, case):
+        dom, h = case
+        A, _, _, _ = sv._assemble(sv.Grid(dom, h), dom)
+        neg = (-A).tocsr()
+        diag = neg.diagonal()
+        off = neg - sps_diags(diag)
+        assert np.all(diag > 0.0)
+        assert np.all(off.data <= 0.0)
+        off_sum = np.asarray(np.abs(off).sum(axis=1)).ravel()
+        assert np.all(diag - off_sum >= -1e-12 * diag)
+
+    @settings(max_examples=50, deadline=None)
+    @given(mixed_problems())
+    def test_range_and_two_guess_gap(self, case):
+        dom, h = case
+        tol = 1e-11
+        a = sv.solve_mixed_bvp(dom, h=h, tol=tol, initial_guess=0.0)
+        b = sv.solve_mixed_bvp(dom, h=h, tol=tol, initial_guess=1.0)
+        for sol in (a, b):
+            assert np.nanmin(sol.field.values) >= 0.0
+            assert np.nanmax(sol.field.values) <= 1.0
+        assert np.nanmax(np.abs(a.field.values - b.field.values)) <= 10 * tol
+
+
+class TestMultigrid:
+    @pytest.mark.parametrize("geom", ["slab", "annulus"])
+    def test_iterations_flat_in_h(self, geom, slab_dom, annulus_dom):
+        dom = {"slab": slab_dom, "annulus": annulus_dom}[geom]
+        for h in (1 / 16, 1 / 32, 1 / 64):
+            rep = sv.solve_mixed_bvp(dom, h=h, tol=1e-11).report
+            assert rep.iterations <= 30, (h, rep.iterations)
+
+    def test_iterations_flat_in_h_3d(self):
+        dom = dm.slab_domain(-1 + 0.3 / 16, 1 + 0.3 / 16, ambient_dim=3, radius=2.0)
+        for h in (1 / 8, 1 / 16):
+            rep = sv.solve_mixed_bvp(dom, h=h, tol=1e-11).report
+            assert rep.iterations <= 30, (h, rep.iterations)
+            assert rep.linear_residual <= 1e-11
+
+    def test_matches_direct_solve(self, annulus_dom):
+        grid = sv.Grid(annulus_dom, 1 / 16)
+        A, b, flat_solved, _ = sv._assemble(grid, annulus_dom)
+        direct = spsolve(A.tocsc(), b)
+        sol = sv.solve_mixed_bvp(annulus_dom, grid=grid, tol=1e-11)
+        assert np.max(np.abs(sol.field.values.reshape(-1)[flat_solved] - direct)) <= 1e-10
+
+    def test_two_solves_bit_identical(self, slab_dom):
+        a = sv.solve_mixed_bvp(slab_dom, h=1 / 16, tol=1e-11)
+        b = sv.solve_mixed_bvp(slab_dom, h=1 / 16, tol=1e-11)
+        assert np.array_equal(a.field.values, b.field.values, equal_nan=True)
+        assert a.report.to_json() == b.report.to_json()
+
+    def test_report_records_levels_and_every_iteration(self, slab_grid_solution):
+        rep = slab_grid_solution.report
+        det = rep.details
+        assert det["levels"] == len(det["level_unknowns"]) >= 2
+        assert det["level_unknowns"][0] == det["unknowns"]
+        assert det["level_unknowns"][-1] <= sv._COARSEST
+        assert all(a > b for a, b in zip(det["level_unknowns"], det["level_unknowns"][1:]))
+        assert len(det["residual_history"]) == rep.iterations + 1
+        assert det["residual_history"][-1] == rep.linear_residual <= 1e-11
+
+    def test_singular_coarse_operator(self):
+        with pytest.raises(SingularSystemError, match="coarsest"):
+            sv._VCycle(csr_matrix((3, 3)), np.zeros((3, 2), dtype=int))
+
+    def test_hierarchy_stops_when_coarsening_does_not_shrink(self):
+        # isolated nodes share no parents, so a coarse level would be larger
+        idx = 4 * np.arange(sv._COARSEST + 1)[:, None] + 1
+        A = sps_diags(np.full(idx.shape[0], 2.0)).tocsr()
+        vcycle = sv._VCycle(A, idx)
+        assert vcycle.unknowns == [idx.shape[0]]
+        assert np.allclose(vcycle(np.ones(idx.shape[0])), 0.5)
+
+    def test_prolongation_reproduces_linear_functions(self):
+        rng = np.random.default_rng(7)
+        for d in (1, 2, 3):
+            idx = np.unique(rng.integers(-9, 9, size=(60, d)), axis=0)
+            P, coarse = sv._prolongation(idx)
+            assert np.allclose(P.sum(axis=1), 1.0)
+            c = rng.normal(size=d)
+            # a linear function sampled on the coarse lattice (spacing 2)
+            assert np.allclose(P @ (2 * coarse @ c), idx @ c)
 
 
 class TestExhaustion:
