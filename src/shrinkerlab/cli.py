@@ -334,7 +334,7 @@ def cmd_mc(args):
     est = mc.ou_hitting_probability(x0, domain, cfg, trace=trace)
     report = {"domain": domain_obj, "x0": list(map(float, x0)),
               "config": {"n_paths": cfg.n_paths, "dt": cfg.dt, "seed": cfg.seed,
-                         "max_time": cfg.max_time, "boundary_snap": cfg.boundary_snap},
+                         "max_time": cfg.max_time},
               "estimate": est.to_json()}
     profile = _closed_form_for(domain)
     if profile is not None:

@@ -2,17 +2,23 @@
 
 The process dX = -X dt + sqrt(2) dW has the weighted Laplacian as generator,
 so the probability of reaching the sigma2 boundary before sigma1 solves the
-0/1 Dirichlet problem; this module estimates it by Euler-Maruyama paths and
+0/1 Dirichlet problem; this module estimates it by simulated paths and
 cross-validates the PDE solver.
 
-Reproducibility: path i draws from a Philox counter-based stream keyed by
-(seed, i), so results are bit-identical regardless of execution order, and
-the hit-count reduction is plain integer addition.
+Paths advance together in blocks of 4,096 with the exact OU transition
+X' = e^-dt X + sqrt(1 - e^-2dt) Z, in chunks of 64 steps; normals are drawn
+only for live paths, and a path retires at its first hit.
 
-First-crossing detection is the per-step sign test with a snap band of
-width 0.5826 sqrt(2 dt) (Broadie-Glasserman-Kou), which corrects the
-O(sqrt(dt)) discrete-monitoring bias to leading order; `bias_study`
-quantifies what remains.  There is no Brownian-bridge crossing test.
+Reproducibility: block b draws from a Philox counter-based stream keyed by
+(seed, b), so a path's result depends only on its block, and the hit-count
+reduction runs in block order; reruns are bit-identical.
+
+First-crossing detection is the Brownian-bridge test (Gobet, SPA 2000): a
+step whose end lies outside a piece has hit it, and a step that starts and
+ends at depths d0, d1 > 0 has crossed it in between with probability
+exp(-d0 d1 / dt), decided by a uniform from the block's stream wherever that
+probability is not negligible.  This removes the O(sqrt(dt)) discrete-
+monitoring bias of a plain sign test; `bias_study` quantifies what remains.
 """
 
 import math
@@ -25,21 +31,10 @@ from .errors import ParameterError
 
 __all__ = ["McConfig", "McEstimate", "ou_hitting_probability", "bias_study"]
 
-_CHUNK = 1024
-
-# discrete-monitoring constant -zeta(1/2)/sqrt(2 pi): per-step crossings are
-# only observed at step ends, which shifts the effective boundary outward by
-# BETA * (step noise std); a snap band of the same width cancels the shift
-# to leading order in sqrt(dt)
-_BETA_MONITORING = 0.5825971579390107
-
-
-def _chunk_powers(alpha, steps, cache={}):
-    key = (alpha, steps)
-    if key not in cache:
-        cache[key] = (alpha ** -np.arange(1, steps + 1),
-                      alpha ** np.arange(1, steps + 1))
-    return cache[key]
+_BLOCK = 4096           # paths per keyed stream
+_CHUNK = 64             # steps per vectorised advance
+_NEGLIGIBLE = 40.0      # d0 d1 / dt beyond which exp(-d0 d1 / dt) < 5e-18
+_LABELS = {0: "truncated", 1: "sigma1", 2: "sigma2"}
 
 
 @dataclass(frozen=True)
@@ -48,7 +43,6 @@ class McConfig:
     dt: float = 1e-3
     seed: int = 20240801
     max_time: float = 50.0
-    boundary_snap: float = None
 
     def __post_init__(self):
         if self.n_paths < 100:
@@ -57,14 +51,6 @@ class McConfig:
             raise ParameterError("dt must be positive and at most 1e-2")
         if self.max_time <= 0:
             raise ParameterError("max_time must be positive")
-        snap = self.boundary_snap
-        if snap is None:
-            snap = _BETA_MONITORING * math.sqrt(2.0 * self.dt)
-            object.__setattr__(self, "boundary_snap", snap)
-        if snap < 0.1 * math.sqrt(self.dt):
-            raise ParameterError(
-                "boundary_snap below 0.1 sqrt(dt): crossings would slip through "
-                "entire steps; widen the band or shrink dt")
 
 
 @dataclass
@@ -75,49 +61,92 @@ class McEstimate:
     hits_sigma2: int
     truncated: int
     mean_exit_time: float
+    exit_time_q50: float
+    exit_time_q90: float
+    exit_time_q99: float
     truncation_warning: bool = False
 
     def to_json(self):
         return {"p_hat": self.p_hat, "stderr": self.stderr,
                 "hits_sigma1": self.hits_sigma1, "hits_sigma2": self.hits_sigma2,
                 "truncated": self.truncated, "mean_exit_time": self.mean_exit_time,
+                "exit_time_q50": self.exit_time_q50, "exit_time_q90": self.exit_time_q90,
+                "exit_time_q99": self.exit_time_q99,
                 "truncation_warning": self.truncation_warning}
 
 
-def _run_path(x0, depth1, depth2, cfg, rng):
-    """Simulate one path; returns (label, exit_time) with label in {1, 2, 0}."""
-    dt = cfg.dt
-    alpha = 1.0 - dt
-    sigma = math.sqrt(2.0 * dt)
-    snap = cfg.boundary_snap
-    n = x0.size
-    max_steps = int(math.ceil(cfg.max_time / dt))
-    x = x0
-    done = 0
-    while done < max_steps:
-        steps = min(_CHUNK, max_steps - done)
-        xi = rng.standard_normal((steps, n))
-        # X_j = alpha^j (x + sigma * sum_{l<=j} alpha^-l xi_l), computed stably
-        inv_pows, pows = _chunk_powers(alpha, steps)
-        prefix = np.cumsum(xi * inv_pows[:, None], axis=0)
-        positions = pows[:, None] * (x[None, :] + sigma * prefix)
+def _chunk(x, d_prev, pieces, steps, dt, rng):
+    """Advance live paths x (depths d_prev) by up to `steps` steps.
 
-        d1 = depth1(positions)
-        d2 = depth2(positions)
-        hit1 = d1 <= snap
-        hit2 = d2 <= snap
-        any_hit = hit1 | hit2
-        if np.any(any_hit):
-            j = int(np.argmax(any_hit))
-            t_exit = (done + j + 1) * dt
-            if hit1[j] and hit2[j]:
-                label = 1 if d1[j] <= d2[j] else 2
-            else:
-                label = 1 if hit1[j] else 2
-            return label, t_exit
-        x = positions[-1]
+    Returns (retired, j, label, x_end, d_end): the live indices that hit a
+    piece, the 0-based step of each first hit and the piece it hit, and the
+    end positions and depths of all live paths.  Its arrays die on return,
+    so consecutive chunks never hold two sets at once.
+    """
+    decay = math.exp(-dt)
+    noise = math.sqrt(-math.expm1(-2.0 * dt))
+    n, dim = x.shape
+    k = np.arange(1, steps + 1)
+    # X_j = decay^j (x + sum_{l<=j} noise decay^-l xi_l), built in place
+    pos = rng.standard_normal((steps, n, dim))
+    pos *= (noise * decay ** -k)[:, None, None]
+    np.cumsum(pos, axis=0, out=pos)
+    pos += x
+    pos *= (decay ** k)[:, None, None]
+    d = [piece.depth(pos.reshape(-1, dim)).reshape(steps, n) for piece in pieces]
+    x_end = pos[-1].copy()
+    del pos                 # free it before the depths are stacked
+    d = np.stack(d)
+    hit = (d[0] <= 0.0) | (d[1] <= 0.0)
+    first_out = np.where(hit.any(axis=0), hit.argmax(axis=0), steps)
+
+    # bridge test on the steps before a path's first end outside: one
+    # uniform per candidate step, crossing sigma1 with probability p1, else
+    # sigma2 with probability p2
+    product = np.empty_like(d)
+    product[:, 0], product[:, 1:] = d_prev, d[:, :-1]
+    product *= d
+    si, pi = np.nonzero((product < _NEGLIGIBLE * dt).any(axis=0)
+                        & (k[:, None] <= first_out))
+    bridge_label = np.zeros(hit.shape, dtype=np.int8)
+    if si.size:
+        p1, p2 = np.exp(-product[:, si, pi] / dt)
+        u = rng.random(si.size)
+        crossed = u < p1 + (1.0 - p1) * p2
+        si, pi = si[crossed], pi[crossed]
+        hit[si, pi] = True
+        bridge_label[si, pi] = np.where(u[crossed] < p1[crossed], 1, 2)
+
+    retired = np.flatnonzero(hit.any(axis=0))
+    j = hit[:, retired].argmax(axis=0)
+    # a step ending outside takes the piece it ends deeper beyond
+    label = np.where(bridge_label[j, retired] > 0, bridge_label[j, retired],
+                     np.where(d[0, j, retired] <= d[1, j, retired], 1, 2))
+    return retired, j, label, x_end, d[:, -1]
+
+
+def _run_block(x0, start_depths, pieces, cfg, rng, n):
+    """Walk n paths from x0; returns (labels, exit steps) with labels in {1, 2, 0}.
+
+    A truncated path has label 0 and exit step max_steps.
+    """
+    max_steps = int(math.ceil(cfg.max_time / cfg.dt))
+    labels = np.zeros(n, dtype=np.int8)
+    exit_steps = np.full(n, max_steps, dtype=np.int64)
+    live = np.arange(n)
+    x = np.repeat(x0[None, :], n, axis=0)
+    d = np.repeat(start_depths[:, None], n, axis=1)
+    done = 0
+    while done < max_steps and live.size:
+        steps = min(_CHUNK, max_steps - done)
+        retired, j, label, x, d = _chunk(x, d, pieces, steps, cfg.dt, rng)
+        labels[live[retired]] = label
+        exit_steps[live[retired]] = done + j + 1
+        keep = np.ones(live.size, dtype=bool)
+        keep[retired] = False
+        live, x, d = live[keep], x[keep], d[:, keep]
         done += steps
-    return 0, cfg.max_time
+    return labels, exit_steps
 
 
 def ou_hitting_probability(x0, domain, cfg, trace=None):
@@ -125,37 +154,30 @@ def ou_hitting_probability(x0, domain, cfg, trace=None):
 
     Paths exceeding max_time count as truncated and are excluded from the
     effective sample; a truncation fraction above 10% sets a warning flag.
-    `trace`, if a list, receives (path_index, exit_time, exit_label) tuples.
+    `trace`, if a list, receives (path_index, exit_time, exit_label) tuples
+    in path order; path j of block b has index b * 4096 + j.
     """
     x0 = np.asarray(x0, dtype=float)
     if domain.sigma2 is None:
         raise ParameterError("hitting probabilities need both boundary pieces")
-    ob1, ob2 = domain.sigma1, domain.sigma2
-    if not (ob1.depth(x0) > cfg.boundary_snap and ob2.depth(x0) > cfg.boundary_snap):
+    pieces = (domain.sigma1, domain.sigma2)
+    start_depths = np.array([float(p.depth(x0)) for p in pieces])
+    if not np.all(start_depths > 0.0):
         raise ParameterError("start point must lie strictly inside the domain")
 
-    def depth1(P):
-        return np.asarray(ob1.depth(P), dtype=float)
-
-    def depth2(P):
-        return np.asarray(ob2.depth(P), dtype=float)
-
-    hits1 = hits2 = truncated = 0
-    exit_time_sum = 0.0
-    for i in range(cfg.n_paths):
+    blocks = []
+    for block, first in enumerate(range(0, cfg.n_paths, _BLOCK)):
         rng = np.random.Generator(np.random.Philox(key=np.array(
-            [cfg.seed, i], dtype=np.uint64)))
-        label, t_exit = _run_path(x0, depth1, depth2, cfg, rng)
-        if label == 1:
-            hits1 += 1
-            exit_time_sum += t_exit
-        elif label == 2:
-            hits2 += 1
-            exit_time_sum += t_exit
-        else:
-            truncated += 1
-        if trace is not None:
-            trace.append((i, t_exit, {0: "truncated", 1: "sigma1", 2: "sigma2"}[label]))
+            [cfg.seed, block], dtype=np.uint64)))
+        blocks.append(_run_block(x0, start_depths, pieces, cfg, rng,
+                                 min(_BLOCK, cfg.n_paths - first)))
+    labels = np.concatenate([lab for lab, _ in blocks])
+    exit_steps = np.concatenate([steps for _, steps in blocks])
+    hits1, hits2, truncated = (int(np.count_nonzero(labels == lab)) for lab in (1, 2, 0))
+    exit_times = np.where(labels == 0, cfg.max_time, exit_steps * cfg.dt)
+    if trace is not None:
+        trace.extend(zip(range(cfg.n_paths), exit_times.tolist(),
+                         [_LABELS[lab] for lab in labels.tolist()]))
 
     n_eff = hits1 + hits2
     if n_eff == 0:
@@ -166,17 +188,22 @@ def ou_hitting_probability(x0, domain, cfg, trace=None):
     if frac_trunc > 0.10:
         warnings.warn(f"{100 * frac_trunc:.1f}% of paths truncated at max_time",
                       RuntimeWarning, stacklevel=2)
+    hit = labels != 0
+    q50, q90, q99 = (float(q) for q in np.quantile(exit_times[hit], [0.5, 0.9, 0.99]))
     return McEstimate(p_hat=p_hat, stderr=stderr, hits_sigma1=hits1,
                       hits_sigma2=hits2, truncated=truncated,
-                      mean_exit_time=exit_time_sum / n_eff,
+                      mean_exit_time=int(np.sum(exit_steps[hit])) * cfg.dt / n_eff,
+                      exit_time_q50=q50, exit_time_q90=q90, exit_time_q99=q99,
                       truncation_warning=frac_trunc > 0.10)
 
 
 def bias_study(x0, domain, reference_value, n_paths, dts, seed=20240801):
     """|p_hat - reference| across a dt ladder; quantifies the crossing bias.
 
-    The naive detector exits early by O(sqrt(dt)); entries report the
-    discrepancy and its sigma multiple so the trend is visible.
+    With exact OU steps and the Brownian-bridge crossing test, what remains
+    is the O(dt) error of treating each step as a Brownian bridge between
+    locally flat pieces; entries report the discrepancy and its sigma
+    multiple so any trend in dt is visible.
     """
     rows = []
     for dt in dts:

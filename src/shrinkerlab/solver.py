@@ -419,19 +419,30 @@ def _multigrid_bicgstab(A_s, b_s, x0, idx, weights, tol, max_iter):
     """BiCGStab on A_s x = b_s, preconditioned with one V-cycle per application.
 
     Returns (x, weighted residual after every iteration, unknowns per level).
-    The hierarchy lives only inside this call, so it is freed before the
-    caller allocates the long-lived output field; allocated the other way
+    An iteration applies the V-cycle twice, so the iteration count is half
+    the number of applications, rounded up: scipy returns from a half-step
+    that converges without calling back, and that last half iteration still
+    counts.  The hierarchy lives only inside this call, so it is freed before
+    the caller allocates the long-lived output field; allocated the other way
     round, that field would keep the hierarchy's heap memory resident.
     """
     vcycle = _VCycle(A_s, idx)
     history = []
+    applications = 0
+
+    def _precondition(r):
+        nonlocal applications
+        applications += 1
+        return vcycle(r)
 
     def _callback(xk):
         history.append(_weighted_residual(A_s, b_s, xk, weights))
 
-    M = spla.LinearOperator(A_s.shape, matvec=vcycle, dtype=float)
+    M = spla.LinearOperator(A_s.shape, matvec=_precondition, dtype=float)
     x, _ = spla.bicgstab(A_s, b_s, x0=x0, rtol=1e-14, atol=0.01 * tol,
                          maxiter=max_iter, M=M, callback=_callback)
+    if len(history) < (applications + 1) // 2:
+        history.append(_weighted_residual(A_s, b_s, x, weights))
     return x, history, vcycle.unknowns
 
 

@@ -106,6 +106,9 @@ def test_mc_with_trace(tmp_path, slab_config):
     lines = open(os.path.join(out, "trace.csv")).read().splitlines()
     assert lines[0] == "path,exit_time,exit_label"
     assert len(lines) == 301
+    report = json.load(open(os.path.join(out, "report.json")))
+    assert {"exit_time_q50", "exit_time_q90", "exit_time_q99"} <= set(report["estimate"])
+    assert "boundary_snap" not in report["config"]
 
 
 def test_barrier_and_sweep(tmp_path):

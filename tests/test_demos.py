@@ -1,8 +1,7 @@
 """Smoke test: the quick demo scripts run to completion.
 
-Demos 03 (Dirichlet problems at fine meshes) and 07 (Monte Carlo hitting
-probabilities) take half a minute each and exercise the same code as
-acceptance criteria 4 and 6, so they are not run here.
+Demo 03 (Dirichlet problems at fine meshes) takes half a minute and
+exercises the same code as acceptance criterion 4, so it is not run here.
 """
 
 import pathlib
@@ -12,7 +11,8 @@ import pytest
 
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 QUICK = ["01_model_shrinkers", "02_weighted_operators", "04_energy_and_caccioppoli",
-         "05_reilly_identity", "06_barriers_and_gradient_bounds"]
+         "05_reilly_identity", "06_barriers_and_gradient_bounds",
+         "07_hitting_probabilities"]
 
 
 @pytest.mark.parametrize("name", QUICK)

@@ -15,9 +15,7 @@ def test_config_validation():
     with pytest.raises(ParameterError):
         mc.McConfig(n_paths=500, dt=0.1)
     with pytest.raises(ParameterError):
-        mc.McConfig(n_paths=500, dt=1e-3, boundary_snap=1e-4)
-    cfg = mc.McConfig(n_paths=500, dt=1e-3)
-    assert cfg.boundary_snap >= 0.1 * math.sqrt(cfg.dt)
+        mc.McConfig(n_paths=500, max_time=0.0)
 
 
 def test_symmetric_slab_start(slab_dom):
@@ -83,7 +81,44 @@ def test_trace_capture(slab_dom):
     trace = []
     mc.ou_hitting_probability(np.array([0.0, 0.0]), slab_dom, cfg, trace=trace)
     assert len(trace) == 150
+    assert [i for i, _, _ in trace] == list(range(150))
     assert {label for _, _, label in trace} <= {"sigma1", "sigma2", "truncated"}
+
+
+def test_full_block_ignores_later_blocks(slab_dom):
+    # a full block of 4,096 paths draws from its own keyed stream, so adding
+    # a second, partial block leaves its paths untouched
+    x0 = np.array([0.0, 0.3])
+    full, longer = [], []
+    mc.ou_hitting_probability(x0, slab_dom, mc.McConfig(n_paths=4096, dt=1e-2, seed=4),
+                              trace=full)
+    mc.ou_hitting_probability(x0, slab_dom, mc.McConfig(n_paths=4133, dt=1e-2, seed=4),
+                              trace=longer)
+    assert len(longer) == 4133
+    assert longer[:4096] == full
+
+
+@pytest.mark.parametrize("domain, x0", [("slab", (0.0, 0.5)), ("annulus", (1.0, 0.0))])
+def test_bridge_removes_coarse_step_bias(domain, x0, slab_dom, annulus_dom,
+                                         slab_profile, radial_profile):
+    # a plain sign test at dt = 1e-2 misses crossings inside steps and is
+    # off by about 5 sigma at 20,000 paths; the bridge test is not
+    dom, profile = {"slab": (slab_dom, slab_profile),
+                    "annulus": (annulus_dom, radial_profile)}[domain]
+    x0 = np.array(x0)
+    est = mc.ou_hitting_probability(x0, dom, mc.McConfig(n_paths=20_000, dt=1e-2))
+    assert abs(est.p_hat - profile.profile(x0)) <= 3.0 * est.stderr
+
+
+def test_exit_time_quantiles(slab_dom):
+    cfg = mc.McConfig(n_paths=500, dt=1e-3, seed=6)
+    trace = []
+    est = mc.ou_hitting_probability(np.array([0.0, 0.0]), slab_dom, cfg, trace=trace)
+    times = [t for _, t, label in trace if label != "truncated"]
+    assert (est.exit_time_q50, est.exit_time_q90, est.exit_time_q99) == \
+        tuple(np.quantile(times, [0.5, 0.9, 0.99]))
+    assert 0 < est.exit_time_q50 <= est.exit_time_q90 <= est.exit_time_q99
+    assert {"exit_time_q50", "exit_time_q90", "exit_time_q99"} <= set(est.to_json())
 
 
 def test_bias_study_reports_gap_ladder(slab_dom, slab_profile):

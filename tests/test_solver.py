@@ -298,6 +298,29 @@ class TestMultigrid:
         assert len(det["residual_history"]) == rep.iterations + 1
         assert det["residual_history"][-1] == rep.linear_residual <= 1e-11
 
+    @pytest.mark.parametrize("radius, unknowns", [(2.0, 1899), (3.0, None)])
+    def test_iterations_count_every_vcycle_half_step(self, radius, unknowns, monkeypatch):
+        # at most 2,000 unknowns the hierarchy is LU only and BiCGStab
+        # converges in its first half-step, which scipy ends without a callback
+        calls = []
+        call = sv._VCycle.__call__
+
+        def counted(self, r, level=0):
+            if level == 0:
+                calls.append(level)
+            return call(self, r, level)
+
+        monkeypatch.setattr(sv._VCycle, "__call__", counted)
+        dom = dm.slab_domain(-1, 1, ambient_dim=2, radius=radius)
+        rep = sv.solve_mixed_bvp(dom, h=1 / 16, tol=1e-10).report
+        if unknowns is not None:
+            assert rep.details["unknowns"] == unknowns
+        else:
+            assert rep.details["unknowns"] > sv._COARSEST
+        assert rep.iterations == (len(calls) + 1) // 2 >= 1
+        assert len(rep.details["residual_history"]) == rep.iterations + 1
+        assert rep.details["residual_history"][-1] == rep.linear_residual <= 1e-10
+
     def test_singular_coarse_operator(self):
         with pytest.raises(SingularSystemError, match="coarsest"):
             sv._VCycle(csr_matrix((3, 3)), np.zeros((3, 2), dtype=int))
