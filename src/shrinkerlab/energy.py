@@ -318,31 +318,50 @@ def energy_report(solution, domain, radii):
 # energies of plain fields (barrier competitors)
 
 
+# cells per streamed chunk of a box mesh
+_CHUNK = 65_536
+
+
+def box_cells(lo, hi, h):
+    """Cells of step h covering the box [lo, hi]: their count per axis (the
+    last cell of an axis may overhang hi) and in total."""
+    counts = np.maximum(np.ceil((hi - lo) / h - 1e-12).astype(int), 1)
+    return counts, int(np.prod(counts))
+
+
+def cell_centres(lo, counts, h, start, stop):
+    """Centres lo + (index + 1/2) h of the cells with flat C-order indices
+    start .. stop - 1 of a box of `counts` cells per axis, as (m, n) rows."""
+    flat = np.arange(start, min(stop, int(np.prod(counts))))
+    index = np.unravel_index(flat, tuple(counts))
+    return np.stack([lo[ax] + (index[ax] + 0.5) * h for ax in range(len(counts))], axis=1)
+
+
 def energy_of_field(fld, domain, resolution=1 / 128, radius=None):
     """Midpoint-rule weighted energy of a scalar field over Omega.
 
     The gradient is a central difference at half the cell size, read through
-    `fld.batch` on the whole array of cell centers.
+    `fld.batch` on chunks of _CHUNK cell centres.
     """
     if radius is None:
         radius = min(domain.exhaustion_radius, 8.0)
     lo, hi = domain.grid_box(radius)
     h = float(resolution)
-    counts = np.maximum(np.ceil((hi - lo) / h).astype(int), 1)
-    axes = [lo[ax] + (np.arange(counts[ax]) + 0.5) * h for ax in range(len(counts))]
-    centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(counts))
-
-    inside = np.ones(centers.shape[0], dtype=bool)
-    for _, ob in domain.pieces():
-        inside &= np.asarray(ob.depth(centers)) > 0
-    inside &= np.linalg.norm(centers, axis=1) <= radius
-    centers = centers[inside]
-
+    counts, cells = box_cells(lo, hi, h)
+    n = len(counts)
     delta = 0.5 * h
-    grad_sq = np.zeros(centers.shape[0])
-    for ax in range(centers.shape[1]):
-        e = np.zeros(centers.shape[1])
-        e[ax] = delta
-        grad_sq += ((fld.batch(centers + e) - fld.batch(centers - e)) / (2 * delta)) ** 2
-    w = np.exp(-0.5 * np.sum(centers ** 2, axis=1))
-    return 0.5 * float(np.sum(grad_sq * w)) * h ** centers.shape[1]
+    total = 0.0
+    for start in range(0, cells, _CHUNK):
+        centers = cell_centres(lo, counts, h, start, start + _CHUNK)
+        inside = np.linalg.norm(centers, axis=1) <= radius
+        for _, ob in domain.pieces():
+            inside &= np.asarray(ob.depth(centers)) > 0
+        centers = centers[inside]
+        grad_sq = np.zeros(centers.shape[0])
+        for ax in range(n):
+            e = np.zeros(n)
+            e[ax] = delta
+            grad_sq += ((fld.batch(centers + e) - fld.batch(centers - e)) / (2 * delta)) ** 2
+        w = np.exp(-0.5 * np.sum(centers ** 2, axis=1))
+        total += float(np.sum(grad_sq * w))
+    return 0.5 * total * h ** n

@@ -95,6 +95,44 @@ def test_batched_operators_match_row_by_row(dim):
             np.testing.assert_array_equal(L, [fl.weighted_laplacian(f, p, h=h) for p in P])
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_stencil_is_exact_on_quadratics(dim):
+    # central differences, mixed terms included, have no truncation error on
+    # quadratics, so only rounding is left at step 1e-2
+    rng = np.random.default_rng(20240803 + dim)
+    A = rng.standard_normal((dim, dim))
+    A = A + A.T
+    b = rng.standard_normal(dim)
+    c = float(rng.standard_normal())
+    P = rng.uniform(-1.5, 1.5, size=(40, dim))
+    grad, hess = fl.fd_gradient_hessian(
+        lambda X: c + X @ b + 0.5 * np.einsum("ki,ij,kj->k", X, A, X), P, 1e-2)
+    np.testing.assert_allclose(grad, b + P @ A, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(hess, np.broadcast_to(A, hess.shape), rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("dim, evaluations", [(2, 7), (3, 13)])
+def test_stencil_evaluation_count(dim, evaluations):
+    rows = []
+
+    def counting(X):
+        rows.append(X.shape[0])
+        return np.sin(X).sum(axis=1)
+
+    P = np.random.default_rng(7).uniform(-1.0, 1.0, size=(25, dim))
+    fl.fd_gradient_hessian(counting, P, 1e-3)
+    assert sum(rows) == evaluations * P.shape[0]
+    assert fl.stencil_evaluations(dim) == evaluations
+
+
+def test_stencil_copies_a_batch_that_returns_a_view():
+    # the evaluator hands back a view of the shifted-point buffer
+    P = np.random.default_rng(8).uniform(-1.0, 1.0, size=(30, 3))
+    grad, hess = fl.fd_gradient_hessian(lambda X: X[:, 0], P, 1e-3)
+    np.testing.assert_allclose(grad, np.tile([1.0, 0.0, 0.0], (30, 1)), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(hess, 0.0, rtol=0, atol=1e-6)
+
+
 def test_declared_domain_guard_rejects_a_batch_with_one_bad_row():
     box = fl.BoundingBox(lo=(-1.0, -1.0), hi=(1.0, 1.0))
     f = fl.ScalarField(lambda x: x[0], declared_domain=box)

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -71,6 +73,54 @@ def test_mesh_refinement_order(unit_ball):
     r16 = rl.reilly_residual(U_X1, None, unit_ball, mesh_h=1 / 16).residual
     r32 = rl.reilly_residual(U_X1, None, unit_ball, mesh_h=1 / 32).residual
     assert r32 <= 0.5 * r16  # at least first order
+
+
+def _volume(ball, phi, h):
+    return rl._volume_side(U_X1, phi, ball, h, None)
+
+
+def test_volume_side_does_not_depend_on_chunks_or_threads(unit_ball, monkeypatch):
+    # 1/16 fits one chunk by default; 4,096-cell chunks run on the pool
+    phi = rl.CutoffFamily(0.5)
+    terms, total, counters = _volume(unit_ball, phi, 1 / 16)
+    monkeypatch.setattr(rl, "_CHUNK", 4096)
+    chunked = _volume(unit_ball, phi, 1 / 16)
+    terms_c, total_c, counters_c = chunked
+    assert total_c == pytest.approx(total, rel=1e-12)
+    for key, value in terms.items():
+        assert terms_c[key] == pytest.approx(value, rel=1e-12, abs=1e-15)
+    assert counters_c == counters
+    assert _volume(unit_ball, phi, 1 / 16) == chunked
+    # more workers than cores, switching threads as often as possible
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for workers in (1, 4):
+            monkeypatch.setattr(rl, "_WORKERS", workers)
+            assert _volume(unit_ball, phi, 1 / 16) == chunked
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_volume_side_keeps_every_cell_with_a_positive_fraction(unit_ball):
+    # depth-first dropping must keep exactly the cells the full box would
+    h = 1 / 16
+    axes = [(np.arange(32) + 0.5) * h - 1.0] * 3
+    P = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    ob = unit_ball.sigma1
+    frac = rl._box_fraction(ob.depth(P), -ob.exterior_normal(P), h)
+    _, _, counters = _volume(unit_ball, rl.CONSTANT_CUTOFF, h)
+    assert counters["volume_cells"] == np.count_nonzero(frac > 0.0)
+    assert counters["cut_cells"] == np.count_nonzero((frac > 0.0) & (frac < 1.0))
+    assert counters["volume_fd_step"] == 2e-5
+    assert counters["stencil_evaluations_per_point"] == 13
+
+
+def test_report_carries_volume_counters(unit_ball):
+    rep = rl.reilly_residual(U_X1, None, unit_ball, mesh_h=1 / 8)
+    assert {"volume_cells", "cut_cells", "volume_fd_step",
+            "stencil_evaluations_per_point"} <= set(rep.details)
+    assert 0 < rep.details["cut_cells"] < rep.details["volume_cells"] <= 16 ** 3
 
 
 def test_level_set_boundary_lacks_curvature():
