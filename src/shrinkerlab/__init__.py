@@ -17,12 +17,11 @@ __version__ = "0.1.0"
 
 from . import barrier, domain, energy, fields, geometry, mc, reilly, solver
 from .errors import (BoundaryStencilError, ContractViolation, MissingGeometryError,
-                     ParameterError, QuadratureError, SingularSystemError,
-                     SolverConvergenceError)
+                     ParameterError, SingularSystemError, SolverConvergenceError)
 
 __all__ = [
     "barrier", "domain", "energy", "fields", "geometry", "mc", "reilly", "solver",
     "BoundaryStencilError", "ContractViolation", "MissingGeometryError",
-    "ParameterError", "QuadratureError", "SingularSystemError",
-    "SolverConvergenceError", "__version__",
+    "ParameterError", "SingularSystemError", "SolverConvergenceError",
+    "__version__",
 ]

@@ -8,8 +8,8 @@ run_meta.json so reruns with identical configuration reproduce report bytes
 exactly.
 
 Exit codes: 0 success; 1 usage/parameter error, including a problem with no
-Dirichlet data; 2 contract violation (a module invariant failed, a linear
-solve did not converge, or a quadrature missed its tolerance).
+Dirichlet data; 2 contract violation (a module invariant failed or a linear
+solve did not converge).
 """
 
 import argparse
@@ -29,8 +29,8 @@ from . import mc
 from . import reilly as rl
 from . import solver as sv
 from .acceptance import format_table, run_acceptance
-from .errors import (ContractViolation, ParameterError, QuadratureError,
-                     SingularSystemError, SolverConvergenceError)
+from .errors import (ContractViolation, ParameterError, SingularSystemError,
+                     SolverConvergenceError)
 from .fields import ScalarField
 
 # --------------------------------------------------------------------------
@@ -38,7 +38,8 @@ from .fields import ScalarField
 
 
 def dumps17(obj, indent=0):
-    """JSON text with every float rendered at 17 significant digits."""
+    """JSON text with every float rendered at 17 significant digits; whole
+    floats keep a decimal point (1.0, -0.0), so they load back as floats."""
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -59,7 +60,8 @@ def dumps17(obj, indent=0):
         x = float(obj)
         if x != x or x in (float("inf"), float("-inf")):
             return json.dumps(str(x))
-        return format(x, ".17g")
+        text = format(x, ".17g")
+        return text if "." in text or "e" in text else text + ".0"
     return json.dumps(obj)
 
 
@@ -451,7 +453,7 @@ def main(argv=None):
         return 1 if exc.code not in (0, None) else 0
     try:
         args.func(args)
-    except (ContractViolation, SolverConvergenceError, QuadratureError) as exc:
+    except (ContractViolation, SolverConvergenceError) as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return 2
     except (ParameterError, SingularSystemError, FileNotFoundError, json.JSONDecodeError,

@@ -9,14 +9,14 @@ the annulus.  The annulus energy inside B_R is c u(min(b, R)) / F(hi); the
 slab's is one order-64 Gauss-Legendre rule in theta with s = R sin(theta).
 Surface integrals on grids reconstruct the Dirichlet interface cell by cell
 (marching squares) with a second-order one-sided normal stencil into the
-domain.
+domain.  scipy is imported where it is called: only the Gamma-function
+measures `sphere_measure` and `gaussian_ball_mass` load scipy.special.
 """
 
 import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from .errors import MissingGeometryError, ParameterError
 from .quadrature import gauss_legendre
@@ -38,12 +38,16 @@ __all__ = [
 
 def sphere_measure(d):
     """Surface measure of the unit (d-1)-sphere in R^d."""
+    from scipy.special import gammaln
+
     return 2.0 * math.pi ** (d / 2.0) / math.exp(gammaln(d / 2.0))
 
 
 def gaussian_ball_mass(d, radius):
     """int_{|t| <= radius, t in R^d} e^{-|t|^2/2} dt (d = 0 gives 1), for a
     scalar or an array of radii."""
+    from scipy.special import gammainc
+
     if d == 0:
         return 1.0
     r = np.maximum(radius, 0.0)

@@ -14,12 +14,16 @@ of their box and report the reduced order.
 """
 
 import io
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BoundaryStencilError, ParameterError
+
+_WORKERS = os.cpu_count() or 1      # threads of `ordered_map`
 
 
 @dataclass(frozen=True)
@@ -164,6 +168,17 @@ def fd_gradient_hessian(batch, pts, h):
             hess[:, i, j] = mixed
             hess[:, j, i] = mixed
     return grad, hess
+
+
+def ordered_map(fn, items):
+    """[fn(item) for item in items], run on _WORKERS threads when there is
+    more than one item.  numpy releases the GIL, so pure numpy work overlaps,
+    and the results come back in item order whatever the worker count."""
+    items = list(items)
+    if len(items) == 1:
+        return [fn(items[0])]
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        return list(pool.map(fn, items))
 
 
 # --------------------------------------------------------------------------

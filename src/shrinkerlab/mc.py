@@ -10,8 +10,9 @@ X' = e^-dt X + sqrt(1 - e^-2dt) Z, in chunks of 64 steps; normals are drawn
 only for live paths, and a path retires at its first hit.
 
 Reproducibility: block b draws from a Philox counter-based stream keyed by
-(seed, b), so a path's result depends only on its block, and the hit-count
-reduction runs in block order; reruns are bit-identical.
+(seed, b), so a path's result depends only on its block.  The blocks run
+through `fields.ordered_map` on os.cpu_count() threads and are reduced in
+block order, so reruns are bit-identical for any worker count.
 
 First-crossing detection is the Brownian-bridge test (Gobet, SPA 2000): a
 step whose end lies outside a piece has hit it, and a step that starts and
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
+from .fields import ordered_map
 
 __all__ = ["McConfig", "McEstimate", "ou_hitting_probability", "bias_study"]
 
@@ -165,12 +167,13 @@ def ou_hitting_probability(x0, domain, cfg, trace=None):
     if not np.all(start_depths > 0.0):
         raise ParameterError("start point must lie strictly inside the domain")
 
-    blocks = []
-    for block, first in enumerate(range(0, cfg.n_paths, _BLOCK)):
+    def run(block):
         rng = np.random.Generator(np.random.Philox(key=np.array(
             [cfg.seed, block], dtype=np.uint64)))
-        blocks.append(_run_block(x0, start_depths, pieces, cfg, rng,
-                                 min(_BLOCK, cfg.n_paths - first)))
+        return _run_block(x0, start_depths, pieces, cfg, rng,
+                          min(_BLOCK, cfg.n_paths - block * _BLOCK))
+
+    blocks = ordered_map(run, range(math.ceil(cfg.n_paths / _BLOCK)))
     labels = np.concatenate([lab for lab, _ in blocks])
     exit_steps = np.concatenate([steps for _, steps in blocks])
     hits1, hits2, truncated = (int(np.count_nonzero(labels == lab)) for lab in (1, 2, 0))

@@ -20,8 +20,6 @@ tracks the volume mesh.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations
 
@@ -31,13 +29,10 @@ from .domain import radii
 from .energy import (_CHUNK, _interface_segments, box_cells, cell_centres,
                      marching_boundary_integral, weighted_gradient_cells)
 from .errors import MissingGeometryError, ParameterError
-from .fields import GridField, fd_gradient_hessian, stencil_evaluations
+from .fields import GridField, fd_gradient_hessian, ordered_map, stencil_evaluations
 
 __all__ = ["CutoffFamily", "ReillyReport", "reilly_residual",
            "energy_growth_chain", "ChainReport"]
-
-# threads running the volume-side chunks
-_WORKERS = os.cpu_count() or 1
 
 
 class CutoffFamily:
@@ -180,8 +175,8 @@ def _box_fraction(depth, normal, h):
 def _volume_side(u, phi, domain, mesh_h, fd_h):
     """Volume integrals of the identity; returns (terms dict, total, counters).
 
-    Chunks of _CHUNK cells run on _WORKERS threads: numpy releases the GIL
-    and the fields are pure.
+    Chunks of _CHUNK cells run through `fields.ordered_map`: numpy releases
+    the GIL and the fields are pure.
     """
     lo, hi = domain.grid_box(domain.exhaustion_radius)
     h = float(mesh_h)
@@ -223,13 +218,7 @@ def _volume_side(u, phi, domain, mesh_h, fd_h):
                 float(np.sum(phi_sq * ricci * w)), float(np.sum(transport * w)),
                 pts.shape[0], int(np.count_nonzero(frac < 1.0)))
 
-    starts = range(0, cells, _CHUNK)
-    if len(starts) == 1:
-        parts = [chunk_sums(0)]
-    else:
-        with ThreadPoolExecutor(_WORKERS) as pool:
-            parts = list(pool.map(chunk_sums, starts))
-
+    parts = ordered_map(chunk_sums, range(0, cells, _CHUNK))
     # added in chunk order, so the totals do not depend on the worker count
     *sums, kept, cut = (sum(column) for column in zip(*parts))
     terms = dict(zip(("hess_sq", "lap_f_sq", "ricci", "transport"), sums))

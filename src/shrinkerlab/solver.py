@@ -12,7 +12,8 @@ multigrid V-cycle on the lattice's h -> 2h hierarchy, so iteration counts do
 not grow as h shrinks.
 
 The discrete maximum principle is a hard postcondition: produced solutions
-live in [0, 1].
+live in [0, 1].  scipy is imported where it is called, so the closed-form
+profiles load no scipy module.
 """
 
 import itertools
@@ -20,8 +21,6 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-import scipy.sparse as sps
-import scipy.sparse.linalg as spla
 
 from .errors import (ContractViolation, ParameterError, SingularSystemError,
                      SolverConvergenceError)
@@ -231,6 +230,8 @@ def _assemble(grid, domain, boundary_values=(0.0, 1.0)):
     the cut fraction theta on the signed-distance zero crossing; legs leaving
     the exhaustion ball are mirrored (homogeneous Neumann).
     """
+    import scipy.sparse as sps
+
     h = grid.h
     codes = grid.codes
     solved = grid.solved_mask
@@ -359,6 +360,8 @@ def _prolongation(idx):
     parents.  Returns (P, coarse_idx): P is n x m over the m parents that some
     node references, numbered in lexicographic order of their indices.
     """
+    import scipy.sparse as sps
+
     n, d = idx.shape
     corners = np.array(list(itertools.product((0, 1), repeat=d)))
     lo = idx.min(axis=0) >> 1
@@ -388,6 +391,8 @@ class _VCycle:
     """
 
     def __init__(self, A, idx):
+        import scipy.sparse.linalg as spla
+
         self.levels = []            # (A, omega / diag, P, P^T) of each smoothed level
         while A.shape[0] > _COARSEST:
             P, idx = _prolongation(idx)
@@ -426,6 +431,8 @@ def _multigrid_bicgstab(A_s, b_s, x0, idx, weights, tol, max_iter):
     the caller allocates the long-lived output field; allocated the other way
     round, that field would keep the hierarchy's heap memory resident.
     """
+    import scipy.sparse.linalg as spla
+
     vcycle = _VCycle(A_s, idx)
     history = []
     applications = 0
@@ -458,6 +465,8 @@ def solve_mixed_bvp(domain, grid=None, tol=1e-10, max_iter=200, h=None,
     Gaussian-weighted residual norm of the scaled system.  The returned field
     satisfies 0 <= u <= 1 (discrete maximum principle).
     """
+    import scipy.sparse as sps
+
     if grid is None:
         if h is None:
             raise ParameterError("provide either a classified grid or a spacing h")

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -96,6 +97,23 @@ def test_full_block_ignores_later_blocks(slab_dom):
                               trace=longer)
     assert len(longer) == 4133
     assert longer[:4096] == full
+
+
+def test_estimate_does_not_depend_on_the_worker_count(slab_dom, monkeypatch):
+    # three keyed blocks, run in turn on one thread, on two, and on more
+    # threads than blocks switching as often as possible
+    cfg = mc.McConfig(n_paths=2 * 4096 + 300, dt=1e-2, seed=8)
+    runs = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for workers in (1, 2, 4):
+            monkeypatch.setattr("shrinkerlab.fields._WORKERS", workers)
+            runs.append(mc.ou_hitting_probability(np.array([0.0, 0.3]), slab_dom, cfg))
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0].hits_sigma1 + runs[0].hits_sigma2 + runs[0].truncated == cfg.n_paths
 
 
 @pytest.mark.parametrize("domain, x0", [("slab", (0.0, 0.5)), ("annulus", (1.0, 0.0))])

@@ -96,7 +96,7 @@ def test_volume_side_does_not_depend_on_chunks_or_threads(unit_ball, monkeypatch
     try:
         sys.setswitchinterval(1e-6)
         for workers in (1, 4):
-            monkeypatch.setattr(rl, "_WORKERS", workers)
+            monkeypatch.setattr("shrinkerlab.fields._WORKERS", workers)
             assert _volume(unit_ball, phi, 1 / 16) == chunked
     finally:
         sys.setswitchinterval(interval)
