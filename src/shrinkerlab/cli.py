@@ -14,6 +14,7 @@ solve did not converge).
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -39,7 +40,9 @@ from .fields import ScalarField
 
 def dumps17(obj, indent=0):
     """JSON text with every float rendered at 17 significant digits; whole
-    floats keep a decimal point (1.0, -0.0), so they load back as floats."""
+    floats keep a decimal point (1.0, -0.0), so they load back as floats, and
+    non-finite ones are the tokens NaN, Infinity and -Infinity that
+    json.dumps writes and json.loads reads back as floats."""
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -58,8 +61,8 @@ def dumps17(obj, indent=0):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
-        if x != x or x in (float("inf"), float("-inf")):
-            return json.dumps(str(x))
+        if not math.isfinite(x):
+            return json.dumps(x)
         text = format(x, ".17g")
         return text if "." in text or "e" in text else text + ".0"
     return json.dumps(obj)

@@ -322,8 +322,8 @@ def energy_report(solution, domain, radii):
 # energies of plain fields (barrier competitors)
 
 
-# cells per streamed chunk of a box mesh
-_CHUNK = 65_536
+# cells of a box mesh, or Reilly boundary nodes, per streamed chunk
+_CHUNK = 32_768
 
 
 def box_cells(lo, hi, h):

@@ -8,19 +8,27 @@ parametrized) boundary.  Ric_f is the identity (Gaussian space).
 
 Volume quadrature is a midpoint rule on a Cartesian mesh with cut cells
 weighted by the exact plane-cut fraction of the signed-distance crossing.
-The cells stream in chunks of 65,536 built from flat index ranges, with no
-full-box array; each chunk drops the cells lying wholly outside a piece
-before computing normals and fractions, and differentiates u with the
-13-point stencil of `fields.fd_gradient_hessian` (in 3D) at one step per
-call, 1e-5 (1 + largest box coordinate) unless fd_h is given.  A pool of
-os.cpu_count() threads runs the chunks; their sums are added in chunk
-order, so the result does not depend on the worker count.  The boundary
-uses Gauss-Legendre panels at fixed high order, so the reported residual
-tracks the volume mesh.
+The cells stream in chunks of `energy._CHUNK` (32,768) built from flat
+index ranges, with no full-box array; each chunk drops the cells lying
+wholly outside a piece before computing normals and fractions, and
+differentiates u with the 13-point stencil of `fields.fd_gradient_hessian`
+(in 3D) at one step per call, 1e-5 (1 + largest box coordinate) unless fd_h
+is given.  The boundary uses Gauss-Legendre panels at fixed high order, so
+the reported residual tracks the volume mesh: 384^(n-1) nodes per piece,
+and a second pass on 256^(n-1) nodes for `mixed_term_uncertainty`.  Each
+pass takes one differencing step per piece from all of its nodes and then
+streams the nodes in chunks of the same size.
+
+One residual is one ordered stream of work items -- the cell chunks, then
+the node chunks of both boundary passes -- run on os.cpu_count() threads by
+`fields.ordered_map`, so no stage holds more than a chunk of points per
+thread.  The items' partial sums are added in item order, so the result
+does not depend on the worker count.
 """
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -105,6 +113,18 @@ CONSTANT_CUTOFF = _ConstantCutoff()
 
 @dataclass
 class ReillyReport:
+    """Both sides of the identity, their mismatch and its terms.
+
+    mixed_term_uncertainty is the change of the mixed boundary term between
+    384^(n-1) and 256^(n-1) Gauss-Legendre nodes per piece, a check of the
+    boundary quadrature.  When an fd_h is in force (given, or the smallest
+    spacing of a GridField) the second pass also halves the differencing
+    step; with fd_h None each pass takes the step of its own nodes, the same
+    on a sphere.  details holds deterministic counters: volume_cells,
+    cut_cells, volume_fd_step, stencil_evaluations_per_point and
+    boundary_nodes (the nodes of the 384^(n-1) pass).
+    """
+
     volume_side: float
     boundary_side: float
     residual: float
@@ -172,12 +192,10 @@ def _box_fraction(depth, normal, h):
     return frac
 
 
-def _volume_side(u, phi, domain, mesh_h, fd_h):
-    """Volume integrals of the identity; returns (terms dict, total, counters).
-
-    Chunks of _CHUNK cells run through `fields.ordered_map`: numpy releases
-    the GIL and the fields are pure.
-    """
+def _volume_items(u, phi, domain, mesh_h, fd_h):
+    """Work items of the volume integrals, one per chunk of _CHUNK cells, each
+    returning (hess_sq, lap_f_sq, ricci, transport, kept cells, cut cells);
+    and the counters fixed before any item runs."""
     lo, hi = domain.grid_box(domain.exhaustion_radius)
     h = float(mesh_h)
     counts, cells = box_cells(lo, hi, h)
@@ -218,55 +236,68 @@ def _volume_side(u, phi, domain, mesh_h, fd_h):
                 float(np.sum(phi_sq * ricci * w)), float(np.sum(transport * w)),
                 pts.shape[0], int(np.count_nonzero(frac < 1.0)))
 
-    parts = ordered_map(chunk_sums, range(0, cells, _CHUNK))
-    # added in chunk order, so the totals do not depend on the worker count
-    *sums, kept, cut = (sum(column) for column in zip(*parts))
-    terms = dict(zip(("hess_sq", "lap_f_sq", "ricci", "transport"), sums))
-    total = terms["hess_sq"] - terms["lap_f_sq"] + terms["ricci"] + terms["transport"]
-    counters = {"volume_cells": kept, "cut_cells": cut, "volume_fd_step": float(step),
-                "stencil_evaluations_per_point": stencil_evaluations(n)}
-    return terms, total, counters
+    items = [partial(chunk_sums, start) for start in range(0, cells, _CHUNK)]
+    return items, {"volume_fd_step": float(step),
+                   "stencil_evaluations_per_point": stencil_evaluations(n)}
 
 
-def _boundary_side(u, phi, domain, fd_h, per_dim=384):
-    """Boundary integrals with exact piece geometry; returns (terms, total)."""
-    terms = {"second_fundamental": 0.0, "mixed": 0.0, "surface_laplacian": 0.0}
-    n = domain.ambient_dim
+def _boundary_sums(u, phi, ob, nodes, weights, step):
+    """(second_fundamental, mixed, surface_laplacian) over quadrature nodes
+    of one piece, with its exact geometry."""
+    n = nodes.shape[1]
+    grad, hess = fd_gradient_hessian(u.batch, nodes, step)
+
+    kappas = ob.principal_curvatures(nodes)
+    if not np.allclose(kappas, kappas[:, :1]):
+        raise MissingGeometryError("non-umbilic boundary pieces are not supported")
+    kappa = kappas[:, 0]
+    tr_a = kappa * (n - 1)
+
+    nus = ob.exterior_normal(nodes)
+    du_dnu = np.einsum("ki,ki->k", grad, nus)
+    grad_tan = grad - du_dnu[:, None] * nus
+    grad_tan_sq = np.einsum("ki,ki->k", grad_tan, grad_tan)
+    x_tan = nodes - np.einsum("ki,ki->k", nodes, nus)[:, None] * nus
+
+    a_term = kappa * grad_tan_sq
+    hess_nu = np.einsum("kij,kj->ki", hess, nus)
+    mixed = np.einsum("ki,ki->k", grad_tan, hess_nu) - a_term
+    hess_nunu = np.einsum("ki,ki->k", hess_nu, nus)
+    lap_surface = np.einsum("kii->k", hess) - hess_nunu + tr_a * du_dnu
+    lap_f_surface = lap_surface - np.einsum("ki,ki->k", x_tan, grad_tan)
+    h_f = tr_a + np.einsum("ki,ki->k", nodes, nus)
+    lap_term = -(lap_f_surface - h_f * du_dnu) * du_dnu
+
+    phi_sq = np.asarray(phi(nodes)) ** 2
+    w = np.exp(-0.5 * np.sum(nodes ** 2, axis=1)) * weights * phi_sq
+    return float(np.sum(a_term * w)), float(np.sum(mixed * w)), float(np.sum(lap_term * w))
+
+
+def _boundary_items(u, phi, domain, fd_h, per_dim):
+    """Work items of the boundary integrals on per_dim^(n-1) Gauss-Legendre
+    nodes of each piece, one per chunk of _CHUNK nodes, each returning
+    `_boundary_sums`; and the node count."""
+    items = []
+    total = 0
     for _, ob in domain.pieces():
-        nodes, weights = ob.quad_nodes(n, domain.exhaustion_radius, per_dim=per_dim)
+        nodes, weights = ob.quad_nodes(domain.ambient_dim, domain.exhaustion_radius,
+                                       per_dim=per_dim)
         if nodes.shape[0] == 0:
             continue
+        # one step per piece over all of its nodes, so that no sum depends
+        # on the chunking
         step = fd_h if fd_h is not None else 1e-5 * (1.0 + float(np.max(np.linalg.norm(nodes, axis=1))))
-        grad, hess = fd_gradient_hessian(u.batch, nodes, step)
+        items += [partial(_boundary_sums, u, phi, ob, nodes[start:start + _CHUNK],
+                          weights[start:start + _CHUNK], step)
+                  for start in range(0, nodes.shape[0], _CHUNK)]
+        total += nodes.shape[0]
+    return items, total
 
-        kappas = ob.principal_curvatures(nodes)
-        if not np.allclose(kappas, kappas[:, :1]):
-            raise MissingGeometryError("non-umbilic boundary pieces are not supported")
-        kappa = kappas[:, 0]
-        tr_a = kappa * (n - 1)
 
-        nus = ob.exterior_normal(nodes)
-        du_dnu = np.einsum("ki,ki->k", grad, nus)
-        grad_tan = grad - du_dnu[:, None] * nus
-        grad_tan_sq = np.einsum("ki,ki->k", grad_tan, grad_tan)
-        x_tan = nodes - np.einsum("ki,ki->k", nodes, nus)[:, None] * nus
-
-        a_term = kappa * grad_tan_sq
-        hess_nu = np.einsum("kij,kj->ki", hess, nus)
-        mixed = np.einsum("ki,ki->k", grad_tan, hess_nu) - a_term
-        hess_nunu = np.einsum("ki,ki->k", hess_nu, nus)
-        lap_surface = np.einsum("kii->k", hess) - hess_nunu + tr_a * du_dnu
-        lap_f_surface = lap_surface - np.einsum("ki,ki->k", x_tan, grad_tan)
-        h_f = tr_a + np.einsum("ki,ki->k", nodes, nus)
-        lap_term = -(lap_f_surface - h_f * du_dnu) * du_dnu
-
-        phi_sq = np.asarray(phi(nodes)) ** 2
-        w = np.exp(-0.5 * np.sum(nodes ** 2, axis=1)) * weights * phi_sq
-        terms["second_fundamental"] += float(np.sum(a_term * w))
-        terms["mixed"] += float(np.sum(mixed * w))
-        terms["surface_laplacian"] += float(np.sum(lap_term * w))
-    total = sum(terms.values())
-    return terms, total
+def _column_sums(parts, width):
+    """Sum of each column of the items' partial sums, added in item order so
+    that no total depends on the worker count; zeros when there is no item."""
+    return [sum(column) for column in zip(*parts)] if parts else [0.0] * width
 
 
 def reilly_residual(u, phi, domain, mesh_h, fd_h=None):
@@ -279,21 +310,34 @@ def reilly_residual(u, phi, domain, mesh_h, fd_h=None):
         phi = CONSTANT_CUTOFF
     if isinstance(u, GridField):
         fd_h = float(u.spacing.min()) if fd_h is None else fd_h
-    vol_terms, volume, counters = _volume_side(u, phi, domain, mesh_h, fd_h)
-    bnd_terms, boundary = _boundary_side(u, phi, domain, fd_h)
-    # the mixed boundary term is the dominant error source: estimate its
-    # numerical uncertainty by halving the differencing step
-    bnd_terms_half, _ = _boundary_side(u, phi, domain,
-                                       fd_h=None if fd_h is None else 0.5 * fd_h,
-                                       per_dim=256)
-    uncertainty = abs(bnd_terms["mixed"] - bnd_terms_half["mixed"])
+    volume_items, counters = _volume_items(u, phi, domain, mesh_h, fd_h)
+    boundary_items, nodes = _boundary_items(u, phi, domain, fd_h, per_dim=384)
+    # the mixed term on fewer nodes (and half an fd_h in force) gives
+    # mixed_term_uncertainty, a check of the boundary quadrature
+    second_items, _ = _boundary_items(u, phi, domain, None if fd_h is None else 0.5 * fd_h,
+                                      per_dim=256)
+    # one ordered stream, so the boundary chunks share the pool with the cells
+    parts = ordered_map(lambda item: item(),
+                        volume_items + boundary_items + second_items)
+    a = len(volume_items)
+    b = a + len(boundary_items)
+    *vol_sums, kept, cut = _column_sums(parts[:a], 6)
+    vol_terms = dict(zip(("hess_sq", "lap_f_sq", "ricci", "transport"), vol_sums))
+    volume = (vol_terms["hess_sq"] - vol_terms["lap_f_sq"] + vol_terms["ricci"]
+              + vol_terms["transport"])
+    names = ("second_fundamental", "mixed", "surface_laplacian")
+    bnd_terms = dict(zip(names, _column_sums(parts[a:b], 3)))
+    boundary = sum(bnd_terms.values())
+    second_mixed = _column_sums(parts[b:], 3)[1]
     breakdown = {f"volume_{k}": v for k, v in vol_terms.items()}
     breakdown.update({f"boundary_{k}": v for k, v in bnd_terms.items()})
     return ReillyReport(
         volume_side=volume, boundary_side=boundary,
         residual=abs(volume - boundary), mesh_h=float(mesh_h),
-        term_breakdown=breakdown, mixed_term_uncertainty=uncertainty,
-        details={"ricci_mode": "gaussian identity", **counters})
+        term_breakdown=breakdown,
+        mixed_term_uncertainty=abs(bnd_terms["mixed"] - second_mixed),
+        details={"ricci_mode": "gaussian identity", "volume_cells": kept,
+                 "cut_cells": cut, **counters, "boundary_nodes": nodes})
 
 
 # --------------------------------------------------------------------------

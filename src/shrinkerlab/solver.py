@@ -359,6 +359,11 @@ def _prolongation(idx):
     every axis (one parent of weight 1 for even i), so a node has up to 2^d
     parents.  Returns (P, coarse_idx): P is n x m over the m parents that some
     node references, numbered in lexicographic order of their indices.
+
+    Parents referenced by exactly the same nodes (a lone node with two odd
+    indices at the edge of the exhaustion can be the only child of two) would
+    give P equal columns and P^T A P a zero pivot, so such columns are summed
+    into the first of them; row sums stay 1.
     """
     import scipy.sparse as sps
 
@@ -379,7 +384,24 @@ def _prolongation(idx):
                        shape=(n, np.count_nonzero(used)))
     P.sum_duplicates()
     coarse_idx = np.array(np.unravel_index(np.flatnonzero(used), shape)).T + lo
-    return P, coarse_idx
+    # columns with one row support share their first and their last row,
+    # which few columns share with others
+    Pc = P.tocsc()
+    Pc.sort_indices()
+    first, last = Pc.indices[Pc.indptr[:-1]], Pc.indices[Pc.indptr[1:] - 1]
+    m = P.shape[1]
+    target = np.arange(m)
+    support = {}
+    for c in np.flatnonzero((np.bincount(first, minlength=n)[first] > 1)
+                            & (np.bincount(last, minlength=n)[last] > 1)):
+        rows = Pc.indices[Pc.indptr[c]:Pc.indptr[c + 1]].tobytes()
+        target[c] = support.setdefault(rows, c)
+    keep = target == np.arange(m)
+    if keep.all():
+        return P, coarse_idx
+    merge = sps.csr_matrix((np.ones(m), (np.arange(m), (np.cumsum(keep) - 1)[target])),
+                           shape=(m, np.count_nonzero(keep)))
+    return (P @ merge).tocsr(), coarse_idx[keep]
 
 
 class _VCycle:

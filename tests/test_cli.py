@@ -40,7 +40,7 @@ def test_dumps17_is_round_trip_exact():
 _EDGE_FLOATS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2250738585072009e-308,
                                 1e308, -1.7976931348623157e308, 2.0 ** 53, 1e16, 1e17])
 _FLOATS = st.one_of(_EDGE_FLOATS, st.integers(-10 ** 18, 10 ** 18).map(float),
-                    st.floats(allow_nan=False, allow_infinity=False))
+                    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf]))
 
 
 def _same_floats(a, b):
@@ -49,6 +49,8 @@ def _same_floats(a, b):
             _same_floats(a[k], b[k]) for k in a)
     if isinstance(a, list):
         return isinstance(b, list) and len(a) == len(b) and all(map(_same_floats, a, b))
+    if a != a:
+        return type(b) is float and b != b
     return type(b) is float and b == a and math.copysign(1.0, b) == math.copysign(1.0, a)
 
 
@@ -56,7 +58,8 @@ def _same_floats(a, b):
 @given(st.recursive(_FLOATS, lambda inner: st.lists(inner, max_size=4)
                     | st.dictionaries(st.text(max_size=5), inner, max_size=4), max_leaves=20))
 def test_dumps17_round_trips_floats(payload):
-    # whole values and -0.0 load back as floats of the same sign
+    # whole values and -0.0 load back as floats of the same sign, NaN and
+    # +-inf as floats
     assert _same_floats(payload, json.loads(dumps17(payload)))
 
 

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,31 +76,62 @@ def test_mesh_refinement_order(unit_ball):
     assert r32 <= 0.5 * r16  # at least first order
 
 
-def _volume(ball, phi, h):
-    return rl._volume_side(U_X1, phi, ball, h, None)
+def _residual(ball, phi, h):
+    return rl.reilly_residual(U_X1, phi, ball, mesh_h=h)
 
 
 def test_volume_side_does_not_depend_on_chunks_or_threads(unit_ball, monkeypatch):
-    # 1/16 fits one chunk by default; 4,096-cell chunks run on the pool
+    # the whole residual: by default 1/16 is one chunk of cells and each
+    # boundary pass several chunks of nodes; 4,096-item chunks cut all finer
     phi = rl.CutoffFamily(0.5)
-    terms, total, counters = _volume(unit_ball, phi, 1 / 16)
+    rep = _residual(unit_ball, phi, 1 / 16)
     monkeypatch.setattr(rl, "_CHUNK", 4096)
-    chunked = _volume(unit_ball, phi, 1 / 16)
-    terms_c, total_c, counters_c = chunked
-    assert total_c == pytest.approx(total, rel=1e-12)
-    for key, value in terms.items():
-        assert terms_c[key] == pytest.approx(value, rel=1e-12, abs=1e-15)
-    assert counters_c == counters
-    assert _volume(unit_ball, phi, 1 / 16) == chunked
+    chunked = _residual(unit_ball, phi, 1 / 16)
+    assert chunked.volume_side == pytest.approx(rep.volume_side, rel=1e-12)
+    assert chunked.boundary_side == pytest.approx(rep.boundary_side, rel=1e-12)
+    for key, value in rep.term_breakdown.items():
+        assert chunked.term_breakdown[key] == pytest.approx(value, rel=1e-12, abs=1e-15)
+    # differences of nearly equal sums, so relative to the sides
+    scale = abs(rep.boundary_side)
+    assert chunked.residual == pytest.approx(rep.residual, abs=1e-12 * scale)
+    assert chunked.mixed_term_uncertainty == pytest.approx(
+        rep.mixed_term_uncertainty, abs=1e-12 * scale)
+    assert chunked.details == rep.details
+    assert _residual(unit_ball, phi, 1 / 16) == chunked
     # more workers than cores, switching threads as often as possible
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
-        for workers in (1, 4):
+        for workers in (1, 2, 4):
             monkeypatch.setattr("shrinkerlab.fields._WORKERS", workers)
-            assert _volume(unit_ball, phi, 1 / 16) == chunked
+            assert _residual(unit_ball, phi, 1 / 16) == chunked
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_cutoff_residual_peaks_below_36_mb(unit_ball, monkeypatch):
+    # two workers hold two chunks at a time; a whole 147,456-node boundary
+    # pass needs about 50 MB of temporaries
+    monkeypatch.setattr("shrinkerlab.fields._WORKERS", 2)
+    tracemalloc.start()
+    try:
+        _residual(unit_ball, rl.CutoffFamily(0.5), 1 / 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 36 * 2 ** 20
+
+
+def test_umbilic_check_reaches_the_last_boundary_chunk(unit_ball, monkeypatch):
+    # the nodes nearest the north pole come last; bend the sphere there only
+    def curvatures(self, x, exterior_sign):
+        kappas = np.full((x.shape[0], 2), -exterior_sign / self.radius)
+        kappas[x[:, 2] == x[:, 2].max(initial=0.0), 1] *= 2.0
+        return kappas
+
+    monkeypatch.setattr(dm.SphereBoundary, "principal_curvatures", curvatures)
+    with pytest.raises(MissingGeometryError, match="non-umbilic"):
+        _residual(unit_ball, None, 1 / 8)
 
 
 def test_volume_side_keeps_every_cell_with_a_positive_fraction(unit_ball):
@@ -109,7 +141,7 @@ def test_volume_side_keeps_every_cell_with_a_positive_fraction(unit_ball):
     P = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     ob = unit_ball.sigma1
     frac = rl._box_fraction(ob.depth(P), -ob.exterior_normal(P), h)
-    _, _, counters = _volume(unit_ball, rl.CONSTANT_CUTOFF, h)
+    counters = _residual(unit_ball, None, h).details
     assert counters["volume_cells"] == np.count_nonzero(frac > 0.0)
     assert counters["cut_cells"] == np.count_nonzero((frac > 0.0) & (frac < 1.0))
     assert counters["volume_fd_step"] == 2e-5
@@ -117,10 +149,12 @@ def test_volume_side_keeps_every_cell_with_a_positive_fraction(unit_ball):
 
 
 def test_report_carries_volume_counters(unit_ball):
-    rep = rl.reilly_residual(U_X1, None, unit_ball, mesh_h=1 / 8)
+    rep = _residual(unit_ball, None, 1 / 8)
     assert {"volume_cells", "cut_cells", "volume_fd_step",
-            "stencil_evaluations_per_point"} <= set(rep.details)
+            "stencil_evaluations_per_point", "boundary_nodes"} <= set(rep.details)
     assert 0 < rep.details["cut_cells"] < rep.details["volume_cells"] <= 16 ** 3
+    # the unit sphere on 384 x 384 Gauss-Legendre nodes
+    assert rep.details["boundary_nodes"] == 384 ** 2
 
 
 def test_level_set_boundary_lacks_curvature():

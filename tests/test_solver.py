@@ -249,6 +249,14 @@ class TestMixedBvpProperties:
 
     @settings(max_examples=50, deadline=None)
     @given(mixed_problems())
+    # a lone node with two odd indices at the exhaustion edge is the only
+    # child of two coarse parents, whose equal columns made P^T A P singular
+    @example((dm.slab_domain(-0.9947084632288052, -0.1562223448110882, ambient_dim=2,
+                             radius=2.1802858335314026), 1 / 29))
+    @example((dm.slab_domain(-0.9778652908739377, -0.2187542867184612, ambient_dim=2,
+                             radius=2.7354812025249413), 1 / 29))
+    @example((dm.slab_domain(-0.9704551319063767, -0.3533752793845216, ambient_dim=2,
+                             radius=2.0749790948217477), 1 / 29))
     def test_range_and_two_guess_gap(self, case):
         dom, h = case
         tol = 1e-11
@@ -338,10 +346,21 @@ class TestMultigrid:
         for d in (1, 2, 3):
             idx = np.unique(rng.integers(-9, 9, size=(60, d)), axis=0)
             P, coarse = sv._prolongation(idx)
+            dense = P.toarray()
             assert np.allclose(P.sum(axis=1), 1.0)
+            # parents with one row support share one summed column
+            assert np.unique(dense.T, axis=0).shape[0] == P.shape[1]
             c = rng.normal(size=d)
-            # a linear function sampled on the coarse lattice (spacing 2)
-            assert np.allclose(P @ (2 * coarse @ c), idx @ c)
+            # a linear function sampled on the coarse lattice (spacing 2), at
+            # every node whose parents all kept a column of their own (each
+            # of weight 2^-(odd indices)); a summed column stands at the
+            # first of its parents
+            own = dense.max(axis=1) == 0.5 ** (idx % 2).sum(axis=1)
+            assert np.allclose((P @ (2 * coarse @ c))[own], (idx @ c)[own])
+            # summing equal columns keeps the range, so the coarse space
+            # still holds every linear function
+            v = np.linalg.lstsq(dense, idx @ c, rcond=None)[0]
+            assert np.allclose(dense @ v, idx @ c)
 
 
 class TestExhaustion:
