@@ -11,6 +11,14 @@ system is solved by BiCGStab preconditioned with a Galerkin geometric
 multigrid V-cycle on the lattice's h -> 2h hierarchy, so iteration counts do
 not grow as h shrinks.
 
+A solve holds one copy of its operator.  `_assemble` writes it as int32 CSR
+with no COO stage, every row in descending column order, and the solve
+scales its rows in place to D^-1 A.  Descending order is the order in which
+scipy's sparse product of a diagonal with a sorted A stores the rows, so the
+scaled arrays equal that product's bit for bit and the smoother's sums keep
+their last bits.  The grid keeps no coordinate array; coordinates are
+rebuilt from the axes for the nodes that need them.
+
 The discrete maximum principle is a hard postcondition: produced solutions
 live in [0, 1].  scipy is imported where it is called, so the closed-form
 profiles load no scipy module.
@@ -143,6 +151,10 @@ class Grid:
     neumann_gamma.  The lattice is anchored at integer multiples of h so that
     axis-aligned boundaries hit nodes exactly; a 2h ghost margin guarantees
     every solved node has in-array neighbors.
+
+    The grid keeps its `axes`, the per-node codes, radii and piece depths, but
+    no coordinate array: the full-box coordinates are built once for the depth
+    calls and dropped, and `coordinates` rebuilds those of the nodes asked for.
     """
 
     def __init__(self, domain, h, radius=None):
@@ -155,19 +167,18 @@ class Grid:
         self.shape = tuple(hi_idx - self.lo_idx + 1)
         self.ndim = len(self.shape)
 
-        axes = [ (self.lo_idx[ax] + np.arange(self.shape[ax])) * self.h
-                 for ax in range(self.ndim) ]
-        self.axes = axes
-        mesh = np.meshgrid(*axes, indexing="ij")
-        self.points = np.stack([m.reshape(-1) for m in mesh], axis=1)
-        self.r = np.linalg.norm(self.points, axis=1)
-
+        self.axes = [(self.lo_idx[ax] + np.arange(self.shape[ax])) * self.h
+                     for ax in range(self.ndim)]
+        points = np.stack(np.meshgrid(*self.axes, indexing="ij", copy=False),
+                          axis=-1).reshape(-1, self.ndim)
+        self.r = np.linalg.norm(points, axis=1)
         self.piece_labels = [label for label, _ in domain.pieces()]
-        self.depths = {label: np.asarray(ob.depth(self.points), dtype=float)
+        self.depths = {label: np.asarray(ob.depth(points), dtype=float)
                        for label, ob in domain.pieces()}
+        del points
 
         snap = _SNAP * self.h
-        inside = np.ones(self.points.shape[0], dtype=bool)
+        inside = np.ones(self.r.size, dtype=bool)
         for d in self.depths.values():
             inside &= d > snap
         solved = inside & (self.r <= self.radius)
@@ -178,7 +189,7 @@ class Grid:
                 raise ParameterError(
                     "boundary pieces are closer than 2 grid cells inside the domain")
 
-        codes = np.zeros(self.points.shape[0], dtype=np.int8)
+        codes = np.zeros(self.r.size, dtype=np.int8)
         band = _DIRICHLET_BAND * self.h
         for label, code in (("sigma1", DIRICHLET0), ("sigma2", DIRICHLET1)):
             if label not in self.depths:
@@ -193,22 +204,23 @@ class Grid:
         codes[solved] = INTERIOR
         # solved nodes with an axis neighbor beyond the ball are Neumann-gamma
         solved_nd = solved.reshape(self.shape)
-        r_nd = self.r.reshape(self.shape)
+        beyond = (self.r > self.radius).reshape(self.shape)
         gamma = np.zeros(self.shape, dtype=bool)
         for ax in range(self.ndim):
             for shift in (1, -1):
-                nb_out = np.roll(r_nd, -shift, axis=ax) > self.radius
-                gamma |= solved_nd & nb_out
+                gamma |= solved_nd & np.roll(beyond, -shift, axis=ax)
         codes[gamma.reshape(-1) & solved] = NEUMANN_GAMMA
         self.codes = codes
         self.solved_mask = solved
         self.snap = snap
 
     def node_count(self, code):
-        return int(np.sum(self.codes == code))
+        return int(np.count_nonzero(self.codes == code))
 
-    def solved_points(self):
-        return self.points[self.solved_mask]
+    def coordinates(self, flat):
+        """(N, n) coordinates of the nodes with flat (row-major) indices `flat`."""
+        return np.stack([ax[i] for ax, i in zip(self.axes, np.unravel_index(flat, self.shape))],
+                        axis=1)
 
     def check_stencil_invariant(self):
         """Every interior node's axis neighbors are classified non-exterior."""
@@ -223,71 +235,105 @@ class Grid:
         return bool(ok)
 
 
+def _leg(grid, flat_solved, step, boundary_value):
+    """One stencil arm of every solved node: the neighbor at flat offset `step`.
+
+    Returns (off, L, kind, uB, strays).  `off` lists the rows whose neighbor
+    is not solved; every other leg is solved and h long.  For the rows in
+    `off`, L is the leg length, kind is 1 for a Dirichlet leg (cut at the
+    signed-distance zero crossing, with data uB) and 2 for a leg mirrored
+    across the exhaustion sphere.  `strays` counts the unsolved neighbors
+    that neither a surface nor the sphere explains, mirrored defensively.
+    """
+    h, snap = grid.h, grid.snap
+    off = np.flatnonzero(~grid.solved_mask[flat_solved + step])
+    node = flat_solved[off]
+    nb = node + step
+    theta_best = np.full(off.size, np.inf)
+    kind = np.zeros(off.size, dtype=np.int8)
+    uB = np.zeros(off.size)
+    for label in grid.piece_labels:
+        d0 = grid.depths[label][node]
+        d1 = grid.depths[label][nb]
+        crossing = d1 <= snap
+        with np.errstate(divide="ignore", invalid="ignore"):
+            theta = np.where(crossing, d0 / np.maximum(d0 - d1, 1e-300), np.inf)
+        better = crossing & (theta < theta_best)
+        theta_best = np.where(better, theta, theta_best)
+        kind[better] = 1
+        uB[better] = boundary_value[label]
+    cut = kind == 1
+    L = np.full(off.size, h)
+    L[cut] = np.clip(theta_best[cut], _SNAP, 1.0) * h
+    kind[~cut & (grid.r[nb] > grid.radius)] = 2
+    stray = kind == 0
+    kind[stray] = 2
+    return off, L, kind, uB, int(np.count_nonzero(stray))
+
+
 def _assemble(grid, domain, boundary_values=(0.0, 1.0)):
     """Sparse operator rows for Lap_f at all solved nodes.
 
-    Returns (A, b, unknown_flat_indices).  Dirichlet legs contribute to b via
-    the cut fraction theta on the signed-distance zero crossing; legs leaving
-    the exhaustion ball are mirrored (homogeneous Neumann).
+    Returns (A, b, unknown_flat_indices, counters).  Dirichlet legs contribute
+    to b via the cut fraction theta on the signed-distance zero crossing; legs
+    leaving the exhaustion ball are mirrored (homogeneous Neumann).  `counters`
+    holds the deterministic counts `defensive_mirrors`, `upwind_rows` (rows
+    with the drift upwinded along some axis) and `cut_legs` (legs ending at a
+    Dirichlet crossing).
+
+    A is built in its final CSR form (Saad, Iterative Methods for Sparse
+    Linear Systems, 2003, 3.4), with no COO stage: each row's entries are
+    counted first (the diagonal and one per solved axis neighbor, at most
+    2n + 1), then int32 `indices` and float64 `data` are preallocated and
+    filled arm by arm.  Each row is stored in descending column order, the
+    order of scipy's sparse product of a diagonal with a sorted A, so that
+    scaling the rows in place gives that product's arrays bit for bit (see
+    the module docstring).  A coefficient that is exactly zero (the drift at
+    the central/upwind switch) is stored; the scaling drops it.
     """
     import scipy.sparse as sps
 
     h = grid.h
     codes = grid.codes
     solved = grid.solved_mask
-    n_unknown = int(solved.sum())
+    flat_solved = np.flatnonzero(solved)
+    n_unknown = flat_solved.size
     if n_unknown == 0:
         raise ParameterError("no solvable nodes: grid too coarse for the domain")
 
-    unknown_of = np.full(codes.size, -1, dtype=np.int64)
-    unknown_of[solved] = np.arange(n_unknown)
-    flat_solved = np.nonzero(solved)[0]
-
-    strides = np.array([int(np.prod(grid.shape[ax + 1:])) for ax in range(grid.ndim)])
+    unknown_of = np.full(codes.size, -1, dtype=np.int32)
+    unknown_of[solved] = np.arange(n_unknown, dtype=np.int32)
+    strides = [math.prod(grid.shape[ax + 1:]) for ax in range(grid.ndim)]
     boundary_value = {"sigma1": float(boundary_values[0]), "sigma2": float(boundary_values[1])}
+    any_dirichlet = (np.count_nonzero(codes == DIRICHLET0)
+                     + np.count_nonzero(codes == DIRICHLET1)) > 0
+
+    legs = {(ax, sgn): _leg(grid, flat_solved, sgn * strides[ax], boundary_value)
+            for ax in range(grid.ndim) for sgn in (+1, -1)}
+    counts = np.full(n_unknown, 2 * grid.ndim + 1, dtype=np.int32)
+    for off, _, _, _, _ in legs.values():
+        counts[off] -= 1
+    indptr = np.zeros(n_unknown + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    del counts
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    # descending columns: the + arms from the largest stride down, the
+    # diagonal, then the - arms from the smallest stride up; `head` fills a
+    # row from its front, `tail` from its back, and they meet at the diagonal
+    head = indptr[:-1].copy()
+    tail = indptr[1:] - 1
 
     diag = np.zeros(n_unknown)
     rhs = np.zeros(n_unknown)
-    rows, cols, vals = [], [], []
-    any_dirichlet = codes[codes == DIRICHLET0].size + codes[codes == DIRICHLET1].size > 0
-    defensive_mirrors = 0
-
-    snap = grid.snap
+    upwinded = np.zeros(n_unknown, dtype=bool)
+    counters = {"defensive_mirrors": 0, "upwind_rows": 0, "cut_legs": 0}
     for ax in range(grid.ndim):
-        x_ax = grid.points[flat_solved, ax]
-        v = -x_ax  # drift velocity along this axis
-
-        arm = {}
-        for sgn in (+1, -1):
-            nb = flat_solved + sgn * strides[ax]
-            L = np.full(n_unknown, h)
-            kind = np.zeros(n_unknown, dtype=np.int8)  # 0 solved, 1 dirichlet, 2 mirror
-            uB = np.zeros(n_unknown)
-
-            nb_solved = solved[nb]
-            theta_best = np.full(n_unknown, np.inf)
-            for label in grid.piece_labels:
-                d0 = grid.depths[label][flat_solved]
-                d1 = grid.depths[label][nb]
-                crossing = (~nb_solved) & (d1 <= snap)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    theta = np.where(crossing, d0 / np.maximum(d0 - d1, 1e-300), np.inf)
-                better = crossing & (theta < theta_best)
-                theta_best = np.where(better, theta, theta_best)
-                kind = np.where(better, 1, kind)
-                uB = np.where(better, boundary_value[label], uB)
-            cut = kind == 1
-            L[cut] = np.clip(theta_best[cut], _SNAP, 1.0) * h
-            ball_out = (~nb_solved) & (~cut) & (grid.r[nb] > grid.radius)
-            kind[ball_out] = 2
-            stray = (~nb_solved) & (kind == 0)
-            if np.any(stray):
-                kind[stray] = 2
-                defensive_mirrors += int(stray.sum())
-            arm[sgn] = (nb, L, kind, uB)
-
-        nb_p, L_p, kind_p, uB_p = arm[+1]
-        nb_m, L_m, kind_m, uB_m = arm[-1]
+        # drift velocity along this axis
+        v = -grid.axes[ax][(flat_solved // strides[ax]) % grid.shape[ax]]
+        L_p, L_m = np.full(n_unknown, h), np.full(n_unknown, h)
+        L_p[legs[ax, +1][0]] = legs[ax, +1][1]
+        L_m[legs[ax, -1][0]] = legs[ax, -1][1]
 
         # second derivative with unequal arms
         c_p = 2.0 / (L_p * (L_p + L_m))
@@ -295,6 +341,7 @@ def _assemble(grid, domain, boundary_values=(0.0, 1.0)):
         coef_p = c_p.copy()
         coef_m = c_m.copy()
         coef_0 = -(c_p + c_m)
+        del c_p, c_m
 
         # drift: central on unequal arms while the M-matrix condition holds
         central = (v >= -2.0 / L_m) & (v <= 2.0 / L_p)
@@ -307,39 +354,46 @@ def _assemble(grid, domain, boundary_values=(0.0, 1.0)):
         up_bwd = ~central & ~up_fwd
         coef_m -= np.where(up_bwd, v / L_m, 0.0)
         coef_0 += np.where(up_bwd, v / L_m, 0.0)
+        upwinded |= ~central
+        del v, L_p, L_m, central, up_fwd, up_bwd
 
         diag += coef_0
-        for coef, nb, kind, uB in ((coef_p, nb_p, kind_p, uB_p),
-                                   (coef_m, nb_m, kind_m, uB_m)):
-            is_solved = kind == 0
-            rows.append(np.arange(n_unknown)[is_solved])
-            cols.append(unknown_of[nb[is_solved]])
-            vals.append(coef[is_solved])
-            is_dir = kind == 1
-            rhs[is_dir] -= coef[is_dir] * uB[is_dir]
-            is_mirror = kind == 2
+        del coef_0
+        for sgn, coef, cursor, move in ((+1, coef_p, head, 1), (-1, coef_m, tail, -1)):
+            off, _, kind, uB, strays = legs.pop((ax, sgn))
+            is_solved = np.ones(n_unknown, dtype=bool)
+            is_solved[off] = False
+            at = cursor[is_solved]
+            indices[at] = unknown_of[flat_solved[is_solved] + sgn * strides[ax]]
+            data[at] = coef[is_solved]
+            cursor[is_solved] += move
+            del is_solved, at
+            is_dir = off[kind == 1]
+            rhs[is_dir] -= coef[is_dir] * uB[kind == 1]
+            is_mirror = off[kind == 2]
             diag[is_mirror] += coef[is_mirror]
-            if np.any(is_dir):
-                any_dirichlet = True
+            any_dirichlet = any_dirichlet or is_dir.size > 0
+            counters["defensive_mirrors"] += strays
+            counters["cut_legs"] += int(is_dir.size)
+        del coef_p, coef_m
 
     if not any_dirichlet:
         raise SingularSystemError(
             "no Dirichlet data anywhere on the boundary: the pure-Neumann weighted "
             "Laplacian is singular and only constant fields solve it (f-parabolicity)")
 
-    rows.append(np.arange(n_unknown))
-    cols.append(np.arange(n_unknown))
-    vals.append(diag)
-    # the CSR conversion is the memory peak of a solve: free the pieces first
-    entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
-    del rows, cols, vals
-    A = sps.csr_matrix(entries, shape=(n_unknown, n_unknown))
-    return A, rhs, flat_solved, defensive_mirrors
+    indices[head] = np.arange(n_unknown, dtype=np.int32)
+    data[head] = diag
+    counters["upwind_rows"] = int(np.count_nonzero(upwinded))
+    A = sps.csr_matrix((data, indices, indptr), shape=(n_unknown, n_unknown))
+    return A, rhs, flat_solved, counters
 
 
 def _weighted_residual(A_scaled, b_scaled, x, weights):
-    r = b_scaled - A_scaled @ x
-    return float(math.sqrt(np.sum(weights * r * r) / np.sum(weights)))
+    r = _residual(A_scaled, b_scaled, x)
+    wr2 = weights * r
+    wr2 *= r
+    return float(math.sqrt(np.sum(wr2) / np.sum(weights)))
 
 
 # --------------------------------------------------------------------------
@@ -368,22 +422,29 @@ def _prolongation(idx):
     import scipy.sparse as sps
 
     n, d = idx.shape
-    corners = np.array(list(itertools.product((0, 1), repeat=d)))
+    corners = np.array(list(itertools.product((0, 1), repeat=d)), dtype=np.int32)
     lo = idx.min(axis=0) >> 1
-    shape = tuple(((idx.max(axis=0) + 1) >> 1) - lo + 1)
-    # flat index of each node's parents in the coarse bounding box, (n, 2^d)
-    flat = np.ravel_multi_index(
-        tuple(((idx[:, ax, None] + corners[:, ax]) >> 1) - lo[ax] for ax in range(d)), shape)
+    shape = tuple(int(s) for s in ((idx.max(axis=0) + 1) >> 1) - lo + 1)
+    # flat int32 index of each node's parents in the coarse bounding box, (n, 2^d)
+    cols = np.zeros((n, corners.shape[0]), dtype=np.int32)
+    for ax in range(d):
+        cols *= shape[ax]
+        cols += ((idx[:, ax, None] + corners[:, ax]) >> 1) - lo[ax]
     # a mask and its running count number the parents like a 1-D np.unique
     # would, without sorting n 2^d keys
     used = np.zeros(math.prod(shape), dtype=bool)
-    used[flat] = True
-    cols = (np.cumsum(used) - 1)[flat]
-    P = sps.csr_matrix((np.full(flat.size, 0.5 ** d), cols.reshape(-1),
-                        np.arange(0, flat.size + 1, corners.shape[0])),
+    used[cols] = True
+    number = np.cumsum(used, dtype=np.int32)
+    number -= 1
+    np.take(number, cols, out=cols)
+    del number
+    P = sps.csr_matrix((np.full(cols.size, 0.5 ** d), cols.reshape(-1),
+                        np.arange(0, cols.size + 1, corners.shape[0], dtype=np.int32)),
                        shape=(n, np.count_nonzero(used)))
+    del cols
     P.sum_duplicates()
-    coarse_idx = np.array(np.unravel_index(np.flatnonzero(used), shape)).T + lo
+    coarse_idx = np.array(np.unravel_index(np.flatnonzero(used), shape), dtype=np.int32).T + lo
+    del used
     # columns with one row support share their first and their last row,
     # which few columns share with others
     Pc = P.tocsc()
@@ -396,6 +457,7 @@ def _prolongation(idx):
                             & (np.bincount(last, minlength=n)[last] > 1)):
         rows = Pc.indices[Pc.indptr[c]:Pc.indptr[c + 1]].tobytes()
         target[c] = support.setdefault(rows, c)
+    del Pc, first, last
     keep = target == np.arange(m)
     if keep.all():
         return P, coarse_idx
@@ -410,6 +472,11 @@ class _VCycle:
     Damped Jacobi smooths every level but the coarsest, which is factored
     with sparse LU.  Called with a residual, the cycle starts from zero, so
     it is a fixed linear operator and can precondition BiCGStab.
+
+    The coarse operator is formed as P^T (A P) with P^T in CSR, so neither
+    A P nor the product is copied to CSC.  Its rows are then sorted: the
+    CSC product converted to CSR stores them sorted, with the same values,
+    and the smoother's sums over a row depend on its order.
     """
 
     def __init__(self, A, idx):
@@ -420,9 +487,15 @@ class _VCycle:
             P, idx = _prolongation(idx)
             if P.shape[1] >= A.shape[0]:
                 break
-            self.levels.append((A, _OMEGA / A.diagonal(), P, P.T.tocsr()))
-            A = (P.T @ (A @ P)).tocsr()
+            # P^T is kept as the CSC view of P's arrays; its CSR copy lives
+            # only for the Galerkin product
+            self.levels.append((A, _OMEGA / A.diagonal(), P, P.T))
+            A = P.T.tocsr() @ (A @ P)
+            A.sort_indices()
+            del P
+        del idx
         self.unknowns = [lvl[0].shape[0] for lvl in self.levels] + [A.shape[0]]
+        self.nnz = [lvl[0].nnz for lvl in self.levels] + [A.nnz]
         try:
             self.coarse = spla.splu(A.tocsc())
         except RuntimeError as exc:
@@ -432,30 +505,55 @@ class _VCycle:
     def __call__(self, r, level=0):
         if level == len(self.levels):
             return self.coarse.solve(r)
-        A, wdinv, P, Pt = self.levels[level]
+        A, wdinv, P, R = self.levels[level]
         x = wdinv * r
         for _ in range(_SWEEPS - 1):
-            x += wdinv * (r - A @ x)
-        x += P @ self(Pt @ (r - A @ x), level + 1)
+            _jacobi_sweep(A, wdinv, r, x)
+        coarse = R @ _residual(A, r, x)
+        x += P @ self(coarse, level + 1)
         for _ in range(_SWEEPS):
-            x += wdinv * (r - A @ x)
+            _jacobi_sweep(A, wdinv, r, x)
         return x
 
 
-def _multigrid_bicgstab(A_s, b_s, x0, idx, weights, tol, max_iter):
+def _residual(A, b, x):
+    """b - A x, in one new array."""
+    r = A @ x
+    np.subtract(b, r, out=r)
+    return r
+
+
+def _jacobi_sweep(A, wdinv, b, x):
+    """One damped-Jacobi sweep in place: x += wdinv (b - A x)."""
+    t = _residual(A, b, x)
+    t *= wdinv
+    x += t
+
+
+def _multigrid_bicgstab(A_s, b_s, x0, grid, weights, tol, max_iter):
     """BiCGStab on A_s x = b_s, preconditioned with one V-cycle per application.
 
-    Returns (x, weighted residual after every iteration, unknowns per level).
+    Returns (x, weighted residual after every iteration, unknowns per level,
+    stored entries per level).
     An iteration applies the V-cycle twice, so the iteration count is half
     the number of applications, rounded up: scipy returns from a half-step
     that converges without calling back, and that last half iteration still
     counts.  The hierarchy lives only inside this call, so it is freed before
     the caller allocates the long-lived output field; allocated the other way
     round, that field would keep the hierarchy's heap memory resident.
+
+    A_s is the caller's one operator copy and is the hierarchy's finest
+    level; x0 None starts from zeros without a vector of ours.  At the peak,
+    inside BiCGStab, the hierarchy holds per level the operator, the smoother
+    weights and P (P^T is a CSC view of P), and the smoother and the
+    residual make one temporary vector at a time.
     """
     import scipy.sparse.linalg as spla
 
-    vcycle = _VCycle(A_s, idx)
+    # the lattice indices are handed over unnamed, so the hierarchy build
+    # frees them after the first coarsening
+    vcycle = _VCycle(A_s, np.array(np.unravel_index(np.flatnonzero(grid.solved_mask), grid.shape),
+                                   dtype=np.int32).T + grid.lo_idx.astype(np.int32))
     history = []
     applications = 0
 
@@ -472,7 +570,7 @@ def _multigrid_bicgstab(A_s, b_s, x0, idx, weights, tol, max_iter):
                          maxiter=max_iter, M=M, callback=_callback)
     if len(history) < (applications + 1) // 2:
         history.append(_weighted_residual(A_s, b_s, x, weights))
-    return x, history, vcycle.unknowns
+    return x, history, vcycle.unknowns, vcycle.nnz
 
 
 def solve_mixed_bvp(domain, grid=None, tol=1e-10, max_iter=200, h=None,
@@ -487,25 +585,29 @@ def solve_mixed_bvp(domain, grid=None, tol=1e-10, max_iter=200, h=None,
     Gaussian-weighted residual norm of the scaled system.  The returned field
     satisfies 0 <= u <= 1 (discrete maximum principle).
     """
-    import scipy.sparse as sps
-
     if grid is None:
         if h is None:
             raise ParameterError("provide either a classified grid or a spacing h")
         grid = Grid(domain, h)
-    A, b, flat_solved, defensive = _assemble(grid, domain, boundary_values)
+    A, b, flat_solved, counters = _assemble(grid, domain, boundary_values)
     n = b.size
 
+    # Jacobi scaling in place: A becomes D^-1 A, the one operator copy.  An
+    # entry that is exactly zero is dropped, as the sparse product D^-1 A
+    # drops it.
     d = A.diagonal()
     if np.any(d == 0.0):
         raise SingularSystemError("zero diagonal entry in the discrete operator")
-    Dinv = sps.diags(1.0 / d)
-    A_s = (Dinv @ A).tocsr()
+    A.data *= np.repeat(1.0 / d, np.diff(A.indptr))
+    if not A.data.all():
+        A.eliminate_zeros()
     b_s = b / d
+    del b, d
     weights = np.exp(-0.5 * grid.r[flat_solved] ** 2)
+    del flat_solved
 
     if initial_guess is None:
-        x0 = np.zeros(n)
+        x0 = None           # BiCGStab starts from zeros
     elif np.isscalar(initial_guess):
         x0 = np.full(n, float(initial_guess))
     else:
@@ -513,11 +615,13 @@ def solve_mixed_bvp(domain, grid=None, tol=1e-10, max_iter=200, h=None,
         if x0.shape != (n,):
             raise ParameterError(f"initial guess must have {n} entries")
 
-    idx = np.array(np.unravel_index(flat_solved, grid.shape)).T + grid.lo_idx
-    x, history, level_unknowns = _multigrid_bicgstab(A_s, b_s, x0, idx, weights,
-                                                     tol, max_iter)
+    x, history, level_unknowns, level_nnz = _multigrid_bicgstab(A, b_s, x0, grid, weights,
+                                                                tol, max_iter)
     iterations = len(history)
-    wres = _weighted_residual(A_s, b_s, x, weights)
+    wres = _weighted_residual(A, b_s, x, weights)
+    operator_nnz = A.nnz
+    # freed before the long-lived output field is allocated
+    del A, b_s, x0, weights
     history.append(wres)
     if wres > tol:
         raise SolverConvergenceError(
@@ -534,7 +638,7 @@ def solve_mixed_bvp(domain, grid=None, tol=1e-10, max_iter=200, h=None,
     values = np.full(grid.codes.size, np.nan)
     values[grid.codes == DIRICHLET0] = boundary_values[0]
     values[grid.codes == DIRICHLET1] = boundary_values[1]
-    values[flat_solved] = x
+    values[grid.solved_mask] = x
     gf = GridField(origin=[ax[0] for ax in grid.axes], spacing=grid.h,
                    values=values.reshape(grid.shape))
 
@@ -544,9 +648,11 @@ def solve_mixed_bvp(domain, grid=None, tol=1e-10, max_iter=200, h=None,
                  "interior_nodes": grid.node_count(INTERIOR),
                  "neumann_nodes": grid.node_count(NEUMANN_GAMMA),
                  "dirichlet_nodes": grid.node_count(DIRICHLET0) + grid.node_count(DIRICHLET1),
-                 "defensive_mirrors": defensive,
+                 "defensive_mirrors": counters["defensive_mirrors"],
+                 "upwind_fraction": counters["upwind_rows"] / n,
+                 "cut_legs": counters["cut_legs"], "operator_nnz": operator_nnz,
                  "levels": len(level_unknowns), "level_unknowns": level_unknowns,
-                 "residual_history": history})
+                 "level_nnz": level_nnz, "residual_history": history})
     return Solution(field=gf, report=report, domain=domain, grid=grid)
 
 
@@ -563,10 +669,11 @@ def max_node_error(solution, reference, within_radius=None):
     mask = grid.solved_mask
     if within_radius is not None:
         mask = mask & (grid.r <= within_radius)
-    pts = grid.points[mask]
-    if pts.shape[0] == 0:
+    flat = np.flatnonzero(mask)
+    if flat.size == 0:
         raise ParameterError(f"no solved node lies within_radius={within_radius}")
-    vals = solution.field.values.reshape(-1)[mask]
+    pts = grid.coordinates(flat)
+    vals = solution.field.values.reshape(-1)[flat]
     ref = np.asarray(reference(pts), dtype=float)
     if ref.shape != vals.shape:
         raise ContractViolation(

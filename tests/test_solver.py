@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,18 @@ from shrinkerlab.fields import GridField
 # frozen from an independent Gauss-Kronrod quadrature of the closed forms
 RADIAL_U_AT_1 = 0.28880994490040635
 SLAB02_U_AT_1 = 0.2526921048336703
+
+# sha256 of the Jacobi-scaled operator (data, indices, indptr) and of the
+# scaled right-hand side that the multigrid solve receives, on the perfbench
+# grid_solve slab at seed 1 (a sub-cell shift of [-1, 1]) and annulus at
+# h = 1/16; a changed bit or a changed in-row order moves them
+GRID_SOLVE_SLAB = (-0.9960475717785147, 1.0039524282214853)
+SCALED_SYSTEM_SHA256 = {
+    "slab": ("83c66270af6998b439328a4855e0c2e229d1a1cf638945d07ea48e69a2f5afb1",
+             "4470520b84019c7fe4f07f200155346e8b9586c389034baef6bdc9b7b977d3b9"),
+    "annulus": ("ad7da4d125d950ff099ca0bed0c645360094c24f9d9187d09eb624d650aadc35",
+                "9966dd128def90bce4f55a664abd0f3145f3f63ec9a1b99b9d8447bd00f00100"),
+}
 
 
 class TestClosedForms:
@@ -209,6 +223,49 @@ class TestMixedBvp:
         assert grid.node_count(sv.DIRICHLET0) > 0
         assert grid.node_count(sv.DIRICHLET1) > 0
 
+    def test_3d_slab_second_order(self):
+        # x3 = +-1 at exhaustion radius 4: at radius 3 the Neumann mirror on
+        # the exhaustion sphere, not the mesh, sets the error on B_2
+        dom = dm.slab_domain(-1, 1, ambient_dim=3, radius=4.0)
+        profile = sv.solve_slab(-1, 1, ambient_dim=3).profile
+        errs = [sv.max_node_error(sv.solve_mixed_bvp(dom, h=h, tol=1e-11), profile,
+                                  within_radius=2.0) for h in (1 / 8, 1 / 16)]
+        assert errs[1] < 1e-5
+        assert math.log2(errs[0] / errs[1]) >= 1.8
+
+    def test_solve_peaks_below_30_mib(self):
+        # the grid_solve slab at h = 1/64 (81,350 unknowns), Grid included
+        dom = dm.slab_domain(*GRID_SOLVE_SLAB, ambient_dim=2, radius=5.0)
+        sv.solve_mixed_bvp(dom, h=1 / 16, tol=1e-11)   # imports stay out of the trace
+        tracemalloc.start()
+        try:
+            sv.solve_mixed_bvp(dom, h=1 / 64, tol=1e-11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 * 2 ** 20
+
+    @pytest.mark.parametrize("radius", [24.0, 5.0])
+    def test_report_counts_upwinded_rows_cut_legs_and_nonzeros(self, radius):
+        # at h = 1/8 the drift is upwinded exactly where |x| > 16
+        dom = dm.slab_domain(-1 + 0.3 / 8, 1 + 0.3 / 8, ambient_dim=2, radius=radius)
+        grid = sv.Grid(dom, 1 / 8)
+        det = sv.solve_mixed_bvp(dom, grid=grid, tol=1e-11).report.details
+        flat = np.flatnonzero(grid.solved_mask)
+        x = grid.coordinates(flat)[:, 0]
+        assert det["upwind_fraction"] == np.count_nonzero(np.abs(x) > 16) / flat.size
+        assert (det["upwind_fraction"] > 0) == (radius > 16)
+        # a cut leg reaches an unsolved neighbor at or beyond a Dirichlet surface
+        cut = 0
+        for step in (1, -1, grid.shape[1], -grid.shape[1]):
+            nb = flat + step
+            beyond = np.logical_or.reduce([grid.depths[label][nb] <= grid.snap
+                                           for label in grid.piece_labels])
+            cut += np.count_nonzero(~grid.solved_mask[nb] & beyond)
+        assert det["cut_legs"] == cut > 0
+        assert len(det["level_nnz"]) == det["levels"]
+        assert det["level_nnz"][0] == det["operator_nnz"] <= 5 * det["unknowns"]
+
     def test_boundary_separation_guard(self):
         squeezed = dm.annulus_domain(0.5, 0.55, ambient_dim=2)
         with pytest.raises(ParameterError, match="2 grid cells"):
@@ -238,7 +295,17 @@ class TestMixedBvpProperties:
     @example((dm.slab_domain(-1 + 0.3 / 8, 1 + 0.3 / 8, ambient_dim=2, radius=24.0), 1 / 8))
     def test_assembled_operator_is_an_m_matrix(self, case):
         dom, h = case
-        A, _, _, _ = sv._assemble(sv.Grid(dom, h), dom)
+        grid = sv.Grid(dom, h)
+        A, _, _, _ = sv._assemble(grid, dom)
+        # int32 CSR with the diagonal and at most one entry per solved axis
+        # neighbour in every row
+        assert A.format == "csr"
+        assert A.indices.dtype == A.indptr.dtype == np.int32
+        counts = np.diff(A.indptr)
+        assert np.all((counts >= 1) & (counts <= 2 * grid.ndim + 1))
+        rows = np.repeat(np.arange(A.shape[0]), counts)
+        assert np.array_equal(np.bincount(rows[A.indices == rows], minlength=A.shape[0]),
+                              np.ones(A.shape[0], dtype=int))
         neg = (-A).tocsr()
         diag = neg.diagonal()
         off = neg - sps_diags(diag)
@@ -289,6 +356,23 @@ class TestMultigrid:
         direct = spsolve(A.tocsc(), b)
         sol = sv.solve_mixed_bvp(annulus_dom, grid=grid, tol=1e-11)
         assert np.max(np.abs(sol.field.values.reshape(-1)[flat_solved] - direct)) <= 1e-10
+
+    @pytest.mark.parametrize("geom", ["slab", "annulus"])
+    def test_scaled_system_is_bit_identical(self, geom, monkeypatch):
+        seen = {}
+        solve = sv._multigrid_bicgstab
+
+        def spy(A_s, b_s, *args):
+            seen["A"] = hashlib.sha256(b"".join(
+                a.tobytes() for a in (A_s.data, A_s.indices, A_s.indptr))).hexdigest()
+            seen["b"] = hashlib.sha256(b_s.tobytes()).hexdigest()
+            return solve(A_s, b_s, *args)
+
+        monkeypatch.setattr(sv, "_multigrid_bicgstab", spy)
+        dom = {"slab": dm.slab_domain(*GRID_SOLVE_SLAB, ambient_dim=2, radius=5.0),
+               "annulus": dm.annulus_domain(0.5, 2.0, ambient_dim=2)}[geom]
+        sv.solve_mixed_bvp(dom, h=1 / 16, tol=1e-11)
+        assert (seen["A"], seen["b"]) == SCALED_SYSTEM_SHA256[geom]
 
     def test_two_solves_bit_identical(self, slab_dom):
         a = sv.solve_mixed_bvp(slab_dom, h=1 / 16, tol=1e-11)
