@@ -16,6 +16,7 @@ import numpy as np
 from shrinkerlab import barrier as br
 from shrinkerlab import domain as dm
 from shrinkerlab import energy as en
+from shrinkerlab import geometry as geo
 from shrinkerlab import solver as sv
 
 print("== barrier profile at (R, a, m, |z|) = (1, 1, 2, 0)")
@@ -49,12 +50,12 @@ print(f"  measured Lipschitz constant of Psi: "
       f"{br.measured_lipschitz(psi_proj, ann):.4f}")
 
 print("\n== separation heuristic (finite-sample, not a liminf)")
-plane = br.PlaneSurface(normal=(0, 0, 1.0))
+plane = geo.Hyperplane(normal=(0, 0, 1.0))
 cases = [
     ("plane vs cylinder, b = 0", br.SeparationHypothesis(b=0.0),
-     br.CylinderSurface(k=1, m=2)),
+     geo.Cylinder(k=1, m=2)),
     ("parallel planes, b = 0.3", br.SeparationHypothesis(b=0.3),
-     br.PlaneSurface(normal=(0, 0, 1.0), offset=1.0)),
+     geo.Hyperplane(normal=(0, 0, 1.0), offset=1.0)),
     ("Gaussian graph, b = 0.4", br.SeparationHypothesis(b=0.4),
      br.GraphSurface(height=lambda r: math.exp(-r * r), ambient_dim=3)),
 ]

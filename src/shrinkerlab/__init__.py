@@ -2,7 +2,7 @@
 model self-shrinker geometry.
 
 Subpackage map:
-  geometry  exact model hypersurfaces, shrinker residuals, volume growth
+  geometry  plane, sphere and cylinder; shrinker residuals, volume growth
   fields    scalar/vector fields and the Ornstein-Uhlenbeck operators
   domain    regions between labeled boundary pieces
   solver    mixed boundary value problems and 1D closed-form reductions

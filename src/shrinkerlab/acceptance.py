@@ -301,11 +301,11 @@ def criterion_11_domination():
 
 
 def criterion_12_separation():
-    s_plane = br.PlaneSurface(normal=(0, 0, 1.0))
+    s_plane = geo.Hyperplane(normal=(0, 0, 1.0))
     cases = [
-        (br.SeparationHypothesis(b=0.0), s_plane, br.CylinderSurface(k=1, m=2), True),
+        (br.SeparationHypothesis(b=0.0), s_plane, geo.Cylinder(k=1, m=2), True),
         (br.SeparationHypothesis(b=0.3), s_plane,
-         br.PlaneSurface(normal=(0, 0, 1.0), offset=1.0), True),
+         geo.Hyperplane(normal=(0, 0, 1.0), offset=1.0), True),
         (br.SeparationHypothesis(b=0.4), s_plane,
          br.GraphSurface(height=lambda r: math.exp(-r * r), ambient_dim=3), False),
     ]

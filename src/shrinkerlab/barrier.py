@@ -14,7 +14,10 @@ gradient bound (R+1)^m / R^m * e^|z| / dist implemented by
 The Lipschitz separation barriers (clamped distance quotients) provide finite
 energy competitors pinned to 0 and 1 on the two boundary pieces, and
 `separation_check` evaluates the finite-sample analogue of the asymptotic
-separation hypothesis dist(z, Sigma_1) >= const * e^(-b|z|^2) / P(|z|).
+separation hypothesis dist(z, Sigma_1) >= const * e^(-b|z|^2) / P(|z|) on
+two separation surfaces: `geometry.Hyperplane` and `geometry.Cylinder`,
+which answer the separation protocol documented in `geometry`, or a
+`GraphSurface` as Sigma_2.
 """
 
 import math
@@ -23,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import PlaneBoundary, SphereBoundary
 from .errors import ContractViolation, ParameterError
 from .fields import ScalarField, weighted_laplacian
+from .geometry import Cylinder, Hyperplane, Sphere
 from .quadrature import CumulativeProfile, halton, sphere_directions
 
 __all__ = [
@@ -38,8 +41,6 @@ __all__ = [
     "measured_lipschitz",
     "SeparationHypothesis",
     "separation_check",
-    "PlaneSurface",
-    "CylinderSurface",
     "GraphSurface",
 ]
 
@@ -165,14 +166,13 @@ def boundary_separation(domain, per_dim=128):
     """inf dist(Sigma_1, Sigma_2); exact for the model pairs, sampled otherwise."""
     if domain.sigma2 is None:
         raise ParameterError("separation needs two boundary pieces")
-    p1, p2 = domain.sigma1.piece, domain.sigma2.piece
-    if isinstance(p1, PlaneBoundary) and isinstance(p2, PlaneBoundary) \
+    p1, p2 = domain.sigma1.shape, domain.sigma2.shape
+    if isinstance(p1, Hyperplane) and isinstance(p2, Hyperplane) \
             and np.allclose(p1.normal, p2.normal):
         return abs(p2.offset - p1.offset)
-    if isinstance(p1, SphereBoundary) and isinstance(p2, SphereBoundary):
+    if isinstance(p1, Sphere) and isinstance(p2, Sphere):
         return abs(p2.radius - p1.radius)
-    nodes, _ = domain.sigma1.quad_nodes(domain.ambient_dim, domain.exhaustion_radius,
-                                        per_dim=per_dim)
+    nodes, _ = domain.sigma1.quad_nodes(domain.exhaustion_radius, per_dim=per_dim)
     return float(np.min(np.abs(domain.sigma2.depth(nodes))))
 
 
@@ -264,61 +264,15 @@ class SeparationHypothesis:
                 f"tube/separation rates violate m*c + b < 1/2 (m={m}, c={self.c}, b={self.b})")
 
 
-# Separation surfaces are sampled, not solved on: `distance(pts)` maps (N, n)
-# points to their (N,) unsigned distances to the surface, and
-# `sample_at_norm(norm, count)` returns surface points z with |z| = norm, or
-# None when the surface does not reach that norm.
-
-
-class PlaneSurface:
-    """Hyperplane {<normal, x> = offset}."""
-
-    def __init__(self, normal, offset=0.0):
-        self.piece = PlaneBoundary(tuple(normal), float(offset))
-        self.ambient_dim = len(self.piece.normal)
-
-    def distance(self, pts):
-        return np.abs(self.piece.raw_signed(pts))
-
-    def sample_at_norm(self, norm, count):
-        off = self.piece.offset
-        if norm < abs(off):
-            return None
-        reach = math.sqrt(max(norm * norm - off * off, 0.0))
-        n = np.asarray(self.piece.normal)
-        from .geometry import complement_frame
-        tangents = complement_frame(n)
-        dirs = sphere_directions(count, self.ambient_dim - 1)
-        return off * n[None, :] + reach * dirs @ tangents
-
-
-class CylinderSurface:
-    """S^k of radius sqrt(k) times R^(m-k), spherical factor in coords 0..k."""
-
-    def __init__(self, k, m):
-        from .geometry import Cylinder
-        self.model = Cylinder(k=k, m=m)
-        self.ambient_dim = m + 1
-
-    def distance(self, pts):
-        rho = np.linalg.norm(np.asarray(pts, dtype=float)[:, : self.model.k + 1], axis=1)
-        return np.abs(rho - self.model.radius)
-
-    def sample_at_norm(self, norm, count):
-        k = self.model.k
-        if norm < self.model.radius:
-            return None
-        axial_reach = math.sqrt(max(norm * norm - k, 0.0))
-        dirs = sphere_directions(count, k + 1)
-        flat = sphere_directions(count, max(self.model.m - k, 1))[:, : self.model.m - k]
-        pts = np.zeros((count, self.ambient_dim))
-        pts[:, : k + 1] = self.model.radius * dirs
-        pts[:, k + 1:] = axial_reach * flat
-        return pts
+# Old names of the two separation surfaces, kept only because the benchmark's
+# workloads build them; nothing else uses them.
+PlaneSurface = Hyperplane
+CylinderSurface = Cylinder
 
 
 class GraphSurface:
-    """Graph {x_n = height(|x_hat|)} over the horizontal hyperplane."""
+    """Graph {x_n = height(|x_hat|)} over the horizontal hyperplane, a
+    separation surface (see `geometry`) that is only ever sigma2."""
 
     def __init__(self, height, ambient_dim=3):
         self.height = height

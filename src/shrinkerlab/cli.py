@@ -31,7 +31,7 @@ from . import reilly as rl
 from . import solver as sv
 from .acceptance import format_table, run_acceptance
 from .errors import (ContractViolation, ParameterError, SingularSystemError,
-                     SolverConvergenceError)
+                     SolverConvergenceError, check_config)
 from .fields import ScalarField
 
 # --------------------------------------------------------------------------
@@ -85,29 +85,8 @@ def _write_report(outdir, report):
 
 
 # --------------------------------------------------------------------------
-# config validation (published schemas; unknown keys rejected)
-
-DOMAIN_SCHEMA = {
-    "kind": (str, True),
-    "ambient_dim": (int, False),
-    "radius": ((int, float), False),
-    "h1": ((int, float), False),
-    "h2": ((int, float), False),
-    "axis": (int, False),
-    "a": ((int, float), False),
-    "b": ((int, float), False),
-    "rho": ((int, float), False),
-    "sigma1": (dict, False),
-    "sigma2": (dict, False),
-    "radii": (list, False),
-}
-
-MODEL_SCHEMA = {
-    "type": (str, True),
-    "normal": (list, False),
-    "m": (int, False),
-    "k": (int, False),
-}
+# config files (unknown keys rejected; the model and domain formats live
+# with their parsers in `geometry` and `domain`)
 
 SWEEP_SCHEMA = {
     "R": (list, True),
@@ -118,41 +97,25 @@ SWEEP_SCHEMA = {
 
 SEPARATION_SCHEMA = {
     "case": (str, True),
-    "b": ((int, float), False),
+    "b": (float, False),
     "poly_p": (list, False),
     "norms": (list, False),
 }
 
 
-def validate_config(obj, schema, what):
-    if not isinstance(obj, dict):
-        raise ParameterError(f"{what} must be a JSON object")
-    for key in obj:
-        if key not in schema:
-            raise ParameterError(f"{what}: unknown key {key!r}")
-    for key, (types, required) in schema.items():
-        if key in obj and not isinstance(obj[key], types):
-            raise ParameterError(f"{what}: key {key!r} has the wrong type")
-        if required and key not in obj:
-            raise ParameterError(f"{what}: missing required key {key!r}")
-    return obj
-
-
-def _load_json(path, schema, what):
+def _load_json(path):
     with open(path) as fh:
-        obj = json.load(fh)
-    return validate_config(obj, schema, what)
+        return json.load(fh)
 
 
 def _model_from_args(args):
-    obj = json.loads(args.model) if args.model.strip().startswith("{") \
-        else _load_json(args.model, MODEL_SCHEMA, "model config")
-    validate_config(obj, MODEL_SCHEMA, "model config")
-    return geo.model_from_json(obj)
+    text = args.model
+    return geo.model_from_json(json.loads(text) if text.strip().startswith("{")
+                               else _load_json(text))
 
 
 def _domain_from_args(args):
-    obj = _load_json(args.domain, DOMAIN_SCHEMA, "domain config")
+    obj = _load_json(args.domain)
     return dm.domain_from_json(obj), obj
 
 
@@ -175,7 +138,7 @@ def cmd_verify_shrinker(args):
     model = _model_from_args(args)
     samples = geo.surface_samples(model, args.samples)
     worst = max(float(np.linalg.norm(geo.shrinker_residual(s))) for s in samples)
-    report = {"model": geo.model_to_json(model), "samples": args.samples,
+    report = {"model": model.to_json(), "samples": args.samples,
               "max_residual": worst, "tolerance": 1e-9}
     _write_report(args.output_dir, report)
     print(f"max |x_perp + H| over {args.samples} samples: {worst:.3e}")
@@ -193,7 +156,7 @@ def cmd_identities(args):
             worst_res = max(worst_res, abs(rep.grad_id_residual), abs(rep.laplu_residual))
             if rep.sqrtu_slack is not None:
                 worst_slack = min(worst_slack, rep.sqrtu_slack)
-    report = {"model": geo.model_to_json(model), "k_values": ks,
+    report = {"model": model.to_json(), "k_values": ks,
               "max_residual": worst_res, "min_sqrt_slack": worst_slack}
     _write_report(args.output_dir, report)
     print(f"identity residuals: max {worst_res:.3e}, sqrt slack min {worst_slack:.3e}")
@@ -206,7 +169,7 @@ def cmd_volume_growth(args):
     radii = [float(r) for r in args.radii.split(",")]
     res = geo.extrinsic_volume_growth(model, radii)  # raises ContractViolation itself
     _write(args.output_dir, "volume.csv", res.to_csv())
-    report = {"model": geo.model_to_json(model), "radii": radii,
+    report = {"model": model.to_json(), "radii": radii,
               "fitted_exponent": res.fitted_exponent,
               "bound": model.hypersurface_dim + 0.05}
     _write_report(args.output_dir, report)
@@ -266,7 +229,7 @@ def cmd_reilly(args):
 
 def cmd_barrier(args):
     if args.sweep:
-        sweep = _load_json(args.sweep, SWEEP_SCHEMA, "sweep config")
+        sweep = check_config(_load_json(args.sweep), SWEEP_SCHEMA, "sweep config")
         rows = ["R,a,m,z,psi_prime_0,rough_bound"]
         for R in sweep["R"]:
             for a in sweep["a"]:
@@ -297,13 +260,13 @@ def cmd_barrier(args):
 
 _SEP_CASES = {
     "plane-cylinder": lambda b, p: (br.SeparationHypothesis(b=b, poly_p=p),
-                                    br.PlaneSurface(normal=(0, 0, 1.0)),
-                                    br.CylinderSurface(k=1, m=2)),
+                                    geo.Hyperplane(normal=(0, 0, 1.0)),
+                                    geo.Cylinder(k=1, m=2)),
     "parallel-planes": lambda b, p: (br.SeparationHypothesis(b=b, poly_p=p),
-                                     br.PlaneSurface(normal=(0, 0, 1.0)),
-                                     br.PlaneSurface(normal=(0, 0, 1.0), offset=1.0)),
+                                     geo.Hyperplane(normal=(0, 0, 1.0)),
+                                     geo.Hyperplane(normal=(0, 0, 1.0), offset=1.0)),
     "gaussian-graph": lambda b, p: (br.SeparationHypothesis(b=b, poly_p=p),
-                                    br.PlaneSurface(normal=(0, 0, 1.0)),
+                                    geo.Hyperplane(normal=(0, 0, 1.0)),
                                     br.GraphSurface(
                                         height=lambda r: float(np.exp(-r * r)),
                                         ambient_dim=3)),
@@ -312,9 +275,9 @@ _SEP_CASES = {
 
 def cmd_separation(args):
     if args.config:
-        cfg = _load_json(args.config, SEPARATION_SCHEMA, "separation config")
+        cfg = check_config(_load_json(args.config), SEPARATION_SCHEMA, "separation config")
         case = cfg["case"]
-        b = float(cfg.get("b", 0.0))
+        b = cfg.get("b", 0.0)
         poly = tuple(cfg.get("poly_p", [1.0]))
         norms = cfg.get("norms", [2, 3, 4, 5, 6, 8])
     else:

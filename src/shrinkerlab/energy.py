@@ -10,7 +10,8 @@ slab's is one order-64 Gauss-Legendre rule in theta with s = R sin(theta).
 Surface integrals on grids reconstruct the Dirichlet interface cell by cell
 (marching squares) with a second-order one-sided normal stencil into the
 domain.  scipy is imported where it is called: only the Gamma-function
-measures `sphere_measure` and `gaussian_ball_mass` load scipy.special.
+measures `geometry.sphere_measure` and `gaussian_ball_mass` load
+scipy.special.
 """
 
 import math
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import MissingGeometryError, ParameterError
+from .geometry import sphere_measure
 from .quadrature import gauss_legendre
 from .solver import EXTERIOR, SlabProfile
 
@@ -34,13 +36,6 @@ __all__ = [
     "weighted_gradient_cells",
     "marching_boundary_integral",
 ]
-
-
-def sphere_measure(d):
-    """Surface measure of the unit (d-1)-sphere in R^d."""
-    from scipy.special import gammaln
-
-    return 2.0 * math.pi ** (d / 2.0) / math.exp(gammaln(d / 2.0))
 
 
 def gaussian_ball_mass(d, radius):

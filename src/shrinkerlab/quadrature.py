@@ -1,8 +1,10 @@
 """Deterministic quadrature and low-discrepancy sampling helpers.
 
 Every 1D integral in the package is a closed form or a fixed rule from the
-cached `gauss_legendre` table, and so are the boundary pieces' surface
-quadratures.  `CumulativeProfile` turns a positive density into the
+cached `gauss_legendre` table.  The boundary pieces' surface quadratures
+take that rule in the radius or height and the equispaced rule in the
+periodic angle, which is exact for trigonometric polynomials of degree
+below the node count.  `CumulativeProfile` turns a positive density into the
 normalized cumulative integral behind the slab and radial closed forms and
 the barrier profile psi.  The Halton sequence provides reproducible
 quasi-random points for sampling shells and surfaces.

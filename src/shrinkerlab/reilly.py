@@ -33,11 +33,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .domain import radii
 from .energy import (_CHUNK, _interface_segments, box_cells, cell_centres,
                      marching_boundary_integral, weighted_gradient_cells)
 from .errors import MissingGeometryError, ParameterError
 from .fields import GridField, fd_gradient_hessian, ordered_map, stencil_evaluations
+from .geometry import radii
 
 __all__ = ["CutoffFamily", "ReillyReport", "reilly_residual",
            "energy_growth_chain", "ChainReport"]
@@ -280,8 +280,7 @@ def _boundary_items(u, phi, domain, fd_h, per_dim):
     items = []
     total = 0
     for _, ob in domain.pieces():
-        nodes, weights = ob.quad_nodes(domain.ambient_dim, domain.exhaustion_radius,
-                                       per_dim=per_dim)
+        nodes, weights = ob.quad_nodes(domain.exhaustion_radius, per_dim=per_dim)
         if nodes.shape[0] == 0:
             continue
         # one step per piece over all of its nodes, so that no sum depends

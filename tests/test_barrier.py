@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from shrinkerlab import barrier as br
 from shrinkerlab import domain as dm
 from shrinkerlab import energy as en
+from shrinkerlab import geometry as geo
 from shrinkerlab.errors import ParameterError
 from shrinkerlab.quadrature import halton, sphere_directions
 
@@ -173,8 +174,8 @@ class TestLipschitzBarrier:
 
     def test_zero_separation_rejected(self):
         degenerate = dm.DomainSpec(
-            dm.OrientedBoundary(dm.SphereBoundary(1.0), side=+1),
-            dm.OrientedBoundary(dm.SphereBoundary(1.0), side=-1),
+            dm.OrientedBoundary(geo.Sphere(1, 1.0), side=+1),
+            dm.OrientedBoundary(geo.Sphere(1, 1.0), side=-1),
             exhaustion_radius=3.0, ambient_dim=2)
         with pytest.raises(ParameterError, match="positive"):
             br.lipschitz_barrier("positive-distance", degenerate)
@@ -189,8 +190,8 @@ class TestLipschitzBarrier:
 class TestSeparation:
     def test_plane_vs_cylinder_passes(self):
         rep = br.separation_check(br.SeparationHypothesis(b=0.0),
-                                  br.PlaneSurface(normal=(0, 0, 1.0)),
-                                  br.CylinderSurface(k=1, m=2),
+                                  geo.Hyperplane(normal=(0, 0, 1.0)),
+                                  geo.Cylinder(k=1, m=2),
                                   [2, 3, 4, 5, 6, 8])
         assert rep.passes
         # distance along the cylinder is the axial coordinate sqrt(s^2 - 1)
@@ -199,23 +200,23 @@ class TestSeparation:
 
     def test_parallel_planes_pass(self):
         rep = br.separation_check(br.SeparationHypothesis(b=0.3),
-                                  br.PlaneSurface(normal=(0, 0, 1.0)),
-                                  br.PlaneSurface(normal=(0, 0, 1.0), offset=1.0),
+                                  geo.Hyperplane(normal=(0, 0, 1.0)),
+                                  geo.Hyperplane(normal=(0, 0, 1.0), offset=1.0),
                                   [2, 3, 4, 5, 6, 8])
         assert rep.passes
 
     def test_gaussian_graph_fails(self):
         rep = br.separation_check(
             br.SeparationHypothesis(b=0.4),
-            br.PlaneSurface(normal=(0, 0, 1.0)),
+            geo.Hyperplane(normal=(0, 0, 1.0)),
             br.GraphSurface(height=lambda r: math.exp(-r * r), ambient_dim=3),
             [2, 3, 4, 5, 6, 8])
         assert not rep.passes
 
     def test_truncation_flag(self):
         rep = br.separation_check(br.SeparationHypothesis(b=0.0),
-                                  br.PlaneSurface(normal=(0, 0, 1.0)),
-                                  br.CylinderSurface(k=1, m=2),
+                                  geo.Hyperplane(normal=(0, 0, 1.0)),
+                                  geo.Cylinder(k=1, m=2),
                                   [0.5, 2, 3, 4])
         assert rep.truncated
 
@@ -233,6 +234,6 @@ class TestSeparation:
 
     def test_csv(self):
         rep = br.separation_check(br.SeparationHypothesis(b=0.0),
-                                  br.PlaneSurface(normal=(0, 0, 1.0)),
-                                  br.CylinderSurface(k=1, m=2), [2, 3, 4])
+                                  geo.Hyperplane(normal=(0, 0, 1.0)),
+                                  geo.Cylinder(k=1, m=2), [2, 3, 4])
         assert rep.to_csv().splitlines()[0] == "z_norm,ratio"

@@ -5,7 +5,8 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shrinkerlab.cli import dumps17, main, validate_config, DOMAIN_SCHEMA
+from shrinkerlab.cli import dumps17, main
+from shrinkerlab.domain import domain_from_json
 from shrinkerlab.errors import ParameterError
 
 
@@ -65,9 +66,49 @@ def test_dumps17_round_trips_floats(payload):
 
 def test_schema_rejects_unknown_keys():
     with pytest.raises(ParameterError, match="unknown key"):
-        validate_config({"kind": "slab", "bogus": 1}, DOMAIN_SCHEMA, "domain")
+        domain_from_json({"kind": "slab", "h1": -1, "h2": 1, "bogus": 1})
     with pytest.raises(ParameterError, match="missing"):
-        validate_config({}, DOMAIN_SCHEMA, "domain")
+        domain_from_json({"kind": "slab", "h1": -1})
+    with pytest.raises(ParameterError, match="unknown kind"):
+        domain_from_json({})
+
+
+_SLAB = {"kind": "slab", "h1": -1, "h2": 1, "ambient_dim": 2, "radius": 4.0}
+_PLANE = {"type": "plane", "normal": [0, 1], "offset": -2.0, "side": 1}
+_SPHERE = {"type": "sphere", "radius": 1.0, "side": 1}
+_GENERIC = {"kind": "generic", "ambient_dim": 2, "radius": 4.0,
+            "sigma1": _PLANE, "sigma2": _SPHERE}
+
+
+@pytest.mark.parametrize("config, key", [
+    ({**_SLAB, "rho": 1.0}, "rho"),
+    ({**_SLAB, "radii": [1, 2]}, "radii"),
+    ({k: v for k, v in _GENERIC.items() if k != "radius"}, "radius"),
+    ({**_GENERIC, "sigma1": {k: v for k, v in _PLANE.items() if k != "offset"}}, "offset"),
+    ({**_GENERIC, "sigma2": {**_SPHERE, "bogus": 1}}, "bogus"),
+    ({**_SLAB, "h1": "low"}, "h1"),
+    ({**_SLAB, "h2": True}, "h2"),
+], ids=["other-kind-key", "no-kind-key", "generic-radius", "piece-offset", "piece-bogus",
+        "wrong-type", "boolean"])
+def test_domain_config_errors_name_the_key(tmp_path, capsys, config, key):
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(config))
+    assert main(["solve", "--domain", str(path), "--h", "0.25",
+                 "--output-dir", _out(tmp_path, "bad")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and repr(key) in err
+
+
+@pytest.mark.parametrize("model, key", [
+    ('{"type": "sphere"}', "m"),
+    ('{"type": "sphere", "m": 2, "k": 1}', "k"),
+    ('{"type": "cylinder", "m": 2}', "k"),
+])
+def test_model_config_errors_name_the_key(tmp_path, capsys, model, key):
+    assert main(["verify-shrinker", "--model", model, "--samples", "10",
+                 "--output-dir", _out(tmp_path, "bad")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and repr(key) in err
 
 
 def test_verify_shrinker(tmp_path):
@@ -163,8 +204,6 @@ def test_exit_codes(tmp_path, slab_config):
     bad.write_text(json.dumps({"kind": "slab", "h1": -1, "h2": 1, "weird": 3}))
     assert main(["solve", "--domain", str(bad), "--h", "0.1"]) == 1
 
-
-_SLAB = {"kind": "slab", "h1": -1, "h2": 1, "ambient_dim": 2, "radius": 4.0}
 
 
 @pytest.mark.parametrize("domain, flags, expected", [

@@ -2,31 +2,33 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from shrinkerlab import geometry as geo
 from shrinkerlab.errors import ContractViolation, ParameterError
 
 
 def test_signed_distance_examples():
-    assert geo.signed_distance(geo.Cylinder(k=1, m=2), [2, 0, 5]) == pytest.approx(1.0)
-    assert geo.signed_distance(geo.Sphere(m=2), [0, 0, 0]) == pytest.approx(-math.sqrt(2))
-    assert geo.signed_distance(geo.Hyperplane(normal=(0, 0, 1.0)),
-                               [7, -1, 0.25]) == pytest.approx(0.25)
+    assert geo.Cylinder(k=1, m=2).signed_distance([2, 0, 5]) == pytest.approx(1.0)
+    assert geo.Sphere(m=2).signed_distance([0, 0, 0]) == pytest.approx(-math.sqrt(2))
+    assert geo.Hyperplane(normal=(0, 0, 1.0)).signed_distance(
+        [7, -1, 0.25]) == pytest.approx(0.25)
 
 
 def test_cylinder_on_axis_is_flagged():
     cyl = geo.Cylinder(k=1, m=2)
     with pytest.warns(RuntimeWarning, match="axis"):
-        assert geo.signed_distance(cyl, [0, 0, 3.0]) == pytest.approx(-1.0)
+        assert cyl.signed_distance([0, 0, 3.0]) == pytest.approx(-1.0)
 
 
 def test_inside_outside_sign_convention():
     cyl = geo.Cylinder(k=1, m=2)
-    assert geo.signed_distance(cyl, [0.3, 0.2, -4.0]) < 0
-    assert geo.signed_distance(cyl, [1.5, 0.0, 2.0]) > 0
+    assert cyl.signed_distance([0.3, 0.2, -4.0]) < 0
+    assert cyl.signed_distance([1.5, 0.0, 2.0]) > 0
     sph = geo.Sphere(m=2)
-    assert geo.signed_distance(sph, [0.5, 0.5, 0.5]) < 0
-    assert geo.signed_distance(sph, [2.0, 0, 0]) > 0
+    assert sph.signed_distance([0.5, 0.5, 0.5]) < 0
+    assert sph.signed_distance([2.0, 0, 0]) > 0
 
 
 MODELS = [
@@ -67,7 +69,7 @@ def test_distance_gradient_is_unit(model, quasi_points):
         if isinstance(model, geo.Sphere) and np.linalg.norm(p) < 0.3:
             continue
         g = np.array([
-            (geo.signed_distance(model, p + h * e) - geo.signed_distance(model, p - h * e))
+            (model.signed_distance(p + h * e) - model.signed_distance(p - h * e))
             / (2 * h)
             for e in np.eye(3)])
         assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-6)
@@ -165,8 +167,16 @@ class TestVolumeGrowth:
     def test_sphere_constant_area(self):
         res = geo.extrinsic_volume_growth(geo.Sphere(m=2), range(2, 11))
         assert abs(res.fitted_exponent) < 1e-10
-        # 256-panel midpoint quadrature of the polar angle: O(h^2) accuracy
-        assert res.table[0][1] == pytest.approx(8 * math.pi, rel=1e-4)
+        assert res.table[0][1] == pytest.approx(8 * math.pi, rel=1e-12)
+
+    def test_closed_form_areas(self):
+        # S^2_sqrt2 x R: sphere area times the axial reach 2 sqrt(R^2 - 2)
+        R = 4.0
+        assert geo.Cylinder(k=2, m=3).clipped_area(R) == pytest.approx(
+            8 * math.pi * 2 * math.sqrt(R * R - 2), rel=1e-12)
+        # the hyperplane of R^4 cut by B_R is a 3-ball
+        assert geo.Hyperplane(normal=(0, 0, 0, 1.0)).clipped_area(R) == pytest.approx(
+            4 / 3 * math.pi * R ** 3, rel=1e-12)
 
     def test_parameter_errors(self):
         pl = geo.Hyperplane(normal=(0, 0, 1.0))
@@ -187,7 +197,7 @@ class TestVolumeGrowth:
 def test_model_json_round_trip():
     for model in (geo.Hyperplane(normal=(0, 0, 1.0)), geo.Sphere(m=2),
                   geo.Cylinder(k=1, m=3)):
-        assert geo.model_from_json(geo.model_to_json(model)) == model
+        assert geo.model_from_json(model.to_json()) == model
     with pytest.raises(ParameterError):
         geo.model_from_json({"type": "torus"})
 
@@ -217,3 +227,32 @@ def test_model_validation():
         geo.Cylinder(k=2, m=2)
     with pytest.raises(ParameterError):
         geo.Sphere(m=0)
+
+
+@st.composite
+def shapes(draw):
+    """A plane or sphere in R^2..R^5 (any offset or radius) or a cylinder."""
+    dim = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(["plane", "sphere", "cylinder"]))
+    if kind == "plane":
+        v = draw(arrays(float, dim, elements=st.floats(-1.0, 1.0)).filter(
+            lambda v: np.linalg.norm(v) > 0.1))
+        return geo.Hyperplane(tuple(v / np.linalg.norm(v)), draw(st.floats(-2.0, 2.0)))
+    if kind == "sphere":
+        return geo.Sphere(dim - 1, draw(st.none() | st.floats(0.1, 5.0)))
+    m = max(dim - 1, 2)
+    return geo.Cylinder(k=draw(st.integers(1, m - 1)), m=m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=shapes(), count=st.integers(1, 12))
+def test_samples_lie_on_the_shape_with_its_normal(shape, count):
+    # the sampling half of each class agrees with its piece or separation half
+    samples = shape.quasi_random_samples(count)
+    pts = np.array([s.point for s in samples])
+    if isinstance(shape, geo.Cylinder):
+        assert np.max(shape.distance(pts)) <= 1e-12
+        return
+    assert np.max(np.abs(shape.raw_signed(pts))) <= 1e-12
+    np.testing.assert_allclose(np.array([s.normal for s in samples]),
+                               shape.raw_normal(pts), rtol=0, atol=1e-12)

@@ -1,6 +1,9 @@
-"""scipy is imported where it is called: the package, the CLI and the paths
-that need no sparse solve or special function load no scipy module."""
+"""Imports: scipy is imported where it is called, so the package, the CLI and
+the paths that need no sparse solve or special function load no scipy
+module; and no package module keeps a top-level import it does not use."""
 
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -46,3 +49,24 @@ def test_grid_solve_loads_scipy_sparse_linalg():
         "from shrinkerlab import domain, solver\n"
         "solver.solve_mixed_bvp(domain.slab_domain(-1, 1, radius=2.0), h=1 / 8)")
     assert "scipy.sparse.linalg" in loaded
+
+
+def _unused_imports(path):
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    imported, exported = set(), set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported |= set(ast.literal_eval(node.value))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(imported - used - exported)
+
+
+def test_no_module_has_an_unused_top_level_import():
+    modules = sorted(glob.glob(os.path.join(SRC, "shrinkerlab", "*.py")))
+    assert len(modules) > 10
+    unused = {os.path.basename(p): _unused_imports(p) for p in modules}
+    assert {name: names for name, names in unused.items() if names} == {}

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from shrinkerlab import domain as dm
+from shrinkerlab import geometry as geo
 from shrinkerlab import reilly as rl
 from shrinkerlab import solver as sv
 from shrinkerlab.errors import MissingGeometryError, ParameterError
@@ -129,7 +130,7 @@ def test_umbilic_check_reaches_the_last_boundary_chunk(unit_ball, monkeypatch):
         kappas[x[:, 2] == x[:, 2].max(initial=0.0), 1] *= 2.0
         return kappas
 
-    monkeypatch.setattr(dm.SphereBoundary, "principal_curvatures", curvatures)
+    monkeypatch.setattr(geo.Sphere, "principal_curvatures", curvatures)
     with pytest.raises(MissingGeometryError, match="non-umbilic"):
         _residual(unit_ball, None, 1 / 8)
 
@@ -157,23 +158,14 @@ def test_report_carries_volume_counters(unit_ball):
     assert rep.details["boundary_nodes"] == 384 ** 2
 
 
-def test_level_set_boundary_lacks_curvature():
-    level = dm.DomainSpec(
-        dm.OrientedBoundary(dm.LevelSetBoundary(lambda x: 1.0 - float(np.dot(x, x))),
-                            side=+1),
-        None, exhaustion_radius=2.0, ambient_dim=3)
-    with pytest.raises(MissingGeometryError, match="curvature"):
-        rl.reilly_residual(U_X1, None, level, mesh_h=1 / 8)
-
-
 def test_f_minimal_pieces_have_zero_weighted_curvature():
     # sphere of radius sqrt(2) in R^3 and a plane through the origin
     ball = dm.ball_domain(np.sqrt(2.0), ambient_dim=3)
-    pts, _ = ball.sigma1.quad_nodes(3, 3.0, per_dim=16)
+    pts, _ = ball.sigma1.quad_nodes(3.0, per_dim=16)
     worst = max(abs(ball.sigma1.weighted_mean_curvature(p)) for p in pts)
     assert worst <= 1e-8
     slab = dm.slab_domain(0.0, 1.0, ambient_dim=2, radius=3.0)
-    pts, _ = slab.sigma1.quad_nodes(2, 3.0, per_dim=16)
+    pts, _ = slab.sigma1.quad_nodes(3.0, per_dim=16)
     worst = max(abs(slab.sigma1.weighted_mean_curvature(p)) for p in pts)
     assert worst <= 1e-8
 

@@ -11,6 +11,7 @@ from scipy.sparse.linalg import spsolve
 from scipy.special import erfi, expi
 
 from shrinkerlab import domain as dm
+from shrinkerlab import geometry as geo
 from shrinkerlab import solver as sv
 from shrinkerlab.errors import ContractViolation, ParameterError, SingularSystemError
 from shrinkerlab.fields import GridField
@@ -211,7 +212,7 @@ class TestMixedBvp:
 
     def test_pure_neumann_is_singular(self):
         far_ball = dm.DomainSpec(
-            dm.OrientedBoundary(dm.SphereBoundary(5.0), side=-1), None,
+            dm.OrientedBoundary(geo.Sphere(1, 5.0), side=-1), None,
             exhaustion_radius=2.0, ambient_dim=2, kind="ball", params={"rho": 5.0})
         with pytest.raises(SingularSystemError, match="constant"):
             sv.solve_mixed_bvp(far_ball, h=1 / 8)
