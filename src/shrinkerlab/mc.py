@@ -77,28 +77,29 @@ class McEstimate:
                 "truncation_warning": self.truncation_warning}
 
 
-def _chunk(x, d_prev, pieces, steps, dt, rng):
-    """Advance live paths x (depths d_prev) by up to `steps` steps.
+def _chunk(x, d_prev, pieces, grow, shrink, dt, rng):
+    """Advance live paths x (depths d_prev) by len(grow) steps.
 
-    Returns (retired, j, label, x_end, d_end): the live indices that hit a
-    piece, the 0-based step of each first hit and the piece it hit, and the
-    end positions and depths of all live paths.  Its arrays die on return,
-    so consecutive chunks never hold two sets at once.
+    grow[j] = noise decay^-(j+1) and shrink[j] = decay^(j+1) are the step
+    scales.  Returns (retired, j, label, x_end, d_end): the live indices that
+    hit a piece, the 0-based step of each first hit and the piece it hit,
+    and the end positions and depths of all live paths.  Its arrays die on
+    return, so consecutive chunks never hold two sets at once.
     """
-    decay = math.exp(-dt)
-    noise = math.sqrt(-math.expm1(-2.0 * dt))
+    steps = grow.size
     n, dim = x.shape
-    k = np.arange(1, steps + 1)
     # X_j = decay^j (x + sum_{l<=j} noise decay^-l xi_l), built in place
     pos = rng.standard_normal((steps, n, dim))
-    pos *= (noise * decay ** -k)[:, None, None]
-    np.cumsum(pos, axis=0, out=pos)
+    pos *= grow[:, None, None]
+    for j in range(1, steps):   # np.cumsum's sums, without its strided pass
+        pos[j] += pos[j - 1]
     pos += x
-    pos *= (decay ** k)[:, None, None]
-    d = [piece.depth(pos.reshape(-1, dim)).reshape(steps, n) for piece in pieces]
+    pos *= shrink[:, None, None]
+    d = np.empty((2, steps, n))
+    for i, piece in enumerate(pieces):
+        d[i] = piece.depth(pos.reshape(-1, dim)).reshape(steps, n)
     x_end = pos[-1].copy()
-    del pos                 # free it before the depths are stacked
-    d = np.stack(d)
+    del pos
     hit = (d[0] <= 0.0) | (d[1] <= 0.0)
     first_out = np.where(hit.any(axis=0), hit.argmax(axis=0), steps)
 
@@ -106,10 +107,10 @@ def _chunk(x, d_prev, pieces, steps, dt, rng):
     # uniform per candidate step, crossing sigma1 with probability p1, else
     # sigma2 with probability p2
     product = np.empty_like(d)
-    product[:, 0], product[:, 1:] = d_prev, d[:, :-1]
-    product *= d
+    np.multiply(d_prev, d[:, 0], out=product[:, 0])
+    np.multiply(d[:, :-1], d[:, 1:], out=product[:, 1:])
     si, pi = np.nonzero((product < _NEGLIGIBLE * dt).any(axis=0)
-                        & (k[:, None] <= first_out))
+                        & (np.arange(steps)[:, None] < first_out))
     bridge_label = np.zeros(hit.shape, dtype=np.int8)
     if si.size:
         p1, p2 = np.exp(-product[:, si, pi] / dt)
@@ -133,6 +134,10 @@ def _run_block(x0, start_depths, pieces, cfg, rng, n):
     A truncated path has label 0 and exit step max_steps.
     """
     max_steps = int(math.ceil(cfg.max_time / cfg.dt))
+    decay = math.exp(-cfg.dt)
+    k = np.arange(1, _CHUNK + 1)
+    grow = math.sqrt(-math.expm1(-2.0 * cfg.dt)) * decay ** -k
+    shrink = decay ** k
     labels = np.zeros(n, dtype=np.int8)
     exit_steps = np.full(n, max_steps, dtype=np.int64)
     live = np.arange(n)
@@ -141,7 +146,8 @@ def _run_block(x0, start_depths, pieces, cfg, rng, n):
     done = 0
     while done < max_steps and live.size:
         steps = min(_CHUNK, max_steps - done)
-        retired, j, label, x, d = _chunk(x, d, pieces, steps, cfg.dt, rng)
+        retired, j, label, x, d = _chunk(x, d, pieces, grow[:steps], shrink[:steps],
+                                         cfg.dt, rng)
         labels[live[retired]] = label
         exit_steps[live[retired]] = done + j + 1
         keep = np.ones(live.size, dtype=bool)
