@@ -3,8 +3,8 @@
 The diffusion dX = -X dt + sqrt(2) dW has the weighted Laplacian as its
 generator, so the chance of touching the data-1 boundary before the data-0
 one equals the Dirichlet solution.  Paths advance in blocks of 4,096 with
-exact OU steps, and each block draws from its own counter-based stream
-(Philox keyed by (seed, block)), so every estimate is reproducible bit for
+exact OU steps, and each block draws from its own SFC64 stream, seeded by
+SeedSequence((seed, block)), so every estimate is reproducible bit for
 bit.  A Brownian-bridge test catches crossings inside a step, so coarse
 steps leave no visible bias.
 """

@@ -49,8 +49,8 @@ class OrientedBoundary:
         self.shape = shape
         self.side = side
 
-    def depth(self, x):
-        return self.side * self.shape.raw_signed(x)
+    def depth(self, x, out=None):
+        return np.multiply(self.side, self.shape.raw_signed(x), out=out)
 
     def exterior_normal(self, x):
         return -self.side * self.shape.raw_normal(x)
