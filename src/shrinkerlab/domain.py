@@ -157,9 +157,14 @@ def _generic_domain(sigma1, radius, ambient_dim, sigma2=None):
     """Domain between two pieces given as configs, e.g. {"type": "plane",
     "normal": [0, 1], "offset": -2.0, "side": 1} or {"type": "sphere",
     "radius": 1.0, "side": 1}."""
+    def plane(normal, offset, side):
+        if len(normal) != ambient_dim:
+            raise ParameterError(f"plane boundary piece: key 'normal' needs {ambient_dim} "
+                                 f"entries (ambient_dim), got {len(normal)}")
+        return OrientedBoundary(Hyperplane(normal, offset), side)
+
     pieces = {
-        "plane": (lambda normal, offset, side: OrientedBoundary(Hyperplane(normal, offset), side),
-                  {"normal": (list, True), "offset": (float, True), "side": (int, True)}),
+        "plane": (plane, {"normal": (list, True), "offset": (float, True), "side": (int, True)}),
         "sphere": (lambda radius, side: OrientedBoundary(Sphere(ambient_dim - 1, radius), side),
                    {"radius": (float, True), "side": (int, True)}),
     }

@@ -50,6 +50,9 @@ class McConfig:
     max_time: float = 50.0
 
     def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) \
+                or self.seed < 0:
+            raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.n_paths < 100:
             raise ParameterError("need at least 100 paths for a meaningful estimate")
         if not 0 < self.dt <= 1e-2:
@@ -180,6 +183,9 @@ def ou_hitting_probability(x0, domain, cfg, trace=None):
     in path order; path j of block b has index b * 4096 + j.
     """
     x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (domain.ambient_dim,):
+        raise ParameterError(f"x0 must be a point in R^{domain.ambient_dim}, "
+                             f"got {x0.size} coordinates")
     if domain.sigma2 is None:
         raise ParameterError("hitting probabilities need both boundary pieces")
     pieces = (domain.sigma1, domain.sigma2)

@@ -179,6 +179,20 @@ def test_mc_with_trace(tmp_path, slab_config):
     assert "boundary_snap" not in report["config"]
 
 
+@pytest.mark.parametrize("domain, flags, key", [
+    ({"kind": "annulus", "a": 0.5, "b": 2.0}, ["--x0", "1,0,0"], "x0"),
+    ({**_GENERIC, "ambient_dim": 3}, ["--x0", "0,0,2"], "'normal'"),
+    (_SLAB, ["--x0", "0,0", "--seed", "-1"], "seed"),
+], ids=["x0-dimension", "normal-length", "negative-seed"])
+def test_mc_usage_errors_name_the_key(tmp_path, capsys, domain, flags, key):
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(domain))
+    assert main(["mc", "--domain", str(path), *flags, "--n-paths", "200",
+                 "--output-dir", _out(tmp_path, "bad")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and key in err
+
+
 def test_barrier_and_sweep(tmp_path):
     out = _out(tmp_path, "barrier")
     assert main(["barrier", "--R", "1", "--a", "1", "--m", "2", "--z", "0",

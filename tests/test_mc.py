@@ -17,6 +17,9 @@ def test_config_validation():
         mc.McConfig(n_paths=500, dt=0.1)
     with pytest.raises(ParameterError):
         mc.McConfig(n_paths=500, max_time=0.0)
+    for seed in (-1, 2.0, True, "7"):
+        with pytest.raises(ParameterError, match="seed"):
+            mc.McConfig(n_paths=500, seed=seed)
 
 
 def test_symmetric_slab_start(slab_dom):
@@ -55,6 +58,29 @@ def test_start_point_must_be_interior(slab_dom):
         mc.ou_hitting_probability(np.array([0.0, 1.5]), slab_dom, cfg)
     with pytest.raises(ParameterError):
         mc.ou_hitting_probability(np.array([0.0, 1.0]), slab_dom, cfg)
+
+
+def test_start_point_must_match_the_domain_dimension(slab_dom, annulus_dom):
+    # on the slab the depth reads one column, so a 3D start point would
+    # otherwise run a walk in the wrong space without complaint
+    cfg = mc.McConfig(n_paths=200, dt=1e-3)
+    for dom in (slab_dom, annulus_dom):
+        with pytest.raises(ParameterError, match="x0"):
+            mc.ou_hitting_probability(np.array([1.0, 0.0, 0.0]), dom, cfg)
+
+
+@pytest.mark.parametrize("domain, x0, counts, quantiles", [
+    ("slab", (0.0, 0.3), (237, 363, 0), (0.3595, 1.0872000000000004, 2.403389999999999)),
+    ("annulus", (1.0, 0.0), (423, 177, 0), (0.2095, 0.5935000000000001, 1.1873299999999998)),
+])
+def test_pinned_small_estimates(domain, x0, counts, quantiles, slab_dom, annulus_dom):
+    # the block streams and the chunk arithmetic fix these numbers, so a
+    # kernel change cannot alter the streams unnoticed
+    dom = {"slab": slab_dom, "annulus": annulus_dom}[domain]
+    est = mc.ou_hitting_probability(np.array(x0), dom,
+                                    mc.McConfig(n_paths=600, dt=1e-3, seed=20240801))
+    assert (est.hits_sigma1, est.hits_sigma2, est.truncated) == counts
+    assert (est.exit_time_q50, est.exit_time_q90, est.exit_time_q99) == quantiles
 
 
 def test_truncation_warning(slab_dom):
