@@ -120,29 +120,26 @@ def _chunk(x, d_prev, pieces, grow, shrink, dt, rng):
     near = product < _NEGLIGIBLE * dt
     cand = np.flatnonzero(near[0] | near[1])        # step-major order
     si, pi = np.divmod(cand, n)
-    ends_out = (d[0, cand] <= 0.0) | (d[1, cand] <= 0.0)
-    j = np.full(n, steps)
-    np.minimum.at(j, pi[ends_out], si[ends_out])
+    # each path's first event, coded 2 * step + (piece - 1); a step ending
+    # outside takes the piece it ends deeper beyond
+    first = np.full(n, 2 * steps)
+    d0, d1 = d[:, cand]
+    out = (d0 <= 0.0) | (d1 <= 0.0)
+    np.minimum.at(first, pi[out], 2 * si[out] + (d0[out] > d1[out]))
 
     # bridge test on the candidate steps before a path's first end outside:
     # one uniform per step, crossing sigma1 with probability p1, else sigma2
-    # with probability p2; a path retires at its first crossing
-    before = si < j[pi]
+    # with probability p2
+    before = si < first[pi] // 2
     cand, si, pi = cand[before], si[before], pi[before]
     p1, p2 = np.exp(-product[:, cand] / dt)
     u = rng.random(cand.size)
     crossed = u < p1 + (1.0 - p1) * p2
-    bridged, first = np.unique(pi[crossed], return_index=True)
-    j[bridged] = si[crossed][first]
+    np.minimum.at(first, pi[crossed], 2 * si[crossed] + (u[crossed] >= p1[crossed]))
 
-    retired = np.flatnonzero(j < steps)
-    j = j[retired]
-    # a step ending outside takes the piece it ends deeper beyond
-    end = j * n + retired
-    label = np.where(d[0, end] <= d[1, end], 1, 2)
-    label[np.searchsorted(retired, bridged)] = np.where(
-        u[crossed][first] < p1[crossed][first], 1, 2)
-    return retired, j, label, x_end, d[:, -n:]
+    retired = np.flatnonzero(first < 2 * steps)
+    j, piece = np.divmod(first[retired], 2)
+    return retired, j, piece + 1, x_end, d[:, -n:]
 
 
 def _run_block(x0, start_depths, pieces, cfg, rng, n):
