@@ -50,6 +50,7 @@ class OrientedBoundary:
         self.side = side
 
     def depth(self, x, out=None):
+        """side * raw_signed(x), written into `out` when one is given."""
         return np.multiply(self.side, self.shape.raw_signed(x), out=out)
 
     def exterior_normal(self, x):
@@ -159,8 +160,8 @@ def _generic_domain(sigma1, radius, ambient_dim, sigma2=None):
     "radius": 1.0, "side": 1}."""
     def plane(normal, offset, side):
         if len(normal) != ambient_dim:
-            raise ParameterError(f"plane boundary piece: key 'normal' needs {ambient_dim} "
-                                 f"entries (ambient_dim), got {len(normal)}")
+            raise ParameterError(f"plane boundary piece: key 'normal' has {len(normal)} "
+                                 f"entries, but ambient_dim is {ambient_dim}")
         return OrientedBoundary(Hyperplane(normal, offset), side)
 
     pieces = {
