@@ -12,9 +12,9 @@ only for live paths, and a path retires at its first hit.
 Reproducibility: block b draws from its own SFC64 stream, seeded by
 `SeedSequence((seed, b))`, so a path's result depends only on its block.
 SFC64 is chosen for speed: numpy draws normals from it faster than from
-Philox or PCG64.  The blocks run through `fields.ordered_map` on os.cpu_count()
-threads and are reduced in block order, so reruns are bit-identical for any
-worker count.
+Philox or PCG64.  The blocks run through `fields.ordered_map` on
+os.cpu_count() threads and are reduced in block order, so reruns are
+bit-identical for any worker count.
 
 First-crossing detection is the Brownian-bridge test (Gobet, SPA 2000): a
 step whose end lies outside a piece has hit it, and a step that starts and
@@ -108,7 +108,7 @@ def _chunk(x, d_prev, pieces, grow, shrink, dt, rng):
     for i, piece in enumerate(pieces):
         piece.depth(pos.reshape(-1, dim), out=d[i].reshape(-1))
     x_end = pos[-1].copy()
-    del pos
+    del pos                 # free it before the bridge arrays are built
 
     # a step from depth d0 to d1 is a candidate when d0 d1 < 40 dt for
     # either piece; that holds for every step ending outside, since d0 > 0
