@@ -18,6 +18,7 @@ from . import geometry as geo
 from . import mc
 from . import reilly as rl
 from . import solver as sv
+from .errors import ParameterError
 from .fields import ScalarField
 
 __all__ = ["CriterionResult", "CRITERIA", "run_acceptance", "format_table"]
@@ -333,6 +334,11 @@ CRITERIA = [
 
 
 def run_acceptance(indices=None, echo=False):
+    """Run the criteria with the given indices (all when None) in order;
+    an index that names no criterion is a ParameterError."""
+    unknown = sorted(set(indices or ()) - {idx for idx, _, _ in CRITERIA})
+    if unknown:
+        raise ParameterError(f"unknown acceptance criterion {unknown[0]} (1-12)")
     results = []
     for idx, name, fn in CRITERIA:
         if indices and idx not in indices:

@@ -1,11 +1,12 @@
 """Batch verification front end.
 
-Every subcommand reads file- or flag-based configuration, runs one module
-workflow, and writes a deterministic JSON report (all floats at 17
-significant digits, so regression constants can be frozen byte-for-byte)
-plus CSV artifacts into the output directory.  Timestamps live in a separate
-run_meta.json so reruns with identical configuration reproduce report bytes
-exactly.
+`COMMANDS` maps each subcommand to its function and the argparse keywords
+of its flags.  `main` loads `--model` and `--domain`, runs the command and
+writes what it returns into the output directory: its artifacts (CSV tables,
+the binary solution grid) and a deterministic report.json (all floats at 17
+significant digits, so regression constants can be frozen byte-for-byte).
+Timestamps and wall seconds live in a separate run_meta.json, so reruns
+with identical configuration reproduce report bytes exactly.
 
 Exit codes: 0 success; 1 usage/parameter error, including a problem with no
 Dirichlet data; 2 contract violation (a module invariant failed or a linear
@@ -13,11 +14,14 @@ solve did not converge).
 """
 
 import argparse
+import dataclasses
+import itertools
 import json
 import math
 import os
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +46,11 @@ def dumps17(obj, indent=0):
     """JSON text with every float rendered at 17 significant digits; whole
     floats keep a decimal point (1.0, -0.0), so they load back as floats, and
     non-finite ones are the tokens NaN, Infinity and -Infinity that
-    json.dumps writes and json.loads reads back as floats."""
+    json.dumps writes and json.loads reads back as floats.  A dataclass is
+    written as `dataclasses.asdict` gives it, fields in declaration order."""
     pad = "  " * indent
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return dumps17(dataclasses.asdict(obj), indent)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -68,39 +75,41 @@ def dumps17(obj, indent=0):
     return json.dumps(obj)
 
 
-def _write(outdir, name, text):
+class Outcome(NamedTuple):
+    """What a command hands to the writer in `main`."""
+
+    report: object          # report.json content; None writes no report
+    artifacts: dict         # file name -> text or bytes
+    line: str               # printed to stdout
+    violation: str = None   # a failed contract: printed to stderr, exit 2
+    meta: dict = None       # wall-clock entries added to run_meta.json
+
+
+def _write_outcome(outdir, out):
     os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, name)
-    with open(path, "w") as fh:
-        fh.write(text)
-    return path
+    files = dict(out.artifacts)
+    if out.report is not None:
+        files["report.json"] = dumps17(out.report) + "\n"
+        files["run_meta.json"] = dumps17({
+            "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
+            "version": __version__, **(out.meta or {})}) + "\n"
+    for name, data in files.items():
+        with open(os.path.join(outdir, name), "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
 
 
-def _write_report(outdir, report):
-    path = _write(outdir, "report.json", dumps17(report) + "\n")
-    _write(outdir, "run_meta.json",
-           dumps17({"written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-                    "version": __version__}) + "\n")
-    return path
+def _csv(header, rows):
+    return "\n".join([header, *rows]) + "\n"
 
 
 # --------------------------------------------------------------------------
 # config files (unknown keys rejected; the model and domain formats live
 # with their parsers in `geometry` and `domain`)
 
-SWEEP_SCHEMA = {
-    "R": (list, True),
-    "a": (list, True),
-    "m": (list, True),
-    "z": (list, True),
-}
-
-SEPARATION_SCHEMA = {
-    "case": (str, True),
-    "b": (float, False),
-    "poly_p": (list, False),
-    "norms": (list, False),
-}
+SWEEP_SCHEMA = {"R": ([float], True), "a": ([float], True), "m": ([int], True),
+                "z": ([float], True)}
+SEPARATION_SCHEMA = {"case": (str, True), "b": (float, False), "poly_p": ([float], False),
+                     "norms": ([float], False)}
 
 
 def _load_json(path):
@@ -108,15 +117,11 @@ def _load_json(path):
         return json.load(fh)
 
 
-def _model_from_args(args):
-    text = args.model
-    return geo.model_from_json(json.loads(text) if text.strip().startswith("{")
-                               else _load_json(text))
-
-
-def _domain_from_args(args):
-    obj = _load_json(args.domain)
-    return dm.domain_from_json(obj), obj
+def _comma_list(kind):
+    """argparse type of a comma-separated list of `kind` values."""
+    def comma_separated(text):
+        return [kind(v) for v in text.split(",")]
+    return comma_separated
 
 
 def _closed_form_for(domain):
@@ -135,76 +140,62 @@ def _closed_form_for(domain):
 
 
 def cmd_verify_shrinker(args):
-    model = _model_from_args(args)
-    samples = geo.surface_samples(model, args.samples)
+    samples = geo.surface_samples(args.model, args.samples)
     worst = max(float(np.linalg.norm(geo.shrinker_residual(s))) for s in samples)
-    report = {"model": model.to_json(), "samples": args.samples,
+    report = {"model": args.model.to_json(), "samples": args.samples,
               "max_residual": worst, "tolerance": 1e-9}
-    _write_report(args.output_dir, report)
-    print(f"max |x_perp + H| over {args.samples} samples: {worst:.3e}")
-    if worst >= 1e-9:
-        raise ContractViolation(f"shrinker residual {worst:.3e} exceeds 1e-9")
+    return Outcome(report, {}, f"max |x_perp + H| over {args.samples} samples: {worst:.3e}",
+                   f"shrinker residual {worst:.3e} exceeds 1e-9" if worst >= 1e-9 else None)
 
 
 def cmd_identities(args):
-    model = _model_from_args(args)
-    ks = [args.k] if args.k else list(range(1, model.ambient_dim - 1))
+    ks = [args.k] if args.k is not None else list(range(1, args.model.ambient_dim - 1))
     worst_res, worst_slack = 0.0, 0.0
-    for s in geo.surface_samples(model, args.samples, span=args.span):
+    for s in geo.surface_samples(args.model, args.samples, span=args.span):
         for k in ks:
             rep = geo.cylinder_identities(k, s)
             worst_res = max(worst_res, abs(rep.grad_id_residual), abs(rep.laplu_residual))
             if rep.sqrtu_slack is not None:
                 worst_slack = min(worst_slack, rep.sqrtu_slack)
-    report = {"model": model.to_json(), "k_values": ks,
+    report = {"model": args.model.to_json(), "k_values": ks,
               "max_residual": worst_res, "min_sqrt_slack": worst_slack}
-    _write_report(args.output_dir, report)
-    print(f"identity residuals: max {worst_res:.3e}, sqrt slack min {worst_slack:.3e}")
-    if worst_res >= 1e-6 or worst_slack < -1e-8:
-        raise ContractViolation("cylinder identity residuals exceed their bounds")
+    failed = worst_res >= 1e-6 or worst_slack < -1e-8
+    return Outcome(report, {}, f"identity residuals: max {worst_res:.3e}, "
+                               f"sqrt slack min {worst_slack:.3e}",
+                   "cylinder identity residuals exceed their bounds" if failed else None)
 
 
 def cmd_volume_growth(args):
-    model = _model_from_args(args)
-    radii = [float(r) for r in args.radii.split(",")]
-    res = geo.extrinsic_volume_growth(model, radii)  # raises ContractViolation itself
-    _write(args.output_dir, "volume.csv", res.to_csv())
-    report = {"model": model.to_json(), "radii": radii,
-              "fitted_exponent": res.fitted_exponent,
-              "bound": model.hypersurface_dim + 0.05}
-    _write_report(args.output_dir, report)
-    print(f"fitted exponent {res.fitted_exponent:.4f} "
-          f"(bound {model.hypersurface_dim + 0.05})")
+    res = geo.extrinsic_volume_growth(args.model, args.radii)  # raises ContractViolation itself
+    bound = args.model.hypersurface_dim + 0.05
+    report = {"model": args.model.to_json(), "radii": args.radii,
+              "fitted_exponent": res.fitted_exponent, "bound": bound}
+    return Outcome(report, {"volume.csv": res.to_csv()},
+                   f"fitted exponent {res.fitted_exponent:.4f} (bound {bound})")
 
 
 def cmd_solve(args):
-    domain, domain_obj = _domain_from_args(args)
-    sol = sv.solve_mixed_bvp(domain, h=args.h, tol=args.tol)
-    report = {"domain": domain_obj, "solve": sol.report.to_json()}
-    profile = _closed_form_for(domain)
+    sol = sv.solve_mixed_bvp(args.domain, h=args.h, tol=args.tol)
+    report = {"domain": args.domain_obj, "solve": sol.report}
+    line = (f"solved {sol.report.details['unknowns']} unknowns, "
+            f"weighted residual {sol.report.linear_residual:.2e}")
+    profile = _closed_form_for(args.domain)
     if profile is not None:
         err = sv.max_node_error(sol, profile, within_radius=args.compare_radius)
         report["max_error_vs_closed_form"] = err
-        print(f"max error vs closed form: {err:.4e}")
-    os.makedirs(args.output_dir, exist_ok=True)
-    with open(os.path.join(args.output_dir, "solution.grid"), "wb") as fh:
-        fh.write(sol.field.to_binary())
-    _write_report(args.output_dir, report)
-    print(f"solved {sol.report.details['unknowns']} unknowns, "
-          f"weighted residual {sol.report.linear_residual:.2e}")
+        line = f"max error vs closed form: {err:.4e}\n{line}"
+    return Outcome(report, {"solution.grid": sol.field.to_binary()}, line)
 
 
 def cmd_energy(args):
-    domain, domain_obj = _domain_from_args(args)
-    sol = sv.solve_mixed_bvp(domain, h=args.h, tol=args.tol)
-    radii = [float(r) for r in args.radii.split(",")]
-    rep = en.energy_report(sol, domain, radii)
-    _write(args.output_dir, "growth.csv", rep.growth_csv())
-    _write_report(args.output_dir, {"domain": domain_obj, "energy": rep.to_json()})
-    print(f"total energy {rep.total_energy:.6f}; Caccioppoli lhs/rhs = "
-          f"{rep.caccioppoli_lhs / rep.caccioppoli_rhs:.3f}")
-    if rep.caccioppoli_lhs > rep.caccioppoli_rhs * 1.05:
-        raise ContractViolation("Caccioppoli inequality violated beyond 5% slack")
+    sol = sv.solve_mixed_bvp(args.domain, h=args.h, tol=args.tol)
+    rep = en.energy_report(sol, args.domain, args.radii)
+    violated = rep.caccioppoli_lhs > rep.caccioppoli_rhs * 1.05
+    return Outcome({"domain": args.domain_obj, "energy": rep},
+                   {"growth.csv": rep.growth_csv()},
+                   f"total energy {rep.total_energy:.6f}; Caccioppoli lhs/rhs = "
+                   f"{rep.caccioppoli_lhs / rep.caccioppoli_rhs:.3f}",
+                   "Caccioppoli inequality violated beyond 5% slack" if violated else None)
 
 
 _TEST_FIELDS = {
@@ -216,32 +207,23 @@ _TEST_FIELDS = {
 
 
 def cmd_reilly(args):
-    domain, domain_obj = _domain_from_args(args)
-    u = _TEST_FIELDS[args.field]
-    phi = rl.CutoffFamily(args.cutoff_radius) if args.cutoff_radius else None
-    rep = rl.reilly_residual(u, phi, domain, mesh_h=args.mesh_h)
-    _write_report(args.output_dir, {"domain": domain_obj, "field": args.field,
-                                    "cutoff_radius": args.cutoff_radius,
-                                    "reilly": rep.to_json()})
-    print(f"volume side {rep.volume_side:.8f}, boundary side {rep.boundary_side:.8f}, "
-          f"residual {rep.residual:.3e} at mesh_h {rep.mesh_h}")
+    phi = rl.CutoffFamily(args.cutoff_radius) if args.cutoff_radius is not None else None
+    rep = rl.reilly_residual(_TEST_FIELDS[args.field], phi, args.domain, mesh_h=args.mesh_h)
+    return Outcome({"domain": args.domain_obj, "field": args.field,
+                    "cutoff_radius": args.cutoff_radius, "reilly": rep}, {},
+                   f"volume side {rep.volume_side:.8f}, boundary side "
+                   f"{rep.boundary_side:.8f}, residual {rep.residual:.3e} at mesh_h {rep.mesh_h}")
 
 
 def cmd_barrier(args):
-    if args.sweep:
+    if args.sweep is not None:
         sweep = check_config(_load_json(args.sweep), SWEEP_SCHEMA, "sweep config")
-        rows = ["R,a,m,z,psi_prime_0,rough_bound"]
-        for R in sweep["R"]:
-            for a in sweep["a"]:
-                for m in sweep["m"]:
-                    for z in sweep["z"]:
-                        res = br.build_psi(br.BarrierParams(R=float(R), a=float(a),
-                                                            m=int(m), z_norm=float(z)))
-                        rows.append(f"{R!r},{a!r},{m},{z!r},"
-                                    f"{res.psi_prime_0!r},{res.rough_bound!r}")
-        _write(args.output_dir, "sweep.csv", "\n".join(rows) + "\n")
-        print(f"swept {len(rows) - 1} parameter tuples")
-        return
+        rows = []
+        for R, a, m, z in itertools.product(*(sweep[key] for key in "Ramz")):
+            res = br.build_psi(br.BarrierParams(R=float(R), a=float(a), m=m, z_norm=float(z)))
+            rows.append(f"{R!r},{a!r},{m},{z!r},{res.psi_prime_0!r},{res.rough_bound!r}")
+        return Outcome(None, {"sweep.csv": _csv("R,a,m,z,psi_prime_0,rough_bound", rows)},
+                       f"swept {len(rows)} parameter tuples")
     params = br.BarrierParams(R=args.R, a=args.a, m=args.m, z_norm=args.z)
     res = br.build_psi(params)
     violation = br.supersolution_check(params, args.samples, profile=args.profile)
@@ -250,89 +232,113 @@ def cmd_barrier(args):
               "gradient_estimate": res.gradient_estimate,
               "supersolution_max_violation": violation,
               "profile": args.profile}
-    _write_report(args.output_dir, report)
-    print(f"psi'(0) = {res.psi_prime_0:.8f} <= rough bound {res.rough_bound:.8f}; "
-          f"supersolution violation {violation:.3e}")
-    if violation > 1e-6:
-        raise ContractViolation(
-            f"supersolution violation {violation:.3e} exceeds 1e-6")
+    return Outcome(report, {}, f"psi'(0) = {res.psi_prime_0:.8f} <= rough bound "
+                               f"{res.rough_bound:.8f}; supersolution violation {violation:.3e}",
+                   f"supersolution violation {violation:.3e} exceeds 1e-6"
+                   if violation > 1e-6 else None)
 
 
+# the surface each case checks against the plane x_3 = 0
 _SEP_CASES = {
-    "plane-cylinder": lambda b, p: (br.SeparationHypothesis(b=b, poly_p=p),
-                                    geo.Hyperplane(normal=(0, 0, 1.0)),
-                                    geo.Cylinder(k=1, m=2)),
-    "parallel-planes": lambda b, p: (br.SeparationHypothesis(b=b, poly_p=p),
-                                     geo.Hyperplane(normal=(0, 0, 1.0)),
-                                     geo.Hyperplane(normal=(0, 0, 1.0), offset=1.0)),
-    "gaussian-graph": lambda b, p: (br.SeparationHypothesis(b=b, poly_p=p),
-                                    geo.Hyperplane(normal=(0, 0, 1.0)),
-                                    br.GraphSurface(
-                                        height=lambda r: float(np.exp(-r * r)),
-                                        ambient_dim=3)),
+    "plane-cylinder": lambda: geo.Cylinder(k=1, m=2),
+    "parallel-planes": lambda: geo.Hyperplane(normal=(0, 0, 1.0), offset=1.0),
+    "gaussian-graph": lambda: br.GraphSurface(height=lambda r: float(np.exp(-r * r)),
+                                              ambient_dim=3),
 }
 
 
 def cmd_separation(args):
-    if args.config:
-        cfg = check_config(_load_json(args.config), SEPARATION_SCHEMA, "separation config")
-        case = cfg["case"]
-        b = cfg.get("b", 0.0)
-        poly = tuple(cfg.get("poly_p", [1.0]))
-        norms = cfg.get("norms", [2, 3, 4, 5, 6, 8])
-    else:
-        case, b, poly, norms = args.case, args.b, (1.0,), [2, 3, 4, 5, 6, 8]
+    cfg = (check_config(_load_json(args.config), SEPARATION_SCHEMA, "separation config")
+           if args.config is not None else {"case": args.case, "b": args.b})
+    case, b = cfg["case"], cfg.get("b", 0.0)
+    poly, norms = tuple(cfg.get("poly_p", [1.0])), cfg.get("norms", [2, 3, 4, 5, 6, 8])
     if case not in _SEP_CASES:
         raise ParameterError(f"unknown separation case {case!r}")
-    hyp, s1, s2 = _SEP_CASES[case](b, poly)
-    rep = br.separation_check(hyp, s1, s2, norms)
-    _write(args.output_dir, "separation.csv", rep.to_csv())
-    _write_report(args.output_dir, {"case": case, "b": b,
-                                    "ratios": [[z, r] for z, r in rep.ratios],
-                                    "passes": rep.passes, "truncated": rep.truncated})
-    print(f"separation check {'passes' if rep.passes else 'fails'} "
-          f"(finite-sample heuristic)")
+    rep = br.separation_check(br.SeparationHypothesis(b=b, poly_p=poly),
+                              geo.Hyperplane(normal=(0, 0, 1.0)), _SEP_CASES[case](), norms)
+    return Outcome({"case": case, "b": b, "ratios": [[z, r] for z, r in rep.ratios],
+                    "passes": rep.passes, "truncated": rep.truncated},
+                   {"separation.csv": rep.to_csv()},
+                   f"separation check {'passes' if rep.passes else 'fails'} "
+                   f"(finite-sample heuristic)")
 
 
 def cmd_mc(args):
-    domain, domain_obj = _domain_from_args(args)
-    x0 = np.array([float(v) for v in args.x0.split(",")])
+    x0 = np.array(args.x0)
     cfg = mc.McConfig(n_paths=args.n_paths, dt=args.dt, seed=args.seed)
     trace = [] if args.trace else None
-    est = mc.ou_hitting_probability(x0, domain, cfg, trace=trace)
-    report = {"domain": domain_obj, "x0": list(map(float, x0)),
+    est = mc.ou_hitting_probability(x0, args.domain, cfg, trace=trace)
+    report = {"domain": args.domain_obj, "x0": args.x0,
               "config": {"n_paths": cfg.n_paths, "dt": cfg.dt, "seed": cfg.seed,
                          "max_time": cfg.max_time},
-              "estimate": est.to_json()}
-    profile = _closed_form_for(domain)
+              "estimate": est}
+    profile = _closed_form_for(args.domain)
     if profile is not None:
         report["closed_form"] = profile(x0)
         report["gap_in_stderr"] = (abs(est.p_hat - profile(x0)) / est.stderr
                                    if est.stderr > 0 else 0.0)
-    if trace is not None:
-        lines = ["path,exit_time,exit_label"]
-        lines += [f"{i},{t!r},{lab}" for i, t, lab in trace]
-        _write(args.output_dir, "trace.csv", "\n".join(lines) + "\n")
-    _write_report(args.output_dir, report)
-    print(f"p_hat = {est.p_hat:.5f} +- {est.stderr:.5f} "
-          f"({est.hits_sigma2}/{est.hits_sigma1 + est.hits_sigma2} hits, "
-          f"{est.truncated} truncated)")
+    artifacts = {} if trace is None else {"trace.csv": _csv(
+        "path,exit_time,exit_label", [f"{i},{t!r},{lab}" for i, t, lab in trace])}
+    return Outcome(report, artifacts,
+                   f"p_hat = {est.p_hat:.5f} +- {est.stderr:.5f} "
+                   f"({est.hits_sigma2}/{est.hits_sigma1 + est.hits_sigma2} hits, "
+                   f"{est.truncated} truncated)")
 
 
 def cmd_acceptance(args):
-    indices = [int(i) for i in args.criteria.split(",")] if args.criteria else None
-    results = run_acceptance(indices=indices, echo=True)
-    _write_report(args.output_dir, {
-        "criteria": [{"index": r.index, "name": r.name, "passed": r.passed,
-                      "detail": r.detail} for r in results],
-        "all_passed": all(r.passed for r in results)})
-    print(format_table(results).splitlines()[-1])
-    if not all(r.passed for r in results):
-        raise ContractViolation("acceptance criteria failed")
+    results = run_acceptance(indices=args.criteria, echo=True)
+    passed = all(r.passed for r in results)
+    return Outcome({"criteria": [{"index": r.index, "name": r.name, "passed": r.passed,
+                                  "detail": r.detail} for r in results],
+                    "all_passed": passed}, {},
+                   format_table(results).splitlines()[-1],
+                   None if passed else "acceptance criteria failed",
+                   {"criterion_wall_s": {r.index: r.runtime for r in results}})
 
 
 # --------------------------------------------------------------------------
-# argument parsing
+# the command table and the runner
+
+_MODEL = {"required": True, "help": "inline JSON or path to a model config file"}
+_DOMAIN = {"required": True, "help": "path to a domain config file"}
+_FLOATS, _TOL = _comma_list(float), {"type": float, "default": 1e-10}
+
+COMMANDS = {
+    "verify-shrinker": (cmd_verify_shrinker, {
+        "--model": _MODEL, "--samples": {"type": int, "default": 1000}}),
+    "identities": (cmd_identities, {
+        "--model": _MODEL, "--k": {"type": int}, "--samples": {"type": int, "default": 200},
+        "--span": {"type": float, "default": 3.0}}),
+    "volume-growth": (cmd_volume_growth, {
+        "--model": _MODEL, "--radii": {"type": _FLOATS, "default": "2,3,4,5,6,7,8,9,10"}}),
+    "solve": (cmd_solve, {
+        "--domain": _DOMAIN, "--h": {"type": float, "required": True},
+        "--tol": _TOL, "--compare-radius": {"type": float}}),
+    "energy": (cmd_energy, {
+        "--domain": _DOMAIN, "--h": {"type": float, "default": 1 / 32},
+        "--tol": _TOL, "--radii": {"type": _FLOATS, "default": "1,2,4"}}),
+    "reilly": (cmd_reilly, {
+        "--domain": _DOMAIN, "--mesh-h": {"type": float, "default": 1 / 32},
+        "--field": {"choices": sorted(_TEST_FIELDS), "default": "x1"},
+        "--cutoff-radius": {"type": float}}),
+    "barrier": (cmd_barrier, {
+        "--R": {"type": float, "default": 1.0}, "--a": {"type": float, "default": 1.0},
+        "--m": {"type": int, "default": 2}, "--z": {"type": float, "default": 0.0},
+        "--samples": {"type": int, "default": 1000},
+        "--profile": {"choices": ("ode", "linear"), "default": "ode"},
+        "--sweep": {"help": "JSON sweep file over R/a/m/z"}}),
+    "separation": (cmd_separation, {
+        "--case": {"choices": sorted(_SEP_CASES), "default": "plane-cylinder"},
+        "--b": {"type": float, "default": 0.0}, "--config": {}}),
+    "mc": (cmd_mc, {
+        "--domain": _DOMAIN,
+        "--x0": {"type": _FLOATS, "required": True, "help": "comma-separated coordinates"},
+        "--n-paths": {"type": int, "default": 10000}, "--dt": {"type": float, "default": 1e-3},
+        "--seed": {"type": int, "default": 20240801},
+        "--trace": {"action": "store_true", "help": "dump per-path exit data to trace.csv"}}),
+    "acceptance": (cmd_acceptance, {
+        "--criteria": {"type": _comma_list(int), "help": "comma-separated subset, e.g. 1,3,9"}}),
+}
 
 
 def build_parser():
@@ -341,84 +347,35 @@ def build_parser():
         description="verification workflows for the weighted-Laplacian laboratory")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **defaults):
+    for name, (fn, flags) in COMMANDS.items():
         p = sub.add_parser(name)
         p.set_defaults(func=fn)
         p.add_argument("--output-dir",
                        default=os.environ.get("SHRINKERLAB_OUTPUT_DIR",
                                               os.path.join("runs", name)))
-        return p
-
-    p = add("verify-shrinker", cmd_verify_shrinker)
-    p.add_argument("--model", required=True,
-                   help="inline JSON or path to a model config file")
-    p.add_argument("--samples", type=int, default=1000)
-
-    p = add("identities", cmd_identities)
-    p.add_argument("--model", required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--span", type=float, default=3.0)
-
-    p = add("volume-growth", cmd_volume_growth)
-    p.add_argument("--model", required=True)
-    p.add_argument("--radii", default="2,3,4,5,6,7,8,9,10")
-
-    p = add("solve", cmd_solve)
-    p.add_argument("--domain", required=True, help="path to a domain config file")
-    p.add_argument("--h", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--compare-radius", type=float, default=None)
-
-    p = add("energy", cmd_energy)
-    p.add_argument("--domain", required=True)
-    p.add_argument("--h", type=float, default=1 / 32)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--radii", default="1,2,4")
-
-    p = add("reilly", cmd_reilly)
-    p.add_argument("--domain", required=True)
-    p.add_argument("--mesh-h", type=float, default=1 / 32)
-    p.add_argument("--field", choices=sorted(_TEST_FIELDS), default="x1")
-    p.add_argument("--cutoff-radius", type=float, default=None)
-
-    p = add("barrier", cmd_barrier)
-    p.add_argument("--R", type=float, default=1.0)
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--z", type=float, default=0.0)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--profile", choices=("ode", "linear"), default="ode")
-    p.add_argument("--sweep", default=None, help="JSON sweep file over R/a/m/z")
-
-    p = add("separation", cmd_separation)
-    p.add_argument("--case", choices=sorted(_SEP_CASES), default="plane-cylinder")
-    p.add_argument("--b", type=float, default=0.0)
-    p.add_argument("--config", default=None)
-
-    p = add("mc", cmd_mc)
-    p.add_argument("--domain", required=True)
-    p.add_argument("--x0", required=True, help="comma-separated coordinates")
-    p.add_argument("--n-paths", type=int, default=10000)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=20240801)
-    p.add_argument("--trace", action="store_true",
-                   help="dump per-path exit data to trace.csv")
-
-    p = add("acceptance", cmd_acceptance)
-    p.add_argument("--criteria", default=None, help="comma-separated subset, e.g. 1,3,9")
+        for flag, keywords in flags.items():
+            p.add_argument(flag, **keywords)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        args.func(args)
+        if getattr(args, "model", None) is not None:
+            text = args.model
+            args.model = geo.model_from_json(json.loads(text) if text.strip().startswith("{")
+                                             else _load_json(text))
+        if getattr(args, "domain", None) is not None:
+            args.domain_obj = _load_json(args.domain)
+            args.domain = dm.domain_from_json(args.domain_obj)
+        out = args.func(args)
+        _write_outcome(args.output_dir, out)
+        print(out.line)
+        if out.violation is not None:
+            raise ContractViolation(out.violation)
     except (ContractViolation, SolverConvergenceError) as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return 2

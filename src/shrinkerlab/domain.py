@@ -165,7 +165,8 @@ def _generic_domain(sigma1, radius, ambient_dim, sigma2=None):
         return OrientedBoundary(Hyperplane(normal, offset), side)
 
     pieces = {
-        "plane": (plane, {"normal": (list, True), "offset": (float, True), "side": (int, True)}),
+        "plane": (plane, {"normal": ([float], True), "offset": (float, True),
+                          "side": (int, True)}),
         "sphere": (lambda radius, side: OrientedBoundary(Sphere(ambient_dim - 1, radius), side),
                    {"radius": (float, True), "side": (int, True)}),
     }

@@ -63,10 +63,6 @@ class CaccioppoliReport:
     satisfied: bool
     boundary_flux: float
 
-    def to_json(self):
-        return {"lhs": self.lhs, "rhs": self.rhs, "satisfied": self.satisfied,
-                "boundary_flux": self.boundary_flux}
-
 
 @dataclass
 class EnergyReport:
@@ -77,18 +73,6 @@ class EnergyReport:
     boundary_flux: float
     tail_sup_estimate: float = 0.0
     details: dict = dataclass_field(default_factory=dict)
-
-    def to_json(self):
-        return {
-            "total_energy": self.total_energy,
-            "growth_profile": [{"R": e.R, "value": e.value, "truncated": e.truncated}
-                               for e in self.growth_profile],
-            "caccioppoli_lhs": self.caccioppoli_lhs,
-            "caccioppoli_rhs": self.caccioppoli_rhs,
-            "boundary_flux": self.boundary_flux,
-            "tail_sup_estimate": self.tail_sup_estimate,
-            "details": self.details,
-        }
 
     def growth_csv(self):
         lines = ["R,value"]

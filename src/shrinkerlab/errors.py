@@ -33,13 +33,23 @@ class MissingGeometryError(ValueError):
     """A boundary description lacks a geometric quantity (named in the message)."""
 
 
+def _of_kind(value, kind):
+    """Whether a JSON value has a schema kind: `float` takes any number,
+    `[kind]` a list of values of that kind, and no kind takes true or false."""
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_of_kind(v, kind[0]) for v in value)
+    types = (int, float) if kind is float else kind
+    return not isinstance(value, bool) and isinstance(value, types)
+
+
 def check_config(obj, schema, what):
-    """Check a JSON config against `schema`, a dict key -> (type, required).
+    """Check a JSON config against `schema`, a dict key -> (kind, required).
 
     Every key must be in the schema, every required key present and every
-    value of its type; `float` accepts any JSON number and converts it, so
-    1 reads as 1.0, and no type accepts true or false.  Returns the checked dict; a ParameterError names the
-    offending key.
+    value of its kind (see `_of_kind`; `[float]` is a list of numbers, `[int]`
+    a list of integers).  A `float` value is converted, so 1 reads as 1.0;
+    list elements are kept as written.  Returns the checked dict; a
+    ParameterError names the offending key.
     """
     if not isinstance(obj, dict):
         raise ParameterError(f"{what} must be a JSON object")
@@ -53,8 +63,7 @@ def check_config(obj, schema, what):
                 raise ParameterError(f"{what}: missing required key {key!r}")
             continue
         value = obj[key]
-        types = (int, float) if kind is float else kind
-        if isinstance(value, bool) or not isinstance(value, types):
+        if not _of_kind(value, kind):
             raise ParameterError(f"{what}: key {key!r} has the wrong type")
         out[key] = float(value) if kind is float else value
     return out

@@ -9,8 +9,7 @@ differences with a relative default step.  `gradient` and
 n^2 + n + 1 points per row (13 in 3D, 7 in 2D), taking the mixed second
 differences from the 7-point formula that reuses the axis evaluations.
 `weighted_divergence` stays pointwise, since vector fields have no batch
-evaluator.  Grid-backed fields switch to one-sided stencils within one cell
-of their box and report the reduced order.
+evaluator.
 """
 
 import io
@@ -190,9 +189,8 @@ _GRID_MAGIC = b"SLGRID01"
 class GridField(ScalarField):
     """Uniform tensor grid with multilinear interpolation.
 
-    Immutable after construction.  Node values interpolate exactly; within
-    one cell of the box boundary the derivative stencils fall back to
-    one-sided differences (order reported by :meth:`stencil_order`).
+    Immutable after construction.  Node values interpolate exactly, and the
+    box is the declared domain that derivative stencils must stay inside.
     """
 
     def __init__(self, origin, spacing, values):
@@ -218,9 +216,6 @@ class GridField(ScalarField):
     def shape(self):
         return self.values.shape
 
-    def node_coordinates(self, axis):
-        return self.origin[axis] + self.spacing[axis] * np.arange(self.shape[axis])
-
     def _locate(self, p):
         t = (np.asarray(p, dtype=float) - self.origin) / self.spacing
         idx = np.floor(t).astype(int)
@@ -242,33 +237,6 @@ class GridField(ScalarField):
                 offs.append(idx[..., ax] + bit)
             acc = acc + w * self.values[tuple(offs)]
         return acc
-
-    def stencil_order(self, p):
-        """2 for centered interior stencils, 1 where one-sided kicks in."""
-        idx, _ = self._locate(p)
-        interior = all(1 <= idx[ax] and idx[ax] + 1 <= self.shape[ax] - 2
-                       for ax in range(self.ndim))
-        return 2 if interior else 1
-
-    def gradient(self, p):
-        """Gradient by differencing interpolated values at node spacing."""
-        p = np.asarray(p, dtype=float)
-        lo = self.origin
-        hi = self.origin + (np.array(self.shape) - 1) * self.spacing
-        g = np.empty(self.ndim)
-        for ax in range(self.ndim):
-            h = self.spacing[ax]
-            e = np.zeros(self.ndim)
-            e[ax] = h
-            if p[ax] - h >= lo[ax] and p[ax] + h <= hi[ax]:
-                g[ax] = (self(p + e) - self(p - e)) / (2.0 * h)
-            elif p[ax] + 2 * h <= hi[ax]:   # one-sided forward, reduced order
-                g[ax] = (-3.0 * self(p) + 4.0 * self(p + e) - self(p + 2 * e)) / (2.0 * h)
-            elif p[ax] - 2 * h >= lo[ax]:
-                g[ax] = (3.0 * self(p) - 4.0 * self(p - e) + self(p - 2 * e)) / (2.0 * h)
-            else:
-                raise BoundaryStencilError("grid too small for a gradient stencil")
-        return g
 
     # -- serialization -----------------------------------------------------
 
@@ -295,14 +263,3 @@ class GridField(ScalarField):
         count = int(np.prod(dims))
         values = np.frombuffer(buf.read(8 * count), dtype="<f8").reshape(dims)
         return cls(origin=origin, spacing=spacing, values=values.copy())
-
-    def to_csv(self):
-        """Node dump for inspection: one row per node, coords then value."""
-        n = self.ndim
-        header = ",".join(f"x{i}" for i in range(n)) + ",value"
-        lines = [header]
-        for flat_idx in np.ndindex(*self.shape):
-            coords = self.origin + self.spacing * np.array(flat_idx)
-            coord_txt = ",".join(repr(float(c)) for c in coords)
-            lines.append(f"{coord_txt},{float(self.values[flat_idx])!r}")
-        return "\n".join(lines) + "\n"

@@ -636,7 +636,7 @@ def extrinsic_volume_growth(model, radii):
 # the model config and sampling helpers
 
 _MODELS = {
-    "hyperplane": (Hyperplane, {"normal": (list, True)}),
+    "hyperplane": (Hyperplane, {"normal": ([float], True)}),
     "sphere": (Sphere, {"m": (int, True)}),
     "cylinder": (Cylinder, {"m": (int, True), "k": (int, True)}),
 }

@@ -74,14 +74,6 @@ class McEstimate:
     exit_time_q99: float
     truncation_warning: bool = False
 
-    def to_json(self):
-        return {"p_hat": self.p_hat, "stderr": self.stderr,
-                "hits_sigma1": self.hits_sigma1, "hits_sigma2": self.hits_sigma2,
-                "truncated": self.truncated, "mean_exit_time": self.mean_exit_time,
-                "exit_time_q50": self.exit_time_q50, "exit_time_q90": self.exit_time_q90,
-                "exit_time_q99": self.exit_time_q99,
-                "truncation_warning": self.truncation_warning}
-
 
 def _chunk(x, d_prev, pieces, grow, shrink, dt, rng):
     """Advance live paths x (depths d_prev) by len(grow) steps.

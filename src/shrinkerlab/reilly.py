@@ -133,13 +133,6 @@ class ReillyReport:
     mixed_term_uncertainty: float = 0.0
     details: dict = dataclass_field(default_factory=dict)
 
-    def to_json(self):
-        return {"volume_side": self.volume_side, "boundary_side": self.boundary_side,
-                "residual": self.residual, "mesh_h": self.mesh_h,
-                "term_breakdown": self.term_breakdown,
-                "mixed_term_uncertainty": self.mixed_term_uncertainty,
-                "details": self.details}
-
 
 # --------------------------------------------------------------------------
 # cut-cell fractions
@@ -351,13 +344,6 @@ class ChainReport:
     f_minimal: dict                # label -> bool (max |H_f| <= 1e-8 at samples)
     eps: float
     K: float
-
-    def to_json(self):
-        return {"per_R": [{"R": r, "lhs": l, "rhs": rb, "holds": h, "truncated": t}
-                          for r, l, rb, h, t in self.per_R],
-                "consistent": self.consistent,
-                "boundary_terms": self.boundary_terms,
-                "f_minimal": self.f_minimal, "eps": self.eps, "K": self.K}
 
 
 def energy_growth_chain(solution, domain, radii, eps=2.0, K=1.0):

@@ -62,11 +62,6 @@ class SolveReport:
     converged: bool = True
     details: dict = dataclass_field(default_factory=dict)
 
-    def to_json(self):
-        return {"iterations": self.iterations, "linear_residual": self.linear_residual,
-                "exhaustion_history": self.exhaustion_history, "converged": self.converged,
-                "details": self.details}
-
 
 @dataclass
 class Solution:

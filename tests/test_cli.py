@@ -103,6 +103,7 @@ def test_domain_config_errors_name_the_key(tmp_path, capsys, config, key):
     ('{"type": "sphere"}', "m"),
     ('{"type": "sphere", "m": 2, "k": 1}', "k"),
     ('{"type": "cylinder", "m": 2}', "k"),
+    ('{"type": "hyperplane", "normal": [0, 0, true]}', "normal"),
 ])
 def test_model_config_errors_name_the_key(tmp_path, capsys, model, key):
     assert main(["verify-shrinker", "--model", model, "--samples", "10",
@@ -193,6 +194,21 @@ def test_mc_usage_errors_name_the_key(tmp_path, capsys, domain, flags, key):
     assert err.startswith("usage error:") and key in err
 
 
+@pytest.mark.parametrize("command, flag, config, key", [
+    ("barrier", "--sweep", {"R": [True], "a": [1], "m": [2], "z": [0]}, "R"),
+    ("barrier", "--sweep", {"R": [1], "a": [1], "m": [2.5], "z": [0]}, "m"),
+    ("separation", "--config", {"case": "plane-cylinder", "norms": [True, 3, 4]}, "norms"),
+], ids=["boolean-R", "fractional-m", "boolean-norm"])
+def test_config_list_elements_are_checked(tmp_path, capsys, command, flag, config, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = _out(tmp_path, "bad")
+    assert main([command, flag, str(path), "--output-dir", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and repr(key) in err
+    assert not os.path.exists(out)
+
+
 def test_barrier_and_sweep(tmp_path):
     out = _out(tmp_path, "barrier")
     assert main(["barrier", "--R", "1", "--a", "1", "--m", "2", "--z", "0",
@@ -260,3 +276,26 @@ def test_acceptance_subset(tmp_path):
     rep = json.loads(open(os.path.join(out, "report.json")).read())
     assert rep["all_passed"] is True
     assert [c["index"] for c in rep["criteria"]] == [3, 12]
+    meta = json.load(open(os.path.join(out, "run_meta.json")))
+    assert sorted(meta["criterion_wall_s"]) == ["12", "3"]
+    assert all(t >= 0.0 for t in meta["criterion_wall_s"].values())
+    assert "runtime" not in open(os.path.join(out, "report.json")).read()
+
+
+@pytest.mark.parametrize("criteria", ["13", "0", "3,13"])
+def test_unknown_acceptance_criterion_is_a_usage_error(tmp_path, capsys, criteria):
+    out = _out(tmp_path, "acc")
+    assert main(["acceptance", "--criteria", criteria, "--output-dir", out]) == 1
+    bad = criteria.split(",")[-1]
+    assert f"usage error: unknown acceptance criterion {bad}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_zero_flags_reach_the_library_checks(tmp_path, capsys, ball_config):
+    # 0 is a value, not an absent flag: it must not select every k or phi = 1
+    assert main(["identities", "--model", '{"type":"cylinder","m":2,"k":1}', "--k", "0",
+                 "--samples", "5", "--output-dir", _out(tmp_path, "k0")]) == 1
+    assert "usage error: need 1 <= k" in capsys.readouterr().err
+    assert main(["reilly", "--domain", ball_config, "--mesh-h", "0.25", "--cutoff-radius", "0",
+                 "--output-dir", _out(tmp_path, "cut0")]) == 1
+    assert "usage error: cutoff radius must be positive" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -109,7 +110,7 @@ class TestCaccioppoli:
 
 def test_energy_report_serializes(slab_grid_solution, slab_dom):
     rep = en.energy_report(slab_grid_solution, slab_dom, [1, 2, 4])
-    obj = rep.to_json()
+    obj = dataclasses.asdict(rep)
     assert set(obj) >= {"total_energy", "growth_profile", "caccioppoli_lhs",
                         "caccioppoli_rhs", "boundary_flux", "tail_sup_estimate"}
     assert rep.growth_csv().splitlines()[0] == "R,value"

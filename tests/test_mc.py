@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -162,7 +163,7 @@ def test_exit_time_quantiles(slab_dom):
     assert (est.exit_time_q50, est.exit_time_q90, est.exit_time_q99) == \
         tuple(np.quantile(times, [0.5, 0.9, 0.99]))
     assert 0 < est.exit_time_q50 <= est.exit_time_q90 <= est.exit_time_q99
-    assert {"exit_time_q50", "exit_time_q90", "exit_time_q99"} <= set(est.to_json())
+    assert {"exit_time_q50", "exit_time_q90", "exit_time_q99"} <= set(dataclasses.asdict(est))
 
 
 def test_bias_study_reports_gap_ladder(slab_dom, slab_profile):
