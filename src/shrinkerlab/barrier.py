@@ -257,6 +257,8 @@ class SeparationHypothesis:
             raise ParameterError("variational route needs the stronger bound b < 1/4")
         if self.c is not None and self.c <= 0:
             raise ParameterError("tube decay rate c must be positive")
+        if len(self.poly_p) == 0:
+            raise ParameterError("'poly_p' needs a coefficient; an empty one reads as p = 0")
 
     def validate_with_dim(self, m):
         if self.c is not None and not (m * self.c + self.b < 0.5):

@@ -9,10 +9,10 @@ default radius these are the model shrinkers (Colding-Minicozzi).
 
 Each shape is one class used in up to three roles:
 
-* Model shrinker (all three): `signed_distance`, `sample`,
-  `quasi_random_samples`, `clipped_area` (|Sigma cap B_R|, in closed form
-  from `sphere_measure`) and `to_json`, which writes the model config that
-  `model_from_json` reads.
+* Model shrinker (all three): `signed_distance`, `clipped_area` (|Sigma cap
+  B_R|, in closed form from `sphere_measure`), `to_json` (the config that
+  `model_from_json` reads) and `quasi_random_samples`, which builds, frames
+  and checks its samples as one stack; `sample` is that builder on one row.
 * Dirichlet boundary piece (Hyperplane, Sphere), through one batched
   protocol: points are arrays of shape (n,) or (N, n) and answers carry one
   entry (or row) per point.  A piece provides `raw_signed`, `raw_normal`,
@@ -74,10 +74,16 @@ def complement_frame(v):
     """Orthonormal basis of the hyperplane orthogonal to the unit vector v.
 
     Rows of the returned (n-1, n) array span v-perp; deterministic via SVD.
+    (N, n) unit vectors give their (N, n-1, n) frames from one stacked SVD.
     """
     v = np.asarray(v, dtype=float)
-    _, _, vt = np.linalg.svd(v[None, :])
-    return vt[1:]
+    _, _, vt = np.linalg.svd(v[..., None, :])
+    return vt[..., 1:, :]
+
+
+def _unit_rows(d):
+    """d / np.linalg.norm(d) of each row: a stacked matmul rounds as np.dot."""
+    return d / np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0]
 
 
 def radii(x):
@@ -133,15 +139,19 @@ class Hyperplane:
 
     def sample(self, y):
         """Surface sample at the orthogonal projection of y onto the plane."""
-        x = self.project(as_point(y, self.ambient_dim))
-        nu = np.asarray(self.normal)
-        m = self.hypersurface_dim
-        return SurfaceSample(point=x, normal=nu, second_fundamental_form=np.zeros((m, m)),
-                             frame=complement_frame(nu))
+        return self._samples(as_point(y, self.ambient_dim)[None, :])[0]
 
     def quasi_random_samples(self, count, span=3.0):
-        pts = (halton(count, self.ambient_dim) - 0.5) * 2.0 * span
-        return [self.sample(y) for y in pts]
+        return self._samples((halton(count, self.ambient_dim) - 0.5) * 2.0 * span)
+
+    def _samples(self, ys):
+        # heights as one row's raw_signed rounds them: an axis normal reads a
+        # column; any other takes np.dot per row (gemv differs in the last bit)
+        nu, m, count = np.asarray(self.normal), self.hypersurface_dim, len(ys)
+        signed = (self.raw_signed(ys) if self._axis is not None
+                  else (ys[:, None, :] @ nu[:, None])[:, 0, 0] - self.offset)
+        return _sample_rows(ys - signed[:, None] * nu, np.tile(nu, (count, 1)),
+                            np.zeros((count, m, m)), np.tile(complement_frame(nu), (count, 1, 1)))
 
     def clipped_area(self, R):
         """Volume of the (m-dimensional) disc cut out by the ball B_R."""
@@ -243,15 +253,15 @@ class Sphere:
         return float(np.linalg.norm(p) - self.radius)
 
     def sample(self, direction):
-        d = as_point(direction, self.ambient_dim)
-        d = d / np.linalg.norm(d)
-        x = self.radius * d
-        frame = complement_frame(d)
-        a = -np.eye(self.m) / self.radius
-        return SurfaceSample(point=x, normal=d, second_fundamental_form=a, frame=frame)
+        return self._samples(as_point(direction, self.ambient_dim)[None, :])[0]
 
     def quasi_random_samples(self, count, span=None):
-        return [self.sample(d) for d in sphere_directions(count, self.ambient_dim)]
+        return self._samples(sphere_directions(count, self.ambient_dim))
+
+    def _samples(self, directions):
+        d = _unit_rows(directions)
+        a = np.tile(-np.eye(self.m) / self.radius, (len(d), 1, 1))
+        return _sample_rows(self.radius * d, d, a, complement_frame(d))
 
     def clipped_area(self, R):
         return sphere_measure(self.m + 1) * self.radius ** self.m if R >= self.radius else 0.0
@@ -336,30 +346,27 @@ class Cylinder:
         d = np.asarray(spherical_direction, dtype=float)
         if d.size != self.k + 1:
             raise ParameterError(f"spherical direction must live in R^{self.k + 1}")
-        d = d / np.linalg.norm(d)
-        axial = np.atleast_1d(np.asarray(axial, dtype=float))
+        axial = np.asarray(axial, dtype=float)
         if axial.size != self.m - self.k:
             raise ParameterError(f"axial part must live in R^{self.m - self.k}")
-        n = self.ambient_dim
-        x = np.zeros(n)
-        x[: self.k + 1] = self.radius * d
-        x[self.k + 1:] = axial
-        nu = np.zeros(n)
-        nu[: self.k + 1] = d
-        # frame: k directions tangent to the spherical factor, then the flat axes
-        sph_frame = complement_frame(d)  # (k, k+1)
-        frame = np.zeros((self.m, n))
-        frame[: self.k, : self.k + 1] = sph_frame
-        for i in range(self.m - self.k):
-            frame[self.k + i, self.k + 1 + i] = 1.0
-        a = np.zeros((self.m, self.m))
-        a[: self.k, : self.k] = -np.eye(self.k) / self.radius
-        return SurfaceSample(point=x, normal=nu, second_fundamental_form=a, frame=frame)
+        return self._samples(d.reshape(1, -1), axial.reshape(1, -1))[0]
 
     def quasi_random_samples(self, count, span=3.0):
         dirs = sphere_directions(count, self.k + 1)
         axials = (halton(count, max(self.m - self.k, 1)) - 0.5) * 2.0 * span
-        return [self.sample(d, ax[: self.m - self.k]) for d, ax in zip(dirs, axials)]
+        return self._samples(dirs, axials[:, : self.m - self.k])
+
+    def _samples(self, directions, axials):
+        k, m, count = self.k, self.m, len(directions)
+        d = _unit_rows(directions)
+        x, nu = np.hstack([self.radius * d, axials]), np.hstack([d, np.zeros_like(axials)])
+        # frame: k directions tangent to the spherical factor, then the flat axes
+        frame = np.zeros((count, m, self.ambient_dim))
+        frame[:, :k, : k + 1] = complement_frame(d)
+        frame[:, k:, k + 1:] = np.eye(m - k)
+        a = np.zeros((count, m, m))
+        a[:, :k, :k] = -np.eye(k) / self.radius
+        return _sample_rows(x, nu, a, frame)
 
     def clipped_area(self, R):
         """Area of the spherical factor times the flat (m-k)-disc of axial
@@ -395,7 +402,8 @@ class SurfaceSample:
 
     frame holds m orthonormal tangent vectors (rows); the second fundamental
     form is expressed in that frame with the convention A(X,Y) = -<D_X nu, Y>,
-    so the mean curvature vector is (tr A) * normal.
+    so the mean curvature vector is (tr A) * normal.  Construction runs
+    `check_sample_contracts` on the sample; model samplers check a stack once.
     """
 
     point: np.ndarray
@@ -409,26 +417,43 @@ class SurfaceSample:
         self.normal = np.asarray(self.normal, dtype=float)
         self.second_fundamental_form = np.asarray(self.second_fundamental_form, dtype=float)
         self.frame = np.atleast_2d(np.asarray(self.frame, dtype=float))
-        if self.mean_curvature_vector is None:
-            self.mean_curvature_vector = float(np.trace(self.second_fundamental_form)) * self.normal
-        else:
-            self.mean_curvature_vector = np.asarray(self.mean_curvature_vector, dtype=float)
-        self.validate()
+        self.mean_curvature_vector = (
+            float(np.trace(self.second_fundamental_form)) * self.normal
+            if self.mean_curvature_vector is None
+            else np.asarray(self.mean_curvature_vector, dtype=float))
+        check_sample_contracts(self.normal[None], self.second_fundamental_form[None],
+                               self.frame[None], self.mean_curvature_vector[None])
 
     @property
     def scalar_mean_curvature(self):
         return float(np.trace(self.second_fundamental_form))
 
-    def validate(self):
-        a = self.second_fundamental_form
-        if not np.allclose(a, a.T, atol=1e-10):
-            raise ContractViolation("second fundamental form is not symmetric")
-        if np.max(np.abs(self.frame @ self.normal)) > 1e-10:
-            raise ContractViolation("tangent frame is not orthogonal to the normal")
-        h = self.scalar_mean_curvature * self.normal
-        if not (np.allclose(h, self.mean_curvature_vector, atol=1e-9)
-                or np.allclose(-h, self.mean_curvature_vector, atol=1e-9)):
-            raise ContractViolation("mean curvature vector is not (tr A) times the normal")
+
+def check_sample_contracts(normals, forms, frames, h_vecs):
+    """SurfaceSample's contracts on (N, ...) stacks: A symmetric, frame
+    orthogonal to the normal (a NaN product passes, as under np.max), H =
+    +-(tr A) nu.  np.allclose per row: |x - y| <= atol + 1e-5 |y|, y finite, or x == y."""
+    def close(x, y, atol):
+        with np.errstate(invalid="ignore"):
+            ok = (np.abs(x - y) <= atol + 1e-5 * np.abs(y)) & np.isfinite(y) | (x == y)
+        return ok.reshape(len(ok), -1).all(axis=1)
+    if not close(forms, forms.swapaxes(1, 2), 1e-10).all():
+        raise ContractViolation("second fundamental form is not symmetric")
+    if np.any(np.max(np.abs(frames @ normals[:, :, None]), axis=(1, 2)) > 1e-10):
+        raise ContractViolation("tangent frame is not orthogonal to the normal")
+    h = np.trace(forms, axis1=1, axis2=2)[:, None] * normals
+    if not (close(h, h_vecs, 1e-9) | close(-h, h_vecs, 1e-9)).all():
+        raise ContractViolation("mean curvature vector is not (tr A) times the normal")
+
+
+def _sample_rows(points, normals, forms, frames):
+    """SurfaceSamples with H = (tr A) nu from (N, ...) stacks, checked once."""
+    h = np.trace(forms, axis1=1, axis2=2)[:, None] * normals
+    check_sample_contracts(normals, forms, frames, h)
+    rows = [object.__new__(SurfaceSample) for _ in h]  # rows skip __post_init__'s check
+    for s, *fields in zip(rows, points, normals, forms, frames, h):
+        s.point, s.normal, s.second_fundamental_form, s.frame, s.mean_curvature_vector = fields
+    return rows
 
 
 @dataclass
@@ -468,30 +493,21 @@ class ParametrizedPatch:
         if n != m + 1:
             raise ParameterError("chart must map into R^(m+1)")
 
-        jac = np.empty((n, m))
-        for i in range(m):
-            e = np.zeros(m)
-            e[i] = h
-            jac[:, i] = (np.asarray(self.chart(s + e)) - np.asarray(self.chart(s - e))) / (2 * h)
-        svals = np.linalg.svd(jac, compute_uv=False)
+        steps = h * np.eye(m)  # row i is h e_i
+        jac = np.stack([np.asarray(self.chart(s + e)) - np.asarray(self.chart(s - e))
+                        for e in steps], axis=1) / (2 * h)
+        u, svals, _ = np.linalg.svd(jac)
         if svals[-1] <= 1e-8:
             raise ParameterError("chart fails the immersion check (singular Jacobian)")
-
-        # unit normal: left null vector of the Jacobian
-        u, _, _ = np.linalg.svd(jac)
-        nu = u[:, -1]
+        nu = u[:, -1]  # unit normal: left null vector of the Jacobian
 
         # coordinate second fundamental form b_ij = <d2 chart, nu>
         b = np.empty((m, m))
-        for i in range(m):
-            ei = np.zeros(m)
-            ei[i] = h
+        for i, ei in enumerate(steps):
             b[i, i] = np.dot(
                 np.asarray(self.chart(s + ei)) - 2 * x + np.asarray(self.chart(s - ei)), nu
             ) / (h * h)
-            for j in range(i + 1, m):
-                ej = np.zeros(m)
-                ej[j] = h
+            for j, ej in enumerate(steps[i + 1:], i + 1):
                 mixed = (np.asarray(self.chart(s + ei + ej)) - np.asarray(self.chart(s + ei - ej))
                          - np.asarray(self.chart(s - ei + ej)) + np.asarray(self.chart(s - ei - ej)))
                 b[i, j] = b[j, i] = np.dot(mixed, nu) / (4 * h * h)
@@ -649,5 +665,7 @@ def model_from_json(obj):
 
 
 def surface_samples(model, count, span=3.0):
-    """Deterministic quasi-random SurfaceSamples on a model surface."""
+    """count >= 1 deterministic quasi-random SurfaceSamples on a model."""
+    if count < 1:
+        raise ParameterError(f"sample count must be at least 1, got {count}")
     return model.quasi_random_samples(count, span=span)

@@ -6,8 +6,8 @@ take that rule in the radius or height and the equispaced rule in the
 periodic angle, which is exact for trigonometric polynomials of degree
 below the node count.  `CumulativeProfile` turns a positive density into the
 normalized cumulative integral behind the slab and radial closed forms and
-the barrier profile psi.  The Halton sequence provides reproducible
-quasi-random points for sampling shells and surfaces.
+the barrier profile psi.  The Halton sequence gives reproducible quasi-random
+points for sampling shells and surfaces, built for all points at once.
 """
 
 from functools import lru_cache
@@ -79,21 +79,20 @@ def halton(count, dim, skip=20):
     """First ``count`` points of the ``dim``-dimensional Halton sequence.
 
     A small number of leading points is skipped to avoid the degenerate
-    early entries.  Deterministic, no RNG state involved.
+    early entries.  Deterministic, no RNG state involved.  All points take
+    one base-b digit per step, so each equals its point-by-point sum exactly.
     """
     if dim > len(_PRIMES):
         raise ValueError(f"Halton sequence implemented up to dim {len(_PRIMES)}")
-    out = np.empty((count, dim))
+    out = np.zeros((count, dim))
     for d in range(dim):
         base = _PRIMES[d]
-        for i in range(count):
-            n = i + skip + 1
-            value, invb = 0.0, 1.0 / base
-            while n > 0:
-                value += (n % base) * invb
-                n //= base
-                invb /= base
-            out[i, d] = value
+        n = np.arange(count) + (skip + 1)
+        invb = 1.0 / base
+        while n.any():
+            out[:, d] += (n % base) * invb
+            n //= base
+            invb /= base
     return out
 
 

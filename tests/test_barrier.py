@@ -232,6 +232,11 @@ class TestSeparation:
             br.SeparationHypothesis(b=0.3, c=0.2).validate_with_dim(2)
         br.SeparationHypothesis(b=0.3, c=0.05).validate_with_dim(2)
 
+    def test_empty_polynomial_is_rejected(self):
+        # np.polyval reads () as p = 0, which would zero every ratio
+        with pytest.raises(ParameterError, match="'poly_p'"):
+            br.SeparationHypothesis(b=0.0, poly_p=())
+
     def test_csv(self):
         rep = br.separation_check(br.SeparationHypothesis(b=0.0),
                                   geo.Hyperplane(normal=(0, 0, 1.0)),

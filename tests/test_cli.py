@@ -122,6 +122,17 @@ def test_verify_shrinker(tmp_path):
     assert os.path.exists(os.path.join(out, "run_meta.json"))
 
 
+@pytest.mark.parametrize("command, count", [
+    ("verify-shrinker", "0"), ("verify-shrinker", "-2"), ("identities", "0")])
+def test_sample_counts_below_one_are_usage_errors(tmp_path, capsys, command, count):
+    out = _out(tmp_path, "none")
+    assert main([command, "--model", '{"type":"sphere","m":2}', "--samples", count,
+                 "--output-dir", out]) == 1
+    assert f"usage error: sample count must be at least 1, got {count}" in \
+        capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_identities_and_volume(tmp_path):
     out = _out(tmp_path, "ids")
     assert main(["identities", "--model", '{"type":"cylinder","m":2,"k":1}',
@@ -198,7 +209,8 @@ def test_mc_usage_errors_name_the_key(tmp_path, capsys, domain, flags, key):
     ("barrier", "--sweep", {"R": [True], "a": [1], "m": [2], "z": [0]}, "R"),
     ("barrier", "--sweep", {"R": [1], "a": [1], "m": [2.5], "z": [0]}, "m"),
     ("separation", "--config", {"case": "plane-cylinder", "norms": [True, 3, 4]}, "norms"),
-], ids=["boolean-R", "fractional-m", "boolean-norm"])
+    ("separation", "--config", {"case": "plane-cylinder", "poly_p": []}, "poly_p"),
+], ids=["boolean-R", "fractional-m", "boolean-norm", "empty-poly"])
 def test_config_list_elements_are_checked(tmp_path, capsys, command, flag, config, key):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from shrinkerlab import geometry as geo
 from shrinkerlab.errors import ContractViolation, ParameterError
+from shrinkerlab.quadrature import halton, sphere_directions
 
 
 def test_signed_distance_examples():
@@ -256,3 +258,102 @@ def test_samples_lie_on_the_shape_with_its_normal(shape, count):
     assert np.max(np.abs(shape.raw_signed(pts))) <= 1e-12
     np.testing.assert_allclose(np.array([s.normal for s in samples]),
                                shape.raw_normal(pts), rtol=0, atol=1e-12)
+
+
+def _radical_inverse(i, base):
+    value, invb = 0.0, 1.0 / base
+    while i > 0:
+        value += (i % base) * invb
+        i //= base
+        invb /= base
+    return value
+
+
+@settings(max_examples=60, deadline=None)
+@given(count=st.integers(0, 300), dim=st.integers(1, 12), skip=st.integers(0, 50))
+def test_halton_matches_the_scalar_radical_inverse(count, dim, skip):
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    ref = np.array([[_radical_inverse(i + skip + 1, primes[d]) for d in range(dim)]
+                    for i in range(count)]).reshape(count, dim)
+    assert halton(count, dim, skip=skip).tobytes() == ref.tobytes()
+
+
+def _fields(s):
+    return [a.tobytes() for a in (s.point, s.normal, s.second_fundamental_form, s.frame,
+                                  s.mean_curvature_vector)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=shapes(), count=st.integers(1, 12), span=st.floats(0.5, 4.0))
+def test_stacked_samples_equal_one_row_samples(shape, count, span):
+    # quasi_random_samples builds its rows as one stack; sample() builds one row
+    rows = shape.quasi_random_samples(count, span=span)
+    n = shape.ambient_dim
+    if isinstance(shape, geo.Hyperplane):
+        singles = [shape.sample(y) for y in (halton(count, n) - 0.5) * 2.0 * span]
+    elif isinstance(shape, geo.Sphere):
+        singles = [shape.sample(d) for d in sphere_directions(count, n)]
+    else:
+        j = shape.m - shape.k
+        axials = (halton(count, max(j, 1)) - 0.5) * 2.0 * span
+        singles = [shape.sample(d, ax[:j])
+                   for d, ax in zip(sphere_directions(count, shape.k + 1), axials)]
+    assert [_fields(s) for s in rows] == [_fields(s) for s in singles]
+
+
+def _contracts_one_by_one(normal, a, frame, h_vec):
+    """The name of the first contract one sample breaks, by np.allclose."""
+    if not np.allclose(a, a.T, atol=1e-10):
+        return "symmetric"
+    if np.max(np.abs(frame @ normal)) > 1e-10:
+        return "orthogonal"
+    h = np.trace(a) * normal
+    if not (np.allclose(h, h_vec, atol=1e-9) or np.allclose(-h, h_vec, atol=1e-9)):
+        return "(tr A)"
+    return None
+
+
+_NEAR = st.sampled_from([0.0, 0.5, 0.9, 0.999, 1.0, 1.001, 1.1, 2.0, np.nan, np.inf])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), count=st.integers(1, 6), m=st.integers(1, 3))
+def test_stacked_contract_check_agrees_with_allclose(data, count, m):
+    # perturbations of an exact stack by multiples of the tolerances, NaN and inf included
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    nu = np.zeros((count, m + 1))
+    nu[:, 0] = 1.0
+    frame = np.tile(np.eye(m + 1)[1:], (count, 1, 1))
+    a = rng.normal(size=(count, m, m))
+    a = a + a.swapaxes(1, 2)
+    h_vec = np.trace(a, axis1=1, axis2=2)[:, None] * nu
+    row = data.draw(st.integers(0, count - 1))
+    which = data.draw(st.sampled_from(["symmetric", "orthogonal", "(tr A)"]))
+    scale = data.draw(_NEAR)
+    if which == "symmetric" and m > 1:
+        a[row, 0, 1] += scale * (1e-10 + 1e-5 * abs(a[row, 1, 0]))
+    elif which == "orthogonal":
+        frame[row, 0, 0] = scale * 1e-10
+    else:
+        h_vec[row, 0] += scale * (1e-9 + 1e-5 * abs(h_vec[row, 0]))
+    expected = [_contracts_one_by_one(*fields) for fields in zip(nu, a, frame, h_vec)]
+    broken = next((e for e in expected if e is not None), None)
+    if broken is None:
+        geo.check_sample_contracts(nu, a, frame, h_vec)
+    else:
+        with pytest.raises(ContractViolation, match=re.escape(broken)):
+            geo.check_sample_contracts(nu, a, frame, h_vec)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("form", "not symmetric"), ("frame", "not orthogonal"), ("mean", "(tr A)")])
+def test_one_bad_row_fails_the_stack(bad, message):
+    nu = np.tile([1.0, 0.0, 0.0], (5, 1))
+    a = np.tile(-np.eye(2), (5, 1, 1))
+    frame = np.tile(np.eye(3)[1:], (5, 1, 1))
+    h_vec = -2.0 * nu
+    geo.check_sample_contracts(nu, a, frame, h_vec)
+    # row 3 breaks one contract: A[0, 1] != A[1, 0], <t_0, nu> != 0 or H != +-(tr A) nu
+    {"form": a[3, 0], "frame": frame[3, 0], "mean": h_vec[3]}[bad][int(bad == "form")] = 0.5
+    with pytest.raises(ContractViolation, match=re.escape(message)):
+        geo.check_sample_contracts(nu, a, frame, h_vec)

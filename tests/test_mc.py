@@ -174,3 +174,14 @@ def test_bias_study_reports_gap_ladder(slab_dom, slab_profile):
     for r in rows:
         # documented allowance: 3 sigma plus an O(sqrt(dt)) detector bias
         assert r["gap"] <= 3.0 * r["stderr"] + 1.0 * math.sqrt(r["dt"])
+
+
+def test_bias_study_is_flat_in_dt(slab_dom, slab_profile):
+    # the bridge-corrected scheme has an O(dt) bias (Gobet, SPA 2000); over
+    # this ladder it must stay inside 2 sigma of the closed form at every rung
+    x0 = np.array([0.0, 0.5])
+    dts = [4e-3, 2e-3, 1e-3, 5e-4]
+    rows = mc.bias_study(x0, slab_dom, slab_profile.profile(x0), n_paths=20_000, dts=dts,
+                         seed=20240801)
+    assert [r["dt"] for r in rows] == dts
+    assert all(r["gap_in_sigmas"] <= 2.0 for r in rows), rows
