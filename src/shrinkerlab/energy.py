@@ -7,11 +7,12 @@ energy (1/2) c / F(hi) and the flux c / F(hi), where c is the Gaussian mass
 of the reduced directions, (2 pi)^((n-1)/2) for the slab and |S^(n-1)| for
 the annulus.  The annulus energy inside B_R is c u(min(b, R)) / F(hi); the
 slab's is one order-64 Gauss-Legendre rule in theta with s = R sin(theta).
-Surface integrals on grids reconstruct the Dirichlet interface cell by cell
-(marching squares) with a second-order one-sided normal stencil into the
-domain.  scipy is imported where it is called: only the Gamma-function
-measures `geometry.sphere_measure` and `gaussian_ball_mass` load
-scipy.special.
+On grids du/dnu is one second-order one-sided stencil, `normal_derivative`,
+at any boundary points: the flux takes them on the marching-squares
+interface (2D grids), `reilly.energy_growth_chain` at the pieces' exact
+quadrature nodes.  scipy is imported where it is called: only the
+Gamma-function measures `geometry.sphere_measure` and `gaussian_ball_mass`
+load scipy.special.
 """
 
 import math
@@ -22,7 +23,7 @@ import numpy as np
 from .errors import MissingGeometryError, ParameterError
 from .geometry import sphere_measure
 from .quadrature import gauss_legendre
-from .solver import EXTERIOR, SlabProfile
+from .solver import DIRICHLET_DATA, EXTERIOR, SlabProfile
 
 __all__ = [
     "EnergyReport",
@@ -34,7 +35,8 @@ __all__ = [
     "energy_report",
     "energy_of_field",
     "weighted_gradient_cells",
-    "marching_boundary_integral",
+    "interface_segments",
+    "normal_derivative",
 ]
 
 
@@ -192,7 +194,7 @@ def energy_growth_profile(solution, domain, radii):
 # boundary flux and the Caccioppoli inequality
 
 
-def _interface_segments(solution, label):
+def interface_segments(solution, label):
     """Marching-squares reconstruction of a Dirichlet interface (2D grids).
 
     Returns the midpoints (M, 2) and lengths (M,) of the segments in the cut
@@ -233,27 +235,20 @@ def _interface_segments(solution, label):
     return mids[keep], np.linalg.norm(p1 - p0, axis=1)[keep]
 
 
-def marching_boundary_integral(solution, domain, label, integrand, boundary_value):
-    """Integrate `integrand(points, du/dnu)` over a Dirichlet piece with the
-    surface Gaussian weight; du/dnu is a one-sided second-order stencil along
-    the exterior normal.  The integrand maps (M, n) points and (M,) normal
-    derivatives to (M,) values."""
-    ob = dict(domain.pieces())[label]
+def normal_derivative(solution, domain, label, points):
+    """(kept, du/dnu) at (M, n) points of the piece `label` of a grid
+    solution: (3 u_b - 4 u(x - h nu) + u(x - 2h nu)) / 2h along the exterior
+    normal, u_b the piece's `solver.DIRICHLET_DATA`.  The (M,) mask `kept`
+    drops stencils that read an unsolved (NaN) node and points within 3h of
+    the exhaustion sphere (mirrored ghost values; the Gaussian weight makes
+    that collar negligible); du/dnu is given at the kept points."""
     h = solution.grid.h
-    mids, lengths = _interface_segments(solution, label)
-    if mids.shape[0] == 0:
-        raise ParameterError(f"boundary piece {label} has no reconstructed interface")
-    # stay clear of the exhaustion sphere: stencils there would read mirrored
-    # ghost values, and the surface Gaussian weight makes the collar negligible
-    near = np.linalg.norm(mids, axis=1) <= solution.grid.radius - 3.0 * h
-    nu = ob.exterior_normal(mids)
-    u1 = solution.field.batch(mids - h * nu)
-    u2 = solution.field.batch(mids - 2.0 * h * nu)
-    ok = near & ~np.isnan(u1) & ~np.isnan(u2)
-    mids, lengths = mids[ok], lengths[ok]
-    dudnu = (3.0 * boundary_value - 4.0 * u1[ok] + u2[ok]) / (2.0 * h)
-    weight = np.exp(-0.5 * np.sum(mids * mids, axis=1))
-    return float(np.sum(integrand(mids, dudnu) * weight * lengths))
+    nu = dict(domain.pieces())[label].exterior_normal(points)
+    u1 = solution.field.batch(points - h * nu)
+    u2 = solution.field.batch(points - 2.0 * h * nu)
+    ok = ((np.linalg.norm(points, axis=1) <= solution.grid.radius - 3.0 * h)
+          & ~np.isnan(u1) & ~np.isnan(u2))
+    return ok, (3.0 * DIRICHLET_DATA[label] - 4.0 * u1[ok] + u2[ok]) / (2.0 * h)
 
 
 def boundary_flux(solution, domain):
@@ -262,8 +257,13 @@ def boundary_flux(solution, domain):
         return _reduced_mass(solution.profile) / solution.profile.normalization
     if domain is None or domain.sigma2 is None:
         raise ParameterError("boundary flux needs a domain with a sigma2 piece")
-    return marching_boundary_integral(solution, domain, "sigma2",
-                                      lambda p, dudnu: abs(dudnu), boundary_value=1.0)
+    mids, lengths = interface_segments(solution, "sigma2")
+    if mids.shape[0] == 0:
+        raise ParameterError("boundary piece sigma2 has no reconstructed interface")
+    ok, dudnu = normal_derivative(solution, domain, "sigma2", mids)
+    mids, lengths = mids[ok], lengths[ok]
+    weight = np.exp(-0.5 * np.sum(mids * mids, axis=1))
+    return float(np.sum(np.abs(dudnu) * weight * lengths))
 
 
 def caccioppoli_check(solution, domain, slack=0.05):
@@ -302,7 +302,7 @@ def energy_report(solution, domain, radii):
 
 
 # cells of a box mesh, or Reilly boundary nodes, per streamed chunk
-_CHUNK = 32_768
+CHUNK = 32_768
 
 
 def box_cells(lo, hi, h):
@@ -324,7 +324,7 @@ def energy_of_field(fld, domain, resolution=1 / 128, radius=None):
     """Midpoint-rule weighted energy of a scalar field over Omega.
 
     The gradient is a central difference at half the cell size, read through
-    `fld.batch` on chunks of _CHUNK cell centres.
+    `fld.batch` on chunks of CHUNK cell centres.
     """
     if radius is None:
         radius = min(domain.exhaustion_radius, 8.0)
@@ -334,8 +334,8 @@ def energy_of_field(fld, domain, resolution=1 / 128, radius=None):
     n = len(counts)
     delta = 0.5 * h
     total = 0.0
-    for start in range(0, cells, _CHUNK):
-        centers = cell_centres(lo, counts, h, start, start + _CHUNK)
+    for start in range(0, cells, CHUNK):
+        centers = cell_centres(lo, counts, h, start, start + CHUNK)
         inside = np.linalg.norm(centers, axis=1) <= radius
         for _, ob in domain.pieces():
             inside &= np.asarray(ob.depth(centers)) > 0

@@ -82,8 +82,13 @@ def complement_frame(v):
 
 
 def _unit_rows(d):
-    """d / np.linalg.norm(d) of each row: a stacked matmul rounds as np.dot."""
-    return d / np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0]
+    """d / np.linalg.norm(d) of each row: a stacked matmul rounds as np.dot.
+    A zero row has no direction and raises ParameterError."""
+    norms = np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0]
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ParameterError(f"direction {d[zero[0]].tolist()} has zero length")
+    return d / norms
 
 
 def radii(x):

@@ -8,7 +8,7 @@ parametrized) boundary.  Ric_f is the identity (Gaussian space).
 
 Volume quadrature is a midpoint rule on a Cartesian mesh with cut cells
 weighted by the exact plane-cut fraction of the signed-distance crossing.
-The cells stream in chunks of `energy._CHUNK` (32,768) built from flat
+The cells stream in chunks of `energy.CHUNK` (32,768) built from flat
 index ranges, with no full-box array; each chunk drops the cells lying
 wholly outside a piece before computing normals and fractions, and
 differentiates u with the 13-point stencil of `fields.fd_gradient_hessian`
@@ -33,14 +33,15 @@ from itertools import combinations
 
 import numpy as np
 
-from .energy import (_CHUNK, _interface_segments, box_cells, cell_centres,
-                     marching_boundary_integral, weighted_gradient_cells)
-from .errors import MissingGeometryError, ParameterError
+from .energy import CHUNK, box_cells, cell_centres, normal_derivative, weighted_gradient_cells
+from .errors import ContractViolation, MissingGeometryError, ParameterError
 from .fields import GridField, fd_gradient_hessian, ordered_map, stencil_evaluations
 from .geometry import radii
 
 __all__ = ["CutoffFamily", "ReillyReport", "reilly_residual",
            "energy_growth_chain", "ChainReport"]
+
+_NODES_PER_DIM = 384  # Gauss-Legendre nodes per direction of a boundary piece
 
 
 class CutoffFamily:
@@ -186,7 +187,7 @@ def _box_fraction(depth, normal, h):
 
 
 def _volume_items(u, phi, domain, mesh_h, fd_h):
-    """Work items of the volume integrals, one per chunk of _CHUNK cells, each
+    """Work items of the volume integrals, one per chunk of CHUNK cells, each
     returning (hess_sq, lap_f_sq, ricci, transport, kept cells, cut cells);
     and the counters fixed before any item runs."""
     lo, hi = domain.grid_box(domain.exhaustion_radius)
@@ -201,7 +202,7 @@ def _volume_items(u, phi, domain, mesh_h, fd_h):
     reach = 0.5 * h * math.sqrt(n) * (1.0 + 1e-9)
 
     def chunk_sums(start):
-        pts = cell_centres(lo, counts, h, start, start + _CHUNK)
+        pts = cell_centres(lo, counts, h, start, start + CHUNK)
         depths = [ob.depth(pts) for ob in pieces]
         near = np.logical_and.reduce([d > -reach for d in depths])
         pts = pts[near]
@@ -229,7 +230,7 @@ def _volume_items(u, phi, domain, mesh_h, fd_h):
                 float(np.sum(phi_sq * ricci * w)), float(np.sum(transport * w)),
                 pts.shape[0], int(np.count_nonzero(frac < 1.0)))
 
-    items = [partial(chunk_sums, start) for start in range(0, cells, _CHUNK)]
+    items = [partial(chunk_sums, start) for start in range(0, cells, CHUNK)]
     return items, {"volume_fd_step": float(step),
                    "stencil_evaluations_per_point": stencil_evaluations(n)}
 
@@ -268,7 +269,7 @@ def _boundary_sums(u, phi, ob, nodes, weights, step):
 
 def _boundary_items(u, phi, domain, fd_h, per_dim):
     """Work items of the boundary integrals on per_dim^(n-1) Gauss-Legendre
-    nodes of each piece, one per chunk of _CHUNK nodes, each returning
+    nodes of each piece, one per chunk of CHUNK nodes, each returning
     `_boundary_sums`; and the node count."""
     items = []
     total = 0
@@ -279,9 +280,9 @@ def _boundary_items(u, phi, domain, fd_h, per_dim):
         # one step per piece over all of its nodes, so that no sum depends
         # on the chunking
         step = fd_h if fd_h is not None else 1e-5 * (1.0 + float(np.max(np.linalg.norm(nodes, axis=1))))
-        items += [partial(_boundary_sums, u, phi, ob, nodes[start:start + _CHUNK],
-                          weights[start:start + _CHUNK], step)
-                  for start in range(0, nodes.shape[0], _CHUNK)]
+        items += [partial(_boundary_sums, u, phi, ob, nodes[start:start + CHUNK],
+                          weights[start:start + CHUNK], step)
+                  for start in range(0, nodes.shape[0], CHUNK)]
         total += nodes.shape[0]
     return items, total
 
@@ -296,14 +297,17 @@ def reilly_residual(u, phi, domain, mesh_h, fd_h=None):
     """Evaluate both sides of the localized identity and their mismatch.
 
     u must be C^2 on a neighborhood of the closed domain (stencils cross the
-    boundary).  phi may be a CutoffFamily or None for phi == 1.
+    boundary).  phi may be a CutoffFamily or None for phi == 1.  A side with
+    a non-finite term raises ContractViolation naming the side and its first
+    such term; a solved GridField is NaN beyond its pieces and the
+    exhaustion ball, where the stencils reach.
     """
     if phi is None:
         phi = CONSTANT_CUTOFF
     if isinstance(u, GridField):
         fd_h = float(u.spacing.min()) if fd_h is None else fd_h
     volume_items, counters = _volume_items(u, phi, domain, mesh_h, fd_h)
-    boundary_items, nodes = _boundary_items(u, phi, domain, fd_h, per_dim=384)
+    boundary_items, nodes = _boundary_items(u, phi, domain, fd_h, per_dim=_NODES_PER_DIM)
     # the mixed term on fewer nodes (and half an fd_h in force) gives
     # mixed_term_uncertainty, a check of the boundary quadrature
     second_items, _ = _boundary_items(u, phi, domain, None if fd_h is None else 0.5 * fd_h,
@@ -319,6 +323,11 @@ def reilly_residual(u, phi, domain, mesh_h, fd_h=None):
               + vol_terms["transport"])
     names = ("second_fundamental", "mixed", "surface_laplacian")
     bnd_terms = dict(zip(names, _column_sums(parts[a:b], 3)))
+    for side, terms in (("volume", vol_terms), ("boundary", bnd_terms)):
+        bad = [name for name, value in terms.items() if not math.isfinite(value)]
+        if bad:
+            raise ContractViolation(f"Reilly {side} side is not finite: its {bad[0]} "
+                                    f"term is {terms[bad[0]]}")
     boundary = sum(bnd_terms.values())
     second_mixed = _column_sums(parts[b:], 3)[1]
     breakdown = {f"volume_{k}": v for k, v in vol_terms.items()}
@@ -341,7 +350,7 @@ class ChainReport:
     per_R: list                    # (R, lhs, rhs, holds, truncated)
     consistent: bool
     boundary_terms: dict           # label -> int H_f (du/dnu)^2 over the piece
-    f_minimal: dict                # label -> bool (max |H_f| <= 1e-8 at samples)
+    f_minimal: dict                # label -> bool (max |H_f| <= 1e-8 at the nodes)
     eps: float
     K: float
 
@@ -349,7 +358,8 @@ class ChainReport:
 def energy_growth_chain(solution, domain, radii, eps=2.0, K=1.0):
     """Check K^2 int_{B_R} |grad u|^2 <= (4 eps / R^2) int_{B_2R} |grad u|^2
     radius by radius, and attribute failures to the dropped boundary term
-    containing H_f (du/dnu)^2 on non-f-minimal boundary pieces."""
+    containing H_f (du/dnu)^2 on non-f-minimal boundary pieces, read at each
+    piece's exact quadrature nodes (so in any dimension)."""
     if solution.grid is None:
         raise ParameterError("chain evaluation expects a grid-backed solution")
     centers, cells = weighted_gradient_cells(solution)
@@ -370,16 +380,12 @@ def energy_growth_chain(solution, domain, radii, eps=2.0, K=1.0):
     boundary_terms = {}
     f_minimal = {}
     for label, ob in domain.pieces():
-        bv = 0.0 if label == "sigma1" else 1.0
-        term = marching_boundary_integral(
-            solution, domain, label,
-            lambda p, dudnu, ob=ob: ob.weighted_mean_curvature(p) * dudnu ** 2,
-            boundary_value=bv)
-        boundary_terms[label] = float(term)
-        mids, _ = _interface_segments(solution, label)
-        h_f = ob.weighted_mean_curvature(mids)
+        nodes, weights = ob.quad_nodes(domain.exhaustion_radius, per_dim=_NODES_PER_DIM)
+        h_f = ob.weighted_mean_curvature(nodes)
+        ok, dudnu = normal_derivative(solution, domain, label, nodes)
+        weight = np.exp(-0.5 * np.sum(nodes[ok] ** 2, axis=1)) * weights[ok]
+        boundary_terms[label] = float(np.sum(h_f[ok] * dudnu ** 2 * weight))
         f_minimal[label] = bool(np.max(np.abs(h_f), initial=0.0) <= 1e-8)
     return ChainReport(per_R=per_R, consistent=consistent,
                        boundary_terms=boundary_terms, f_minimal=f_minimal,
                        eps=eps, K=K)
-

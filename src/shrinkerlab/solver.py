@@ -47,8 +47,9 @@ __all__ = [
     "solve_exhaustion",
 ]
 
-# node classification codes
+# node classification codes, and the Dirichlet data of each boundary piece
 EXTERIOR, INTERIOR, DIRICHLET0, DIRICHLET1, NEUMANN_GAMMA = 0, 1, 2, 3, 4
+DIRICHLET_DATA = {"sigma1": 0.0, "sigma2": 1.0}
 
 _SNAP = 1e-3          # nodes closer than _SNAP * h to a Dirichlet surface are pinned
 _DIRICHLET_BAND = 1.5  # ghost labels extend this many h beyond the surface
@@ -230,7 +231,7 @@ class Grid:
         return bool(ok)
 
 
-def _leg(grid, flat_solved, step, boundary_value):
+def _leg(grid, flat_solved, step):
     """One stencil arm of every solved node: the neighbor at flat offset `step`.
 
     Returns (off, L, kind, uB, strays).  `off` lists the rows whose neighbor
@@ -256,7 +257,7 @@ def _leg(grid, flat_solved, step, boundary_value):
         better = crossing & (theta < theta_best)
         theta_best = np.where(better, theta, theta_best)
         kind[better] = 1
-        uB[better] = boundary_value[label]
+        uB[better] = DIRICHLET_DATA[label]
     cut = kind == 1
     L = np.full(off.size, h)
     L[cut] = np.clip(theta_best[cut], _SNAP, 1.0) * h
@@ -266,7 +267,7 @@ def _leg(grid, flat_solved, step, boundary_value):
     return off, L, kind, uB, int(np.count_nonzero(stray))
 
 
-def _assemble(grid, domain, boundary_values=(0.0, 1.0)):
+def _assemble(grid, domain):
     """Sparse operator rows for Lap_f at all solved nodes.
 
     Returns (A, b, unknown_flat_indices, counters).  Dirichlet legs contribute
@@ -299,11 +300,10 @@ def _assemble(grid, domain, boundary_values=(0.0, 1.0)):
     unknown_of = np.full(codes.size, -1, dtype=np.int32)
     unknown_of[solved] = np.arange(n_unknown, dtype=np.int32)
     strides = [math.prod(grid.shape[ax + 1:]) for ax in range(grid.ndim)]
-    boundary_value = {"sigma1": float(boundary_values[0]), "sigma2": float(boundary_values[1])}
     any_dirichlet = (np.count_nonzero(codes == DIRICHLET0)
                      + np.count_nonzero(codes == DIRICHLET1)) > 0
 
-    legs = {(ax, sgn): _leg(grid, flat_solved, sgn * strides[ax], boundary_value)
+    legs = {(ax, sgn): _leg(grid, flat_solved, sgn * strides[ax])
             for ax in range(grid.ndim) for sgn in (+1, -1)}
     counts = np.full(n_unknown, 2 * grid.ndim + 1, dtype=np.int32)
     for off, _, _, _, _ in legs.values():
@@ -568,10 +568,9 @@ def _multigrid_bicgstab(A_s, b_s, x0, grid, weights, tol, max_iter):
     return x, history, vcycle.unknowns, vcycle.nnz
 
 
-def solve_mixed_bvp(domain, grid=None, tol=1e-10, max_iter=200, h=None,
-                    initial_guess=None, boundary_values=(0.0, 1.0)):
-    """Solve the mixed problem on Omega_k: Lap_f u = 0, u = 0 / 1 on the two
-    boundary pieces, homogeneous Neumann across the exhaustion sphere.
+def solve_mixed_bvp(domain, grid=None, tol=1e-10, max_iter=200, h=None, initial_guess=None):
+    """Solve the mixed problem on Omega_k: Lap_f u = 0, u = DIRICHLET_DATA
+    (0 / 1) on the two pieces, homogeneous Neumann across the exhaustion sphere.
 
     The Jacobi-scaled system D^-1 A u = D^-1 b is solved by BiCGStab,
     preconditioned with one Galerkin geometric-multigrid V-cycle (damped
@@ -584,7 +583,7 @@ def solve_mixed_bvp(domain, grid=None, tol=1e-10, max_iter=200, h=None,
         if h is None:
             raise ParameterError("provide either a classified grid or a spacing h")
         grid = Grid(domain, h)
-    A, b, flat_solved, counters = _assemble(grid, domain, boundary_values)
+    A, b, flat_solved, counters = _assemble(grid, domain)
     n = b.size
 
     # Jacobi scaling in place: A becomes D^-1 A, the one operator copy.  An
@@ -623,16 +622,16 @@ def solve_mixed_bvp(domain, grid=None, tol=1e-10, max_iter=200, h=None,
             f"linear solve stalled at weighted residual {wres:.3e} > tol {tol:.3e} "
             f"after {iterations} iterations", residual_history=history)
 
-    lo_bv, hi_bv = min(boundary_values), max(boundary_values)
+    lo, hi = min(DIRICHLET_DATA.values()), max(DIRICHLET_DATA.values())
     slack = 10.0 * max(tol, 1e-12)
-    if x.min() < lo_bv - slack or x.max() > hi_bv + slack:
+    if x.min() < lo - slack or x.max() > hi + slack:
         raise ContractViolation(
             f"discrete maximum principle violated: range [{x.min():.3e}, {x.max():.3e}]")
-    x = np.clip(x, lo_bv, hi_bv)
+    x = np.clip(x, lo, hi)
 
     values = np.full(grid.codes.size, np.nan)
-    values[grid.codes == DIRICHLET0] = boundary_values[0]
-    values[grid.codes == DIRICHLET1] = boundary_values[1]
+    values[grid.codes == DIRICHLET0] = DIRICHLET_DATA["sigma1"]
+    values[grid.codes == DIRICHLET1] = DIRICHLET_DATA["sigma2"]
     values[grid.solved_mask] = x
     gf = GridField(origin=[ax[0] for ax in grid.axes], spacing=grid.h,
                    values=values.reshape(grid.shape))

@@ -3,6 +3,7 @@ import pytest
 
 from shrinkerlab import domain as dm
 from shrinkerlab import solver as sv
+from shrinkerlab.fields import GridField
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +34,18 @@ def slab_grid_solution(slab_dom):
 @pytest.fixture(scope="session")
 def annulus_grid_solution(annulus_dom):
     return sv.solve_mixed_bvp(annulus_dom, h=1 / 32, tol=1e-11)
+
+
+@pytest.fixture(scope="session")
+def constant_solution():
+    """Builds the grid solution u == value on the classified 1/16 grid of a
+    domain, with no solve (the solver's data are 0 on sigma1, 1 on sigma2)."""
+    def build(domain, value):
+        grid = sv.Grid(domain, 1 / 16)
+        field = GridField(origin=[ax[0] for ax in grid.axes], spacing=grid.h,
+                          values=np.full(grid.shape, float(value)))
+        return sv.Solution(field=field, report=sv.SolveReport(), domain=domain, grid=grid)
+    return build
 
 
 @pytest.fixture(scope="session")

@@ -13,9 +13,11 @@ import pytest
 from shrinkerlab import acceptance as acc
 
 # criteria whose detail line must print the values of the committed report;
-# 5 and 8 print rounding-level values (a two-guess gap of solver rounding
-# and a boundary term of 1.8e-30), and 6 prints the Monte Carlo gap of
-# streams that changed after the report was frozen
+# 5 prints a rounding-level two-guess gap, 8 prints the f-minimal plane's
+# term as 0.0e+00 (read at the plane's exact quadrature nodes, where H_f is
+# exactly 0; the report has the 1.8e-30 of the marching-squares interface),
+# and 6 prints the Monte Carlo gap of streams that changed after the report
+# was frozen
 REPORT = Path(__file__).resolve().parents[1] / "runs" / "acceptance" / "report.json"
 FROZEN_DETAILS = (1, 2, 3, 4, 7, 9, 10, 11, 12)
 

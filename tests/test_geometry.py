@@ -222,6 +222,13 @@ def test_patch_immersion_check():
         patch.sample(np.array([0.3, 0.4]))
 
 
+def test_zero_direction_is_a_parameter_error():
+    with pytest.raises(ParameterError, match=r"direction \[0.0, 0.0, 0.0\] has zero length"):
+        geo.Sphere(m=2).sample([0, 0, 0])
+    with pytest.raises(ParameterError, match=r"direction \[0.0, 0.0\] has zero length"):
+        geo.Cylinder(k=1, m=2).sample([0, 0], [1.0])
+
+
 def test_model_validation():
     with pytest.raises(ParameterError):
         geo.Hyperplane(normal=(0, 0, 2.0))

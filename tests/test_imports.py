@@ -70,3 +70,38 @@ def test_no_module_has_an_unused_top_level_import():
     assert len(modules) > 10
     unused = {os.path.basename(p): _unused_imports(p) for p in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_reads(path, package_modules):
+    """Underscore names of other package modules that a module imports or reads."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    own = os.path.splitext(os.path.basename(path))[0]
+    aliases, found = {}, []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        source = (node.module or "").split(".")[-1]
+        if node.level == 0 and (node.module or "").split(".")[0] != "shrinkerlab":
+            continue
+        for alias in node.names:
+            if source in package_modules and source != own and _private(alias.name):
+                found.append(f"{source}.{alias.name}")
+            elif alias.name in package_modules and alias.name != own:
+                aliases[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and _private(node.attr)):
+            found.append(f"{aliases[node.value.id]}.{node.attr}")
+    return sorted(set(found))
+
+
+def test_no_module_reads_a_private_name_of_another():
+    paths = sorted(glob.glob(os.path.join(SRC, "shrinkerlab", "*.py")))
+    modules = {os.path.splitext(os.path.basename(p))[0] for p in paths}
+    reads = {os.path.basename(p): _private_reads(p, modules) for p in paths}
+    assert {name: names for name, names in reads.items() if names} == {}

@@ -9,7 +9,7 @@ from shrinkerlab import domain as dm
 from shrinkerlab import geometry as geo
 from shrinkerlab import reilly as rl
 from shrinkerlab import solver as sv
-from shrinkerlab.errors import MissingGeometryError, ParameterError
+from shrinkerlab.errors import ContractViolation, MissingGeometryError, ParameterError
 from shrinkerlab.fields import ScalarField
 
 # independent quadrature oracles for u = x1 on the unit ball of R^3
@@ -86,7 +86,7 @@ def test_volume_side_does_not_depend_on_chunks_or_threads(unit_ball, monkeypatch
     # boundary pass several chunks of nodes; 4,096-item chunks cut all finer
     phi = rl.CutoffFamily(0.5)
     rep = _residual(unit_ball, phi, 1 / 16)
-    monkeypatch.setattr(rl, "_CHUNK", 4096)
+    monkeypatch.setattr(rl, "CHUNK", 4096)
     chunked = _residual(unit_ball, phi, 1 / 16)
     assert chunked.volume_side == pytest.approx(rep.volume_side, rel=1e-12)
     assert chunked.boundary_side == pytest.approx(rep.boundary_side, rel=1e-12)
@@ -200,12 +200,56 @@ class TestChain:
         assert rep.boundary_terms["sigma2"] > 1.0
         assert rep.f_minimal["sigma1"] and not rep.f_minimal["sigma2"]
 
-    def test_constant_solution_trivially_consistent(self, annulus_dom):
-        sol = sv.solve_mixed_bvp(annulus_dom, h=1 / 16, tol=1e-11,
-                                 boundary_values=(1.0, 1.0))
+    def test_constant_solution_trivially_consistent(self, annulus_dom, constant_solution):
+        sol = constant_solution(annulus_dom, 1.0)
         rep = rl.energy_growth_chain(sol, annulus_dom, [1.0, 1.2])
         assert rep.consistent
         assert all(l == 0.0 for _, l, _, _, _ in rep.per_R)
+
+    @pytest.mark.parametrize("a,b,label", [(0.5, 1.0, "sigma2"), (1.0, 2.0, "sigma1")])
+    def test_unit_circle_is_f_minimal(self, a, b, label):
+        # the shrinker circle r = 1 of R^2, read at its exact quadrature nodes
+        dom = dm.annulus_domain(a, b, ambient_dim=2)
+        rep = rl.energy_growth_chain(sv.solve_mixed_bvp(dom, h=1 / 32, tol=1e-11), dom, [1.0])
+        assert rep.f_minimal[label]
+        assert abs(rep.boundary_terms[label]) < 1e-12
+        other = "sigma1" if label == "sigma2" else "sigma2"
+        assert not rep.f_minimal[other] and abs(rep.boundary_terms[other]) > 1.0
+
+
+class TestChain3D:
+    """The chain on solved fields in R^3, where the interface has no
+    marching-squares reconstruction."""
+
+    @staticmethod
+    def _chain(dom):
+        return rl.energy_growth_chain(sv.solve_mixed_bvp(dom, h=1 / 8, tol=1e-11), dom, [1.0])
+
+    def test_half_minimal_slab(self):
+        rep = self._chain(dm.slab_domain(0.0, 1.0, ambient_dim=3, radius=3.0))
+        assert rep.boundary_terms["sigma1"] == 0.0 and rep.f_minimal["sigma1"]
+        assert abs(rep.boundary_terms["sigma2"]) > 1.0 and not rep.f_minimal["sigma2"]
+
+    def test_symmetric_slab_terms_agree(self):
+        rep = self._chain(dm.slab_domain(-1.0, 1.0, ambient_dim=3, radius=3.0))
+        s1, s2 = rep.boundary_terms["sigma1"], rep.boundary_terms["sigma2"]
+        assert abs(s1) > 1.0 and not any(rep.f_minimal.values())
+        assert s2 == pytest.approx(s1, rel=1e-9)
+
+    def test_shrinker_sphere_is_f_minimal(self):
+        # sigma2 is the self-shrinker S^2 of radius sqrt(2)
+        rep = self._chain(dm.annulus_domain(0.8, np.sqrt(2.0), ambient_dim=3))
+        assert rep.f_minimal["sigma2"] and abs(rep.boundary_terms["sigma2"]) < 1e-12
+        assert not rep.f_minimal["sigma1"]
+
+
+@pytest.mark.parametrize("phi", [None, rl.CutoffFamily(0.5)], ids=["phi1", "cutoff"])
+def test_solved_field_with_nan_reads_raises(phi):
+    # the solved field is NaN beyond the pieces, where the stencils reach
+    dom = dm.slab_domain(-1, 1, ambient_dim=2, radius=4.0)
+    sol = sv.solve_mixed_bvp(dom, h=1 / 16, tol=1e-11)
+    with pytest.raises(ContractViolation, match="volume side is not finite: its hess_sq term"):
+        rl.reilly_residual(sol.field, phi, dom, mesh_h=1 / 16)
 
 
 def test_box_fraction_basics():

@@ -192,13 +192,6 @@ class TestMixedBvp:
         assert errs[1] < 5e-4
         assert math.log2(errs[0] / errs[1]) > 1.4
 
-    def test_constant_boundary_data(self, annulus_dom):
-        sol = sv.solve_mixed_bvp(annulus_dom, h=1 / 16, tol=1e-11,
-                                 boundary_values=(1.0, 1.0))
-        vals = sol.field.values
-        assert np.nanmin(vals) == pytest.approx(1.0, abs=1e-9)
-        assert np.nanmax(vals) == pytest.approx(1.0, abs=1e-9)
-
     def test_maximum_principle(self, slab_grid_solution, annulus_grid_solution):
         for sol in (slab_grid_solution, annulus_grid_solution):
             assert np.nanmin(sol.field.values) >= 0.0
