@@ -19,7 +19,7 @@ print(f"  annulus(.5,2): E = {en.dirichlet_energy(rad):.12f}")
 
 print("\n== growth profiles (1/R^2) int_{B_R} |grad u|^2 dv_f")
 for name, sol in (("slab", slab), ("annulus", rad)):
-    entries = en.energy_growth_profile(sol, None, [2, 4, 8])
+    entries = en.energy_growth_profile(sol, [2, 4, 8])
     row = "  ".join(f"R={e.R}: {e.value:.5f}" for e in entries)
     print(f"  {name:8s} {row}")
 

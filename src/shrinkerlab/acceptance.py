@@ -127,8 +127,8 @@ def _ls_order(hs, errs):
     return float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
 
 
-def criterion_4_solver_convergence(bench=None):
-    bench = bench or _solver_benchmarks()
+def criterion_4_solver_convergence():
+    bench = _solver_benchmarks()
     details = []
     ok = True
     for name, compact in (("slab", 2.0), ("annulus", None)):
@@ -145,8 +145,8 @@ def criterion_4_solver_convergence(bench=None):
     return ok, "; ".join(details)
 
 
-def criterion_5_maximum_principle(bench=None):
-    bench = bench or _solver_benchmarks(hs=(1 / 32,))
+def criterion_5_maximum_principle():
+    bench = _solver_benchmarks(hs=(1 / 32,))
     ok = True
     worst_range = 0.0
     for name in ("slab", "annulus"):
@@ -171,8 +171,8 @@ MC_POINTS = {
 }
 
 
-def criterion_6_monte_carlo(n_paths=100_000):
-    cfg = mc.McConfig(n_paths=n_paths, dt=1e-3, seed=20240801)
+def criterion_6_monte_carlo():
+    cfg = mc.McConfig(n_paths=100_000, dt=1e-3, seed=20240801)
     slab_dom = dm.slab_domain(-1, 1, ambient_dim=2, radius=6.0)
     ann_dom = dm.annulus_domain(0.5, 2.0, ambient_dim=2)
     profiles = {"slab": sv.solve_slab(-1, 1).profile,
@@ -201,14 +201,14 @@ def criterion_6_monte_carlo(n_paths=100_000):
                 f"rerun bit-identical: {identical}")
 
 
-def criterion_7_reilly(mesh_fine=1 / 64):
+def criterion_7_reilly():
     ball = dm.ball_domain(1.0, ambient_dim=3)
     u = ScalarField(lambda x: x[0], batch_evaluator=lambda P: P[:, 0])
     ok = True
     details = []
     for tag, phi in (("phi=1", None), ("cutoff", rl.CutoffFamily(0.5))):
-        rep_f = rl.reilly_residual(u, phi, ball, mesh_h=mesh_fine)
-        rep_2f = rl.reilly_residual(u, phi, ball, mesh_h=mesh_fine / 2)
+        rep_f = rl.reilly_residual(u, phi, ball, mesh_h=1 / 64)
+        rep_2f = rl.reilly_residual(u, phi, ball, mesh_h=1 / 128)
         ratio = rep_2f.residual / rep_f.residual if rep_f.residual > 0 else 0.0
         ok = ok and rep_f.residual <= 1e-3 and ratio <= 0.75
         details.append(f"{tag}: residual {rep_f.residual:.2e} (<= 1e-3), "
@@ -233,8 +233,8 @@ def criterion_8_chain_attribution():
                 f"f-minimal piece term {minimal_term:.1e} (< 1e-6)")
 
 
-def criterion_9_caccioppoli(bench=None):
-    bench = bench or _solver_benchmarks(hs=(1 / 32,))
+def criterion_9_caccioppoli():
+    bench = _solver_benchmarks(hs=(1 / 32,))
     ok = True
     details = []
     for name in ("slab", "annulus"):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, ParameterError
+from .errors import ContractViolation, ParameterError, require_positive, require_radii
 from .fields import ScalarField, weighted_laplacian
 from .geometry import Cylinder, Hyperplane, Sphere
 from .quadrature import CumulativeProfile, halton, sphere_directions
@@ -56,12 +56,12 @@ class BarrierParams:
     z_norm: float = 0.0
 
     def __post_init__(self):
-        if self.R <= 0 or self.a <= 0:
-            raise ParameterError("barrier radius and shell width must be positive")
+        require_positive("barrier radius R", self.R)
+        require_positive("shell width a", self.a)
         if not (isinstance(self.m, int) and self.m >= 1):
             raise ParameterError("hypersurface dimension m must be an integer >= 1")
-        if self.z_norm < 0:
-            raise ParameterError("|z| must be nonnegative")
+        if not (math.isfinite(self.z_norm) and self.z_norm >= 0):
+            raise ParameterError(f"|z| must be nonnegative and finite, got {self.z_norm!r}")
 
 
 _FD_STEP = 1e-5   # central-difference step of `supersolution_check`
@@ -72,7 +72,7 @@ class BarrierProfile(CumulativeProfile):
 
     def __init__(self, params):
         self.params = params
-        super().__init__(0.0, params.a, samples=257)
+        super().__init__(0.0, params.a)
 
     def density(self, t):
         R, m, z = self.params.R, self.params.m, self.params.z_norm
@@ -162,7 +162,7 @@ def _clamp01(t):
     return np.clip(t, 0.0, 1.0)
 
 
-def boundary_separation(domain, per_dim=128):
+def boundary_separation(domain):
     """inf dist(Sigma_1, Sigma_2); exact for the model pairs, sampled otherwise."""
     if domain.sigma2 is None:
         raise ParameterError("separation needs two boundary pieces")
@@ -172,7 +172,7 @@ def boundary_separation(domain, per_dim=128):
         return abs(p2.offset - p1.offset)
     if isinstance(p1, Sphere) and isinstance(p2, Sphere):
         return abs(p2.radius - p1.radius)
-    nodes, _ = domain.sigma1.quad_nodes(domain.exhaustion_radius, per_dim=per_dim)
+    nodes, _ = domain.sigma1.quad_nodes(domain.exhaustion_radius, per_dim=128)
     return float(np.min(np.abs(domain.sigma2.depth(nodes))))
 
 
@@ -212,10 +212,10 @@ def lipschitz_barrier(mode, domain):
     return ScalarField(lambda x: float(batch(x[None, :])[0]), batch_evaluator=batch)
 
 
-def measured_lipschitz(fld, domain, count=2000, delta=1e-4, radius=None):
+def measured_lipschitz(fld, domain):
     """Numerical Lipschitz estimate over quasi-random interior points."""
-    if radius is None:
-        radius = min(domain.exhaustion_radius, 6.0)
+    count, delta = 2000, 1e-4    # Halton points; difference step and interior margin
+    radius = min(domain.exhaustion_radius, 6.0)
     pts = (halton(count, domain.ambient_dim) - 0.5) * 2.0 * radius
     inside = np.ones(count, dtype=bool)
     for _, ob in domain.pieces():
@@ -240,14 +240,13 @@ class SeparationHypothesis:
 
     b is the Gaussian decay rate (must satisfy 0 <= b < 1/2, and < 1/4 in
     variational mode), poly_p the polynomial coefficients (numpy order), and
-    (c, poly_q) the optional tube-width decay with the constraint
-    m c + b < 1/2 checked against the ambient surface dimension.
+    c the optional tube-width decay rate with the constraint m c + b < 1/2
+    checked against the ambient surface dimension.
     """
 
     b: float
     poly_p: tuple = (1.0,)
     c: float = None
-    poly_q: tuple = None
     variational: bool = False
 
     def __post_init__(self):
@@ -311,23 +310,22 @@ class SeparationReport:
         return "\n".join(lines) + "\n"
 
 
-def separation_check(hyp, sigma1, sigma2, sample_norms, directions=8, margin=1e-6):
+def separation_check(hyp, sigma1, sigma2, sample_norms):
     """Finite-sample check of the separation hypothesis along sigma2.
 
-    For quasi-random points z on sigma2 at each requested norm, evaluates
-    dist(z, sigma1) * e^(b |z|^2) * P(|z|) and requires the worst ratio over
-    the top half of the norms to clear the margin.  This is an explicitly
-    finite-sample heuristic, not a liminf.
+    For 8 quasi-random points z on sigma2 at each requested norm (positive,
+    finite and increasing), evaluates dist(z, sigma1) * e^(b |z|^2) * P(|z|)
+    and requires the worst ratio over the top half of the norms to clear
+    the margin 1e-6.  This is an explicitly finite-sample heuristic, not a
+    liminf.
     """
-    sample_norms = [float(s) for s in sample_norms]
-    if any(b <= a for a, b in zip(sample_norms, sample_norms[1:])):
-        raise ParameterError("sample norms must be strictly increasing")
+    sample_norms = require_radii(sample_norms, "separation sample norms")
     hyp.validate_with_dim(sigma2.ambient_dim - 1)
 
     ratios = []
     truncated = False
     for s in sample_norms:
-        pts = sigma2.sample_at_norm(s, directions)
+        pts = sigma2.sample_at_norm(s, 8)
         if pts is None:
             truncated = True
             continue
@@ -339,5 +337,5 @@ def separation_check(hyp, sigma1, sigma2, sample_norms, directions=8, margin=1e-
     if not ratios:
         raise ParameterError("no sample norms were reachable on sigma2")
     top = ratios[len(ratios) // 2:]
-    passes = bool(min(r for _, r in top) > margin)
+    passes = bool(min(r for _, r in top) > 1e-6)
     return SeparationReport(ratios=ratios, passes=passes, truncated=truncated)

@@ -190,7 +190,7 @@ def cmd_solve(args):
 def cmd_energy(args):
     sol = sv.solve_mixed_bvp(args.domain, h=args.h, tol=args.tol)
     rep = en.energy_report(sol, args.domain, args.radii)
-    violated = rep.caccioppoli_lhs > rep.caccioppoli_rhs * 1.05
+    violated = rep.caccioppoli_lhs > rep.caccioppoli_rhs * en.CACCIOPPOLI_SLACK
     return Outcome({"domain": args.domain_obj, "energy": rep},
                    {"growth.csv": rep.growth_csv()},
                    f"total energy {rep.total_energy:.6f}; Caccioppoli lhs/rhs = "

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import MissingGeometryError, ParameterError
+from .errors import MissingGeometryError, ParameterError, require_radii
 from .geometry import sphere_measure
 from .quadrature import gauss_legendre
 from .solver import DIRICHLET_DATA, EXTERIOR, SlabProfile
@@ -156,7 +156,7 @@ def weighted_gradient_cells(solution):
     return centers, grad_sq * w
 
 
-def dirichlet_energy(solution, domain=None):
+def dirichlet_energy(solution):
     """Weighted energy (1/2) int |grad u|^2 e^-f over the solved region."""
     if solution.profile is not None:
         return 0.5 * _reduced_mass(solution.profile) / solution.profile.normalization
@@ -164,11 +164,9 @@ def dirichlet_energy(solution, domain=None):
     return 0.5 * float(np.sum(cells))
 
 
-def energy_growth_profile(solution, domain, radii):
+def energy_growth_profile(solution, radii):
     """(1/R^2) times the weighted gradient mass inside each ball."""
-    radii = [float(r) for r in radii]
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ParameterError("radii must be increasing")
+    radii = require_radii(radii, "energy growth radii")
     entries = []
     if solution.profile is not None:
         prof = solution.profile
@@ -266,28 +264,31 @@ def boundary_flux(solution, domain):
     return float(np.sum(np.abs(dudnu) * weight * lengths))
 
 
-def caccioppoli_check(solution, domain, slack=0.05):
+CACCIOPPOLI_SLACK = 1.05
+
+
+def caccioppoli_check(solution, domain):
     """Energy bounded by boundary flux: int |grad u|^2 <= 2 int_{Sigma_2} |grad u|.
 
-    `satisfied` allows the stated discretization slack on the right side.
+    `satisfied` allows lhs up to CACCIOPPOLI_SLACK (1.05) times rhs.
     """
     if domain is not None and domain.sigma2 is None:
         raise ParameterError("Caccioppoli check undefined without a sigma2 piece")
-    lhs = 2.0 * dirichlet_energy(solution, domain)
+    lhs = 2.0 * dirichlet_energy(solution)
     flux = boundary_flux(solution, domain)
     rhs = 2.0 * flux
     return CaccioppoliReport(lhs=lhs, rhs=rhs,
-                             satisfied=bool(lhs <= rhs * (1.0 + slack)),
+                             satisfied=bool(lhs <= rhs * CACCIOPPOLI_SLACK),
                              boundary_flux=flux)
 
 
 def energy_report(solution, domain, radii):
     """Full energy bookkeeping for one solution."""
-    entries = energy_growth_profile(solution, domain, radii)
+    entries = energy_growth_profile(solution, radii)
     cac = caccioppoli_check(solution, domain)
     tail = max((e.value for e in entries[len(entries) // 2:]), default=0.0)
     return EnergyReport(
-        total_energy=dirichlet_energy(solution, domain),
+        total_energy=dirichlet_energy(solution),
         growth_profile=entries,
         caccioppoli_lhs=cac.lhs,
         caccioppoli_rhs=cac.rhs,

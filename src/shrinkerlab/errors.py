@@ -1,4 +1,7 @@
-"""Shared exception types, and the checker of JSON configs that raises them."""
+"""Shared exception types, the checks of scalar and radius-list arguments,
+and the checker of JSON configs that raise them."""
+
+import math
 
 
 class ContractViolation(Exception):
@@ -31,6 +34,29 @@ class SolverConvergenceError(RuntimeError):
 
 class MissingGeometryError(ValueError):
     """A boundary description lacks a geometric quantity (named in the message)."""
+
+
+def require_positive(name, value):
+    """`value` as a float; a ParameterError names it unless it is finite and > 0."""
+    x = float(value)
+    if not (math.isfinite(x) and x > 0.0):
+        raise ParameterError(f"{name} must be positive and finite, got {value!r}")
+    return x
+
+
+def require_radii(radii, what, at_least=1):
+    """`radii` as a list of floats that are finite, positive and strictly
+    increasing, at least `at_least` of them; a ParameterError names the
+    list (`what`, e.g. "exhaustion radii") and the condition it fails."""
+    radii = [float(r) for r in radii]
+    if len(radii) < at_least:
+        raise ParameterError(f"need at least {at_least} increasing {what}, got {len(radii)}")
+    bad = [r for r in radii if not (math.isfinite(r) and r > 0.0)]
+    if bad:
+        raise ParameterError(f"{what} must be positive and finite, got {bad[0]!r}")
+    if any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ParameterError(f"{what} must be strictly increasing, got {radii}")
+    return radii
 
 
 def _of_kind(value, kind):

@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolation, MissingGeometryError, ParameterError, build_from_config
+from .errors import (ContractViolation, MissingGeometryError, ParameterError, build_from_config,
+                     require_radii)
 from .fields import fd_gradient_hessian
 from .quadrature import gauss_legendre, halton, sphere_directions
 
@@ -563,7 +564,7 @@ def _surface_drift_laplacian(batch, sample, fd_step):
     return lap_surface - float(np.dot(x_tan, grad_tan)), grad, grad_tan
 
 
-def cylinder_identities(k, sample, fd_step=None):
+def cylinder_identities(k, sample):
     """Evaluate the distance-squared identities for u = sum_{A<=k+1} x_A^2.
 
     Returns the residuals of the gradient identity and of the weighted surface
@@ -571,7 +572,7 @@ def cylinder_identities(k, sample, fd_step=None):
     (which must be nonnegative).  The sample may lie on any hypersurface of
     the same ambient space.
 
-    The ambient differencing step defaults to 0.01 * (1 + |x|): u is a
+    The ambient differencing step is 0.01 * (1 + |x|): u is a
     quadratic, so central differences carry no truncation error and a large
     step only suppresses rounding noise.  Chart-level differentiation error
     enters through the sample's frame and curvature instead.
@@ -580,8 +581,7 @@ def cylinder_identities(k, sample, fd_step=None):
     n = x.size
     if not (1 <= k <= n - 2):
         raise ParameterError(f"need 1 <= k <= {n - 2} for ambient dimension {n}")
-    if fd_step is None:
-        fd_step = 0.01 * (1.0 + float(np.linalg.norm(x)))
+    fd_step = 0.01 * (1.0 + float(np.linalg.norm(x)))
 
     def u_batch(ys):
         # row-wise dot products through matmul, which rounds as np.dot does
@@ -633,11 +633,7 @@ def extrinsic_volume_growth(model, radii):
     The fitted exponent must not exceed m + 0.05 (Euclidean volume growth of
     properly immersed shrinkers); exceeding it raises ContractViolation.
     """
-    radii = [float(r) for r in radii]
-    if len(radii) < 3:
-        raise ParameterError("need at least 3 radii for an exponent fit")
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ParameterError("radii must be strictly increasing")
+    radii = require_radii(radii, "volume-growth radii", at_least=3)
     table = [(r, model.clipped_area(r)) for r in radii]
     if table[0][1] <= 0.0:
         raise ParameterError(f"the smallest radius {radii[0]} does not reach the surface")

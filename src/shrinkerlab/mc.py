@@ -53,6 +53,8 @@ class McConfig:
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) \
                 or self.seed < 0:
             raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if isinstance(self.n_paths, bool) or not isinstance(self.n_paths, (int, np.integer)):
+            raise ParameterError(f"n_paths must be an integer, got {self.n_paths!r}")
         if self.n_paths < 100:
             raise ParameterError("need at least 100 paths for a meaningful estimate")
         if not 0 < self.dt <= 1e-2:
@@ -175,6 +177,8 @@ def ou_hitting_probability(x0, domain, cfg, trace=None):
     if x0.shape != (domain.ambient_dim,):
         raise ParameterError(f"x0 must be a point in R^{domain.ambient_dim}, "
                              f"got {x0.size} coordinates")
+    if not np.all(np.isfinite(x0)):
+        raise ParameterError(f"x0 must be finite, got {x0.tolist()}")
     if domain.sigma2 is None:
         raise ParameterError("hitting probabilities need both boundary pieces")
     pieces = (domain.sigma1, domain.sigma2)

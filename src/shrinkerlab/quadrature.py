@@ -14,7 +14,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ParameterError
 from .fields import ScalarField
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -31,7 +30,7 @@ def gauss_legendre(n, a=0.0, b=1.0):
 
 class CumulativeProfile:
     """u(t) = F(t) / F(hi) for the cumulative integral F(t) = int_lo^t g of a
-    positive density g (the subclass's `density`), tabulated on `samples`
+    positive density g (the subclass's `density`), tabulated on 257
     equispaced nodes.
 
     F at a node is the running sum of order-8 Gauss-Legendre panels, stored
@@ -42,10 +41,8 @@ class CumulativeProfile:
     subclass's `__call__` as a scalar field with the same batch evaluator.
     """
 
-    def __init__(self, lo, hi, samples):
-        if samples < 2:
-            raise ParameterError("need at least 2 profile samples")
-        self._nodes = np.linspace(lo, hi, samples)
+    def __init__(self, lo, hi):
+        self._nodes = np.linspace(lo, hi, 257)
         cum = np.cumsum(self._integral_from(self._nodes[:-1], self._nodes[1:]))
         self.normalization = float(cum[-1])
         self._table = np.concatenate([[0.0], cum]) / self.normalization

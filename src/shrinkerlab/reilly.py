@@ -12,12 +12,12 @@ The cells stream in chunks of `energy.CHUNK` (32,768) built from flat
 index ranges, with no full-box array; each chunk drops the cells lying
 wholly outside a piece before computing normals and fractions, and
 differentiates u with the 13-point stencil of `fields.fd_gradient_hessian`
-(in 3D) at one step per call, 1e-5 (1 + largest box coordinate) unless fd_h
-is given.  The boundary uses Gauss-Legendre panels at fixed high order, so
-the reported residual tracks the volume mesh: 384^(n-1) nodes per piece,
-and a second pass on 256^(n-1) nodes for `mixed_term_uncertainty`.  Each
-pass takes one differencing step per piece from all of its nodes and then
-streams the nodes in chunks of the same size.
+(in 3D) at one step per call: the smallest spacing of a `GridField` u,
+else 1e-5 (1 + largest box coordinate).  The boundary uses Gauss-Legendre
+panels at fixed high order, so the reported residual tracks the volume
+mesh: 384^(n-1) nodes per piece, and a second pass on 256^(n-1) nodes for
+`mixed_term_uncertainty`.  Each pass takes one differencing step per piece
+from all of its nodes and then streams the nodes in chunks of the same size.
 
 One residual is one ordered stream of work items -- the cell chunks, then
 the node chunks of both boundary passes -- run on os.cpu_count() threads by
@@ -34,7 +34,8 @@ from itertools import combinations
 import numpy as np
 
 from .energy import CHUNK, box_cells, cell_centres, normal_derivative, weighted_gradient_cells
-from .errors import ContractViolation, MissingGeometryError, ParameterError
+from .errors import (ContractViolation, MissingGeometryError, ParameterError,
+                     require_positive, require_radii)
 from .fields import GridField, fd_gradient_hessian, ordered_map, stencil_evaluations
 from .geometry import radii
 
@@ -53,9 +54,7 @@ class CutoffFamily:
     """
 
     def __init__(self, R):
-        if R <= 0:
-            raise ParameterError("cutoff radius must be positive")
-        self.R = float(R)
+        self.R = require_positive("cutoff radius", R)
 
     def profile(self, r):
         s = (np.asarray(r, dtype=float) - self.R) / self.R
@@ -81,8 +80,8 @@ class CutoffFamily:
             unit = np.where(r[:, None] > 0, x / np.maximum(r, 1e-300)[:, None], 0.0)
         return fac[:, None] * unit
 
-    def max_gradient(self, samples=20001):
-        r = np.linspace(self.R, 2.0 * self.R, samples)
+    def max_gradient(self):
+        r = np.linspace(self.R, 2.0 * self.R, 20001)
         return float(np.max(np.abs(self.profile_derivative(r))))
 
     def validate(self):
@@ -118,12 +117,12 @@ class ReillyReport:
 
     mixed_term_uncertainty is the change of the mixed boundary term between
     384^(n-1) and 256^(n-1) Gauss-Legendre nodes per piece, a check of the
-    boundary quadrature.  When an fd_h is in force (given, or the smallest
-    spacing of a GridField) the second pass also halves the differencing
-    step; with fd_h None each pass takes the step of its own nodes, the same
-    on a sphere.  details holds deterministic counters: volume_cells,
-    cut_cells, volume_fd_step, stencil_evaluations_per_point and
-    boundary_nodes (the nodes of the 384^(n-1) pass).
+    boundary quadrature.  For a GridField u the differencing step is its
+    smallest spacing, and the second pass halves it; for any other u each
+    pass takes the step of its own nodes, the same on a sphere.  details
+    holds deterministic counters: volume_cells, cut_cells, volume_fd_step,
+    stencil_evaluations_per_point and boundary_nodes (the nodes of the
+    384^(n-1) pass).
     """
 
     volume_side: float
@@ -293,22 +292,23 @@ def _column_sums(parts, width):
     return [sum(column) for column in zip(*parts)] if parts else [0.0] * width
 
 
-def reilly_residual(u, phi, domain, mesh_h, fd_h=None):
+def reilly_residual(u, phi, domain, mesh_h):
     """Evaluate both sides of the localized identity and their mismatch.
 
     u must be C^2 on a neighborhood of the closed domain (stencils cross the
-    boundary).  phi may be a CutoffFamily or None for phi == 1.  A side with
-    a non-finite term raises ContractViolation naming the side and its first
-    such term; a solved GridField is NaN beyond its pieces and the
-    exhaustion ball, where the stencils reach.
+    boundary).  phi may be a CutoffFamily or None for phi == 1.  mesh_h, the
+    volume mesh step, must be positive and finite.  A side with a non-finite
+    term raises ContractViolation naming the side and its first such term; a
+    solved GridField is NaN beyond its pieces and the exhaustion ball, where
+    the stencils reach.
     """
+    mesh_h = require_positive("mesh_h", mesh_h)
     if phi is None:
         phi = CONSTANT_CUTOFF
-    if isinstance(u, GridField):
-        fd_h = float(u.spacing.min()) if fd_h is None else fd_h
+    fd_h = float(u.spacing.min()) if isinstance(u, GridField) else None
     volume_items, counters = _volume_items(u, phi, domain, mesh_h, fd_h)
     boundary_items, nodes = _boundary_items(u, phi, domain, fd_h, per_dim=_NODES_PER_DIM)
-    # the mixed term on fewer nodes (and half an fd_h in force) gives
+    # the mixed term on fewer nodes (and half a grid field's step) gives
     # mixed_term_uncertainty, a check of the boundary quadrature
     second_items, _ = _boundary_items(u, phi, domain, None if fd_h is None else 0.5 * fd_h,
                                       per_dim=256)
@@ -334,7 +334,7 @@ def reilly_residual(u, phi, domain, mesh_h, fd_h=None):
     breakdown.update({f"boundary_{k}": v for k, v in bnd_terms.items()})
     return ReillyReport(
         volume_side=volume, boundary_side=boundary,
-        residual=abs(volume - boundary), mesh_h=float(mesh_h),
+        residual=abs(volume - boundary), mesh_h=mesh_h,
         term_breakdown=breakdown,
         mixed_term_uncertainty=abs(bnd_terms["mixed"] - second_mixed),
         details={"ricci_mode": "gaussian identity", "volume_cells": kept,
@@ -351,17 +351,17 @@ class ChainReport:
     consistent: bool
     boundary_terms: dict           # label -> int H_f (du/dnu)^2 over the piece
     f_minimal: dict                # label -> bool (max |H_f| <= 1e-8 at the nodes)
-    eps: float
-    K: float
 
 
-def energy_growth_chain(solution, domain, radii, eps=2.0, K=1.0):
-    """Check K^2 int_{B_R} |grad u|^2 <= (4 eps / R^2) int_{B_2R} |grad u|^2
-    radius by radius, and attribute failures to the dropped boundary term
-    containing H_f (du/dnu)^2 on non-f-minimal boundary pieces, read at each
-    piece's exact quadrature nodes (so in any dimension)."""
+def energy_growth_chain(solution, domain, radii):
+    """Check int_{B_R} |grad u|^2 <= (8 / R^2) int_{B_2R} |grad u|^2 (the
+    chain's 4 eps / R^2 at eps = 2) radius by radius, and attribute failures
+    to the dropped boundary term containing H_f (du/dnu)^2 on non-f-minimal
+    boundary pieces, read at each piece's exact quadrature nodes (so in any
+    dimension).  The radii must be positive, finite and increasing."""
     if solution.grid is None:
         raise ParameterError("chain evaluation expects a grid-backed solution")
+    radii = require_radii(radii, "energy chain radii")
     centers, cells = weighted_gradient_cells(solution)
     rad = np.linalg.norm(centers, axis=1)
     reach = solution.grid.radius
@@ -369,13 +369,13 @@ def energy_growth_chain(solution, domain, radii, eps=2.0, K=1.0):
     per_R = []
     consistent = True
     for R in radii:
-        lhs = K * K * float(np.sum(cells[rad <= R]))
-        rhs = (4.0 * eps / (R * R)) * float(np.sum(cells[rad <= 2.0 * R]))
+        lhs = float(np.sum(cells[rad <= R]))
+        rhs = (8.0 / (R * R)) * float(np.sum(cells[rad <= 2.0 * R]))
         truncated = 2.0 * R > reach
         holds = bool(lhs <= rhs * (1.0 + 1e-9))
         if not truncated and not holds:
             consistent = False
-        per_R.append((float(R), lhs, rhs, holds, truncated))
+        per_R.append((R, lhs, rhs, holds, truncated))
 
     boundary_terms = {}
     f_minimal = {}
@@ -387,5 +387,4 @@ def energy_growth_chain(solution, domain, radii, eps=2.0, K=1.0):
         boundary_terms[label] = float(np.sum(h_f[ok] * dudnu ** 2 * weight))
         f_minimal[label] = bool(np.max(np.abs(h_f), initial=0.0) <= 1e-8)
     return ChainReport(per_R=per_R, consistent=consistent,
-                       boundary_terms=boundary_terms, f_minimal=f_minimal,
-                       eps=eps, K=K)
+                       boundary_terms=boundary_terms, f_minimal=f_minimal)

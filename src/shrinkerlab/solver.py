@@ -31,7 +31,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import (ContractViolation, ParameterError, SingularSystemError,
-                     SolverConvergenceError)
+                     SolverConvergenceError, require_positive, require_radii)
 from .fields import GridField, ScalarField
 from .quadrature import CumulativeProfile
 
@@ -87,9 +87,9 @@ class Solution:
 class RadialProfile(CumulativeProfile):
     """u(r) = int_a^r s^(1-n) e^(s^2/2) ds, normalized to u(b) = 1."""
 
-    def __init__(self, a, b, ambient_dim, samples=257):
+    def __init__(self, a, b, ambient_dim):
         self.a, self.b, self.ambient_dim = float(a), float(b), int(ambient_dim)
-        super().__init__(self.a, self.b, samples)
+        super().__init__(self.a, self.b)
 
     def density(self, s):
         return s ** (1 - self.ambient_dim) * np.exp(0.5 * s * s)
@@ -101,11 +101,11 @@ class RadialProfile(CumulativeProfile):
 class SlabProfile(CumulativeProfile):
     """u(s) = int_h1^s e^(t^2/2) dt, normalized; depends on one coordinate."""
 
-    def __init__(self, h1, h2, ambient_dim=2, axis=-1, samples=257):
+    def __init__(self, h1, h2, ambient_dim=2, axis=-1):
         self.h1, self.h2 = float(h1), float(h2)
         self.ambient_dim = int(ambient_dim)
         self.axis = axis % self.ambient_dim
-        super().__init__(self.h1, self.h2, samples)
+        super().__init__(self.h1, self.h2)
 
     def density(self, t):
         return np.exp(0.5 * t * t)
@@ -114,7 +114,7 @@ class SlabProfile(CumulativeProfile):
         return self.value(np.asarray(p, dtype=float)[..., self.axis])
 
 
-def solve_radial(a, b, n, samples=257):
+def solve_radial(a, b, n):
     """Closed-form radial Dirichlet solution on the annulus a <= r <= b in R^n."""
     if a <= 0:
         raise ParameterError("radial reduction needs a > 0 (drift is singular at the origin)")
@@ -122,16 +122,16 @@ def solve_radial(a, b, n, samples=257):
         raise ParameterError("radial annulus requires a < b")
     if n < 2:
         raise ParameterError("ambient dimension must be >= 2")
-    profile = RadialProfile(a, b, n, samples)
+    profile = RadialProfile(a, b, n)
     report = SolveReport(details={"kind": "radial", "a": a, "b": b, "n": n})
     return Solution(field=profile.as_field(), report=report, profile=profile)
 
 
-def solve_slab(h1, h2, ambient_dim=2, axis=-1, samples=257):
+def solve_slab(h1, h2, ambient_dim=2, axis=-1):
     """Closed-form slab Dirichlet solution between {s = h1} and {s = h2}."""
     if not h1 < h2:
         raise ParameterError("slab requires h1 < h2")
-    profile = SlabProfile(h1, h2, ambient_dim, axis, samples)
+    profile = SlabProfile(h1, h2, ambient_dim, axis)
     report = SolveReport(details={"kind": "slab", "h1": h1, "h2": h2})
     return Solution(field=profile.as_field(), report=report, profile=profile)
 
@@ -153,10 +153,10 @@ class Grid:
     calls and dropped, and `coordinates` rebuilds those of the nodes asked for.
     """
 
-    def __init__(self, domain, h, radius=None):
+    def __init__(self, domain, h):
         self.domain = domain
-        self.h = float(h)
-        self.radius = float(domain.exhaustion_radius if radius is None else radius)
+        self.h = require_positive("grid spacing h", h)
+        self.radius = domain.exhaustion_radius
         lo, hi = domain.grid_box(self.radius)
         self.lo_idx = np.floor(np.asarray(lo) / self.h).astype(int) - 2
         hi_idx = np.ceil(np.asarray(hi) / self.h).astype(int) + 2
@@ -267,7 +267,7 @@ def _leg(grid, flat_solved, step):
     return off, L, kind, uB, int(np.count_nonzero(stray))
 
 
-def _assemble(grid, domain):
+def _assemble(grid):
     """Sparse operator rows for Lap_f at all solved nodes.
 
     Returns (A, b, unknown_flat_indices, counters).  Dirichlet legs contribute
@@ -398,6 +398,7 @@ def _weighted_residual(A_scaled, b_scaled, x, weights):
 _OMEGA = 0.8            # damped-Jacobi weight of the smoother
 _SWEEPS = 2             # smoothing sweeps before and after each coarse correction
 _COARSEST = 2000        # coarsen until at most this many unknowns, then factor
+_MAX_ITER = 200         # BiCGStab iterations before a solve is declared stalled
 
 
 def _prolongation(idx):
@@ -525,7 +526,7 @@ def _jacobi_sweep(A, wdinv, b, x):
     x += t
 
 
-def _multigrid_bicgstab(A_s, b_s, x0, grid, weights, tol, max_iter):
+def _multigrid_bicgstab(A_s, b_s, x0, grid, weights, tol):
     """BiCGStab on A_s x = b_s, preconditioned with one V-cycle per application.
 
     Returns (x, weighted residual after every iteration, unknowns per level,
@@ -562,15 +563,16 @@ def _multigrid_bicgstab(A_s, b_s, x0, grid, weights, tol, max_iter):
 
     M = spla.LinearOperator(A_s.shape, matvec=_precondition, dtype=float)
     x, _ = spla.bicgstab(A_s, b_s, x0=x0, rtol=1e-14, atol=0.01 * tol,
-                         maxiter=max_iter, M=M, callback=_callback)
+                         maxiter=_MAX_ITER, M=M, callback=_callback)
     if len(history) < (applications + 1) // 2:
         history.append(_weighted_residual(A_s, b_s, x, weights))
     return x, history, vcycle.unknowns, vcycle.nnz
 
 
-def solve_mixed_bvp(domain, grid=None, tol=1e-10, max_iter=200, h=None, initial_guess=None):
+def solve_mixed_bvp(domain, h, tol=1e-10, initial_guess=None):
     """Solve the mixed problem on Omega_k: Lap_f u = 0, u = DIRICHLET_DATA
-    (0 / 1) on the two pieces, homogeneous Neumann across the exhaustion sphere.
+    (0 / 1) on the two pieces, homogeneous Neumann across the exhaustion sphere,
+    on the classified `Grid(domain, h)` returned as the solution's `grid`.
 
     The Jacobi-scaled system D^-1 A u = D^-1 b is solved by BiCGStab,
     preconditioned with one Galerkin geometric-multigrid V-cycle (damped
@@ -579,11 +581,9 @@ def solve_mixed_bvp(domain, grid=None, tol=1e-10, max_iter=200, h=None, initial_
     Gaussian-weighted residual norm of the scaled system.  The returned field
     satisfies 0 <= u <= 1 (discrete maximum principle).
     """
-    if grid is None:
-        if h is None:
-            raise ParameterError("provide either a classified grid or a spacing h")
-        grid = Grid(domain, h)
-    A, b, flat_solved, counters = _assemble(grid, domain)
+    require_positive("tol", tol)
+    grid = Grid(domain, h)
+    A, b, flat_solved, counters = _assemble(grid)
     n = b.size
 
     # Jacobi scaling in place: A becomes D^-1 A, the one operator copy.  An
@@ -609,8 +609,7 @@ def solve_mixed_bvp(domain, grid=None, tol=1e-10, max_iter=200, h=None, initial_
         if x0.shape != (n,):
             raise ParameterError(f"initial guess must have {n} entries")
 
-    x, history, level_unknowns, level_nnz = _multigrid_bicgstab(A, b_s, x0, grid, weights,
-                                                                tol, max_iter)
+    x, history, level_unknowns, level_nnz = _multigrid_bicgstab(A, b_s, x0, grid, weights, tol)
     iterations = len(history)
     wres = _weighted_residual(A, b_s, x, weights)
     operator_nnz = A.nnz
@@ -676,8 +675,7 @@ def max_node_error(solution, reference, within_radius=None):
     return float(np.max(np.abs(vals - ref)))
 
 
-def solve_exhaustion(domain, radii, h, tol=1e-6, linear_tol=1e-10, max_iter=200,
-                     compact_radius=None):
+def solve_exhaustion(domain, radii, h, tol=1e-6, linear_tol=1e-10):
     """Solve the mixed problem on a growing family of exhaustion balls.
 
     Records the sup difference of successive solutions on the common compact
@@ -687,20 +685,17 @@ def solve_exhaustion(domain, radii, h, tol=1e-6, linear_tol=1e-10, max_iter=200,
     Declares convergence when the last difference drops below tol; a
     difference growing by more than tol flags an under-resolved grid.
     """
-    radii = [float(r) for r in radii]
-    if len(radii) < 3:
-        raise ParameterError("exhaustion needs at least 3 increasing radii")
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ParameterError("exhaustion radii must be strictly increasing")
-    if compact_radius is None:
-        compact_radius = 0.5 * radii[0]
+    radii = require_radii(radii, "exhaustion radii", at_least=3)
+    require_positive("tol", tol)
+    require_positive("linear_tol", linear_tol)
+    compact_radius = 0.5 * radii[0]
 
     history = []
     prev = None
     solution = None
     for rk in radii:
         dom_k = domain.with_radius(rk)
-        solution = solve_mixed_bvp(dom_k, h=h, tol=linear_tol, max_iter=max_iter)
+        solution = solve_mixed_bvp(dom_k, h=h, tol=linear_tol)
         solution.report.details["exhaustion_radius"] = rk
         if prev is not None:
             diff = _sup_difference_on_compact(prev, solution, compact_radius)

@@ -4,6 +4,7 @@ Each test prints its pass/fail line (visible with pytest -s; the CLI
 `acceptance` subcommand prints the same table).
 """
 
+import inspect
 import json
 import time
 from pathlib import Path
@@ -81,3 +82,9 @@ def test_criterion_11_domination():
 
 def test_criterion_12_separation():
     _run(12, "separation heuristic", acc.criterion_12_separation)
+
+
+def test_every_criterion_takes_no_arguments():
+    # the inputs are pinned inside each criterion: 100k paths, meshes 1/64 and 1/128
+    takes = {idx: list(inspect.signature(fn).parameters) for idx, _, fn in acc.CRITERIA}
+    assert {idx: params for idx, params in takes.items() if params} == {}

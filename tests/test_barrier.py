@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -237,3 +238,23 @@ class TestSeparation:
                                   geo.Hyperplane(normal=(0, 0, 1.0)),
                                   geo.Cylinder(k=1, m=2), [2, 3, 4])
         assert rep.to_csv().splitlines()[0] == "z_norm,ratio"
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"R": math.nan}, "barrier radius R must be positive and finite, got nan"),
+    ({"R": math.inf}, "barrier radius R must be positive and finite, got inf"),
+    ({"a": math.nan}, "shell width a must be positive and finite, got nan"),
+    ({"z_norm": math.nan}, "|z| must be nonnegative and finite, got nan"),
+    ({"z_norm": -1.0}, "|z| must be nonnegative and finite, got -1.0"),
+], ids=["nan-R", "inf-R", "nan-a", "nan-z", "negative-z"])
+def test_barrier_params_name_a_nonfinite_value(kwargs, message):
+    # a NaN R gave psi'(0) = nan and a nan supersolution violation, with no error
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        br.BarrierParams(**{"R": 1.0, "a": 1.0, "m": 2, **kwargs})
+
+
+@pytest.mark.parametrize("norms", [[0.0, 2.0], [math.nan, 2.0], [3.0, 2.0]])
+def test_separation_norms_are_checked(norms):
+    with pytest.raises(ParameterError, match="separation sample norms must be"):
+        br.separation_check(br.SeparationHypothesis(b=0.0), geo.Hyperplane(normal=(0, 0, 1.0)),
+                            geo.Cylinder(k=1, m=2), norms)

@@ -261,6 +261,40 @@ def test_library_errors_map_to_exit_codes(tmp_path, capsys, domain, flags, expec
                  "--output-dir", _out(tmp_path, "err")]) == expected
     assert "Traceback" not in capsys.readouterr().err
 
+@pytest.mark.parametrize("command, domain, flags, message", [
+    ("reilly", "ball", ["--mesh-h", "-0.1"], "mesh_h must be positive and finite, got -0.1"),
+    ("reilly", "ball", ["--mesh-h", "0"], "mesh_h must be positive and finite, got 0.0"),
+    ("reilly", "ball", ["--cutoff-radius", "nan"], "cutoff radius must be positive and finite, "
+                                                    "got nan"),
+    ("barrier", None, ["--R", "nan"], "barrier radius R must be positive and finite, got nan"),
+    ("barrier", None, ["--a", "inf"], "shell width a must be positive and finite, got inf"),
+    ("barrier", None, ["--z", "nan"], "|z| must be nonnegative and finite, got nan"),
+    ("solve", "slab", ["--h", "0.25", "--tol", "nan"], "tol must be positive and finite, got nan"),
+    ("solve", "slab", ["--h", "0.25", "--tol", "-1"], "tol must be positive and finite, got -1.0"),
+    ("solve", "slab", ["--h", "-0.1"], "grid spacing h must be positive and finite, got -0.1"),
+    ("mc", "slab", ["--x0", "nan,0"], "x0 must be finite, got [nan, 0.0]"),
+    ("energy", "slab", ["--h", "0.25", "--radii", "0,1"],
+     "energy growth radii must be positive and finite, got 0.0"),
+    ("energy", "slab", ["--h", "0.25", "--radii=-1,1"],
+     "energy growth radii must be positive and finite, got -1.0"),
+    ("energy", "slab", ["--h", "0.25", "--radii=nan"],
+     "energy growth radii must be positive and finite, got nan"),
+    ("volume-growth", None, ["--model", '{"type":"hyperplane","normal":[0,0,1]}',
+                             "--radii=nan,2,3"],
+     "volume-growth radii must be positive and finite, got nan"),
+], ids=["negative-mesh", "zero-mesh", "nan-cutoff", "nan-R", "inf-a", "nan-z", "nan-tol",
+        "negative-tol", "negative-h", "nan-x0", "zero-radius", "negative-radius", "nan-radius",
+        "nan-volume-radius"])
+def test_out_of_range_scalars_are_usage_errors(tmp_path, capsys, slab_config, ball_config,
+                                                command, domain, flags, message):
+    configs = {"slab": ["--domain", slab_config], "ball": ["--domain", ball_config], None: []}
+    out = _out(tmp_path, "bad")
+    assert main([command, *configs[domain], *flags, "--output-dir", out]) == 1
+    err = capsys.readouterr().err
+    assert err == f"usage error: {message}\n"
+    assert not os.path.exists(out)
+
+
 def test_solve_with_an_empty_compare_set_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "ann.json"
     path.write_text(json.dumps({"kind": "annulus", "a": 0.5, "b": 2.0, "ambient_dim": 2}))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import pytest
 from scipy.integrate import quad
@@ -38,31 +39,29 @@ def test_grid_energy_converges_to_profile(annulus_dom, radial_profile):
 
 class TestGrowthProfile:
     def test_slab_profile_decreasing(self, slab_profile):
-        entries = en.energy_growth_profile(slab_profile, None, [2, 4, 8])
+        entries = en.energy_growth_profile(slab_profile, [2, 4, 8])
         vals = [e.value for e in entries]
         assert vals[0] > vals[1] > vals[2]
         assert vals[-1] < vals[0] / 4
 
     def test_saturated_radial_is_exact(self, radial_profile):
         total = 2.0 * en.dirichlet_energy(radial_profile)
-        entries = en.energy_growth_profile(radial_profile, None, [3.0, 5.0])
+        entries = en.energy_growth_profile(radial_profile, [3.0, 5.0])
         assert entries[0].value == pytest.approx(total / 9.0, rel=1e-9)
         assert entries[1].value == pytest.approx(total / 25.0, rel=1e-9)
 
     def test_zero_field_gives_zeros(self, annulus_dom, constant_solution):
         sol = constant_solution(annulus_dom, 0.0)
-        entries = en.energy_growth_profile(sol, annulus_dom, [1, 2])
+        entries = en.energy_growth_profile(sol, [1, 2])
         assert all(e.value == 0.0 for e in entries)
 
-    def test_truncation_flag(self, annulus_grid_solution, annulus_dom):
-        entries = en.energy_growth_profile(annulus_grid_solution, annulus_dom,
-                                           [2.0, 10.0])
+    def test_truncation_flag(self, annulus_grid_solution):
+        entries = en.energy_growth_profile(annulus_grid_solution, [2.0, 10.0])
         assert not entries[0].truncated
         assert entries[1].truncated
 
-    def test_eventually_monotone_tail(self, slab_grid_solution, slab_dom):
-        entries = en.energy_growth_profile(slab_grid_solution, slab_dom,
-                                           [1, 2, 3, 4, 4.8])
+    def test_eventually_monotone_tail(self, slab_grid_solution):
+        entries = en.energy_growth_profile(slab_grid_solution, [1, 2, 3, 4, 4.8])
         tail = [e.value for e in entries[-3:]]
         assert tail[0] > tail[1] > tail[2]
 
@@ -157,7 +156,7 @@ def test_slab_growth_matches_quadrature(n, h1, h2):
     # R below both |h1| and h2, between them, and beyond both
     radii = [0.3, 1.0, 3.0]
     norm = _quad(lambda t: math.exp(0.5 * t * t), h1, h2)
-    entries = en.energy_growth_profile(sv.solve_slab(h1, h2, ambient_dim=n), None, radii)
+    entries = en.energy_growth_profile(sv.solve_slab(h1, h2, ambient_dim=n), radii)
     for R, entry in zip(radii, entries):
         # |u'(s)|^2 e^(-s^2/2) = e^(s^2/2) / F^2 on the slice of height s
         mass = _quad(lambda s: math.exp(0.5 * s * s)
@@ -173,7 +172,19 @@ def test_radial_growth_matches_quadrature(n):
     g = lambda r: r ** (1 - n) * math.exp(0.5 * r * r)
     norm = _quad(g, a, b)
     omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-    entries = en.energy_growth_profile(sv.solve_radial(a, b, n), None, radii)
+    entries = en.energy_growth_profile(sv.solve_radial(a, b, n), radii)
     for R, entry in zip(radii, entries):
         mass = omega * _quad(g, a, min(b, R)) / norm ** 2
         assert entry.value == pytest.approx(mass / (R * R), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("radii, message", [
+    ([0.0, 1.0], "energy growth radii must be positive and finite, got 0.0"),
+    ([-1.0, 1.0], "energy growth radii must be positive and finite, got -1.0"),
+    ([math.nan], "energy growth radii must be positive and finite, got nan"),
+    ([2.0, 1.0], "energy growth radii must be strictly increasing, got [2.0, 1.0]"),
+], ids=["zero", "negative", "nan", "decreasing"])
+def test_growth_radii_are_checked(slab_grid_solution, radii, message):
+    # R = 0 raised ZeroDivisionError; R = -1 and NaN were accepted
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        en.energy_growth_profile(slab_grid_solution, radii)

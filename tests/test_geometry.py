@@ -188,6 +188,10 @@ class TestVolumeGrowth:
             geo.extrinsic_volume_growth(pl, [3, 2, 4])
         with pytest.raises(ParameterError):
             geo.extrinsic_volume_growth(geo.Sphere(m=2), [1.0, 2, 3])
+        # a NaN radius gave the hyperplane a fitted exponent
+        for radii in ([math.nan, 2, 3], [-1, 2, 3]):
+            with pytest.raises(ParameterError, match="volume-growth radii must be positive"):
+                geo.extrinsic_volume_growth(pl, radii)
 
     def test_csv(self):
         res = geo.extrinsic_volume_growth(geo.Sphere(m=2), [2, 3, 4])

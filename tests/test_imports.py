@@ -1,6 +1,8 @@
-"""Imports: scipy is imported where it is called, so the package, the CLI and
-the paths that need no sparse solve or special function load no scipy
-module; and no package module keeps a top-level import it does not use."""
+"""Imports and lints: scipy is imported where it is called, so the package,
+the CLI and the paths that need no sparse solve or special function load no
+scipy module; no package module keeps a top-level import it does not use or
+reads another module's underscore name; and every module-level function
+reads each parameter it takes."""
 
 import ast
 import glob
@@ -105,3 +107,28 @@ def test_no_module_reads_a_private_name_of_another():
     modules = {os.path.splitext(os.path.basename(p))[0] for p in paths}
     reads = {os.path.basename(p): _private_reads(p, modules) for p in paths}
     assert {name: names for name, names in reads.items() if names} == {}
+
+
+def _unread_parameters(path):
+    """Parameters of the module-level functions that the function never reads."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    unread = []
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        read = {n.id for n in ast.walk(node)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{node.name}({p})" for p in params if p not in read]
+    return unread
+
+
+def test_every_module_function_reads_its_parameters():
+    # methods are exempt: a protocol signature may ignore an argument
+    # (Sphere.quad_nodes(max_radius), Hyperplane.principal_curvatures(exterior_sign))
+    modules = sorted(glob.glob(os.path.join(SRC, "shrinkerlab", "*.py")))
+    unread = {os.path.basename(p): _unread_parameters(p) for p in modules}
+    assert {name: params for name, params in unread.items() if params} == {}

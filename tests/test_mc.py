@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import sys
 
 import numpy as np
@@ -185,3 +186,16 @@ def test_bias_study_is_flat_in_dt(slab_dom, slab_profile):
                          seed=20240801)
     assert [r["dt"] for r in rows] == dts
     assert all(r["gap_in_sigmas"] <= 2.0 for r in rows), rows
+
+
+def test_path_count_must_be_an_integer():
+    # 1000.5 paths raised numpy's TypeError inside a worker
+    for n_paths in (1000.5, 1000.0, True):
+        with pytest.raises(ParameterError, match=f"n_paths must be an integer, got {n_paths}"):
+            mc.McConfig(n_paths=n_paths)
+
+
+def test_start_point_must_be_finite(slab_dom):
+    # the slab's depths read only x2, so NaN in x1 gave p_hat = 0.5
+    with pytest.raises(ParameterError, match=re.escape("x0 must be finite, got [nan, 0.0]")):
+        mc.ou_hitting_probability(np.array([math.nan, 0.0]), slab_dom, mc.McConfig(n_paths=200))

@@ -1,3 +1,5 @@
+import math
+import re
 import sys
 import tracemalloc
 
@@ -297,3 +299,28 @@ def test_box_fraction_matches_midpoint_count(comps, scale, h, shift):
 def test_chain_needs_grid(annulus_dom, radial_profile):
     with pytest.raises(ParameterError):
         rl.energy_growth_chain(radial_profile, annulus_dom, [1.0])
+
+
+@pytest.mark.parametrize("mesh_h", [0.0, -0.1, math.nan])
+def test_mesh_step_must_be_positive_and_finite(mesh_h):
+    # at mesh_h <= 0 the volume side read 0.0 from 0 cells, with no error
+    u = ScalarField(lambda x: x[0], batch_evaluator=lambda P: P[:, 0])
+    with pytest.raises(ParameterError, match=f"mesh_h must be positive and finite, got {mesh_h}"):
+        rl.reilly_residual(u, None, dm.ball_domain(1.0, ambient_dim=3), mesh_h=mesh_h)
+
+
+@pytest.mark.parametrize("R", [math.nan, math.inf, 0.0, -1.0])
+def test_cutoff_radius_must_be_positive_and_finite(R):
+    with pytest.raises(ParameterError, match=f"cutoff radius must be positive and finite, got {R}"):
+        rl.CutoffFamily(R)
+
+
+@pytest.mark.parametrize("radii, message", [
+    ([0.0, 1.0], "energy chain radii must be positive and finite, got 0.0"),
+    ([-1.0, 1.0], "energy chain radii must be positive and finite, got -1.0"),
+    ([2.0, 1.0], "energy chain radii must be strictly increasing, got [2.0, 1.0]"),
+], ids=["zero", "negative", "decreasing"])
+def test_chain_radii_are_checked(annulus_dom, constant_solution, radii, message):
+    # R = 0 divided by zero, and R = -1 was accepted
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        rl.energy_growth_chain(constant_solution(annulus_dom, 0.0), annulus_dom, radii)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -244,8 +245,8 @@ class TestMixedBvp:
     def test_report_counts_upwinded_rows_cut_legs_and_nonzeros(self, radius):
         # at h = 1/8 the drift is upwinded exactly where |x| > 16
         dom = dm.slab_domain(-1 + 0.3 / 8, 1 + 0.3 / 8, ambient_dim=2, radius=radius)
-        grid = sv.Grid(dom, 1 / 8)
-        det = sv.solve_mixed_bvp(dom, grid=grid, tol=1e-11).report.details
+        sol = sv.solve_mixed_bvp(dom, h=1 / 8, tol=1e-11)
+        grid, det = sol.grid, sol.report.details
         flat = np.flatnonzero(grid.solved_mask)
         x = grid.coordinates(flat)[:, 0]
         assert det["upwind_fraction"] == np.count_nonzero(np.abs(x) > 16) / flat.size
@@ -291,7 +292,7 @@ class TestMixedBvpProperties:
     def test_assembled_operator_is_an_m_matrix(self, case):
         dom, h = case
         grid = sv.Grid(dom, h)
-        A, _, _, _ = sv._assemble(grid, dom)
+        A, _, _, _ = sv._assemble(grid)
         # int32 CSR with the diagonal and at most one entry per solved axis
         # neighbour in every row
         assert A.format == "csr"
@@ -346,10 +347,9 @@ class TestMultigrid:
             assert rep.linear_residual <= 1e-11
 
     def test_matches_direct_solve(self, annulus_dom):
-        grid = sv.Grid(annulus_dom, 1 / 16)
-        A, b, flat_solved, _ = sv._assemble(grid, annulus_dom)
+        sol = sv.solve_mixed_bvp(annulus_dom, h=1 / 16, tol=1e-11)
+        A, b, flat_solved, _ = sv._assemble(sol.grid)
         direct = spsolve(A.tocsc(), b)
-        sol = sv.solve_mixed_bvp(annulus_dom, grid=grid, tol=1e-11)
         assert np.max(np.abs(sol.field.values.reshape(-1)[flat_solved] - direct)) <= 1e-10
 
     @pytest.mark.parametrize("geom", ["slab", "annulus"])
@@ -464,3 +464,30 @@ class TestExhaustion:
             sv.solve_exhaustion(slab_dom, [4.0], h=1 / 16)
         with pytest.raises(ParameterError):
             sv.solve_exhaustion(slab_dom, [4.0, 3.0, 5.0], h=1 / 16)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"h": -0.1}, "grid spacing h must be positive and finite, got -0.1"),
+    ({"h": 0.0}, "grid spacing h must be positive and finite, got 0.0"),
+    ({"h": math.nan}, "grid spacing h must be positive and finite, got nan"),
+    ({"h": 0.25, "tol": math.nan}, "tol must be positive and finite, got nan"),
+    ({"h": 0.25, "tol": -1.0}, "tol must be positive and finite, got -1.0"),
+], ids=["negative-h", "zero-h", "nan-h", "nan-tol", "negative-tol"])
+def test_mixed_bvp_names_a_bad_spacing_or_tolerance(kwargs, message):
+    dom = dm.slab_domain(-1, 1, ambient_dim=2, radius=2.0)
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        sv.solve_mixed_bvp(dom, **kwargs)
+
+
+@pytest.mark.parametrize("radii, kwargs, message", [
+    ([0.0, 3.0, 4.0], {}, "exhaustion radii must be positive and finite, got 0.0"),
+    ([-1.0, 3.0, 4.0], {}, "exhaustion radii must be positive and finite, got -1.0"),
+    ([math.nan, 3.0, 4.0], {}, "exhaustion radii must be positive and finite, got nan"),
+    ([2.0, 3.0], {}, "need at least 3 increasing exhaustion radii, got 2"),
+    ([2.0, 3.0, 4.0], {"tol": math.nan}, "tol must be positive and finite, got nan"),
+    ([2.0, 3.0, 4.0], {"linear_tol": -1.0}, "linear_tol must be positive and finite, got -1.0"),
+], ids=["zero-radius", "negative-radius", "nan-radius", "two-radii", "nan-tol",
+        "negative-linear-tol"])
+def test_exhaustion_names_a_bad_radius_or_tolerance(slab_dom, radii, kwargs, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        sv.solve_exhaustion(slab_dom, radii, h=1 / 8, **kwargs)
