@@ -154,12 +154,15 @@ def cmd_identities(args):
     for s in geo.surface_samples(args.model, args.samples, span=args.span):
         for k in ks:
             rep = geo.cylinder_identities(k, s)
-            worst_res = max(worst_res, abs(rep.grad_id_residual), abs(rep.laplu_residual))
+            # np.max and np.min keep a NaN, which Python's max and min may drop
+            worst_res = float(np.max([worst_res, abs(rep.grad_id_residual),
+                                      abs(rep.laplu_residual)]))
             if rep.sqrtu_slack is not None:
-                worst_slack = min(worst_slack, rep.sqrtu_slack)
+                worst_slack = float(np.min([worst_slack, rep.sqrtu_slack]))
     report = {"model": args.model.to_json(), "k_values": ks,
               "max_residual": worst_res, "min_sqrt_slack": worst_slack}
-    failed = worst_res >= 1e-6 or worst_slack < -1e-8
+    # a non-finite residual or slack fails both comparisons
+    failed = not (worst_res < 1e-6 and worst_slack >= -1e-8)
     return Outcome(report, {}, f"identity residuals: max {worst_res:.3e}, "
                                f"sqrt slack min {worst_slack:.3e}",
                    "cylinder identity residuals exceed their bounds" if failed else None)

@@ -315,10 +315,18 @@ def box_cells(lo, hi, h):
 
 def cell_centres(lo, counts, h, start, stop):
     """Centres lo + (index + 1/2) h of the cells with flat C-order indices
-    start .. stop - 1 of a box of `counts` cells per axis, as (m, n) rows."""
-    flat = np.arange(start, min(stop, int(np.prod(counts))))
-    index = np.unravel_index(flat, tuple(counts))
-    return np.stack([lo[ax] + (index[ax] + 0.5) * h for ax in range(len(counts))], axis=1)
+    start .. stop - 1 of a box of `counts` cells per axis, as (m, n) rows.
+    Each axis index is peeled off the flat one, last axis first, by divmod
+    as q = i // c and i - q c (np.divmod is several times slower on int64),
+    and written straight into its column."""
+    rest = np.arange(start, min(stop, int(np.prod(counts))))
+    out = np.empty((rest.size, len(counts)))
+    for ax in range(len(counts) - 1, 0, -1):
+        quot = rest // counts[ax]
+        out[:, ax] = lo[ax] + (rest - quot * counts[ax] + 0.5) * h
+        rest = quot
+    out[:, 0] = lo[0] + (rest + 0.5) * h
+    return out
 
 
 def energy_of_field(fld, domain, resolution=1 / 128, radius=None):

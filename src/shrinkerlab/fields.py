@@ -8,6 +8,9 @@ differences with a relative default step.  `gradient` and
 `fd_gradient_hessian`, the one batched stencil: it evaluates the field at
 n^2 + n + 1 points per row (13 in 3D, 7 in 2D), taking the mixed second
 differences from the 7-point formula that reuses the axis evaluations.
+Its results are component-major, the gradient (n, N) and the Hessian
+(n, n, N), so each component is one contiguous array of N values, and
+`row_dot` contracts such arrays component by component.
 `weighted_divergence` stays pointwise, since vector fields have no batch
 evaluator.
 """
@@ -96,7 +99,7 @@ def gradient(fld, p, h=None):
     of (N, n) points."""
     pts, steps = _stencil_rows(fld, p, h)
     grad, _ = fd_gradient_hessian(fld.batch, pts, steps)
-    return grad.reshape(np.shape(p))
+    return grad.T.reshape(np.shape(p))
 
 
 def weighted_laplacian(fld, p, h=None):
@@ -104,7 +107,7 @@ def weighted_laplacian(fld, p, h=None):
     a float at an (n,) point, an (N,) array at (N, n) points."""
     pts, steps = _stencil_rows(fld, p, h)
     grad, hess = fd_gradient_hessian(fld.batch, pts, steps)
-    lap = np.trace(hess, axis1=1, axis2=2) - np.sum(pts * grad, axis=1)
+    lap = trace(hess) - row_dot(pts.T, grad)
     return float(lap[0]) if np.ndim(p) == 1 else lap
 
 
@@ -127,45 +130,68 @@ def stencil_evaluations(n):
     return n * n + n + 1
 
 
-def fd_gradient_hessian(batch, pts, h):
-    """Gradient (N, n) and Hessian (N, n, n) at each row of pts (N, n) by
-    central differences of step h, one scalar or one step per row (N,);
-    batch maps (N, n) points to (N,) values.
+def row_dot(a, b):
+    """sum_i a[i] * b[i] of two component-major arrays (or sequences of
+    equal-shaped arrays), added in component order: the row-wise dot
+    product of (n, N) components, or the contraction of a Hessian row."""
+    out = a[0] * b[0]
+    for ai, bi in zip(a[1:], b[1:]):
+        out += ai * bi
+    return out
 
-    The mixed terms reuse the axis evaluations through the 7-point formula
+
+def trace(hess):
+    """sum_i hess[i, i] of an (n, n, N) component-major Hessian."""
+    out = hess[0, 0].copy()
+    for i in range(1, hess.shape[0]):
+        out += hess[i, i]
+    return out
+
+
+def fd_gradient_hessian(batch, pts, h):
+    """Gradient and Hessian at each row of pts (N, n) by central differences
+    of step h, one scalar or one step per row (N,); batch maps (N, n) points
+    to (N,) values.
+
+    Both are component-major: the gradient is (n, N) and the Hessian
+    (n, n, N), so grad[i] and hess[i, j] are contiguous (N,) arrays.  The
+    mixed terms reuse the axis evaluations through the 7-point formula
     (f(+i+j) - f(+i) - f(+j) + 2 f0 - f(-i) - f(-j) + f(-i-j)) / (2 h^2), so
     a point costs `stencil_evaluations(n)` field evaluations.  Shifted
-    points are written column by column into one reused buffer, and every
-    result is copied before the buffer changes, so batch may return a view
-    of its input.
+    points are written column by column into one reused buffer, a column
+    being put back only when the next evaluation does not move it too; a
+    result that is a view of the buffer is copied before the buffer changes,
+    so batch may return a view of its input.
     """
     N, n = pts.shape
     h = np.asarray(h, dtype=float).reshape(-1)
     buf = np.array(pts, dtype=float)
+    moved = []
 
     def at(sign, *axes):
         """f at pts moved by sign * h along each of axes."""
+        for i in moved:
+            if i not in axes:
+                buf[:, i] = pts[:, i]
         for i in axes:
-            buf[:, i] = pts[:, i] + sign * h
-        vals = np.array(batch(buf), dtype=float)
-        for i in axes:
-            buf[:, i] = pts[:, i]
-        return vals
+            np.add(pts[:, i], sign * h, out=buf[:, i])
+        moved[:] = axes
+        vals = np.asarray(batch(buf), dtype=float)
+        return vals.copy() if np.may_share_memory(vals, buf) else vals
 
     f0 = at(0.0)
     fp = [at(1.0, i) for i in range(n)]
     fm = [at(-1.0, i) for i in range(n)]
-    grad = np.empty((N, n))
-    hess = np.empty((N, n, n))
+    grad = np.empty((n, N))
+    hess = np.empty((n, n, N))
     for i in range(n):
-        grad[:, i] = (fp[i] - fm[i]) / (2.0 * h)
-        hess[:, i, i] = (fp[i] - 2.0 * f0 + fm[i]) / (h * h)
+        grad[i] = (fp[i] - fm[i]) / (2.0 * h)
+        hess[i, i] = (fp[i] - 2.0 * f0 + fm[i]) / (h * h)
     for i in range(n):
         for j in range(i + 1, n):
-            mixed = (at(1.0, i, j) - fp[i] - fp[j] + 2.0 * f0
-                     - fm[i] - fm[j] + at(-1.0, i, j)) / (2.0 * h * h)
-            hess[:, i, j] = mixed
-            hess[:, j, i] = mixed
+            hess[i, j] = (at(1.0, i, j) - fp[i] - fp[j] + 2.0 * f0
+                          - fm[i] - fm[j] + at(-1.0, i, j)) / (2.0 * h * h)
+            hess[j, i] = hess[i, j]
     return grad, hess
 
 

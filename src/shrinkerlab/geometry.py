@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ContractViolation, MissingGeometryError, ParameterError, build_from_config,
-                     require_radii)
+                     require_positive, require_radii)
 from .fields import fd_gradient_hessian
 from .quadrature import gauss_legendre, halton, sphere_directions
 
@@ -555,7 +555,7 @@ def _surface_drift_laplacian(batch, sample, fd_step):
     """
     x, nu, frame = sample.point, sample.normal, sample.frame
     grad, hess = fd_gradient_hessian(batch, x[None, :], fd_step)
-    grad, hess = grad[0], hess[0]
+    grad, hess = grad[:, 0], hess[:, :, 0]
     grad_nu = float(np.dot(grad, nu))
     grad_tan = grad - grad_nu * nu
     lap_surface = float(np.einsum("ij,jk,ik->", frame, hess, frame)) \
@@ -666,7 +666,8 @@ def model_from_json(obj):
 
 
 def surface_samples(model, count, span=3.0):
-    """count >= 1 deterministic quasi-random SurfaceSamples on a model."""
+    """count >= 1 deterministic quasi-random SurfaceSamples on a model, over
+    coordinates within a finite, positive span."""
     if count < 1:
         raise ParameterError(f"sample count must be at least 1, got {count}")
-    return model.quasi_random_samples(count, span=span)
+    return model.quasi_random_samples(count, span=require_positive("span", span))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_positive
 from .fields import ordered_map
 
 __all__ = ["McConfig", "McEstimate", "ou_hitting_probability", "bias_study"]
@@ -59,8 +59,7 @@ class McConfig:
             raise ParameterError("need at least 100 paths for a meaningful estimate")
         if not 0 < self.dt <= 1e-2:
             raise ParameterError("dt must be positive and at most 1e-2")
-        if self.max_time <= 0:
-            raise ParameterError("max_time must be positive")
+        require_positive("max_time", self.max_time)
 
 
 @dataclass

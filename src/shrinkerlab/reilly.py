@@ -9,15 +9,21 @@ parametrized) boundary.  Ric_f is the identity (Gaussian space).
 Volume quadrature is a midpoint rule on a Cartesian mesh with cut cells
 weighted by the exact plane-cut fraction of the signed-distance crossing.
 The cells stream in chunks of `energy.CHUNK` (32,768) built from flat
-index ranges, with no full-box array; each chunk drops the cells lying
-wholly outside a piece before computing normals and fractions, and
-differentiates u with the 13-point stencil of `fields.fd_gradient_hessian`
-(in 3D) at one step per call: the smallest spacing of a `GridField` u,
-else 1e-5 (1 + largest box coordinate).  The boundary uses Gauss-Legendre
-panels at fixed high order, so the reported residual tracks the volume
-mesh: 384^(n-1) nodes per piece, and a second pass on 256^(n-1) nodes for
-`mixed_term_uncertainty`.  Each pass takes one differencing step per piece
-from all of its nodes and then streams the nodes in chunks of the same size.
+index ranges, with no full-box array.  A cell whose centre lies deeper than
+the cube's half-diagonal h sqrt(n) / 2 outside a piece has fraction 0, and
+inside it fraction 1, so normals and fractions are computed only on each
+piece's cut band between.  Each chunk differentiates u with the 13-point
+stencil of `fields.fd_gradient_hessian` (in 3D) at one step per call: the
+smallest spacing of a `GridField` u, else 1e-5 (1 + largest box
+coordinate).  Both sides contract the stencil's component-major arrays
+component by component (`fields.row_dot`), and the cutoff gives phi^2 and
+grad(phi^2) from one radius and one profile per row.
+
+The boundary uses Gauss-Legendre panels at fixed high order, so the
+reported residual tracks the volume mesh: 384^(n-1) nodes per piece, and a
+second pass on 256^(n-1) nodes for `mixed_term_uncertainty`.  Each pass
+takes one differencing step per piece from all of its nodes and then
+streams the nodes in chunks of the same size.
 
 One residual is one ordered stream of work items -- the cell chunks, then
 the node chunks of both boundary passes -- run on os.cpu_count() threads by
@@ -36,7 +42,8 @@ import numpy as np
 from .energy import CHUNK, box_cells, cell_centres, normal_derivative, weighted_gradient_cells
 from .errors import (ContractViolation, MissingGeometryError, ParameterError,
                      require_positive, require_radii)
-from .fields import GridField, fd_gradient_hessian, ordered_map, stencil_evaluations
+from .fields import (GridField, fd_gradient_hessian, ordered_map, row_dot, stencil_evaluations,
+                     trace)
 from .geometry import radii
 
 __all__ = ["CutoffFamily", "ReillyReport", "reilly_residual",
@@ -71,14 +78,15 @@ class CutoffFamily:
     def __call__(self, x):
         return self.profile(radii(np.asarray(x, dtype=float)))
 
-    def grad_phi_sq(self, x):
-        """grad(phi^2) = 2 phi phi' x/|x| (vectorized over rows)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+    def squared_with_gradient(self, x):
+        """phi^2 (N,) and grad(phi^2) = 2 phi phi' x/|x| (n, N, component-major)
+        at the (N, n) rows of x, from one radius and one profile per row."""
         r = radii(x)
-        fac = 2.0 * self.profile(r) * self.profile_derivative(r)
+        phi = self.profile(r)
+        fac = 2.0 * phi * self.profile_derivative(r)
         with np.errstate(invalid="ignore", divide="ignore"):
-            unit = np.where(r[:, None] > 0, x / np.maximum(r, 1e-300)[:, None], 0.0)
-        return fac[:, None] * unit
+            unit = np.where(r > 0, x.T / np.maximum(r, 1e-300), 0.0)
+        return phi ** 2, fac * unit
 
     def max_gradient(self):
         r = np.linspace(self.R, 2.0 * self.R, 20001)
@@ -103,9 +111,8 @@ class _ConstantCutoff:
         x = np.asarray(x, dtype=float)
         return np.ones(x.shape[:-1]) if x.ndim > 1 else 1.0
 
-    def grad_phi_sq(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.zeros_like(x)
+    def squared_with_gradient(self, x):
+        return np.ones(x.shape[0]), np.zeros(x.shape[::-1])
 
 
 CONSTANT_CUTOFF = _ConstantCutoff()
@@ -185,6 +192,24 @@ def _box_fraction(depth, normal, h):
     return frac
 
 
+def _cell_fractions(pieces, pts, h):
+    """Fraction of each cell of step h (centres pts, (m, n)) lying in every
+    piece: the product over pieces of `_box_fraction`.  A cell whose centre
+    lies deeper than the cube's half-diagonal outside a piece has fraction
+    exactly 0, and inside it exactly 1 (the margin covers rounding), so only
+    the cut band between is computed."""
+    reach = 0.5 * h * math.sqrt(pts.shape[1]) * (1.0 + 1e-9)
+    frac = np.ones(pts.shape[0])
+    for ob in pieces:
+        d = ob.depth(pts)
+        frac[d <= -reach] = 0.0
+        band = np.abs(d) < reach
+        if np.any(band):
+            # the unit gradient of the depth is the inward normal
+            frac[band] *= _box_fraction(d[band], -ob.exterior_normal(pts[band]), h)
+    return frac
+
+
 def _volume_items(u, phi, domain, mesh_h, fd_h):
     """Work items of the volume integrals, one per chunk of CHUNK cells, each
     returning (hess_sq, lap_f_sq, ricci, transport, kept cells, cut cells);
@@ -196,19 +221,10 @@ def _volume_items(u, phi, domain, mesh_h, fd_h):
     pieces = [ob for _, ob in domain.pieces()]
     # one step per call, so that no sum depends on the chunking
     step = fd_h if fd_h is not None else 1e-5 * (1.0 + float(np.max(np.abs([lo, hi]))))
-    # a cell whose centre lies deeper outside a piece than the cube's
-    # half-diagonal has box fraction exactly 0 (the margin covers rounding)
-    reach = 0.5 * h * math.sqrt(n) * (1.0 + 1e-9)
 
     def chunk_sums(start):
         pts = cell_centres(lo, counts, h, start, start + CHUNK)
-        depths = [ob.depth(pts) for ob in pieces]
-        near = np.logical_and.reduce([d > -reach for d in depths])
-        pts = pts[near]
-        frac = np.ones(pts.shape[0])
-        for ob, d in zip(pieces, depths):
-            # the unit gradient of the depth is the inward normal
-            frac = frac * _box_fraction(d[near], -ob.exterior_normal(pts), h)
+        frac = _cell_fractions(pieces, pts, h)
         keep = frac > 0.0
         if not np.any(keep):
             return 0.0, 0.0, 0.0, 0.0, 0, 0
@@ -216,15 +232,14 @@ def _volume_items(u, phi, domain, mesh_h, fd_h):
         frac = frac[keep]
 
         grad, hess = fd_gradient_hessian(u.batch, pts, step)
-        lap_f = np.einsum("kii->k", hess) - np.einsum("ki,ki->k", pts, grad)
-        hess_sq = np.einsum("kij,kij->k", hess, hess)
-        ricci = np.einsum("ki,ki->k", grad, grad)  # Ric_f = identity (Gaussian)
-        phi_sq = np.asarray(phi(pts)) ** 2
-        gps = phi.grad_phi_sq(pts)
-        hess_grad = np.einsum("kij,kj->ki", hess, grad)
-        transport = np.einsum("ki,ki->k", gps, hess_grad - lap_f[:, None] * grad)
+        x = pts.T.copy()
+        lap_f = trace(hess) - row_dot(x, grad)
+        hess_sq = row_dot(hess.reshape(n * n, -1), hess.reshape(n * n, -1))
+        ricci = row_dot(grad, grad)  # Ric_f = identity (Gaussian)
+        phi_sq, gps = phi.squared_with_gradient(pts)
+        transport = row_dot(gps, [row_dot(hess[i], grad) - lap_f * grad[i] for i in range(n)])
 
-        w = np.exp(-0.5 * np.sum(pts ** 2, axis=1)) * frac * h ** n
+        w = np.exp(-0.5 * row_dot(x, x)) * frac * h ** n
         return (float(np.sum(phi_sq * hess_sq * w)), float(np.sum(phi_sq * lap_f ** 2 * w)),
                 float(np.sum(phi_sq * ricci * w)), float(np.sum(transport * w)),
                 pts.shape[0], int(np.count_nonzero(frac < 1.0)))
@@ -246,23 +261,24 @@ def _boundary_sums(u, phi, ob, nodes, weights, step):
     kappa = kappas[:, 0]
     tr_a = kappa * (n - 1)
 
-    nus = ob.exterior_normal(nodes)
-    du_dnu = np.einsum("ki,ki->k", grad, nus)
-    grad_tan = grad - du_dnu[:, None] * nus
-    grad_tan_sq = np.einsum("ki,ki->k", grad_tan, grad_tan)
-    x_tan = nodes - np.einsum("ki,ki->k", nodes, nus)[:, None] * nus
+    x = nodes.T.copy()
+    nu = ob.exterior_normal(nodes).T.copy()
+    du_dnu = row_dot(grad, nu)
+    grad_tan = grad - du_dnu * nu
+    grad_tan_sq = row_dot(grad_tan, grad_tan)
+    x_nu = row_dot(x, nu)
+    x_tan = x - x_nu * nu
 
     a_term = kappa * grad_tan_sq
-    hess_nu = np.einsum("kij,kj->ki", hess, nus)
-    mixed = np.einsum("ki,ki->k", grad_tan, hess_nu) - a_term
-    hess_nunu = np.einsum("ki,ki->k", hess_nu, nus)
-    lap_surface = np.einsum("kii->k", hess) - hess_nunu + tr_a * du_dnu
-    lap_f_surface = lap_surface - np.einsum("ki,ki->k", x_tan, grad_tan)
-    h_f = tr_a + np.einsum("ki,ki->k", nodes, nus)
+    hess_nu = [row_dot(hess[i], nu) for i in range(n)]
+    mixed = row_dot(grad_tan, hess_nu) - a_term
+    lap_surface = trace(hess) - row_dot(hess_nu, nu) + tr_a * du_dnu
+    lap_f_surface = lap_surface - row_dot(x_tan, grad_tan)
+    h_f = tr_a + x_nu
     lap_term = -(lap_f_surface - h_f * du_dnu) * du_dnu
 
     phi_sq = np.asarray(phi(nodes)) ** 2
-    w = np.exp(-0.5 * np.sum(nodes ** 2, axis=1)) * weights * phi_sq
+    w = np.exp(-0.5 * row_dot(x, x)) * weights * phi_sq
     return float(np.sum(a_term * w)), float(np.sum(mixed * w)), float(np.sum(lap_term * w))
 
 

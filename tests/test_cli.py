@@ -5,6 +5,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shrinkerlab import geometry as geo
 from shrinkerlab.cli import dumps17, main
 from shrinkerlab.domain import domain_from_json
 from shrinkerlab.errors import ParameterError
@@ -282,9 +283,13 @@ def test_library_errors_map_to_exit_codes(tmp_path, capsys, domain, flags, expec
     ("volume-growth", None, ["--model", '{"type":"hyperplane","normal":[0,0,1]}',
                              "--radii=nan,2,3"],
      "volume-growth radii must be positive and finite, got nan"),
+    ("identities", None, ["--model", '{"type":"cylinder","m":2,"k":1}', "--samples", "5",
+                          "--span", "nan"], "span must be positive and finite, got nan"),
+    ("identities", None, ["--model", '{"type":"cylinder","m":2,"k":1}', "--samples", "5",
+                          "--span", "inf"], "span must be positive and finite, got inf"),
 ], ids=["negative-mesh", "zero-mesh", "nan-cutoff", "nan-R", "inf-a", "nan-z", "nan-tol",
         "negative-tol", "negative-h", "nan-x0", "zero-radius", "negative-radius", "nan-radius",
-        "nan-volume-radius"])
+        "nan-volume-radius", "nan-span", "inf-span"])
 def test_out_of_range_scalars_are_usage_errors(tmp_path, capsys, slab_config, ball_config,
                                                 command, domain, flags, message):
     configs = {"slab": ["--domain", slab_config], "ball": ["--domain", ball_config], None: []}
@@ -293,6 +298,18 @@ def test_out_of_range_scalars_are_usage_errors(tmp_path, capsys, slab_config, ba
     err = capsys.readouterr().err
     assert err == f"usage error: {message}\n"
     assert not os.path.exists(out)
+
+
+def test_identities_count_a_non_finite_residual_as_a_failure(tmp_path, capsys, monkeypatch):
+    # Python's max(0.0, nan) keeps 0.0, so a NaN residual used to pass
+    nan_report = geo.CylinderIdentityReport(u=1.0, grad_id_residual=math.nan,
+                                            laplu_residual=0.0, sqrtu_slack=None)
+    monkeypatch.setattr(geo, "cylinder_identities", lambda k, sample: nan_report)
+    out = _out(tmp_path, "nan")
+    assert main(["identities", "--model", '{"type":"cylinder","m":2,"k":1}', "--samples", "5",
+                 "--output-dir", out]) == 2
+    assert "cylinder identity residuals exceed their bounds" in capsys.readouterr().err
+    assert math.isnan(json.loads(open(os.path.join(out, "report.json")).read())["max_residual"])
 
 
 def test_solve_with_an_empty_compare_set_is_a_usage_error(tmp_path, capsys):

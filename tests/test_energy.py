@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -188,3 +189,20 @@ def test_growth_radii_are_checked(slab_grid_solution, radii, message):
     # R = 0 raised ZeroDivisionError; R = -1 and NaN were accepted
     with pytest.raises(ParameterError, match=re.escape(message)):
         en.energy_growth_profile(slab_grid_solution, radii)
+
+
+@pytest.mark.parametrize("counts", [(7,), (5, 9), (3, 4, 6), (40, 50, 60)])
+def test_cell_centres_match_unravel_index(counts):
+    # the divmod index block gives the unravel_index centres bit for bit,
+    # on chunks that start and stop inside a row
+    counts = np.array(counts)
+    lo = -np.arange(1.0, counts.size + 1.0) / 3.0
+    h = 1 / 64
+    cells = int(np.prod(counts))
+    for start, stop in ((0, cells), (1, 2), (cells // 3, cells // 3 + 1001), (cells - 5, cells + 7)):
+        flat = np.arange(start, min(stop, cells))
+        index = np.unravel_index(flat, tuple(counts))
+        expected = np.stack([lo[ax] + (index[ax] + 0.5) * h for ax in range(counts.size)], axis=1)
+        got = en.cell_centres(lo, counts, h, start, stop)
+        assert got.shape == expected.shape
+        np.testing.assert_array_equal(got, expected)

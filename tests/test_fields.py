@@ -107,8 +107,10 @@ def test_stencil_is_exact_on_quadratics(dim):
     P = rng.uniform(-1.5, 1.5, size=(40, dim))
     grad, hess = fl.fd_gradient_hessian(
         lambda X: c + X @ b + 0.5 * np.einsum("ki,ij,kj->k", X, A, X), P, 1e-2)
-    np.testing.assert_allclose(grad, b + P @ A, rtol=0, atol=1e-9)
-    np.testing.assert_allclose(hess, np.broadcast_to(A, hess.shape), rtol=0, atol=1e-9)
+    # component-major: grad (n, N) and hess (n, n, N)
+    assert grad.shape == (dim, 40) and hess.shape == (dim, dim, 40)
+    np.testing.assert_allclose(grad, (b + P @ A).T, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(hess, np.broadcast_to(A[:, :, None], hess.shape), rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("dim, evaluations", [(2, 7), (3, 13)])
@@ -120,8 +122,9 @@ def test_stencil_evaluation_count(dim, evaluations):
         return np.sin(X).sum(axis=1)
 
     P = np.random.default_rng(7).uniform(-1.0, 1.0, size=(25, dim))
-    fl.fd_gradient_hessian(counting, P, 1e-3)
+    grad, hess = fl.fd_gradient_hessian(counting, P, 1e-3)
     assert sum(rows) == evaluations * P.shape[0]
+    assert grad.shape == (dim, 25) and hess.shape == (dim, dim, 25)
     assert fl.stencil_evaluations(dim) == evaluations
 
 
@@ -129,7 +132,7 @@ def test_stencil_copies_a_batch_that_returns_a_view():
     # the evaluator hands back a view of the shifted-point buffer
     P = np.random.default_rng(8).uniform(-1.0, 1.0, size=(30, 3))
     grad, hess = fl.fd_gradient_hessian(lambda X: X[:, 0], P, 1e-3)
-    np.testing.assert_allclose(grad, np.tile([1.0, 0.0, 0.0], (30, 1)), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(grad, np.tile([[1.0], [0.0], [0.0]], (1, 30)), rtol=0, atol=1e-10)
     np.testing.assert_allclose(hess, 0.0, rtol=0, atol=1e-6)
 
 

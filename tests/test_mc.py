@@ -24,6 +24,14 @@ def test_config_validation():
             mc.McConfig(n_paths=500, seed=seed)
 
 
+@pytest.mark.parametrize("max_time", [math.nan, math.inf, -1.0])
+def test_max_time_must_be_positive_and_finite(max_time):
+    # NaN used to fail later, inside a worker, in math.ceil(max_time / dt)
+    with pytest.raises(ParameterError,
+                       match=re.escape(f"max_time must be positive and finite, got {max_time}")):
+        mc.McConfig(n_paths=500, max_time=max_time)
+
+
 def test_symmetric_slab_start(slab_dom):
     cfg = mc.McConfig(n_paths=N_FAST, dt=1e-3, seed=11)
     est = mc.ou_hitting_probability(np.array([0.0, 0.0]), slab_dom, cfg)

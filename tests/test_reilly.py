@@ -8,6 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from shrinkerlab import domain as dm
+from shrinkerlab import energy as en
+from shrinkerlab import fields as fl
 from shrinkerlab import geometry as geo
 from shrinkerlab import reilly as rl
 from shrinkerlab import solver as sv
@@ -324,3 +326,155 @@ def test_chain_radii_are_checked(annulus_dom, constant_solution, radii, message)
     # R = 0 divided by zero, and R = -1 was accepted
     with pytest.raises(ParameterError, match=re.escape(message)):
         rl.energy_growth_chain(constant_solution(annulus_dom, 0.0), annulus_dom, radii)
+
+
+# --------------------------------------------------------------------------
+# the lean kernels against whole-row and row-major references
+
+_PIECES = {
+    "ball": (dm.ball_domain(1.0, ambient_dim=3), 1 / 32),
+    # the top plane cuts the last layer of cells
+    "slab3d": (dm.slab_domain(-0.5, 0.53, ambient_dim=3, radius=1.5), 1 / 16),
+    "annulus": (dm.annulus_domain(0.5, 1.5, ambient_dim=3), 1 / 16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PIECES))
+def test_band_fractions_equal_the_whole_row_product(name):
+    # cells off the cut band have fraction exactly 0 or 1, so computing only
+    # the band must give the whole-row product bit for bit on every chunk
+    dom, h = _PIECES[name]
+    lo, hi = dom.grid_box(dom.exhaustion_radius)
+    counts, cells = en.box_cells(lo, hi, h)
+    pieces = [ob for _, ob in dom.pieces()]
+    interior = cut = 0
+    for start in range(0, cells, en.CHUNK):
+        pts = en.cell_centres(lo, counts, h, start, start + en.CHUNK)
+        whole = np.ones(pts.shape[0])
+        for ob in pieces:
+            whole = whole * rl._box_fraction(ob.depth(pts), -ob.exterior_normal(pts), h)
+        band = rl._cell_fractions(pieces, pts, h)
+        np.testing.assert_array_equal(band.view(np.int64), whole.view(np.int64))
+        interior += np.count_nonzero(whole == 1.0)
+        cut += np.count_nonzero((whole > 0.0) & (whole < 1.0))
+    assert interior > 0 and cut > 0
+
+
+def _row_major(grad, hess):
+    return grad.T, np.moveaxis(hess, -1, 0)
+
+
+def _einsum_volume(u, phi, dom, h):
+    """Row-major einsum reference of the volume sums, and the sums of their
+    absolute row terms."""
+    lo, hi = dom.grid_box(dom.exhaustion_radius)
+    counts, cells = en.box_cells(lo, hi, h)
+    step = 1e-5 * (1.0 + float(np.max(np.abs([lo, hi]))))
+    sums, scale = np.zeros(4), np.zeros(4)
+    for start in range(0, cells, en.CHUNK):
+        pts = en.cell_centres(lo, counts, h, start, start + en.CHUNK)
+        frac = np.ones(pts.shape[0])
+        for _, ob in dom.pieces():
+            frac = frac * rl._box_fraction(ob.depth(pts), -ob.exterior_normal(pts), h)
+        pts, frac = pts[frac > 0.0], frac[frac > 0.0]
+        grad, hess = _row_major(*fl.fd_gradient_hessian(u.batch, pts, step))
+        lap_f = np.einsum("kii->k", hess) - np.einsum("ki,ki->k", pts, grad)
+        r = np.linalg.norm(pts, axis=1)
+        phi_sq = np.asarray(phi(pts)) ** 2
+        if isinstance(phi, rl.CutoffFamily):
+            gps = (2.0 * phi.profile(r) * phi.profile_derivative(r) / r)[:, None] * pts
+        else:
+            gps = np.zeros_like(pts)
+        transport = np.einsum("ki,ki->k", gps, np.einsum("kij,kj->ki", hess, grad)
+                              - lap_f[:, None] * grad)
+        w = np.exp(-0.5 * np.sum(pts ** 2, axis=1)) * frac * h ** 3
+        terms = np.array([phi_sq * np.einsum("kij,kij->k", hess, hess) * w,
+                          phi_sq * lap_f ** 2 * w,
+                          phi_sq * np.einsum("ki,ki->k", grad, grad) * w, transport * w])
+        sums += terms.sum(axis=1)
+        scale += np.abs(terms).sum(axis=1)
+    return sums, scale
+
+
+def _einsum_boundary(u, phi, ob, nodes, weights, step):
+    """Row-major einsum reference of `_boundary_sums`, and the sums of the
+    absolute row terms."""
+    grad, hess = _row_major(*fl.fd_gradient_hessian(u.batch, nodes, step))
+    kappa = ob.principal_curvatures(nodes)[:, 0]
+    tr_a = 2.0 * kappa
+    nus = ob.exterior_normal(nodes)
+    du_dnu = np.einsum("ki,ki->k", grad, nus)
+    grad_tan = grad - du_dnu[:, None] * nus
+    x_tan = nodes - np.einsum("ki,ki->k", nodes, nus)[:, None] * nus
+    a_term = kappa * np.einsum("ki,ki->k", grad_tan, grad_tan)
+    hess_nu = np.einsum("kij,kj->ki", hess, nus)
+    mixed = np.einsum("ki,ki->k", grad_tan, hess_nu) - a_term
+    lap_surface = (np.einsum("kii->k", hess) - np.einsum("ki,ki->k", hess_nu, nus)
+                   + tr_a * du_dnu)
+    lap_f_surface = lap_surface - np.einsum("ki,ki->k", x_tan, grad_tan)
+    h_f = tr_a + np.einsum("ki,ki->k", nodes, nus)
+    lap_term = -(lap_f_surface - h_f * du_dnu) * du_dnu
+    w = np.exp(-0.5 * np.sum(nodes ** 2, axis=1)) * weights * np.asarray(phi(nodes)) ** 2
+    terms = np.array([a_term * w, mixed * w, lap_term * w])
+    return terms.sum(axis=1), np.abs(terms).sum(axis=1)
+
+
+_COEFF = st.floats(-1.0, 1.0)
+
+
+def _polynomial(quadratic, cubic):
+    """u = b.x + x.A x / 2 + sum_i c_i x_i^3 + c_3 x_0 x_1 x_2 in R^3."""
+    b, A = np.array(quadratic[:3]), np.array(quadratic[3:]).reshape(3, 3)
+    A = A + A.T
+    c = np.array(cubic)
+
+    def batch(P):
+        return (P @ b + 0.5 * np.einsum("ki,ij,kj->k", P, A, P)
+                + (P ** 3) @ c[:3] + c[3] * P[:, 0] * P[:, 1] * P[:, 2])
+
+    return ScalarField(lambda x: float(batch(x[None, :])[0]), batch_evaluator=batch)
+
+
+_FIELDS = dict(quadratic=st.lists(_COEFF, min_size=12, max_size=12),
+               cubic=st.one_of(st.just([0.0] * 4), st.lists(_COEFF, min_size=4, max_size=4)))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(**_FIELDS, piece=st.sampled_from(["ball", "slab3d"]),
+       cutoff=st.sampled_from([None, 0.4]))
+def test_component_major_volume_sums_match_einsum(quadratic, cubic, piece, cutoff):
+    u = _polynomial(quadratic, cubic)
+    dom = _PIECES[piece][0]
+    phi = rl.CONSTANT_CUTOFF if cutoff is None else rl.CutoffFamily(cutoff)
+    items, _ = rl._volume_items(u, phi, dom, 1 / 8, None)
+    lean = np.sum([item()[:4] for item in items], axis=0)
+    reference, scale = _einsum_volume(u, phi, dom, 1 / 8)
+    assert np.all(np.abs(lean - reference) <= 1e-13 * scale)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(**_FIELDS, piece=st.sampled_from(["ball", "slab3d"]),
+       cutoff=st.sampled_from([None, 0.4]))
+def test_component_major_boundary_sums_match_einsum(quadratic, cubic, piece, cutoff):
+    u = _polynomial(quadratic, cubic)
+    dom = _PIECES[piece][0]
+    phi = rl.CONSTANT_CUTOFF if cutoff is None else rl.CutoffFamily(cutoff)
+    for _, ob in dom.pieces():
+        nodes, weights = ob.quad_nodes(dom.exhaustion_radius, per_dim=24)
+        lean = np.array(rl._boundary_sums(u, phi, ob, nodes, weights, 1e-4))
+        reference, scale = _einsum_boundary(u, phi, ob, nodes, weights, 1e-4)
+        assert np.all(np.abs(lean - reference) <= 1e-13 * scale)
+
+
+def test_cutoff_squared_with_gradient_is_the_product_rule():
+    phi = rl.CutoffFamily(0.5)
+    P = np.random.default_rng(3).uniform(-1.2, 1.2, size=(200, 3))
+    P[0] = 0.0
+    phi_sq, gps = phi.squared_with_gradient(P)
+    r = np.linalg.norm(P, axis=1)
+    np.testing.assert_array_equal(phi_sq, phi(P) ** 2)
+    assert gps.shape == (3, 200) and np.all(gps[:, 0] == 0.0)
+    expected = 2.0 * phi(P[1:]) * phi.profile_derivative(r[1:]) * P[1:].T / r[1:]
+    np.testing.assert_allclose(gps[:, 1:], expected, rtol=1e-14, atol=1e-300)
+    ones, zeros = rl.CONSTANT_CUTOFF.squared_with_gradient(P)
+    assert np.all(ones == 1.0) and zeros.shape == (3, 200) and not np.any(zeros)
