@@ -437,15 +437,16 @@ class SurfaceSample:
 
 def check_sample_contracts(normals, forms, frames, h_vecs):
     """SurfaceSample's contracts on (N, ...) stacks: A symmetric, frame
-    orthogonal to the normal (a NaN product passes, as under np.max), H =
-    +-(tr A) nu.  np.allclose per row: |x - y| <= atol + 1e-5 |y|, y finite, or x == y."""
+    orthogonal to the normal (every |<t_i, nu>| <= 1e-10, so a NaN or
+    infinite product fails), H = +-(tr A) nu.  np.allclose per row:
+    |x - y| <= atol + 1e-5 |y|, y finite, or x == y."""
     def close(x, y, atol):
         with np.errstate(invalid="ignore"):
             ok = (np.abs(x - y) <= atol + 1e-5 * np.abs(y)) & np.isfinite(y) | (x == y)
         return ok.reshape(len(ok), -1).all(axis=1)
     if not close(forms, forms.swapaxes(1, 2), 1e-10).all():
         raise ContractViolation("second fundamental form is not symmetric")
-    if np.any(np.max(np.abs(frames @ normals[:, :, None]), axis=(1, 2)) > 1e-10):
+    if not np.all(np.abs(frames @ normals[:, :, None]) <= 1e-10):
         raise ContractViolation("tangent frame is not orthogonal to the normal")
     h = np.trace(forms, axis1=1, axis2=2)[:, None] * normals
     if not (close(h, h_vecs, 1e-9) | close(-h, h_vecs, 1e-9)).all():

@@ -21,10 +21,13 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 @lru_cache(maxsize=64)
 def gauss_legendre(n, a=0.0, b=1.0):
-    """Return cached Gauss-Legendre nodes and weights on [a, b]."""
+    """Return cached Gauss-Legendre nodes and weights on [a, b], read-only,
+    so that no caller can change the rule for the next one."""
     x, w = np.polynomial.legendre.leggauss(n)
     x = 0.5 * (b - a) * (x + 1.0) + a
     w = 0.5 * (b - a) * w
+    x.setflags(write=False)
+    w.setflags(write=False)
     return x, w
 
 

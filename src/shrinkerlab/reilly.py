@@ -17,24 +17,31 @@ stencil of `fields.fd_gradient_hessian` (in 3D) at one step per call: the
 smallest spacing of a `GridField` u, else 1e-5 (1 + largest box
 coordinate).  Both sides contract the stencil's component-major arrays
 component by component (`fields.row_dot`), and the cutoff gives phi^2 and
-grad(phi^2) from one radius and one profile per row.
+grad(phi^2) from one radius and one clipped transition per row.  For
+phi == 1 (`CONSTANT_CUTOFF`) both sides skip the factor phi^2, and the
+volume side skips the transport term, which is then exactly +0.0.
 
 The boundary uses Gauss-Legendre panels at fixed high order, so the
 reported residual tracks the volume mesh: 384^(n-1) nodes per piece, and a
 second pass on 256^(n-1) nodes for `mixed_term_uncertainty`.  Each pass
-takes one differencing step per piece from all of its nodes and then
-streams the nodes in chunks of the same size.
+takes one differencing step per piece from the largest radius of its nodes
+and then streams the nodes in chunks of the same size.  A piece's nodes,
+weights and largest radius are built once per (shape, exhaustion radius,
+nodes per dimension) and cached read-only (`_piece_quadrature`), so
+repeated residuals and energy chains on one domain only slice them.
 
 One residual is one ordered stream of work items -- the cell chunks, then
 the node chunks of both boundary passes -- run on os.cpu_count() threads by
 `fields.ordered_map`, so no stage holds more than a chunk of points per
 thread.  The items' partial sums are added in item order, so the result
-does not depend on the worker count.
+does not depend on the worker count.  The report's field_evaluations
+counts every point at which u is evaluated: the stencil's evaluations per
+point times the kept cells and the nodes of both boundary passes.
 """
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations
 
 import numpy as np
@@ -63,29 +70,38 @@ class CutoffFamily:
     def __init__(self, R):
         self.R = require_positive("cutoff radius", R)
 
-    def profile(self, r):
-        s = (np.asarray(r, dtype=float) - self.R) / self.R
-        s = np.clip(s, 0.0, 1.0)
+    def _transition(self, r):
+        """s = (r - R) / R clipped to [0, 1]: 0 on B_R, 1 outside B_2R."""
+        return np.clip((np.asarray(r, dtype=float) - self.R) / self.R, 0.0, 1.0)
+
+    @staticmethod
+    def _value(s):
         return 1.0 - s ** 3 * (10.0 - 15.0 * s + 6.0 * s * s)
 
+    def _slope(self, s):
+        return np.where((s > 0.0) & (s < 1.0), -30.0 * s ** 2 * (1.0 - s) ** 2 / self.R, 0.0)
+
+    def profile(self, r):
+        return self._value(self._transition(r))
+
     def profile_derivative(self, r):
-        s = (np.asarray(r, dtype=float) - self.R) / self.R
-        out = np.where((s > 0.0) & (s < 1.0),
-                       -30.0 * np.clip(s, 0, 1) ** 2 * (1.0 - np.clip(s, 0, 1)) ** 2 / self.R,
-                       0.0)
-        return out
+        return self._slope(self._transition(r))
 
     def __call__(self, x):
         return self.profile(radii(np.asarray(x, dtype=float)))
 
     def squared_with_gradient(self, x):
         """phi^2 (N,) and grad(phi^2) = 2 phi phi' x/|x| (n, N, component-major)
-        at the (N, n) rows of x, from one radius and one profile per row."""
+        at the (N, n) rows of x, from one radius and one clipped s per row."""
         r = radii(x)
-        phi = self.profile(r)
-        fac = 2.0 * phi * self.profile_derivative(r)
+        s = self._transition(r)
+        phi = self._value(s)
+        fac = 2.0 * phi * self._slope(s)
         with np.errstate(invalid="ignore", divide="ignore"):
-            unit = np.where(r > 0, x.T / np.maximum(r, 1e-300), 0.0)
+            unit = x.T / np.maximum(r, 1e-300)
+        centre = ~(r > 0)
+        if np.any(centre):  # no direction at the origin (or a NaN radius)
+            unit[:, centre] = 0.0
         return phi ** 2, fac * unit
 
     def max_gradient(self):
@@ -103,16 +119,14 @@ class CutoffFamily:
 
 
 class _ConstantCutoff:
-    """phi == 1 stand-in (transport term vanishes identically)."""
+    """phi == 1 stand-in; the Reilly sides skip phi^2 and the transport
+    term, which vanishes identically, for it."""
 
     R = math.inf
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         return np.ones(x.shape[:-1]) if x.ndim > 1 else 1.0
-
-    def squared_with_gradient(self, x):
-        return np.ones(x.shape[0]), np.zeros(x.shape[::-1])
 
 
 CONSTANT_CUTOFF = _ConstantCutoff()
@@ -128,8 +142,9 @@ class ReillyReport:
     smallest spacing, and the second pass halves it; for any other u each
     pass takes the step of its own nodes, the same on a sphere.  details
     holds deterministic counters: volume_cells, cut_cells, volume_fd_step,
-    stencil_evaluations_per_point and boundary_nodes (the nodes of the
-    384^(n-1) pass).
+    stencil_evaluations_per_point, boundary_nodes (the nodes of the
+    384^(n-1) pass) and field_evaluations (stencil_evaluations_per_point
+    times the volume cells and the nodes of both passes).
     """
 
     volume_side: float
@@ -149,41 +164,53 @@ def _box_fraction(depth, normal, h):
     """Fraction of the cube [-h/2, h/2]^n lying in {depth + <normal, y> >= 0}.
 
     Vectorized over cells: depth (N,), normal (N, n) with |normal| <= 1 rows.
-    Exact for planar interfaces (inclusion-exclusion over box corners).
+    Exact for planar interfaces (inclusion-exclusion over box corners).  The
+    components are held component-major, (n, N): a reduction over axis 0
+    adds them one after another in axis order, as a row's np.sum does, and
+    costs a fraction of a reduction along short rows.
     """
     depth = np.asarray(depth, dtype=float)
-    a = np.abs(np.asarray(normal, dtype=float))
-    N, n = a.shape
+    a = np.abs(np.asarray(normal, dtype=float)).T.copy()
+    n = a.shape[0]
     frac = np.where(depth >= 0.0, 1.0, 0.0)
 
     # cells genuinely cut: |depth| below the cube half-diagonal reach
-    reach = 0.5 * h * np.sum(a, axis=1)
+    reach = 0.5 * h * np.sum(a, axis=0)
     cut = np.abs(depth) < reach
     if not np.any(cut):
         return frac
-    ac = a[cut]
-    t = depth[cut] + 0.5 * h * np.sum(ac, axis=1)
+    ac = np.compress(cut, a, axis=1)
+    t = depth[cut] + reach[cut]
 
     # drop components that are zero or negligible next to the largest (the
     # interface is then parallel to those axes): the inclusion-exclusion sum
     # below divides by their product, so tiny ones would swamp it in rounding
-    active = ac > np.maximum(1e-12, 1e-5 * ac.max(axis=1, keepdims=True))
-    d_eff = active.sum(axis=1)
+    active = ac > np.maximum(1e-12, 1e-5 * ac.max(axis=0))
+    d_eff = np.count_nonzero(active, axis=0)
     out = np.empty(t.size)
     for d in range(1, n + 1):
         rows = d_eff == d
         if not np.any(rows):
             continue
-        tr = t[rows]
         # each row keeps exactly d active components, in axis order
-        comp = ac[rows][active[rows]].reshape(-1, d)
-        vol = np.zeros(rows.sum())
-        idx = list(range(d))
-        for size in range(d + 1):
-            for subset in combinations(idx, size):
-                shift = np.sum(comp[:, list(subset)], axis=1) if subset else 0.0
-                vol += (-1.0) ** size * np.maximum(tr - h * shift, 0.0) ** d
-        denom = math.factorial(d) * np.prod(comp, axis=1) * h ** d
+        comp = (np.compress(rows, ac, axis=1) if d == n
+                else ac.T[rows][active.T[rows]].reshape(-1, d).T)
+        # one corner per subset of the d axes, by size and then in
+        # combinations order; its shift adds the subset's components in
+        # axis order from 0 (0 + c is exact), as np.sum over the subset does
+        subsets = [s for size in range(d + 1) for s in combinations(range(d), size)]
+        member = np.array([[axis in s for s in subsets] for axis in range(d)], dtype=float)
+        shift = member[0][:, None] * comp[0]
+        for axis in range(1, d):
+            shift += member[axis][:, None] * comp[axis]
+        corner = np.maximum(t[rows] - h * shift, 0.0) ** d
+        vol = corner[0].copy()
+        for k, s in enumerate(subsets[1:], start=1):
+            if len(s) % 2:
+                vol -= corner[k]
+            else:
+                vol += corner[k]
+        denom = math.factorial(d) * np.prod(comp, axis=0) * h ** d
         out[rows] = np.clip(vol / denom, 0.0, 1.0)
     zero_rows = d_eff == 0
     if np.any(zero_rows):
@@ -206,7 +233,8 @@ def _cell_fractions(pieces, pts, h):
         band = np.abs(d) < reach
         if np.any(band):
             # the unit gradient of the depth is the inward normal
-            frac[band] *= _box_fraction(d[band], -ob.exterior_normal(pts[band]), h)
+            frac[band] *= _box_fraction(
+                d[band], -ob.exterior_normal(np.compress(band, pts, axis=0)), h)
     return frac
 
 
@@ -228,20 +256,27 @@ def _volume_items(u, phi, domain, mesh_h, fd_h):
         keep = frac > 0.0
         if not np.any(keep):
             return 0.0, 0.0, 0.0, 0.0, 0, 0
-        pts = pts[keep]
+        # np.compress gathers rows several times faster than a boolean index
+        pts = np.compress(keep, pts, axis=0)
         frac = frac[keep]
 
         grad, hess = fd_gradient_hessian(u.batch, pts, step)
         x = pts.T.copy()
         lap_f = trace(hess) - row_dot(x, grad)
         hess_sq = row_dot(hess.reshape(n * n, -1), hess.reshape(n * n, -1))
+        lap_f_sq = lap_f ** 2
         ricci = row_dot(grad, grad)  # Ric_f = identity (Gaussian)
-        phi_sq, gps = phi.squared_with_gradient(pts)
-        transport = row_dot(gps, [row_dot(hess[i], grad) - lap_f * grad[i] for i in range(n)])
-
         w = np.exp(-0.5 * row_dot(x, x)) * frac * h ** n
-        return (float(np.sum(phi_sq * hess_sq * w)), float(np.sum(phi_sq * lap_f ** 2 * w)),
-                float(np.sum(phi_sq * ricci * w)), float(np.sum(transport * w)),
+        if phi is CONSTANT_CUTOFF:
+            # phi^2 == 1 and grad(phi^2) == 0: no factor, and no transport
+            transport = 0.0
+        else:
+            phi_sq, gps = phi.squared_with_gradient(pts)
+            hess_sq, lap_f_sq, ricci = phi_sq * hess_sq, phi_sq * lap_f_sq, phi_sq * ricci
+            transport = float(np.sum(
+                row_dot(gps, [row_dot(hess[i], grad) - lap_f * grad[i] for i in range(n)]) * w))
+        return (float(np.sum(hess_sq * w)), float(np.sum(lap_f_sq * w)),
+                float(np.sum(ricci * w)), transport,
                 pts.shape[0], int(np.count_nonzero(frac < 1.0)))
 
     items = [partial(chunk_sums, start) for start in range(0, cells, CHUNK)]
@@ -256,7 +291,8 @@ def _boundary_sums(u, phi, ob, nodes, weights, step):
     grad, hess = fd_gradient_hessian(u.batch, nodes, step)
 
     kappas = ob.principal_curvatures(nodes)
-    if not np.allclose(kappas, kappas[:, :1]):
+    # equal curvatures, as on a plane or a sphere, need no tolerance test
+    if not (np.all(kappas == kappas[:, :1]) or np.allclose(kappas, kappas[:, :1])):
         raise MissingGeometryError("non-umbilic boundary pieces are not supported")
     kappa = kappas[:, 0]
     tr_a = kappa * (n - 1)
@@ -277,9 +313,24 @@ def _boundary_sums(u, phi, ob, nodes, weights, step):
     h_f = tr_a + x_nu
     lap_term = -(lap_f_surface - h_f * du_dnu) * du_dnu
 
-    phi_sq = np.asarray(phi(nodes)) ** 2
-    w = np.exp(-0.5 * row_dot(x, x)) * weights * phi_sq
+    w = np.exp(-0.5 * row_dot(x, x)) * weights
+    if phi is not CONSTANT_CUTOFF:
+        w = w * np.asarray(phi(nodes)) ** 2
     return float(np.sum(a_term * w)), float(np.sum(mixed * w)), float(np.sum(lap_term * w))
+
+
+@lru_cache(maxsize=8)
+def _piece_quadrature(shape, max_radius, per_dim):
+    """Read-only quadrature of a piece's shape clipped to B_max_radius:
+    nodes, weights and the largest node radius (0.0 without nodes).
+
+    Cached like `quadrature.gauss_legendre`: every Reilly residual and energy
+    chain on one domain reads the same nodes.  The shapes are frozen
+    dataclasses, so equal shapes share an entry."""
+    nodes, weights = shape.quad_nodes(max_radius, per_dim)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights, float(np.max(np.linalg.norm(nodes, axis=1), initial=0.0))
 
 
 def _boundary_items(u, phi, domain, fd_h, per_dim):
@@ -289,12 +340,12 @@ def _boundary_items(u, phi, domain, fd_h, per_dim):
     items = []
     total = 0
     for _, ob in domain.pieces():
-        nodes, weights = ob.quad_nodes(domain.exhaustion_radius, per_dim=per_dim)
+        nodes, weights, reach = _piece_quadrature(ob.shape, domain.exhaustion_radius, per_dim)
         if nodes.shape[0] == 0:
             continue
         # one step per piece over all of its nodes, so that no sum depends
         # on the chunking
-        step = fd_h if fd_h is not None else 1e-5 * (1.0 + float(np.max(np.linalg.norm(nodes, axis=1))))
+        step = fd_h if fd_h is not None else 1e-5 * (1.0 + reach)
         items += [partial(_boundary_sums, u, phi, ob, nodes[start:start + CHUNK],
                           weights[start:start + CHUNK], step)
                   for start in range(0, nodes.shape[0], CHUNK)]
@@ -326,8 +377,9 @@ def reilly_residual(u, phi, domain, mesh_h):
     boundary_items, nodes = _boundary_items(u, phi, domain, fd_h, per_dim=_NODES_PER_DIM)
     # the mixed term on fewer nodes (and half a grid field's step) gives
     # mixed_term_uncertainty, a check of the boundary quadrature
-    second_items, _ = _boundary_items(u, phi, domain, None if fd_h is None else 0.5 * fd_h,
-                                      per_dim=256)
+    second_items, second_nodes = _boundary_items(u, phi, domain,
+                                                 None if fd_h is None else 0.5 * fd_h,
+                                                 per_dim=256)
     # one ordered stream, so the boundary chunks share the pool with the cells
     parts = ordered_map(lambda item: item(),
                         volume_items + boundary_items + second_items)
@@ -354,7 +406,9 @@ def reilly_residual(u, phi, domain, mesh_h):
         term_breakdown=breakdown,
         mixed_term_uncertainty=abs(bnd_terms["mixed"] - second_mixed),
         details={"ricci_mode": "gaussian identity", "volume_cells": kept,
-                 "cut_cells": cut, **counters, "boundary_nodes": nodes})
+                 "cut_cells": cut, **counters, "boundary_nodes": nodes,
+                 "field_evaluations": counters["stencil_evaluations_per_point"]
+                 * (kept + nodes + second_nodes)})
 
 
 # --------------------------------------------------------------------------
@@ -396,7 +450,7 @@ def energy_growth_chain(solution, domain, radii):
     boundary_terms = {}
     f_minimal = {}
     for label, ob in domain.pieces():
-        nodes, weights = ob.quad_nodes(domain.exhaustion_radius, per_dim=_NODES_PER_DIM)
+        nodes, weights, _ = _piece_quadrature(ob.shape, domain.exhaustion_radius, _NODES_PER_DIM)
         h_f = ob.weighted_mean_curvature(nodes)
         ok, dudnu = normal_derivative(solution, domain, label, nodes)
         weight = np.exp(-0.5 * np.sum(nodes[ok] ** 2, axis=1)) * weights[ok]

@@ -316,7 +316,7 @@ def _contracts_one_by_one(normal, a, frame, h_vec):
     """The name of the first contract one sample breaks, by np.allclose."""
     if not np.allclose(a, a.T, atol=1e-10):
         return "symmetric"
-    if np.max(np.abs(frame @ normal)) > 1e-10:
+    if not np.max(np.abs(frame @ normal)) <= 1e-10:  # a NaN product fails
         return "orthogonal"
     h = np.trace(a) * normal
     if not (np.allclose(h, h_vec, atol=1e-9) or np.allclose(-h, h_vec, atol=1e-9)):

@@ -118,6 +118,8 @@ def test_cutoff_residual_peaks_below_36_mb(unit_ball, monkeypatch):
     # two workers hold two chunks at a time; a whole 147,456-node boundary
     # pass needs about 50 MB of temporaries
     monkeypatch.setattr("shrinkerlab.fields._WORKERS", 2)
+    # the cached boundary nodes are built inside the measured call
+    rl._piece_quadrature.cache_clear()
     tracemalloc.start()
     try:
         _residual(unit_ball, rl.CutoffFamily(0.5), 1 / 32)
@@ -155,11 +157,61 @@ def test_volume_side_keeps_every_cell_with_a_positive_fraction(unit_ball):
 
 def test_report_carries_volume_counters(unit_ball):
     rep = _residual(unit_ball, None, 1 / 8)
-    assert {"volume_cells", "cut_cells", "volume_fd_step",
-            "stencil_evaluations_per_point", "boundary_nodes"} <= set(rep.details)
+    assert {"volume_cells", "cut_cells", "volume_fd_step", "stencil_evaluations_per_point",
+            "boundary_nodes", "field_evaluations"} <= set(rep.details)
     assert 0 < rep.details["cut_cells"] < rep.details["volume_cells"] <= 16 ** 3
     # the unit sphere on 384 x 384 Gauss-Legendre nodes
     assert rep.details["boundary_nodes"] == 384 ** 2
+
+
+def test_field_evaluations_count_every_point_the_field_is_read_at(unit_ball):
+    rows = []
+    u = ScalarField(lambda x: x[0], batch_evaluator=lambda P: rows.append(len(P)) or P[:, 0])
+    details = rl.reilly_residual(u, None, unit_ball, mesh_h=1 / 16).details
+    # the 13-point stencil at every kept cell and at the nodes of both passes
+    assert details["field_evaluations"] == 13 * (details["volume_cells"] + 384 ** 2 + 256 ** 2)
+    assert details["field_evaluations"] == sum(rows)
+
+
+# u = <x, (0.36, 0.48, 0.8)>, a unit direction off every axis
+U_OBLIQUE = ScalarField(lambda x: float(x @ [0.36, 0.48, 0.8]),
+                        batch_evaluator=lambda P: P @ np.array([0.36, 0.48, 0.8]))
+
+
+@pytest.mark.parametrize("phi", [None, rl.CutoffFamily(0.53)], ids=["phi1", "cutoff"])
+def test_cached_boundary_quadrature_gives_the_cold_report(unit_ball, phi):
+    rl._piece_quadrature.cache_clear()
+    cold = rl.reilly_residual(U_OBLIQUE, phi, unit_ball, mesh_h=1 / 16)
+    # one sphere, built once for each of the two passes
+    assert rl._piece_quadrature.cache_info()[:2] == (0, 2)
+    warm = rl.reilly_residual(U_OBLIQUE, phi, unit_ball, mesh_h=1 / 16)
+    assert rl._piece_quadrature.cache_info()[:2] == (2, 2)
+    # repr shows every float to the last bit, and the sign of a zero
+    assert repr(warm) == repr(cold)
+
+
+def test_boundary_quadrature_cache_is_keyed_by_shape_radius_and_nodes():
+    rl._piece_quadrature.cache_clear()
+    plane = geo.Hyperplane((0.0, 0.0, 1.0), 0.25)
+    first = rl._piece_quadrature(plane, 2.0, 16)
+    # an equal shape is the same key
+    assert rl._piece_quadrature(geo.Hyperplane((0.0, 0.0, 1.0), 0.25), 2.0, 16) is first
+    others = [(plane, 2.0, 12), (plane, 1.5, 16),
+              (geo.Hyperplane((0.0, 0.0, 1.0), 0.5), 2.0, 16), (geo.Sphere(2, 1.0), 2.0, 16)]
+    for shape, radius, per_dim in others:
+        nodes, weights, reach = rl._piece_quadrature(shape, radius, per_dim)
+        expected = shape.quad_nodes(radius, per_dim)
+        np.testing.assert_array_equal(nodes, expected[0])
+        np.testing.assert_array_equal(weights, expected[1])
+        assert reach == np.max(np.linalg.norm(nodes, axis=1))
+    assert rl._piece_quadrature.cache_info()[:2] == (1, 5)
+
+
+def test_constant_cutoff_transport_is_positive_zero(unit_ball):
+    # phi == 1 skips the transport contraction; the term is +0.0, not -0.0
+    transport = rl.reilly_residual(U_OBLIQUE, None, unit_ball,
+                                   mesh_h=1 / 16).term_breakdown["volume_transport"]
+    assert transport == 0.0 and math.copysign(1.0, transport) == 1.0
 
 
 def test_f_minimal_pieces_have_zero_weighted_curvature():
@@ -476,5 +528,3 @@ def test_cutoff_squared_with_gradient_is_the_product_rule():
     assert gps.shape == (3, 200) and np.all(gps[:, 0] == 0.0)
     expected = 2.0 * phi(P[1:]) * phi.profile_derivative(r[1:]) * P[1:].T / r[1:]
     np.testing.assert_allclose(gps[:, 1:], expected, rtol=1e-14, atol=1e-300)
-    ones, zeros = rl.CONSTANT_CUTOFF.squared_with_gradient(P)
-    assert np.all(ones == 1.0) and zeros.shape == (3, 200) and not np.any(zeros)
