@@ -271,7 +271,7 @@ def criterion_10_barrier_suite():
 
     ann_dom = dm.annulus_domain(0.5, 2.0, ambient_dim=2)
     sol = sv.solve_mixed_bvp(ann_dom, h=1 / 32, tol=1e-11)
-    mids, _ = en.interface_segments(sol, "sigma2")
+    mids, _, _ = en.interface_segments(sol, "sigma2")
     _, dudnu = en.normal_derivative(sol, ann_dom, "sigma2", mids)
     measured = float(np.max(np.abs(dudnu)))
     bound = br.estimate_gradient(2.0, R=2.0, dist_to_sigma1=1.5, m=1)

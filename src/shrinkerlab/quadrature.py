@@ -38,10 +38,13 @@ class CumulativeProfile:
 
     F at a node is the running sum of order-8 Gauss-Legendre panels, stored
     divided by F(hi) = `normalization`; between nodes one more order-8 panel
-    covers [node, t].  `value` maps a scalar to a float and an (N,) array to
-    an (N,) array, with exactly 0 at and below lo and exactly 1 at and above
-    hi; `derivative(t)` is g(t) / F(hi) at a scalar t; `as_field` wraps a
-    subclass's `__call__` as a scalar field with the same batch evaluator.
+    covers [node, t].  A panel calls the density once per Gauss node on all
+    N points and adds w_k g_k in place, node by node, so every point's sum
+    runs left to right whatever N is.  `value` maps a scalar to a float and
+    an (N,) array to an (N,) array, with exactly 0 at and below lo and
+    exactly 1 at and above hi; `derivative(t)` is g(t) / F(hi) at a scalar
+    t; `as_field` wraps a subclass's `__call__` as a scalar field with the
+    same batch evaluator.
     """
 
     def __init__(self, lo, hi):
@@ -54,9 +57,15 @@ class CumulativeProfile:
         """Order-8 Gauss-Legendre integral of g over [x0, t], row by row."""
         xi, w = gauss_legendre(8)
         width = t - x0
-        g = self.density(x0[:, None] + width[:, None] * xi)
-        # an explicit left-to-right sum rounds each row alike at any N
-        return width * sum(wk * gk for wk, gk in zip(w, g.T))
+        # one contiguous density call per node, summed in place left to
+        # right, so each row rounds alike at any N
+        total = np.zeros_like(width)
+        for xk, wk in zip(xi, w):
+            g = self.density(x0 + width * xk)
+            g *= wk
+            total += g
+        total *= width
+        return total
 
     def value(self, t):
         t = np.asarray(t, dtype=float)

@@ -11,20 +11,24 @@ system is solved by BiCGStab preconditioned with a Galerkin geometric
 multigrid V-cycle on the lattice's h -> 2h hierarchy, so iteration counts do
 not grow as h shrinks.
 
-A solve holds one copy of its operator.  `_assemble` writes it as int32 CSR
-with no COO stage, every row in descending column order, and the solve
-scales its rows in place to D^-1 A.  Descending order is the order in which
+A solve holds one copy of its operator.  `_assemble` stages every row in a
+fixed-width block of 2n + 1 slots in descending column order and compresses
+the block once to int32 CSR, with no COO stage; rows whose arms are both h
+long read their coefficients from a per-line table, and only the rows with
+a cut or mirrored leg evaluate the unequal-arm formula.  The solve scales
+the rows in place to D^-1 A.  Descending order is the order in which
 scipy's sparse product of a diagonal with a sorted A stores the rows, so the
 scaled arrays equal that product's bit for bit and the smoother's sums keep
-their last bits.  The grid keeps no coordinate array; coordinates are
-rebuilt from the axes for the nodes that need them.
+their last bits.  Each level's prolongation is built row-sorted with its
+repeated parents already merged and is converted to CSC once, which gives
+P^T in CSR for the Galerkin product.  The grid keeps no coordinate array;
+coordinates are rebuilt from the axes for the nodes that need them.
 
 The discrete maximum principle is a hard postcondition: produced solutions
 live in [0, 1].  scipy is imported where it is called, so the closed-form
 profiles load no scipy module.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 
@@ -165,9 +169,15 @@ class Grid:
 
         self.axes = [(self.lo_idx[ax] + np.arange(self.shape[ax])) * self.h
                      for ax in range(self.ndim)]
+        # |x| as the sum of the squared coordinates, axis by axis, which is
+        # np.linalg.norm's order, broadcast from the axes
+        sq = 0.0
+        for ax, coord in enumerate(self.axes):
+            sq = sq + (coord * coord).reshape([-1 if k == ax else 1 for k in range(self.ndim)])
+        self.r = np.sqrt(sq, out=sq).reshape(-1)
+        del sq
         points = np.stack(np.meshgrid(*self.axes, indexing="ij", copy=False),
                           axis=-1).reshape(-1, self.ndim)
-        self.r = np.linalg.norm(points, axis=1)
         self.piece_labels = [label for label, _ in domain.pieces()]
         self.depths = {label: np.asarray(ob.depth(points), dtype=float)
                        for label, ob in domain.pieces()}
@@ -231,23 +241,21 @@ class Grid:
         return bool(ok)
 
 
-def _leg(grid, flat_solved, step):
-    """One stencil arm of every solved node: the neighbor at flat offset `step`.
+def _leg(grid, node, step):
+    """The stencil arms from the solved nodes `node` whose neighbor at flat
+    offset `step` is not solved.
 
-    Returns (off, L, kind, uB, strays).  `off` lists the rows whose neighbor
-    is not solved; every other leg is solved and h long.  For the rows in
-    `off`, L is the leg length, kind is 1 for a Dirichlet leg (cut at the
-    signed-distance zero crossing, with data uB) and 2 for a leg mirrored
-    across the exhaustion sphere.  `strays` counts the unsolved neighbors
-    that neither a surface nor the sphere explains, mirrored defensively.
+    Returns (L, kind, uB, strays): L is the leg length, kind is 1 for a
+    Dirichlet leg (cut at the signed-distance zero crossing, with data uB)
+    and 2 for a leg mirrored across the exhaustion sphere.  `strays` counts
+    the unsolved neighbors that neither a surface nor the sphere explains,
+    mirrored defensively.
     """
     h, snap = grid.h, grid.snap
-    off = np.flatnonzero(~grid.solved_mask[flat_solved + step])
-    node = flat_solved[off]
     nb = node + step
-    theta_best = np.full(off.size, np.inf)
-    kind = np.zeros(off.size, dtype=np.int8)
-    uB = np.zeros(off.size)
+    theta_best = np.full(node.size, np.inf)
+    kind = np.zeros(node.size, dtype=np.int8)
+    uB = np.zeros(node.size)
     for label in grid.piece_labels:
         d0 = grid.depths[label][node]
         d1 = grid.depths[label][nb]
@@ -259,12 +267,35 @@ def _leg(grid, flat_solved, step):
         kind[better] = 1
         uB[better] = DIRICHLET_DATA[label]
     cut = kind == 1
-    L = np.full(off.size, h)
+    L = np.full(node.size, h)
     L[cut] = np.clip(theta_best[cut], _SNAP, 1.0) * h
     kind[~cut & (grid.r[nb] > grid.radius)] = 2
     stray = kind == 0
     kind[stray] = 2
-    return off, L, kind, uB, int(np.count_nonzero(stray))
+    return L, kind, uB, int(np.count_nonzero(stray))
+
+
+def _arm_coefficients(v, L_p, L_m):
+    """(coef_p, coef_m, coef_0, upwinded) of Lap_f along one axis, row by row,
+    for drift velocity v and arms L_p, L_m: the second derivative on unequal
+    arms, and the drift central while the M-matrix condition holds and
+    upwinded beyond it."""
+    c_p = 2.0 / (L_p * (L_p + L_m))
+    c_m = 2.0 / (L_m * (L_p + L_m))
+    coef_p = c_p.copy()
+    coef_m = c_m.copy()
+    coef_0 = -(c_p + c_m)
+    central = (v >= -2.0 / L_m) & (v <= 2.0 / L_p)
+    up_fwd = v > 2.0 / L_p
+    coef_p += np.where(central, v * L_m / (L_p * (L_p + L_m)), 0.0)
+    coef_m -= np.where(central, v * L_p / (L_m * (L_p + L_m)), 0.0)
+    coef_0 += np.where(central, v * (L_p - L_m) / (L_p * L_m), 0.0)
+    coef_p += np.where(up_fwd, v / L_p, 0.0)
+    coef_0 -= np.where(up_fwd, v / L_p, 0.0)
+    up_bwd = ~central & ~up_fwd
+    coef_m -= np.where(up_bwd, v / L_m, 0.0)
+    coef_0 += np.where(up_bwd, v / L_m, 0.0)
+    return coef_p, coef_m, coef_0, ~central
 
 
 def _assemble(grid):
@@ -274,18 +305,22 @@ def _assemble(grid):
     to b via the cut fraction theta on the signed-distance zero crossing; legs
     leaving the exhaustion ball are mirrored (homogeneous Neumann).  `counters`
     holds the deterministic counts `defensive_mirrors`, `upwind_rows` (rows
-    with the drift upwinded along some axis) and `cut_legs` (legs ending at a
-    Dirichlet crossing).
+    with the drift upwinded along some axis), `cut_legs` (legs ending at a
+    Dirichlet crossing) and `irregular_rows` (rows with a cut or mirrored
+    leg, which take the unequal-arm formula).
 
     A is built in its final CSR form (Saad, Iterative Methods for Sparse
-    Linear Systems, 2003, 3.4), with no COO stage: each row's entries are
-    counted first (the diagonal and one per solved axis neighbor, at most
-    2n + 1), then int32 `indices` and float64 `data` are preallocated and
-    filled arm by arm.  Each row is stored in descending column order, the
+    Linear Systems, 2003, 3.4), with no COO stage.  Every row is staged in a
+    fixed-width (n, 2d + 1) block in descending column order, the column of
+    an arm to an unsolved neighbor being -1, and the block is compressed
+    once to the int32 `indices` and float64 `data`.  Descending order is the
     order of scipy's sparse product of a diagonal with a sorted A, so that
     scaling the rows in place gives that product's arrays bit for bit (see
-    the module docstring).  A coefficient that is exactly zero (the drift at
-    the central/upwind switch) is stored; the scaling drops it.
+    the module docstring).  Along each axis a row with both arms h long reads
+    its coefficients from a table over the lattice line, computed once by
+    the same formula; only the irregular rows evaluate it on their own arms.
+    A coefficient that is exactly zero (the drift at the central/upwind
+    switch) is stored; the scaling drops it.
     """
     import scipy.sparse as sps
 
@@ -303,83 +338,73 @@ def _assemble(grid):
     any_dirichlet = (np.count_nonzero(codes == DIRICHLET0)
                      + np.count_nonzero(codes == DIRICHLET1)) > 0
 
-    legs = {(ax, sgn): _leg(grid, flat_solved, sgn * strides[ax])
-            for ax in range(grid.ndim) for sgn in (+1, -1)}
-    counts = np.full(n_unknown, 2 * grid.ndim + 1, dtype=np.int32)
-    for off, _, _, _, _ in legs.values():
-        counts[off] -= 1
-    indptr = np.zeros(n_unknown + 1, dtype=np.int32)
-    np.cumsum(counts, out=indptr[1:])
-    del counts
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    data = np.empty(indptr[-1])
-    # descending columns: the + arms from the largest stride down, the
-    # diagonal, then the - arms from the smallest stride up; `head` fills a
-    # row from its front, `tail` from its back, and they meet at the diagonal
-    head = indptr[:-1].copy()
-    tail = indptr[1:] - 1
-
+    # each row's 2n + 1 slots in descending column order: the + arms from
+    # the largest stride down, the diagonal, the - arms from the smallest
+    # stride up; an arm to an unsolved neighbor has column -1
+    width = 2 * grid.ndim + 1
+    cols = np.empty((n_unknown, width), dtype=np.int32)
+    vals = np.empty((n_unknown, width))
+    counts = np.full(n_unknown, width, dtype=np.int32)
     diag = np.zeros(n_unknown)
     rhs = np.zeros(n_unknown)
     upwinded = np.zeros(n_unknown, dtype=bool)
     counters = {"defensive_mirrors": 0, "upwind_rows": 0, "cut_legs": 0}
     for ax in range(grid.ndim):
-        # drift velocity along this axis
-        v = -grid.axes[ax][(flat_solved // strides[ax]) % grid.shape[ax]]
-        L_p, L_m = np.full(n_unknown, h), np.full(n_unknown, h)
-        L_p[legs[ax, +1][0]] = legs[ax, +1][1]
-        L_m[legs[ax, -1][0]] = legs[ax, -1][1]
-
-        # second derivative with unequal arms
-        c_p = 2.0 / (L_p * (L_p + L_m))
-        c_m = 2.0 / (L_m * (L_p + L_m))
-        coef_p = c_p.copy()
-        coef_m = c_m.copy()
-        coef_0 = -(c_p + c_m)
-        del c_p, c_m
-
-        # drift: central on unequal arms while the M-matrix condition holds
-        central = (v >= -2.0 / L_m) & (v <= 2.0 / L_p)
-        up_fwd = v > 2.0 / L_p
-        coef_p += np.where(central, v * L_m / (L_p * (L_p + L_m)), 0.0)
-        coef_m -= np.where(central, v * L_p / (L_m * (L_p + L_m)), 0.0)
-        coef_0 += np.where(central, v * (L_p - L_m) / (L_p * L_m), 0.0)
-        coef_p += np.where(up_fwd, v / L_p, 0.0)
-        coef_0 -= np.where(up_fwd, v / L_p, 0.0)
-        up_bwd = ~central & ~up_fwd
-        coef_m -= np.where(up_bwd, v / L_m, 0.0)
-        coef_0 += np.where(up_bwd, v / L_m, 0.0)
-        upwinded |= ~central
-        del v, L_p, L_m, central, up_fwd, up_bwd
-
+        slots = {+1: ax, -1: width - 1 - ax}
+        legs = {}
+        for sgn, slot in slots.items():
+            step = sgn * strides[ax]
+            cols[:, slot] = unknown_of[flat_solved + step]
+            off = np.flatnonzero(cols[:, slot] < 0)
+            legs[sgn] = (off, *_leg(grid, flat_solved[off], step))
+            counts[off] -= 1
+        # rows with both arms h long take their coefficients from a table
+        # over the lattice line; the others from their own arm lengths
+        v = -grid.axes[ax]
+        hs = np.full(v.size, h)
+        line = (flat_solved // strides[ax]) % grid.shape[ax]
+        table = _arm_coefficients(v, hs, hs)
+        vals[:, slots[+1]] = table[0][line]
+        vals[:, slots[-1]] = table[1][line]
+        coef_0 = table[2][line]
+        up = table[3][line]
+        rows = np.union1d(legs[+1][0], legs[-1][0])
+        L_p, L_m = np.full(rows.size, h), np.full(rows.size, h)
+        L_p[np.searchsorted(rows, legs[+1][0])] = legs[+1][1]
+        L_m[np.searchsorted(rows, legs[-1][0])] = legs[-1][1]
+        own = _arm_coefficients(v[line[rows]], L_p, L_m)
+        del line, L_p, L_m
+        vals[rows, slots[+1]], vals[rows, slots[-1]], coef_0[rows], up[rows] = own
+        upwinded |= up
         diag += coef_0
         del coef_0
-        for sgn, coef, cursor, move in ((+1, coef_p, head, 1), (-1, coef_m, tail, -1)):
-            off, _, kind, uB, strays = legs.pop((ax, sgn))
-            is_solved = np.ones(n_unknown, dtype=bool)
-            is_solved[off] = False
-            at = cursor[is_solved]
-            indices[at] = unknown_of[flat_solved[is_solved] + sgn * strides[ax]]
-            data[at] = coef[is_solved]
-            cursor[is_solved] += move
-            del is_solved, at
-            is_dir = off[kind == 1]
-            rhs[is_dir] -= coef[is_dir] * uB[kind == 1]
-            is_mirror = off[kind == 2]
-            diag[is_mirror] += coef[is_mirror]
-            any_dirichlet = any_dirichlet or is_dir.size > 0
+        for sgn, slot in slots.items():
+            off, _, kind, uB, strays = legs[sgn]
+            coef = vals[off, slot]
+            is_dir = kind == 1
+            rhs[off[is_dir]] -= coef[is_dir] * uB[is_dir]
+            is_mirror = kind == 2
+            diag[off[is_mirror]] += coef[is_mirror]
+            any_dirichlet = any_dirichlet or is_dir.any()
             counters["defensive_mirrors"] += strays
-            counters["cut_legs"] += int(is_dir.size)
-        del coef_p, coef_m
+            counters["cut_legs"] += int(np.count_nonzero(is_dir))
 
     if not any_dirichlet:
         raise SingularSystemError(
             "no Dirichlet data anywhere on the boundary: the pure-Neumann weighted "
             "Laplacian is singular and only constant fields solve it (f-parabolicity)")
 
-    indices[head] = np.arange(n_unknown, dtype=np.int32)
-    data[head] = diag
+    cols[:, grid.ndim] = np.arange(n_unknown, dtype=np.int32)
+    vals[:, grid.ndim] = diag
+    del diag
+    indptr = np.zeros(n_unknown + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    present = cols.reshape(-1) >= 0
+    indices, data = cols.reshape(-1)[present], vals.reshape(-1)[present]
+    del cols, vals, present
     counters["upwind_rows"] = int(np.count_nonzero(upwinded))
+    # a row with a cut or mirrored leg misses that arm's slot
+    counters["irregular_rows"] = int(np.count_nonzero(counts < width))
     A = sps.csr_matrix((data, indices, indptr), shape=(n_unknown, n_unknown))
     return A, rhs, flat_solved, counters
 
@@ -406,9 +431,11 @@ def _prolongation(idx):
 
     `idx` is the (n, d) array of global lattice indices of the unknowns.  Each
     index i takes the parents floor(i/2) and ceil(i/2) with weight 1/2 along
-    every axis (one parent of weight 1 for even i), so a node has up to 2^d
-    parents.  Returns (P, coarse_idx): P is n x m over the m parents that some
-    node references, numbered in lexicographic order of their indices.
+    every axis (one parent of weight 1 for even i), so a node with o odd
+    indices has 2^o parents, each of weight 2^-o.  Returns (P, PT,
+    coarse_idx): P is n x m in CSR over the m parents that some node
+    references, numbered in lexicographic order of their indices, and PT is
+    P^T in CSR (the arrays of P's one CSC conversion).
 
     Parents referenced by exactly the same nodes (a lone node with two odd
     indices at the edge of the exhaustion can be the only child of two) would
@@ -418,33 +445,52 @@ def _prolongation(idx):
     import scipy.sparse as sps
 
     n, d = idx.shape
-    corners = np.array(list(itertools.product((0, 1), repeat=d)), dtype=np.int32)
     lo = idx.min(axis=0) >> 1
     shape = tuple(int(s) for s in ((idx.max(axis=0) + 1) >> 1) - lo + 1)
-    # flat int32 index of each node's parents in the coarse bounding box, (n, 2^d)
-    cols = np.zeros((n, corners.shape[0]), dtype=np.int32)
+    # each node's parent corners in the coarse bounding box, as flat int32
+    # indices, built axis by axis from (floor, ceil) pairs: in this product
+    # order the corners of a row ascend
+    corners = [np.zeros(n, dtype=np.int32)]
+    odd = np.zeros(n, dtype=np.int32)     # bit d - 1 - ax set: idx[:, ax] is odd
     for ax in range(d):
-        cols *= shape[ax]
-        cols += ((idx[:, ax, None] + corners[:, ax]) >> 1) - lo[ax]
+        i = idx[:, ax] - np.int32(2 * lo[ax])
+        floor, ceil = i >> 1, (i + 1) >> 1
+        corners = [c * np.int32(shape[ax]) + f for c in corners for f in (floor, ceil)]
+        odd <<= 1
+        odd |= i & 1
+    del i, floor, ceil
+    # an even index repeats its parent: keep the corners that step up along
+    # odd axes only, so each row keeps its 2^o distinct parents in ascending
+    # order, each of weight 2^-o, the exact sum of its 2^-d copies
+    cols = np.empty((n, 2 ** d), dtype=np.int32)
+    keep = np.empty((n, 2 ** d), dtype=bool)
+    for k, c in enumerate(corners):
+        cols[:, k] = c
+        np.equal(odd & np.int32(k), k, out=keep[:, k])
+    del corners
+    cols = cols.reshape(-1)[keep.reshape(-1)]
+    del keep
+    odd_axes = np.array([bin(k).count("1") for k in range(2 ** d)], dtype=np.int32)[odd]
+    del odd
+    counts = np.left_shift(1, odd_axes)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
     # a mask and its running count number the parents like a 1-D np.unique
-    # would, without sorting n 2^d keys
+    # would, without sorting the keys
     used = np.zeros(math.prod(shape), dtype=bool)
     used[cols] = True
     number = np.cumsum(used, dtype=np.int32)
     number -= 1
     np.take(number, cols, out=cols)
     del number
-    P = sps.csr_matrix((np.full(cols.size, 0.5 ** d), cols.reshape(-1),
-                        np.arange(0, cols.size + 1, corners.shape[0], dtype=np.int32)),
+    P = sps.csr_matrix((np.repeat(0.5 ** odd_axes, counts), cols, indptr),
                        shape=(n, np.count_nonzero(used)))
-    del cols
-    P.sum_duplicates()
+    del cols, counts, odd_axes
     coarse_idx = np.array(np.unravel_index(np.flatnonzero(used), shape), dtype=np.int32).T + lo
     del used
     # columns with one row support share their first and their last row,
-    # which few columns share with others
+    # which few columns share with others; the CSC rows come sorted
     Pc = P.tocsc()
-    Pc.sort_indices()
     first, last = Pc.indices[Pc.indptr[:-1]], Pc.indices[Pc.indptr[1:] - 1]
     m = P.shape[1]
     target = np.arange(m)
@@ -453,13 +499,15 @@ def _prolongation(idx):
                             & (np.bincount(last, minlength=n)[last] > 1)):
         rows = Pc.indices[Pc.indptr[c]:Pc.indptr[c + 1]].tobytes()
         target[c] = support.setdefault(rows, c)
-    del Pc, first, last
+    del first, last
     keep = target == np.arange(m)
     if keep.all():
-        return P, coarse_idx
+        return P, sps.csr_matrix((Pc.data, Pc.indices, Pc.indptr), shape=(m, n)), coarse_idx
+    del Pc
     merge = sps.csr_matrix((np.ones(m), (np.arange(m), (np.cumsum(keep) - 1)[target])),
                            shape=(m, np.count_nonzero(keep)))
-    return (P @ merge).tocsr(), coarse_idx[keep]
+    P = (P @ merge).tocsr()
+    return P, P.T.tocsr(), coarse_idx[keep]
 
 
 class _VCycle:
@@ -469,10 +517,11 @@ class _VCycle:
     with sparse LU.  Called with a residual, the cycle starts from zero, so
     it is a fixed linear operator and can precondition BiCGStab.
 
-    The coarse operator is formed as P^T (A P) with P^T in CSR, so neither
-    A P nor the product is copied to CSC.  Its rows are then sorted: the
-    CSC product converted to CSR stores them sorted, with the same values,
-    and the smoother's sums over a row depend on its order.
+    The coarse operator is formed as P^T (A P) with P^T in CSR, as
+    `_prolongation` hands it over from its one CSC conversion of P, so
+    neither A P nor the product is copied to CSC.  Its rows are then sorted:
+    the CSC product converted to CSR stores them sorted, with the same
+    values, and the smoother's sums over a row depend on its order.
     """
 
     def __init__(self, A, idx):
@@ -480,15 +529,15 @@ class _VCycle:
 
         self.levels = []            # (A, omega / diag, P, P^T) of each smoothed level
         while A.shape[0] > _COARSEST:
-            P, idx = _prolongation(idx)
+            P, PT, idx = _prolongation(idx)
             if P.shape[1] >= A.shape[0]:
                 break
-            # P^T is kept as the CSC view of P's arrays; its CSR copy lives
-            # only for the Galerkin product
+            # P^T is kept as the CSC view of P's arrays; its CSR form PT
+            # lives only for the Galerkin product
             self.levels.append((A, _OMEGA / A.diagonal(), P, P.T))
-            A = P.T.tocsr() @ (A @ P)
+            A = PT @ (A @ P)
             A.sort_indices()
-            del P
+            del P, PT
         del idx
         self.unknowns = [lvl[0].shape[0] for lvl in self.levels] + [A.shape[0]]
         self.nnz = [lvl[0].nnz for lvl in self.levels] + [A.nnz]
@@ -608,6 +657,9 @@ def solve_mixed_bvp(domain, h, tol=1e-10, initial_guess=None):
         x0 = np.asarray(initial_guess, dtype=float)
         if x0.shape != (n,):
             raise ParameterError(f"initial guess must have {n} entries")
+    if x0 is not None and not np.isfinite(x0).all():
+        bad = np.flatnonzero(~np.isfinite(x0))[0]
+        raise ParameterError(f"initial guess must be finite, got {x0[bad]} at entry {bad}")
 
     x, history, level_unknowns, level_nnz = _multigrid_bicgstab(A, b_s, x0, grid, weights, tol)
     iterations = len(history)
@@ -616,14 +668,14 @@ def solve_mixed_bvp(domain, h, tol=1e-10, initial_guess=None):
     # freed before the long-lived output field is allocated
     del A, b_s, x0, weights
     history.append(wres)
-    if wres > tol:
+    if not wres <= tol:     # a NaN residual fails too
         raise SolverConvergenceError(
             f"linear solve stalled at weighted residual {wres:.3e} > tol {tol:.3e} "
             f"after {iterations} iterations", residual_history=history)
 
     lo, hi = min(DIRICHLET_DATA.values()), max(DIRICHLET_DATA.values())
     slack = 10.0 * max(tol, 1e-12)
-    if x.min() < lo - slack or x.max() > hi + slack:
+    if not (x.min() >= lo - slack and x.max() <= hi + slack):     # a NaN fails too
         raise ContractViolation(
             f"discrete maximum principle violated: range [{x.min():.3e}, {x.max():.3e}]")
     x = np.clip(x, lo, hi)
@@ -643,6 +695,7 @@ def solve_mixed_bvp(domain, h, tol=1e-10, initial_guess=None):
                  "dirichlet_nodes": grid.node_count(DIRICHLET0) + grid.node_count(DIRICHLET1),
                  "defensive_mirrors": counters["defensive_mirrors"],
                  "upwind_fraction": counters["upwind_rows"] / n,
+                 "irregular_rows": counters["irregular_rows"],
                  "cut_legs": counters["cut_legs"], "operator_nnz": operator_nnz,
                  "levels": len(level_unknowns), "level_unknowns": level_unknowns,
                  "level_nnz": level_nnz, "residual_history": history})

@@ -124,7 +124,7 @@ class TestGradientEstimate:
 
     def test_annulus_boundary_gradient_respects_bound(self, annulus_grid_solution,
                                                       annulus_dom):
-        mids, _ = en.interface_segments(annulus_grid_solution, "sigma2")
+        mids, _, _ = en.interface_segments(annulus_grid_solution, "sigma2")
         kept, dudnu = en.normal_derivative(annulus_grid_solution, annulus_dom, "sigma2", mids)
         assert kept.all()
         bound = br.estimate_gradient(2.0, R=2.0, dist_to_sigma1=1.5, m=1)

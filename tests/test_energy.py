@@ -116,7 +116,7 @@ def test_energy_report_serializes(slab_grid_solution, slab_dom):
 def test_batched_boundary_integral_matches_segment_loop(annulus_grid_solution, annulus_dom):
     # reference for the flux: one normal and two field reads per segment
     sol, ob, h = annulus_grid_solution, annulus_dom.sigma2, annulus_grid_solution.grid.h
-    mids, lengths = en.interface_segments(sol, "sigma2")
+    mids, lengths, _ = en.interface_segments(sol, "sigma2")
     assert mids.shape == (lengths.size, 2) and lengths.size > 0
     total = 0.0
     for mid, length in zip(mids, lengths):
@@ -127,7 +127,7 @@ def test_batched_boundary_integral_matches_segment_loop(annulus_grid_solution, a
         if not (math.isnan(u1) or math.isnan(u2)):
             dudnu = (3.0 - 4.0 * u1 + u2) / (2.0 * h)
             total += abs(dudnu) * math.exp(-0.5 * float(mid @ mid)) * length
-    assert en.boundary_flux(sol, annulus_dom) == pytest.approx(total, rel=1e-12)
+    assert en.boundary_flux(sol, annulus_dom)[0] == pytest.approx(total, rel=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -206,3 +206,31 @@ def test_cell_centres_match_unravel_index(counts):
         got = en.cell_centres(lo, counts, h, start, stop)
         assert got.shape == expected.shape
         np.testing.assert_array_equal(got, expected)
+
+
+def _saddle_cells(grid, label):
+    """Cells whose four corners alternate in sign around the cell, a node
+    within the snap distance of the surface counting as the far side."""
+    beyond = (grid.depths[label] > grid.snap).reshape(grid.shape)
+    a, b = beyond[:-1, :-1], beyond[1:, :-1]
+    c, d = beyond[1:, 1:], beyond[:-1, 1:]
+    return int(np.count_nonzero((a == c) & (b == d) & (a != b)))
+
+
+def test_reports_count_the_dropped_saddle_cells(annulus_dom, annulus_grid_solution,
+                                                constant_solution):
+    # the annulus interface has no saddle; two crossing lines make one
+    sol = annulus_grid_solution
+    assert en.caccioppoli_check(sol, annulus_dom).dropped_saddle_cells == 0
+    assert _saddle_cells(sol.grid, "sigma2") == 0
+    crossed = constant_solution(annulus_dom, 0.5)
+    grid = crossed.grid
+    x, y = np.meshgrid(*grid.axes, indexing="ij")
+    grid.depths["sigma2"] = ((x - 0.3 * grid.h) * (y - 1.7 * grid.h)).reshape(-1)
+    mids, lengths, saddles = en.interface_segments(crossed, "sigma2")
+    assert saddles == _saddle_cells(grid, "sigma2") == 1
+    assert mids.shape == (lengths.size, 2)
+    assert en.caccioppoli_check(crossed, annulus_dom).dropped_saddle_cells == 1
+    rep = en.energy_report(crossed, annulus_dom, [1, 2])
+    assert rep.details["dropped_saddle_cells"] == 1
+    assert en.caccioppoli_check(sv.solve_radial(0.5, 2, 2), None).dropped_saddle_cells == 0
