@@ -111,15 +111,10 @@ def criterion_3_volume_growth():
 
 
 def _solver_benchmarks(hs=(1 / 16, 1 / 32, 1 / 64)):
-    slab_profile = sv.solve_slab(-1, 1).profile
-    rad_profile = sv.solve_radial(0.5, 2, 2).profile
-    out = {}
-    slab_dom = dm.slab_domain(-1, 1, ambient_dim=2, radius=5.0)
-    ann_dom = dm.annulus_domain(0.5, 2.0, ambient_dim=2)
-    out["slab"] = [(h, sv.solve_mixed_bvp(slab_dom, h=h, tol=1e-11)) for h in hs]
-    out["annulus"] = [(h, sv.solve_mixed_bvp(ann_dom, h=h, tol=1e-11)) for h in hs]
-    out["profiles"] = {"slab": slab_profile, "annulus": rad_profile}
-    out["domains"] = {"slab": slab_dom, "annulus": ann_dom}
+    out = {"domains": {"slab": dm.slab_domain(-1, 1, ambient_dim=2, radius=5.0),
+                       "annulus": dm.annulus_domain(0.5, 2.0, ambient_dim=2)}}
+    for name, dom in out["domains"].items():
+        out[name] = [(h, sv.solve_mixed_bvp(dom, h=h, tol=1e-11)) for h in hs]
     return out
 
 
@@ -135,7 +130,7 @@ def criterion_4_solver_convergence():
         hs, errs = [], []
         for h, sol in bench[name]:
             hs.append(h)
-            errs.append(sv.max_node_error(sol, bench["profiles"][name],
+            errs.append(sv.max_node_error(sol, bench["domains"][name].closed_form,
                                           within_radius=compact))
         order = _ls_order(hs, errs)
         ok = ok and order >= 1.8 and errs[-1] < 5e-4
@@ -173,11 +168,8 @@ MC_POINTS = {
 
 def criterion_6_monte_carlo():
     cfg = mc.McConfig(n_paths=100_000, dt=1e-3, seed=20240801)
-    slab_dom = dm.slab_domain(-1, 1, ambient_dim=2, radius=6.0)
-    ann_dom = dm.annulus_domain(0.5, 2.0, ambient_dim=2)
-    profiles = {"slab": sv.solve_slab(-1, 1).profile,
-                "annulus": sv.solve_radial(0.5, 2, 2).profile}
-    domains = {"slab": slab_dom, "annulus": ann_dom}
+    domains = {"slab": dm.slab_domain(-1, 1, ambient_dim=2, radius=6.0),
+               "annulus": dm.annulus_domain(0.5, 2.0, ambient_dim=2)}
     ok = True
     worst = 0.0
     first = None
@@ -187,7 +179,7 @@ def criterion_6_monte_carlo():
             est = mc.ou_hitting_probability(x0, domains[name], cfg)
             if first is None:
                 first = (name, x0, est)
-            gap = abs(est.p_hat - profiles[name](x0))
+            gap = abs(est.p_hat - domains[name].closed_form(x0))
             sigmas = gap / est.stderr if est.stderr > 0 else math.inf
             worst = max(worst, sigmas)
             ok = ok and gap <= 3.0 * est.stderr

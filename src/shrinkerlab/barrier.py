@@ -236,33 +236,18 @@ def measured_lipschitz(fld, domain):
 
 @dataclass
 class SeparationHypothesis:
-    """Decay data of the asymptotic separation condition.
-
-    b is the Gaussian decay rate (must satisfy 0 <= b < 1/2, and < 1/4 in
-    variational mode), poly_p the polynomial coefficients (numpy order), and
-    c the optional tube-width decay rate with the constraint m c + b < 1/2
-    checked against the ambient surface dimension.
-    """
+    """Decay data of the asymptotic separation condition: b is the Gaussian
+    decay rate (must satisfy 0 <= b < 1/2) and poly_p the polynomial
+    coefficients (numpy order)."""
 
     b: float
     poly_p: tuple = (1.0,)
-    c: float = None
-    variational: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.b < 0.5:
             raise ParameterError("separation rate must satisfy 0 <= b < 1/2")
-        if self.variational and not self.b < 0.25:
-            raise ParameterError("variational route needs the stronger bound b < 1/4")
-        if self.c is not None and self.c <= 0:
-            raise ParameterError("tube decay rate c must be positive")
         if len(self.poly_p) == 0:
             raise ParameterError("'poly_p' needs a coefficient; an empty one reads as p = 0")
-
-    def validate_with_dim(self, m):
-        if self.c is not None and not (m * self.c + self.b < 0.5):
-            raise ParameterError(
-                f"tube/separation rates violate m*c + b < 1/2 (m={m}, c={self.c}, b={self.b})")
 
 
 # Old names of the two separation surfaces, kept only because the benchmark's
@@ -320,7 +305,6 @@ def separation_check(hyp, sigma1, sigma2, sample_norms):
     liminf.
     """
     sample_norms = require_radii(sample_norms, "separation sample norms")
-    hyp.validate_with_dim(sigma2.ambient_dim - 1)
 
     ratios = []
     truncated = False

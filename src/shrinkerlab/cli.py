@@ -124,17 +124,6 @@ def _comma_list(kind):
     return comma_separated
 
 
-def _closed_form_for(domain):
-    if domain.kind == "slab":
-        return sv.solve_slab(domain.params["h1"], domain.params["h2"],
-                             ambient_dim=domain.ambient_dim,
-                             axis=domain.params.get("axis", -1)).profile
-    if domain.kind == "annulus":
-        return sv.solve_radial(domain.params["a"], domain.params["b"],
-                               domain.ambient_dim).profile
-    return None
-
-
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -182,7 +171,7 @@ def cmd_solve(args):
     report = {"domain": args.domain_obj, "solve": sol.report}
     line = (f"solved {sol.report.details['unknowns']} unknowns, "
             f"weighted residual {sol.report.linear_residual:.2e}")
-    profile = _closed_form_for(args.domain)
+    profile = args.domain.closed_form
     if profile is not None:
         err = sv.max_node_error(sol, profile, within_radius=args.compare_radius)
         report["max_error_vs_closed_form"] = err
@@ -275,7 +264,7 @@ def cmd_mc(args):
               "config": {"n_paths": cfg.n_paths, "dt": cfg.dt, "seed": cfg.seed,
                          "max_time": cfg.max_time},
               "estimate": est}
-    profile = _closed_form_for(args.domain)
+    profile = args.domain.closed_form
     if profile is not None:
         report["closed_form"] = profile(x0)
         report["gap_in_stderr"] = (abs(est.p_hat - profile(x0)) / est.stderr

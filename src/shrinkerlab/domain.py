@@ -8,7 +8,9 @@ ball.  A piece is an OrientedBoundary: a `geometry.Hyperplane` or
 From these it answers `depth` (positive inside Omega), `exterior_normal`
 (pointing out of Omega), `principal_curvatures`, `weighted_mean_curvature`,
 `project` and `quad_nodes` for that side.  That is everything the solver,
-the energy bookkeeping, the barriers and the Reilly integrals need.
+the energy bookkeeping, the barriers and the Reilly integrals need.  A slab
+or annulus also carries its exact solution (`solver.SlabProfile` or
+`RadialProfile`) as `closed_form`, for the checks of grids and Monte Carlo.
 
 `domain_from_json` reads the domain config: a "kind" (slab, annulus, ball
 or generic) and exactly the arguments of that kind's builder.
@@ -18,6 +20,7 @@ import numpy as np
 
 from .errors import ParameterError, build_from_config
 from .geometry import Hyperplane, Sphere
+from .solver import RadialProfile, SlabProfile
 
 __all__ = [
     "OrientedBoundary",
@@ -75,16 +78,16 @@ class OrientedBoundary:
 
 class DomainSpec:
     """Region between sigma1 (Dirichlet 0) and sigma2 (Dirichlet 1) inside an
-    exhaustion ball of radius `exhaustion_radius`."""
+    exhaustion ball of radius `exhaustion_radius`; `closed_form` is the exact
+    solution's profile, or None when the domain has none."""
 
     def __init__(self, sigma1, sigma2, exhaustion_radius, ambient_dim,
-                 kind="generic", params=None, box_hint=None):
+                 closed_form=None, box_hint=None):
         self.sigma1 = sigma1
         self.sigma2 = sigma2
         self.exhaustion_radius = float(exhaustion_radius)
         self.ambient_dim = int(ambient_dim)
-        self.kind = kind
-        self.params = dict(params or {})
+        self.closed_form = closed_form
         self.box_hint = box_hint
         if self.exhaustion_radius <= 0:
             raise ParameterError("exhaustion radius must be positive")
@@ -108,7 +111,7 @@ class DomainSpec:
 
     def with_radius(self, radius):
         return DomainSpec(self.sigma1, self.sigma2, radius, self.ambient_dim,
-                          kind=self.kind, params=self.params, box_hint=self.box_hint)
+                          self.closed_form, self.box_hint)
 
 
 def slab_domain(h1, h2, ambient_dim=2, radius=4.0, axis=-1):
@@ -123,8 +126,8 @@ def slab_domain(h1, h2, ambient_dim=2, radius=4.0, axis=-1):
     lo = np.full(ambient_dim, -np.inf)
     hi = np.full(ambient_dim, np.inf)
     lo[axis], hi[axis] = h1, h2
-    return DomainSpec(s1, s2, radius, ambient_dim, kind="slab",
-                      params={"h1": h1, "h2": h2, "axis": axis}, box_hint=(lo, hi))
+    return DomainSpec(s1, s2, radius, ambient_dim, SlabProfile(h1, h2, ambient_dim, axis),
+                      box_hint=(lo, hi))
 
 
 def annulus_domain(a, b, ambient_dim=2, radius=None):
@@ -137,8 +140,8 @@ def annulus_domain(a, b, ambient_dim=2, radius=None):
     s2 = OrientedBoundary(Sphere(ambient_dim - 1, b), side=-1)
     lo = np.full(ambient_dim, -b)
     hi = np.full(ambient_dim, b)
-    return DomainSpec(s1, s2, radius, ambient_dim, kind="annulus",
-                      params={"a": a, "b": b}, box_hint=(lo, hi))
+    return DomainSpec(s1, s2, radius, ambient_dim, RadialProfile(a, b, ambient_dim),
+                      box_hint=(lo, hi))
 
 
 def ball_domain(rho, ambient_dim=3, radius=None):
@@ -150,8 +153,7 @@ def ball_domain(rho, ambient_dim=3, radius=None):
     s1 = OrientedBoundary(Sphere(ambient_dim - 1, rho), side=-1)
     lo = np.full(ambient_dim, -rho)
     hi = np.full(ambient_dim, rho)
-    return DomainSpec(s1, None, radius, ambient_dim, kind="ball",
-                      params={"rho": rho}, box_hint=(lo, hi))
+    return DomainSpec(s1, None, radius, ambient_dim, box_hint=(lo, hi))
 
 
 def _generic_domain(sigma1, radius, ambient_dim, sigma2=None):

@@ -2,28 +2,21 @@
 
 Grid energies use a midpoint rule over cells whose corners are all inside the
 classified region (documented first-order near the boundary).  Profile-backed
-solutions have closed forms: u' = g / F(hi), so Green's identity gives the
-energy (1/2) c / F(hi) and the flux c / F(hi), where c is the Gaussian mass
-of the reduced directions, (2 pi)^((n-1)/2) for the slab and |S^(n-1)| for
-the annulus.  The annulus energy inside B_R is c u(min(b, R)) / F(hi); the
-slab's is one order-64 Gauss-Legendre rule in theta with s = R sin(theta).
+solutions read their closed forms off the profile (see `solver`): the energy
+(1/2) c / F(hi) and the flux c / F(hi) from its `reduced_mass` c and
+`normalization` F(hi), the mass inside B_R from its `ball_mass`.
 On grids du/dnu is one second-order one-sided stencil, `normal_derivative`,
 at any boundary points: the flux takes them on the marching-squares
 interface (2D grids), `reilly.energy_growth_chain` at the pieces' exact
-quadrature nodes.  scipy is imported where it is called: only the
-Gamma-function measures `geometry.sphere_measure` and `gaussian_ball_mass`
-load scipy.special.
+quadrature nodes.
 """
 
-import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from .errors import MissingGeometryError, ParameterError, require_radii
-from .geometry import sphere_measure
-from .quadrature import gauss_legendre
-from .solver import DIRICHLET_DATA, EXTERIOR, SlabProfile
+from .solver import DIRICHLET_DATA, EXTERIOR
 
 __all__ = [
     "EnergyReport",
@@ -38,17 +31,6 @@ __all__ = [
     "interface_segments",
     "normal_derivative",
 ]
-
-
-def gaussian_ball_mass(d, radius):
-    """int_{|t| <= radius, t in R^d} e^{-|t|^2/2} dt (d = 0 gives 1), for a
-    scalar or an array of radii."""
-    from scipy.special import gammainc
-
-    if d == 0:
-        return 1.0
-    r = np.maximum(radius, 0.0)
-    return (2.0 * math.pi) ** (d / 2.0) * gammainc(d / 2.0, 0.5 * r * r)
 
 
 @dataclass
@@ -85,33 +67,6 @@ class EnergyReport:
 
 # --------------------------------------------------------------------------
 # volume energies
-
-
-def _reduced_mass(prof):
-    """Gaussian mass c of the directions a profile does not depend on, so
-    that the exact solution has int |grad u|^2 e^-f = c / F(hi)."""
-    if isinstance(prof, SlabProfile):
-        return (2.0 * math.pi) ** ((prof.ambient_dim - 1) / 2.0)
-    return sphere_measure(prof.ambient_dim)
-
-
-def _slab_ball_mass(prof, R):
-    """int_{B_R} |grad u|^2 e^-f for a slab profile.
-
-    The slice at height s is a tangential ball of radius sqrt(R^2 - s^2), and
-    |u'(s)|^2 e^(-s^2/2) = g(s) / F(hi)^2; s = R sin(theta) turns the sqrt
-    endpoint singularity into the smooth factor R cos(theta).
-    """
-    lo, hi = max(prof.h1, -R), min(prof.h2, R)
-    if lo >= hi:
-        return 0.0
-    t0, t1 = math.asin(lo / R), math.asin(hi / R)
-    x, w = gauss_legendre(64)
-    theta = t0 + (t1 - t0) * x
-    reach = R * np.cos(theta)
-    dens = (prof.density(R * np.sin(theta))
-            * gaussian_ball_mass(prof.ambient_dim - 1, reach) * reach)
-    return (t1 - t0) * float(np.dot(w, dens)) / prof.normalization ** 2
 
 
 def weighted_gradient_cells(solution):
@@ -173,8 +128,9 @@ def weighted_gradient_cells(solution):
 
 def dirichlet_energy(solution):
     """Weighted energy (1/2) int |grad u|^2 e^-f over the solved region."""
-    if solution.profile is not None:
-        return 0.5 * _reduced_mass(solution.profile) / solution.profile.normalization
+    prof = solution.profile
+    if prof is not None:
+        return 0.5 * prof.reduced_mass / prof.normalization
     _, cells = weighted_gradient_cells(solution)
     return 0.5 * float(np.sum(cells))
 
@@ -182,18 +138,11 @@ def dirichlet_energy(solution):
 def energy_growth_profile(solution, radii):
     """(1/R^2) times the weighted gradient mass inside each ball."""
     radii = require_radii(radii, "energy growth radii")
-    entries = []
-    if solution.profile is not None:
-        prof = solution.profile
-        for R in radii:
-            if isinstance(prof, SlabProfile):
-                mass = _slab_ball_mass(prof, R)
-            else:
-                mass = (_reduced_mass(prof) * prof.value(min(prof.b, R))
-                        / prof.normalization)
-            entries.append(GrowthEntry(R=R, value=mass / (R * R)))
-        return entries
+    prof = solution.profile
+    if prof is not None:
+        return [GrowthEntry(R=R, value=prof.ball_mass(R) / (R * R)) for R in radii]
 
+    entries = []
     centers, cells = weighted_gradient_cells(solution)
     rad = np.linalg.norm(centers, axis=1)
     solved_reach = solution.grid.radius
@@ -268,8 +217,9 @@ def normal_derivative(solution, domain, label, points):
 def boundary_flux(solution, domain):
     """(int_{Sigma_2} |grad u| with the surface Gaussian weight, the saddle
     cells that the interface drops on grids)."""
-    if solution.profile is not None:
-        return _reduced_mass(solution.profile) / solution.profile.normalization, 0
+    prof = solution.profile
+    if prof is not None:
+        return prof.reduced_mass / prof.normalization, 0
     if domain is None or domain.sigma2 is None:
         raise ParameterError("boundary flux needs a domain with a sigma2 piece")
     mids, lengths, saddles = interface_segments(solution, "sigma2")

@@ -215,8 +215,9 @@ _GRID_MAGIC = b"SLGRID01"
 class GridField(ScalarField):
     """Uniform tensor grid with multilinear interpolation.
 
-    Immutable after construction.  Node values interpolate exactly, and the
-    box is the declared domain that derivative stencils must stay inside.
+    Immutable after construction.  Node values interpolate exactly, also
+    beside unsolved (NaN) nodes: a corner of weight 0 adds nothing.  The box
+    is the declared domain that derivative stencils must stay inside.
     """
 
     def __init__(self, origin, spacing, values):
@@ -261,7 +262,7 @@ class GridField(ScalarField):
                 bit = (corner >> ax) & 1
                 w = w * (frac[..., ax] if bit else (1.0 - frac[..., ax]))
                 offs.append(idx[..., ax] + bit)
-            acc = acc + w * self.values[tuple(offs)]
+            acc = acc + np.where(w == 0.0, 0.0, w * self.values[tuple(offs)])
         return acc
 
     # -- serialization -----------------------------------------------------

@@ -49,6 +49,7 @@ __all__ = [
     "ParametrizedPatch",
     "radii",
     "sphere_measure",
+    "gaussian_ball_mass",
     "shrinker_residual",
     "cylinder_identities",
     "extrinsic_volume_growth",
@@ -111,6 +112,17 @@ def sphere_measure(d):
     from scipy.special import gammaln
 
     return 2.0 * math.pi ** (d / 2.0) / math.exp(gammaln(d / 2.0))
+
+
+def gaussian_ball_mass(d, radius):
+    """int_{|t| <= radius, t in R^d} e^{-|t|^2/2} dt (d = 0 gives 1), for a
+    scalar or an array of radii."""
+    from scipy.special import gammainc
+
+    if d == 0:
+        return 1.0
+    r = np.maximum(radius, 0.0)
+    return (2.0 * math.pi) ** (d / 2.0) * gammainc(d / 2.0, 0.5 * r * r)
 
 
 @dataclass(frozen=True)

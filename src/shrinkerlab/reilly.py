@@ -18,8 +18,8 @@ smallest spacing of a `GridField` u, else 1e-5 (1 + largest box
 coordinate).  Both sides contract the stencil's component-major arrays
 component by component (`fields.row_dot`), and the cutoff gives phi^2 and
 grad(phi^2) from one radius and one clipped transition per row.  For
-phi == 1 (`CONSTANT_CUTOFF`) both sides skip the factor phi^2, and the
-volume side skips the transport term, which is then exactly +0.0.
+phi == 1 (phi None) both sides skip the factor phi^2, and the volume side
+skips the transport term, which is then exactly +0.0.
 
 The boundary uses Gauss-Legendre panels at fixed high order, so the
 reported residual tracks the volume mesh: 384^(n-1) nodes per piece, and a
@@ -103,33 +103,6 @@ class CutoffFamily:
         if np.any(centre):  # no direction at the origin (or a NaN radius)
             unit[:, centre] = 0.0
         return phi ** 2, fac * unit
-
-    def max_gradient(self):
-        r = np.linspace(self.R, 2.0 * self.R, 20001)
-        return float(np.max(np.abs(self.profile_derivative(r))))
-
-    def validate(self):
-        r = np.linspace(0.0, 2.5 * self.R, 4001)
-        vals = self.profile(r)
-        ok = (vals.min() >= -1e-12 and vals.max() <= 1.0 + 1e-12
-              and np.all(vals[r <= self.R] == 1.0)
-              and np.all(vals[r >= 2.0 * self.R] == 0.0)
-              and self.max_gradient() <= 2.0 / self.R + 1e-8)
-        return bool(ok)
-
-
-class _ConstantCutoff:
-    """phi == 1 stand-in; the Reilly sides skip phi^2 and the transport
-    term, which vanishes identically, for it."""
-
-    R = math.inf
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.ones(x.shape[:-1]) if x.ndim > 1 else 1.0
-
-
-CONSTANT_CUTOFF = _ConstantCutoff()
 
 
 @dataclass
@@ -267,7 +240,7 @@ def _volume_items(u, phi, domain, mesh_h, fd_h):
         lap_f_sq = lap_f ** 2
         ricci = row_dot(grad, grad)  # Ric_f = identity (Gaussian)
         w = np.exp(-0.5 * row_dot(x, x)) * frac * h ** n
-        if phi is CONSTANT_CUTOFF:
+        if phi is None:
             # phi^2 == 1 and grad(phi^2) == 0: no factor, and no transport
             transport = 0.0
         else:
@@ -314,7 +287,7 @@ def _boundary_sums(u, phi, ob, nodes, weights, step):
     lap_term = -(lap_f_surface - h_f * du_dnu) * du_dnu
 
     w = np.exp(-0.5 * row_dot(x, x)) * weights
-    if phi is not CONSTANT_CUTOFF:
+    if phi is not None:
         w = w * np.asarray(phi(nodes)) ** 2
     return float(np.sum(a_term * w)), float(np.sum(mixed * w)), float(np.sum(lap_term * w))
 
@@ -370,8 +343,6 @@ def reilly_residual(u, phi, domain, mesh_h):
     the stencils reach.
     """
     mesh_h = require_positive("mesh_h", mesh_h)
-    if phi is None:
-        phi = CONSTANT_CUTOFF
     fd_h = float(u.spacing.min()) if isinstance(u, GridField) else None
     volume_items, counters = _volume_items(u, phi, domain, mesh_h, fd_h)
     boundary_items, nodes = _boundary_items(u, phi, domain, fd_h, per_dim=_NODES_PER_DIM)

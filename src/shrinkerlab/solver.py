@@ -25,8 +25,8 @@ P^T in CSR for the Galerkin product.  The grid keeps no coordinate array;
 coordinates are rebuilt from the axes for the nodes that need them.
 
 The discrete maximum principle is a hard postcondition: produced solutions
-live in [0, 1].  scipy is imported where it is called, so the closed-form
-profiles load no scipy module.
+live in [0, 1].  scipy is imported where it is called: a closed-form
+profile loads scipy.special only for the Gamma functions of its integrals.
 """
 
 import math
@@ -37,7 +37,8 @@ import numpy as np
 from .errors import (ContractViolation, ParameterError, SingularSystemError,
                      SolverConvergenceError, require_positive, require_radii)
 from .fields import GridField, ScalarField
-from .quadrature import CumulativeProfile
+from .geometry import gaussian_ball_mass, sphere_measure
+from .quadrature import CumulativeProfile, gauss_legendre
 
 __all__ = [
     "SolveReport",
@@ -78,14 +79,14 @@ class Solution:
 
     field: ScalarField
     report: SolveReport
-    domain: object = None
     grid: object = None
     profile: object = None
 
 
 # --------------------------------------------------------------------------
 # closed-form 1D reductions: `__call__` maps an (n,) point to a float and
-# (N, n) points to an (N,) array
+# (N, n) points to an (N,) array; `reduced_mass` c and `ball_mass(R)` give
+# int |grad u|^2 e^-f = c / F(hi) (Green's identity) and its part in B_R
 
 
 class RadialProfile(CumulativeProfile):
@@ -100,6 +101,15 @@ class RadialProfile(CumulativeProfile):
 
     def __call__(self, p):
         return self.value(np.linalg.norm(np.asarray(p, dtype=float), axis=-1))
+
+    @property
+    def reduced_mass(self):
+        """|S^(n-1)|, read on use, as its Gamma function loads scipy.special."""
+        return sphere_measure(self.ambient_dim)
+
+    def ball_mass(self, R):
+        """int_{B_R} |grad u|^2 e^-f = c u(min(b, R)) / F(hi)."""
+        return self.reduced_mass * self.value(min(self.b, R)) / self.normalization
 
 
 class SlabProfile(CumulativeProfile):
@@ -116,6 +126,27 @@ class SlabProfile(CumulativeProfile):
 
     def __call__(self, p):
         return self.value(np.asarray(p, dtype=float)[..., self.axis])
+
+    @property
+    def reduced_mass(self):
+        """(2 pi)^((n-1)/2), the Gaussian mass of the tangential directions."""
+        return (2.0 * math.pi) ** ((self.ambient_dim - 1) / 2.0)
+
+    def ball_mass(self, R):
+        """The slice at height s is a tangential ball of radius sqrt(R^2 - s^2)
+        and |u'(s)|^2 e^(-s^2/2) = g(s) / F(hi)^2; s = R sin(theta) turns the
+        sqrt endpoint singularity into the smooth factor R cos(theta), for one
+        order-64 Gauss-Legendre rule in theta."""
+        lo, hi = max(self.h1, -R), min(self.h2, R)
+        if lo >= hi:
+            return 0.0
+        t0, t1 = math.asin(lo / R), math.asin(hi / R)
+        x, w = gauss_legendre(64)
+        theta = t0 + (t1 - t0) * x
+        reach = R * np.cos(theta)
+        dens = (self.density(R * np.sin(theta))
+                * gaussian_ball_mass(self.ambient_dim - 1, reach) * reach)
+        return (t1 - t0) * float(np.dot(w, dens)) / self.normalization ** 2
 
 
 def solve_radial(a, b, n):
@@ -158,7 +189,6 @@ class Grid:
     """
 
     def __init__(self, domain, h):
-        self.domain = domain
         self.h = require_positive("grid spacing h", h)
         self.radius = domain.exhaustion_radius
         lo, hi = domain.grid_box(self.radius)
@@ -227,18 +257,6 @@ class Grid:
         """(N, n) coordinates of the nodes with flat (row-major) indices `flat`."""
         return np.stack([ax[i] for ax, i in zip(self.axes, np.unravel_index(flat, self.shape))],
                         axis=1)
-
-    def check_stencil_invariant(self):
-        """Every interior node's axis neighbors are classified non-exterior."""
-        codes_nd = self.codes.reshape(self.shape)
-        interior = codes_nd == INTERIOR
-        ok = True
-        for ax in range(self.ndim):
-            for shift in (1, -1):
-                nb = np.roll(codes_nd, -shift, axis=ax)
-                ok &= not np.any(interior & (nb == EXTERIOR) & ~np.roll(
-                    self.r.reshape(self.shape) > self.radius, -shift, axis=ax))
-        return bool(ok)
 
 
 def _leg(grid, node, step):
@@ -699,7 +717,7 @@ def solve_mixed_bvp(domain, h, tol=1e-10, initial_guess=None):
                  "cut_legs": counters["cut_legs"], "operator_nnz": operator_nnz,
                  "levels": len(level_unknowns), "level_unknowns": level_unknowns,
                  "level_nnz": level_nnz, "residual_history": history})
-    return Solution(field=gf, report=report, domain=domain, grid=grid)
+    return Solution(field=gf, report=report, grid=grid)
 
 
 def max_node_error(solution, reference, within_radius=None):

@@ -44,7 +44,7 @@ def constant_solution():
         grid = sv.Grid(domain, 1 / 16)
         field = GridField(origin=[ax[0] for ax in grid.axes], spacing=grid.h,
                           values=np.full(grid.shape, float(value)))
-        return sv.Solution(field=field, report=sv.SolveReport(), domain=domain, grid=grid)
+        return sv.Solution(field=field, report=sv.SolveReport(), grid=grid)
     return build
 
 

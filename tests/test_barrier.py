@@ -221,12 +221,6 @@ class TestSeparation:
             br.SeparationHypothesis(b=0.6)
         with pytest.raises(ParameterError):
             br.SeparationHypothesis(b=-0.1)
-        with pytest.raises(ParameterError):
-            br.SeparationHypothesis(b=0.3, variational=True)
-        br.SeparationHypothesis(b=0.2, variational=True)  # fine
-        with pytest.raises(ParameterError):
-            br.SeparationHypothesis(b=0.3, c=0.2).validate_with_dim(2)
-        br.SeparationHypothesis(b=0.3, c=0.05).validate_with_dim(2)
 
     def test_empty_polynomial_is_rejected(self):
         # np.polyval reads () as p = 0, which would zero every ratio

@@ -3,11 +3,13 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from shrinkerlab import domain as dm
 from shrinkerlab import geometry as geo
+from shrinkerlab import solver as sv
 
 PROTOCOL = ("depth", "exterior_normal", "principal_curvatures",
             "weighted_mean_curvature", "project")
@@ -119,3 +121,35 @@ def test_sphere_normal_vanishes_at_the_center():
     ob = dm.OrientedBoundary(geo.Sphere(2, 1.0), -1)
     assert np.all(ob.exterior_normal(np.zeros(3)) == 0.0)
     assert np.all(ob.exterior_normal(np.zeros((4, 3))) == 0.0)
+
+
+def _same_profile(p, q):
+    """Same class, same parameters and the same tabulated values, bit for bit."""
+    a, b = vars(p), vars(q)
+    return type(p) is type(q) and a.keys() == b.keys() and all(
+        np.array_equal(a[k], b[k]) for k in a)
+
+
+_PLANE = {"type": "plane", "normal": [0, 1], "offset": -1.5, "side": 1}
+_SPHERE = {"type": "sphere", "radius": 0.6, "side": 1}
+
+
+@pytest.mark.parametrize("config, closed_form", [
+    ({"kind": "slab", "h1": -1, "h2": 1}, lambda: sv.solve_slab(-1, 1).profile),
+    ({"kind": "slab", "h1": -0.5, "h2": 2, "ambient_dim": 3, "axis": 0},
+     lambda: sv.solve_slab(-0.5, 2, ambient_dim=3, axis=0).profile),
+    ({"kind": "annulus", "a": 0.5, "b": 2.0}, lambda: sv.solve_radial(0.5, 2.0, 2).profile),
+    ({"kind": "annulus", "a": 1, "b": 3, "ambient_dim": 4},
+     lambda: sv.solve_radial(1, 3, 4).profile),
+    ({"kind": "ball", "rho": 1.0}, lambda: None),
+    ({"kind": "generic", "ambient_dim": 2, "radius": 3.0, "sigma1": _PLANE,
+      "sigma2": _SPHERE}, lambda: None),
+], ids=["slab", "slab-axis-0", "annulus", "annulus-4d", "ball", "generic"])
+def test_domain_carries_its_closed_form(config, closed_form):
+    dom = dm.domain_from_json(config)
+    expected = closed_form()
+    if expected is None:
+        assert dom.closed_form is None
+    else:
+        assert _same_profile(dom.closed_form, expected)
+    assert dom.with_radius(2.5).closed_form is dom.closed_form

@@ -10,6 +10,8 @@ from shrinkerlab import domain as dm
 from shrinkerlab import energy as en
 from shrinkerlab import solver as sv
 from shrinkerlab.errors import ParameterError
+from shrinkerlab.geometry import gaussian_ball_mass, sphere_measure
+from shrinkerlab.quadrature import gauss_legendre
 
 # frozen from an independent Gauss-Kronrod quadrature:
 #   E_slab = (1/2) sqrt(2 pi) / int_{-1}^{1} e^(t^2/2) dt
@@ -147,7 +149,7 @@ def _ball_mass_reference(d, r):
 @pytest.mark.parametrize("d", [0, 1, 2, 3, 4])
 def test_gaussian_ball_mass_matches_quadrature(d):
     for r in (0.0, 0.3, 1.0, 2.5, 6.0):
-        assert en.gaussian_ball_mass(d, r) == pytest.approx(_ball_mass_reference(d, r),
+        assert gaussian_ball_mass(d, r) == pytest.approx(_ball_mass_reference(d, r),
                                                             rel=1e-12, abs=0.0)
 
 
@@ -177,6 +179,45 @@ def test_radial_growth_matches_quadrature(n):
     for R, entry in zip(radii, entries):
         mass = omega * _quad(g, a, min(b, R)) / norm ** 2
         assert entry.value == pytest.approx(mass / (R * R), rel=1e-12, abs=0.0)
+
+
+def _reference_reduced_mass(prof):
+    if isinstance(prof, sv.SlabProfile):
+        return (2.0 * math.pi) ** ((prof.ambient_dim - 1) / 2.0)
+    return sphere_measure(prof.ambient_dim)
+
+
+def _reference_ball_mass(prof, R):
+    """int_{B_R} |grad u|^2 e^-f written out apart from the profile classes,
+    in the same floating-point order."""
+    if isinstance(prof, sv.RadialProfile):
+        return _reference_reduced_mass(prof) * prof.value(min(prof.b, R)) / prof.normalization
+    lo, hi = max(prof.h1, -R), min(prof.h2, R)
+    if lo >= hi:
+        return 0.0
+    t0, t1 = math.asin(lo / R), math.asin(hi / R)
+    x, w = gauss_legendre(64)
+    theta = t0 + (t1 - t0) * x
+    reach = R * np.cos(theta)
+    dens = (prof.density(R * np.sin(theta))
+            * gaussian_ball_mass(prof.ambient_dim - 1, reach) * reach)
+    return (t1 - t0) * float(np.dot(w, dens)) / prof.normalization ** 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_profile_integrals_match_the_reference_formulas_bit_for_bit(n):
+    profiles = [sv.SlabProfile(-0.5, 1.5, n), sv.SlabProfile(0.5, 2.0, n, axis=0),
+                sv.RadialProfile(0.5, 2.0, n)]
+    # R below, between and beyond the pieces of each profile
+    for prof in profiles:
+        assert prof.reduced_mass == _reference_reduced_mass(prof)
+        for R in (0.3, 0.7, 1.2, 3.0):
+            assert prof.ball_mass(R) == _reference_ball_mass(prof, R)
+    # the profile energy and flux read the same constant
+    sol = sv.solve_radial(0.5, 2.0, n)
+    c = _reference_reduced_mass(sol.profile)
+    assert en.dirichlet_energy(sol) == 0.5 * c / sol.profile.normalization
+    assert en.boundary_flux(sol, None) == (c / sol.profile.normalization, 0)
 
 
 @pytest.mark.parametrize("radii, message", [

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from shrinkerlab import fields as fl
 from shrinkerlab.errors import BoundaryStencilError, ParameterError
@@ -196,3 +198,31 @@ def test_grid_batch_matches_pointwise(dim):
     batch = gf.batch(P)
     assert batch.shape == (P.shape[0],)
     np.testing.assert_allclose(batch, [gf(p) for p in P], rtol=0, atol=1e-15)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(shape=st.lists(st.integers(2, 6), min_size=1, max_size=3).map(tuple), data=st.data())
+def test_grid_field_reads_back_every_finite_node_beside_nan_holes(shape, data):
+    # dyadic spacing and origin put every node on exact coordinates; values
+    # in [0, 1], as a solution holds them (no -0.0, which reads back as +0.0)
+    spacing = 2.0 ** -data.draw(st.integers(0, 5))
+    origin = [k * spacing for k in data.draw(
+        st.lists(st.integers(-40, 40), min_size=len(shape), max_size=len(shape)))]
+    values = data.draw(arrays(float, shape, elements=st.floats(0.0, 1.0)))
+    holes = data.draw(arrays(bool, shape))
+    values[holes] = np.nan
+    gf = fl.GridField(origin, spacing, values)
+    nodes = np.asarray(origin) + np.argwhere(~holes) * spacing
+    expected = values[~holes].view(np.int64)
+    np.testing.assert_array_equal(gf.batch(nodes).view(np.int64), expected)
+    np.testing.assert_array_equal(np.array([gf(p) for p in nodes]).view(np.int64), expected)
+
+
+def test_solved_slab_reads_its_dirichlet_band(slab_grid_solution):
+    # the nodes at x2 = 1 and 1 + h carry the piece's data 1.0, the node at
+    # 1 + 2h is unsolved (NaN) and must not leak into reads at 1 + h
+    field = slab_grid_solution.field
+    h = field.spacing[1]
+    assert np.isnan(field.values).any()
+    assert field([0.0, 1.0 + h]) == 1.0
+    assert field.batch(np.array([[0.01, 1.0 + h]]))[0] == 1.0

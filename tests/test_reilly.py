@@ -35,9 +35,14 @@ def unit_ball():
 @pytest.mark.parametrize("R", [1.0, 2.0, 5.0, 10.0])
 def test_cutoff_invariants(R):
     phi = rl.CutoffFamily(R)
-    assert phi.validate()
-    assert phi.max_gradient() <= 2.0 / R + 1e-8
-    assert phi.max_gradient() == pytest.approx(15.0 / (8.0 * R), rel=1e-6)
+    r = np.linspace(0.0, 2.5 * R, 4001)
+    vals = phi.profile(r)
+    assert vals.min() >= -1e-12 and vals.max() <= 1.0 + 1e-12
+    assert np.all(vals[r <= R] == 1.0)
+    assert np.all(vals[r >= 2.0 * R] == 0.0)
+    max_gradient = float(np.max(np.abs(phi.profile_derivative(np.linspace(R, 2.0 * R, 20001)))))
+    assert max_gradient <= 2.0 / R + 1e-8
+    assert max_gradient == pytest.approx(15.0 / (8.0 * R), rel=1e-6)
     assert phi.profile(0.5 * R) == 1.0
     assert phi.profile(2.5 * R) == 0.0
 
@@ -432,11 +437,11 @@ def _einsum_volume(u, phi, dom, h):
         grad, hess = _row_major(*fl.fd_gradient_hessian(u.batch, pts, step))
         lap_f = np.einsum("kii->k", hess) - np.einsum("ki,ki->k", pts, grad)
         r = np.linalg.norm(pts, axis=1)
-        phi_sq = np.asarray(phi(pts)) ** 2
-        if isinstance(phi, rl.CutoffFamily):
-            gps = (2.0 * phi.profile(r) * phi.profile_derivative(r) / r)[:, None] * pts
+        if phi is None:
+            phi_sq, gps = 1.0, np.zeros_like(pts)
         else:
-            gps = np.zeros_like(pts)
+            phi_sq = np.asarray(phi(pts)) ** 2
+            gps = (2.0 * phi.profile(r) * phi.profile_derivative(r) / r)[:, None] * pts
         transport = np.einsum("ki,ki->k", gps, np.einsum("kij,kj->ki", hess, grad)
                               - lap_f[:, None] * grad)
         w = np.exp(-0.5 * np.sum(pts ** 2, axis=1)) * frac * h ** 3
@@ -466,7 +471,9 @@ def _einsum_boundary(u, phi, ob, nodes, weights, step):
     lap_f_surface = lap_surface - np.einsum("ki,ki->k", x_tan, grad_tan)
     h_f = tr_a + np.einsum("ki,ki->k", nodes, nus)
     lap_term = -(lap_f_surface - h_f * du_dnu) * du_dnu
-    w = np.exp(-0.5 * np.sum(nodes ** 2, axis=1)) * weights * np.asarray(phi(nodes)) ** 2
+    w = np.exp(-0.5 * np.sum(nodes ** 2, axis=1)) * weights
+    if phi is not None:
+        w = w * np.asarray(phi(nodes)) ** 2
     terms = np.array([a_term * w, mixed * w, lap_term * w])
     return terms.sum(axis=1), np.abs(terms).sum(axis=1)
 
@@ -497,7 +504,7 @@ _FIELDS = dict(quadratic=st.lists(_COEFF, min_size=12, max_size=12),
 def test_component_major_volume_sums_match_einsum(quadratic, cubic, piece, cutoff):
     u = _polynomial(quadratic, cubic)
     dom = _PIECES[piece][0]
-    phi = rl.CONSTANT_CUTOFF if cutoff is None else rl.CutoffFamily(cutoff)
+    phi = None if cutoff is None else rl.CutoffFamily(cutoff)
     items, _ = rl._volume_items(u, phi, dom, 1 / 8, None)
     lean = np.sum([item()[:4] for item in items], axis=0)
     reference, scale = _einsum_volume(u, phi, dom, 1 / 8)
@@ -510,7 +517,7 @@ def test_component_major_volume_sums_match_einsum(quadratic, cubic, piece, cutof
 def test_component_major_boundary_sums_match_einsum(quadratic, cubic, piece, cutoff):
     u = _polynomial(quadratic, cubic)
     dom = _PIECES[piece][0]
-    phi = rl.CONSTANT_CUTOFF if cutoff is None else rl.CutoffFamily(cutoff)
+    phi = None if cutoff is None else rl.CutoffFamily(cutoff)
     for _, ob in dom.pieces():
         nodes, weights = ob.quad_nodes(dom.exhaustion_radius, per_dim=24)
         lean = np.array(rl._boundary_sums(u, phi, ob, nodes, weights, 1e-4))

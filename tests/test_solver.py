@@ -275,13 +275,20 @@ class TestMixedBvp:
     def test_pure_neumann_is_singular(self):
         far_ball = dm.DomainSpec(
             dm.OrientedBoundary(geo.Sphere(1, 5.0), side=-1), None,
-            exhaustion_radius=2.0, ambient_dim=2, kind="ball", params={"rho": 5.0})
+            exhaustion_radius=2.0, ambient_dim=2)
         with pytest.raises(SingularSystemError, match="constant"):
             sv.solve_mixed_bvp(far_ball, h=1 / 8)
 
     def test_grid_invariant_and_classification(self, annulus_dom):
         grid = sv.Grid(annulus_dom, h=1 / 16)
-        assert grid.check_stencil_invariant()
+        # every interior node's axis neighbors inside the ball are non-exterior
+        codes = grid.codes.reshape(grid.shape)
+        beyond = grid.r.reshape(grid.shape) > grid.radius
+        for ax in range(grid.ndim):
+            for shift in (1, -1):
+                nb_exterior = np.roll(codes, -shift, axis=ax) == sv.EXTERIOR
+                assert not np.any((codes == sv.INTERIOR) & nb_exterior
+                                  & ~np.roll(beyond, -shift, axis=ax))
         assert grid.node_count(sv.INTERIOR) > 0
         assert grid.node_count(sv.DIRICHLET0) > 0
         assert grid.node_count(sv.DIRICHLET1) > 0
