@@ -2,7 +2,11 @@
 
 Each criterion is a standalone function returning a CriterionResult; the
 pytest wrapper and the command-line `acceptance` subcommand both run these.
-Tolerances are fixed here, not configurable.
+Tolerances are fixed here, not configurable.  The checks the CLI runs too
+are defined once, outside this module: criteria 1 and 2 reduce through
+`geometry.max_shrinker_residual` and `geometry.identity_extremes`, which
+keep a NaN, so a NaN residual fails them; criterion 12 runs every case of
+`barrier.SEPARATION_CASES`.
 """
 
 import math
@@ -52,10 +56,8 @@ def _ambient_models():
 
 
 def criterion_1_shrinker_residuals():
-    worst = 0.0
-    for model in _ambient_models():
-        for s in geo.surface_samples(model, 1000):
-            worst = max(worst, float(np.linalg.norm(geo.shrinker_residual(s))))
+    worst = float(np.max([geo.max_shrinker_residual(geo.surface_samples(model, 1000))
+                          for model in _ambient_models()]))
     return worst < 1e-9, f"max |x_perp + H| = {worst:.3e} (< 1e-9)"
 
 
@@ -82,15 +84,11 @@ def _identity_patches():
 
 
 def criterion_2_cylinder_identities():
-    worst_res, worst_slack = 0.0, 0.0
+    samples = []
     for _, chart, *pts in _identity_patches():
         patch = geo.ParametrizedPatch(chart=chart, lo=(-10, -10), hi=(10, 10), fd_step=1e-4)
-        for s in pts:
-            sample = patch.sample(np.array(s))
-            rep = geo.cylinder_identities(1, sample)
-            worst_res = max(worst_res, abs(rep.grad_id_residual), abs(rep.laplu_residual))
-            if rep.sqrtu_slack is not None:
-                worst_slack = min(worst_slack, rep.sqrtu_slack)
+        samples += [patch.sample(np.array(s)) for s in pts]
+    worst_res, worst_slack = geo.identity_extremes(samples, [1])
     ok = worst_res < 1e-6 and worst_slack >= -1e-8
     return ok, (f"max residual {worst_res:.3e} (< 1e-6), "
                 f"min sqrt slack {worst_slack:.3e} (>= -1e-8)")
@@ -293,16 +291,10 @@ def criterion_11_domination():
 
 def criterion_12_separation():
     s_plane = geo.Hyperplane(normal=(0, 0, 1.0))
-    cases = [
-        (br.SeparationHypothesis(b=0.0), s_plane, geo.Cylinder(k=1, m=2), True),
-        (br.SeparationHypothesis(b=0.3), s_plane,
-         geo.Hyperplane(normal=(0, 0, 1.0), offset=1.0), True),
-        (br.SeparationHypothesis(b=0.4), s_plane,
-         br.GraphSurface(height=lambda r: math.exp(-r * r), ambient_dim=3), False),
-    ]
     outcomes = []
-    for hyp, s1, s2, expected in cases:
-        rep = br.separation_check(hyp, s1, s2, [2, 3, 4, 5, 6, 8])
+    for sigma2, b, expected in br.SEPARATION_CASES.values():
+        rep = br.separation_check(br.SeparationHypothesis(b=b), s_plane, sigma2(),
+                                  [2, 3, 4, 5, 6, 8])
         outcomes.append(rep.passes == expected)
     return all(outcomes), f"pass/pass/fail pattern confirmed: {outcomes}"
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, ParameterError, require_positive, require_radii
-from .fields import ScalarField, weighted_laplacian
+from .fields import ScalarField, gradient, weighted_laplacian
 from .geometry import Cylinder, Hyperplane, Sphere
 from .quadrature import CumulativeProfile, halton, sphere_directions
 
@@ -42,6 +42,7 @@ __all__ = [
     "SeparationHypothesis",
     "separation_check",
     "GraphSurface",
+    "SEPARATION_CASES",
 ]
 
 
@@ -213,21 +214,15 @@ def lipschitz_barrier(mode, domain):
 
 
 def measured_lipschitz(fld, domain):
-    """Numerical Lipschitz estimate over quasi-random interior points."""
+    """Numerical Lipschitz estimate: the largest |partial derivative| that
+    `fields.gradient` reads at quasi-random interior points, NaN if one is."""
     count, delta = 2000, 1e-4    # Halton points; difference step and interior margin
     radius = min(domain.exhaustion_radius, 6.0)
     pts = (halton(count, domain.ambient_dim) - 0.5) * 2.0 * radius
     inside = np.ones(count, dtype=bool)
     for _, ob in domain.pieces():
         inside &= np.asarray(ob.depth(pts)) > delta
-    pts = pts[inside]
-    worst = 0.0
-    for ax in range(domain.ambient_dim):
-        e = np.zeros(domain.ambient_dim)
-        e[ax] = delta
-        vals = np.abs(fld.batch(pts + e) - fld.batch(pts - e)) / (2.0 * delta)
-        worst = max(worst, float(vals.max(initial=0.0)))
-    return worst
+    return float(np.max(np.abs(gradient(fld, pts[inside], h=delta)), initial=0.0))
 
 
 # --------------------------------------------------------------------------
@@ -281,6 +276,15 @@ class GraphSurface:
         pts[:, :-1] = rho * dirs
         pts[:, -1] = self.height(rho)
         return pts
+
+
+# name -> (sigma2 checked against the plane x_3 = 0, criterion 12's b and outcome)
+SEPARATION_CASES = {
+    "plane-cylinder": (lambda: Cylinder(k=1, m=2), 0.0, True),
+    "parallel-planes": (lambda: Hyperplane(normal=(0, 0, 1.0), offset=1.0), 0.3, True),
+    "gaussian-graph": (lambda: GraphSurface(height=lambda r: float(np.exp(-r * r)),
+                                            ambient_dim=3), 0.4, False),
+}
 
 
 @dataclass

@@ -129,25 +129,17 @@ def _comma_list(kind):
 
 
 def cmd_verify_shrinker(args):
-    samples = geo.surface_samples(args.model, args.samples)
-    worst = max(float(np.linalg.norm(geo.shrinker_residual(s))) for s in samples)
+    worst = geo.max_shrinker_residual(geo.surface_samples(args.model, args.samples))
     report = {"model": args.model.to_json(), "samples": args.samples,
               "max_residual": worst, "tolerance": 1e-9}
     return Outcome(report, {}, f"max |x_perp + H| over {args.samples} samples: {worst:.3e}",
-                   f"shrinker residual {worst:.3e} exceeds 1e-9" if worst >= 1e-9 else None)
+                   None if worst < 1e-9 else f"shrinker residual {worst:.3e} exceeds 1e-9")
 
 
 def cmd_identities(args):
     ks = [args.k] if args.k is not None else list(range(1, args.model.ambient_dim - 1))
-    worst_res, worst_slack = 0.0, 0.0
-    for s in geo.surface_samples(args.model, args.samples, span=args.span):
-        for k in ks:
-            rep = geo.cylinder_identities(k, s)
-            # np.max and np.min keep a NaN, which Python's max and min may drop
-            worst_res = float(np.max([worst_res, abs(rep.grad_id_residual),
-                                      abs(rep.laplu_residual)]))
-            if rep.sqrtu_slack is not None:
-                worst_slack = float(np.min([worst_slack, rep.sqrtu_slack]))
+    worst_res, worst_slack = geo.identity_extremes(
+        geo.surface_samples(args.model, args.samples, span=args.span), ks)
     report = {"model": args.model.to_json(), "k_values": ks,
               "max_residual": worst_res, "min_sqrt_slack": worst_slack}
     # a non-finite residual or slack fails both comparisons
@@ -230,24 +222,16 @@ def cmd_barrier(args):
                    if violation > 1e-6 else None)
 
 
-# the surface each case checks against the plane x_3 = 0
-_SEP_CASES = {
-    "plane-cylinder": lambda: geo.Cylinder(k=1, m=2),
-    "parallel-planes": lambda: geo.Hyperplane(normal=(0, 0, 1.0), offset=1.0),
-    "gaussian-graph": lambda: br.GraphSurface(height=lambda r: float(np.exp(-r * r)),
-                                              ambient_dim=3),
-}
-
-
 def cmd_separation(args):
     cfg = (check_config(_load_json(args.config), SEPARATION_SCHEMA, "separation config")
            if args.config is not None else {"case": args.case, "b": args.b})
     case, b = cfg["case"], cfg.get("b", 0.0)
     poly, norms = tuple(cfg.get("poly_p", [1.0])), cfg.get("norms", [2, 3, 4, 5, 6, 8])
-    if case not in _SEP_CASES:
+    if case not in br.SEPARATION_CASES:
         raise ParameterError(f"unknown separation case {case!r}")
     rep = br.separation_check(br.SeparationHypothesis(b=b, poly_p=poly),
-                              geo.Hyperplane(normal=(0, 0, 1.0)), _SEP_CASES[case](), norms)
+                              geo.Hyperplane(normal=(0, 0, 1.0)),
+                              br.SEPARATION_CASES[case][0](), norms)
     return Outcome({"case": case, "b": b, "ratios": [[z, r] for z, r in rep.ratios],
                     "passes": rep.passes, "truncated": rep.truncated},
                    {"separation.csv": rep.to_csv()},
@@ -320,7 +304,7 @@ COMMANDS = {
         "--profile": {"choices": ("ode", "linear"), "default": "ode"},
         "--sweep": {"help": "JSON sweep file over R/a/m/z"}}),
     "separation": (cmd_separation, {
-        "--case": {"choices": sorted(_SEP_CASES), "default": "plane-cylinder"},
+        "--case": {"choices": sorted(br.SEPARATION_CASES), "default": "plane-cylinder"},
         "--b": {"type": float, "default": 0.0}, "--config": {}}),
     "mc": (cmd_mc, {
         "--domain": _DOMAIN,

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import MissingGeometryError, ParameterError, require_radii
+from .errors import MissingGeometryError, ParameterError, require_positive, require_radii
+from .fields import gradient, row_dot
 from .solver import DIRICHLET_DATA, EXTERIOR
 
 __all__ = [
@@ -24,6 +25,7 @@ __all__ = [
     "CaccioppoliReport",
     "dirichlet_energy",
     "energy_growth_profile",
+    "ball_masses",
     "caccioppoli_check",
     "energy_report",
     "energy_of_field",
@@ -135,21 +137,24 @@ def dirichlet_energy(solution):
     return 0.5 * float(np.sum(cells))
 
 
+def ball_masses(solution, radii):
+    """The weighted gradient mass int_{B_R} |grad u|^2 e^-f inside each ball
+    of radius R in radii, in the given order: the profile's `ball_mass`, or
+    the cells of `weighted_gradient_cells` whose centre lies in the ball."""
+    prof = solution.profile
+    if prof is not None:
+        return [prof.ball_mass(R) for R in radii]
+    centers, cells = weighted_gradient_cells(solution)
+    rad = np.linalg.norm(centers, axis=1)
+    return [float(np.sum(cells[rad <= R])) for R in radii]
+
+
 def energy_growth_profile(solution, radii):
     """(1/R^2) times the weighted gradient mass inside each ball."""
     radii = require_radii(radii, "energy growth radii")
-    prof = solution.profile
-    if prof is not None:
-        return [GrowthEntry(R=R, value=prof.ball_mass(R) / (R * R)) for R in radii]
-
-    entries = []
-    centers, cells = weighted_gradient_cells(solution)
-    rad = np.linalg.norm(centers, axis=1)
-    solved_reach = solution.grid.radius
-    for R in radii:
-        mass = float(np.sum(cells[rad <= R]))
-        entries.append(GrowthEntry(R=R, value=mass / (R * R), truncated=R > solved_reach))
-    return entries
+    return [GrowthEntry(R=R, value=mass / (R * R),
+                        truncated=solution.profile is None and R > solution.grid.radius)
+            for R, mass in zip(radii, ball_masses(solution, radii))]
 
 
 # --------------------------------------------------------------------------
@@ -299,18 +304,15 @@ def cell_centres(lo, counts, h, start, stop):
 
 
 def energy_of_field(fld, domain, resolution=1 / 128, radius=None):
-    """Midpoint-rule weighted energy of a scalar field over Omega.
-
-    The gradient is a central difference at half the cell size, read through
-    `fld.batch` on chunks of CHUNK cell centres.
-    """
-    if radius is None:
-        radius = min(domain.exhaustion_radius, 8.0)
+    """Midpoint-rule weighted energy of a scalar field over Omega: chunks of
+    CHUNK cell centres, differentiated by `fields.gradient` (with its
+    declared-domain guard) at half the cell size.  A non-finite or
+    non-positive resolution or radius is a ParameterError."""
+    h = require_positive("energy resolution", resolution)
+    radius = require_positive("energy radius", min(domain.exhaustion_radius, 8.0)
+                              if radius is None else radius)
     lo, hi = domain.grid_box(radius)
-    h = float(resolution)
     counts, cells = box_cells(lo, hi, h)
-    n = len(counts)
-    delta = 0.5 * h
     total = 0.0
     for start in range(0, cells, CHUNK):
         centers = cell_centres(lo, counts, h, start, start + CHUNK)
@@ -318,11 +320,7 @@ def energy_of_field(fld, domain, resolution=1 / 128, radius=None):
         for _, ob in domain.pieces():
             inside &= np.asarray(ob.depth(centers)) > 0
         centers = np.compress(inside, centers, axis=0)
-        grad_sq = np.zeros(centers.shape[0])
-        for ax in range(n):
-            e = np.zeros(n)
-            e[ax] = delta
-            grad_sq += ((fld.batch(centers + e) - fld.batch(centers - e)) / (2 * delta)) ** 2
+        grad = gradient(fld, centers, h=0.5 * h).T
         w = np.exp(-0.5 * np.sum(centers ** 2, axis=1))
-        total += float(np.sum(grad_sq * w))
-    return 0.5 * total * h ** n
+        total += float(np.sum(row_dot(grad, grad) * w))
+    return 0.5 * total * h ** len(counts)

@@ -3,14 +3,11 @@
 The weight is fixed to f(x) = |x|^2 / 2, so the weighted Laplacian is the
 Ornstein-Uhlenbeck operator  Lap u - <x, grad u>  and the weighted divergence
 of a vector field is  div X - <X, x>.  All derivatives are central finite
-differences with a relative default step.  `gradient` and
-`weighted_laplacian` take an (n,) point or (N, n) points and run on
-`fd_gradient_hessian`, the one batched stencil: it evaluates the field at
-n^2 + n + 1 points per row (13 in 3D, 7 in 2D), taking the mixed second
-differences from the 7-point formula that reuses the axis evaluations.
-Its results are component-major, the gradient (n, N) and the Hessian
-(n, n, N), so each component is one contiguous array of N values, and
-`row_dot` contracts such arrays component by component.
+differences with a relative default step.  `gradient` (2n field evaluations
+per point) and `weighted_laplacian` (on `fd_gradient_hessian`, n^2 + n + 1
+per point, the mixed terms from the 7-point formula) take an (n,) point or
+(N, n) points.  Stencil results are component-major, the gradient (n, N) and
+the Hessian (n, n, N), so `row_dot` contracts them component by component.
 `weighted_divergence` stays pointwise, since vector fields have no batch
 evaluator.
 """
@@ -95,10 +92,13 @@ def _stencil_rows(fld, p, h):
 
 
 def gradient(fld, p, h=None):
-    """Central-difference gradient, O(h^2), at an (n,) point or at each row
-    of (N, n) points."""
+    """Central-difference gradient, O(h^2), from 2n field evaluations per
+    point, at an (n,) point or at each row of (N, n) points."""
     pts, steps = _stencil_rows(fld, p, h)
-    grad, _ = fd_gradient_hessian(fld.batch, pts, steps)
+    at = _shifted(fld.batch, pts, steps)
+    grad = np.empty(pts.shape[::-1])
+    for i in range(pts.shape[1]):
+        grad[i] = (at(1.0, i) - at(-1.0, i)) / (2.0 * steps)
     return grad.T.reshape(np.shape(p))
 
 
@@ -148,6 +148,26 @@ def trace(hess):
     return out
 
 
+def _shifted(batch, pts, h):
+    """at(sign, *axes): batch at pts moved by sign * h along each of axes,
+    written column by column into one reused buffer (a column is put back
+    only when the next call does not move it too); a result that is a view
+    of the buffer is copied, so batch may return a view of its input."""
+    buf = np.array(pts, dtype=float)
+    moved = []
+
+    def at(sign, *axes):
+        for i in moved:
+            if i not in axes:
+                buf[:, i] = pts[:, i]
+        for i in axes:
+            np.add(pts[:, i], sign * h, out=buf[:, i])
+        moved[:] = axes
+        vals = np.asarray(batch(buf), dtype=float)
+        return vals.copy() if np.may_share_memory(vals, buf) else vals
+    return at
+
+
 def fd_gradient_hessian(batch, pts, h):
     """Gradient and Hessian at each row of pts (N, n) by central differences
     of step h, one scalar or one step per row (N,); batch maps (N, n) points
@@ -157,28 +177,11 @@ def fd_gradient_hessian(batch, pts, h):
     (n, n, N), so grad[i] and hess[i, j] are contiguous (N,) arrays.  The
     mixed terms reuse the axis evaluations through the 7-point formula
     (f(+i+j) - f(+i) - f(+j) + 2 f0 - f(-i) - f(-j) + f(-i-j)) / (2 h^2), so
-    a point costs `stencil_evaluations(n)` field evaluations.  Shifted
-    points are written column by column into one reused buffer, a column
-    being put back only when the next evaluation does not move it too; a
-    result that is a view of the buffer is copied before the buffer changes,
-    so batch may return a view of its input.
+    a point costs `stencil_evaluations(n)` field evaluations.
     """
     N, n = pts.shape
     h = np.asarray(h, dtype=float).reshape(-1)
-    buf = np.array(pts, dtype=float)
-    moved = []
-
-    def at(sign, *axes):
-        """f at pts moved by sign * h along each of axes."""
-        for i in moved:
-            if i not in axes:
-                buf[:, i] = pts[:, i]
-        for i in axes:
-            np.add(pts[:, i], sign * h, out=buf[:, i])
-        moved[:] = axes
-        vals = np.asarray(batch(buf), dtype=float)
-        return vals.copy() if np.may_share_memory(vals, buf) else vals
-
+    at = _shifted(batch, pts, h)
     f0 = at(0.0)
     fp = [at(1.0, i) for i in range(n)]
     fm = [at(-1.0, i) for i in range(n)]

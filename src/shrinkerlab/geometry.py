@@ -52,6 +52,8 @@ __all__ = [
     "gaussian_ball_mass",
     "shrinker_residual",
     "cylinder_identities",
+    "max_shrinker_residual",
+    "identity_extremes",
     "extrinsic_volume_growth",
     "model_from_json",
     "surface_samples",
@@ -551,6 +553,12 @@ def shrinker_residual(sample):
     return x_perp + sample.mean_curvature_vector
 
 
+def max_shrinker_residual(samples):
+    """Largest |x_perp + H| over the samples, NaN if any residual is NaN;
+    a model passes when `worst < 1e-9`."""
+    return float(np.max([np.linalg.norm(shrinker_residual(s)) for s in samples]))
+
+
 @dataclass
 class CylinderIdentityReport:
     u: float
@@ -623,6 +631,16 @@ def cylinder_identities(k, sample):
 
     return CylinderIdentityReport(u=u, grad_id_residual=grad_id_residual,
                                   laplu_residual=laplu_residual, sqrtu_slack=sqrtu_slack)
+
+
+def identity_extremes(samples, ks):
+    """(largest |residual|, smallest sqrt slack), each from 0.0, of
+    `cylinder_identities` over every sample and k, keeping a NaN; the
+    identities hold when the first is < 1e-6 and the second >= -1e-8."""
+    reps = [cylinder_identities(k, s) for s in samples for k in ks]
+    res = [abs(x) for r in reps for x in (r.grad_id_residual, r.laplu_residual)]
+    slack = [r.sqrtu_slack for r in reps if r.sqrtu_slack is not None]
+    return float(np.max([0.0, *res])), float(np.min([0.0, *slack]))
 
 
 # --------------------------------------------------------------------------

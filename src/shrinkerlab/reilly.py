@@ -46,7 +46,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .energy import CHUNK, box_cells, cell_centres, normal_derivative, weighted_gradient_cells
+from .energy import CHUNK, ball_masses, box_cells, cell_centres, normal_derivative
 from .errors import (ContractViolation, MissingGeometryError, ParameterError,
                      require_positive, require_radii)
 from .fields import (GridField, fd_gradient_hessian, ordered_map, row_dot, stencil_evaluations,
@@ -403,15 +403,13 @@ def energy_growth_chain(solution, domain, radii):
     if solution.grid is None:
         raise ParameterError("chain evaluation expects a grid-backed solution")
     radii = require_radii(radii, "energy chain radii")
-    centers, cells = weighted_gradient_cells(solution)
-    rad = np.linalg.norm(centers, axis=1)
+    masses = ball_masses(solution, [*radii, *(2.0 * R for R in radii)])
     reach = solution.grid.radius
 
     per_R = []
     consistent = True
-    for R in radii:
-        lhs = float(np.sum(cells[rad <= R]))
-        rhs = (8.0 / (R * R)) * float(np.sum(cells[rad <= 2.0 * R]))
+    for R, lhs, outer in zip(radii, masses, masses[len(radii):]):
+        rhs = (8.0 / (R * R)) * outer
         truncated = 2.0 * R > reach
         holds = bool(lhs <= rhs * (1.0 + 1e-9))
         if not truncated and not holds:

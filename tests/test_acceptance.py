@@ -4,14 +4,18 @@ Each test prints its pass/fail line (visible with pytest -s; the CLI
 `acceptance` subcommand prints the same table).
 """
 
+import dataclasses
 import inspect
+import itertools
 import json
+import math
 import time
 from pathlib import Path
 
 import pytest
 
 from shrinkerlab import acceptance as acc
+from shrinkerlab import geometry as geo
 
 # criteria whose detail line must print the values of the committed report;
 # 5 prints a rounding-level two-guess gap, 8 prints the f-minimal plane's
@@ -88,3 +92,20 @@ def test_every_criterion_takes_no_arguments():
     # the inputs are pinned inside each criterion: 100k paths, meshes 1/64 and 1/128
     takes = {idx: list(inspect.signature(fn).parameters) for idx, _, fn in acc.CRITERIA}
     assert {idx: params for idx, params in takes.items() if params} == {}
+
+
+def _nan_on_the_third_call(real, to_nan):
+    calls = itertools.count()
+    return lambda *args: to_nan(real(*args)) if next(calls) == 2 else real(*args)
+
+
+@pytest.mark.parametrize("index, name, to_nan", [
+    (1, "shrinker_residual", lambda residual: residual * math.nan),
+    (2, "cylinder_identities",
+     lambda rep: dataclasses.replace(rep, laplu_residual=math.nan)),
+], ids=["shrinker-residual", "identity-residual"])
+def test_a_nan_residual_fails_its_criterion(monkeypatch, index, name, to_nan):
+    # Python's max(0.0, nan) keeps 0.0, so one NaN residual used to pass
+    monkeypatch.setattr(geo, name, _nan_on_the_third_call(getattr(geo, name), to_nan))
+    passed, detail = dict((idx, fn) for idx, _, fn in acc.CRITERIA)[index]()
+    assert not passed and detail.startswith(("max |x_perp + H| = nan", "max residual nan"))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -5,8 +6,10 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shrinkerlab import acceptance as acc
+from shrinkerlab import barrier as br
 from shrinkerlab import geometry as geo
-from shrinkerlab.cli import dumps17, main
+from shrinkerlab.cli import COMMANDS, dumps17, main
 from shrinkerlab.domain import domain_from_json
 from shrinkerlab.errors import ParameterError
 
@@ -312,6 +315,18 @@ def test_identities_count_a_non_finite_residual_as_a_failure(tmp_path, capsys, m
     assert math.isnan(json.loads(open(os.path.join(out, "report.json")).read())["max_residual"])
 
 
+def test_verify_shrinker_counts_a_nan_residual_as_a_failure(tmp_path, capsys, monkeypatch):
+    # Python's max(0.0, nan) keeps 0.0, so one NaN residual used to exit 0
+    real, calls = geo.shrinker_residual, itertools.count()
+    monkeypatch.setattr(geo, "shrinker_residual",
+                        lambda s: real(s) * (math.nan if next(calls) == 2 else 1.0))
+    out = _out(tmp_path, "nan")
+    assert main(["verify-shrinker", "--model", '{"type":"sphere","m":2}', "--samples", "5",
+                 "--output-dir", out]) == 2
+    assert "shrinker residual nan exceeds 1e-9" in capsys.readouterr().err
+    assert math.isnan(json.loads(open(os.path.join(out, "report.json")).read())["max_residual"])
+
+
 def test_solve_with_an_empty_compare_set_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "ann.json"
     path.write_text(json.dumps({"kind": "annulus", "a": 0.5, "b": 2.0, "ambient_dim": 2}))
@@ -331,6 +346,16 @@ def test_separation_cases(tmp_path):
                  "--output-dir", out2]) == 0
     rep2 = json.loads(open(os.path.join(out2, "report.json")).read())
     assert rep2["passes"] is False
+
+
+def test_separation_cases_are_one_table(monkeypatch):
+    assert COMMANDS["separation"][1]["--case"]["choices"] == sorted(br.SEPARATION_CASES)
+    ran = []
+    for case, (sigma2, b, expected) in list(br.SEPARATION_CASES.items()):
+        monkeypatch.setitem(br.SEPARATION_CASES, case, (
+            lambda case=case, sigma2=sigma2: ran.append(case) or sigma2(), b, expected))
+    passed, _ = acc.criterion_12_separation()
+    assert passed and ran == list(br.SEPARATION_CASES)
 
 
 def test_acceptance_subset(tmp_path):

@@ -10,6 +10,7 @@ from shrinkerlab import domain as dm
 from shrinkerlab import energy as en
 from shrinkerlab import solver as sv
 from shrinkerlab.errors import ParameterError
+from shrinkerlab.fields import ScalarField
 from shrinkerlab.geometry import gaussian_ball_mass, sphere_measure
 from shrinkerlab.quadrature import gauss_legendre
 
@@ -230,6 +231,23 @@ def test_growth_radii_are_checked(slab_grid_solution, radii, message):
     # R = 0 raised ZeroDivisionError; R = -1 and NaN were accepted
     with pytest.raises(ParameterError, match=re.escape(message)):
         en.energy_growth_profile(slab_grid_solution, radii)
+
+
+@pytest.mark.parametrize("keywords, message", [
+    ({"resolution": 0}, "energy resolution must be positive and finite, got 0"),
+    ({"resolution": -1 / 64}, "energy resolution must be positive and finite, got -0.015625"),
+    ({"resolution": math.nan}, "energy resolution must be positive and finite, got nan"),
+    ({"resolution": math.inf}, "energy resolution must be positive and finite, got inf"),
+    ({"radius": 0}, "energy radius must be positive and finite, got 0"),
+    ({"radius": -1}, "energy radius must be positive and finite, got -1"),
+    ({"radius": math.nan}, "energy radius must be positive and finite, got nan"),
+], ids=["zero-resolution", "negative-resolution", "nan-resolution", "inf-resolution",
+        "zero-radius", "negative-radius", "nan-radius"])
+def test_energy_of_field_checks_its_scalars(slab_dom, keywords, message):
+    # each of these returned 0.0 or NaN without a word
+    fld = ScalarField(lambda x: x[0], batch_evaluator=lambda P: P[:, 0])
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        en.energy_of_field(fld, slab_dom, **keywords)
 
 
 @pytest.mark.parametrize("counts", [(7,), (5, 9), (3, 4, 6), (40, 50, 60)])

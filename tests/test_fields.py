@@ -93,6 +93,9 @@ def test_batched_operators_match_row_by_row(dim):
             G = fl.gradient(f, P, h=h)
             L = fl.weighted_laplacian(f, P, h=h)
             assert G.shape == P.shape and L.shape == (P.shape[0],)
+            # a scalar step, or one default step per row
+            steps = fl.default_step(P) if h is None else h
+            np.testing.assert_array_equal(G.T, fl.fd_gradient_hessian(f.batch, P, steps)[0])
             np.testing.assert_array_equal(G, [fl.gradient(f, p, h=h) for p in P])
             np.testing.assert_array_equal(L, [fl.weighted_laplacian(f, p, h=h) for p in P])
 
@@ -128,14 +131,21 @@ def test_stencil_evaluation_count(dim, evaluations):
     assert sum(rows) == evaluations * P.shape[0]
     assert grad.shape == (dim, 25) and hess.shape == (dim, dim, 25)
     assert fl.stencil_evaluations(dim) == evaluations
+    rows.clear()
+    fl.gradient(fl.ScalarField(None, batch_evaluator=counting), P, h=1e-3)
+    assert sum(rows) == 2 * dim * P.shape[0]
 
 
 def test_stencil_copies_a_batch_that_returns_a_view():
     # the evaluator hands back a view of the shifted-point buffer
     P = np.random.default_rng(8).uniform(-1.0, 1.0, size=(30, 3))
-    grad, hess = fl.fd_gradient_hessian(lambda X: X[:, 0], P, 1e-3)
-    np.testing.assert_allclose(grad, np.tile([[1.0], [0.0], [0.0]], (1, 30)), rtol=0, atol=1e-10)
-    np.testing.assert_allclose(hess, 0.0, rtol=0, atol=1e-6)
+    view = fl.ScalarField(None, batch_evaluator=lambda X: X[:, 0])
+    for h in (1e-3, None):    # a scalar step, or one default step per row
+        grad, hess = fl.fd_gradient_hessian(view.batch, P, fl.default_step(P) if h is None else h)
+        np.testing.assert_allclose(grad, np.tile([[1.0], [0.0], [0.0]], (1, 30)),
+                                   rtol=0, atol=1e-10)
+        np.testing.assert_allclose(hess, 0.0, rtol=0, atol=1e-6)
+        np.testing.assert_array_equal(fl.gradient(view, P, h=h).T, grad)
 
 
 def test_declared_domain_guard_rejects_a_batch_with_one_bad_row():

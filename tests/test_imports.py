@@ -41,7 +41,12 @@ def _scipy_modules_after(code):
     "solver.solve_slab(-1, 1, ambient_dim=2).profile([0.0, 0.5])",
     "from shrinkerlab import barrier\n"
     "barrier.build_psi(barrier.BarrierParams(R=1.0, a=1.0, m=2, z_norm=0.0))",
-], ids=["package", "cli", "mc", "reilly", "slab-profile", "psi"])
+    "from shrinkerlab import barrier, domain, energy\n"
+    "dom = domain.slab_domain(-1, 1, ambient_dim=2, radius=3.0)\n"
+    "psi = barrier.lipschitz_barrier('positive-distance', dom)\n"
+    "energy.energy_of_field(psi, dom, resolution=1 / 32)\n"
+    "barrier.measured_lipschitz(psi, dom)",
+], ids=["package", "cli", "mc", "reilly", "slab-profile", "psi", "domination"])
 def test_paths_without_a_sparse_solve_load_no_scipy(code):
     assert _scipy_modules_after(code) == []
 
