@@ -18,7 +18,7 @@ or generic) and exactly the arguments of that kind's builder.
 
 import numpy as np
 
-from .errors import ParameterError, build_from_config
+from .errors import ParameterError, build_from_config, require_positive
 from .geometry import Hyperplane, Sphere
 from .solver import RadialProfile, SlabProfile
 
@@ -85,12 +85,10 @@ class DomainSpec:
                  closed_form=None, box_hint=None):
         self.sigma1 = sigma1
         self.sigma2 = sigma2
-        self.exhaustion_radius = float(exhaustion_radius)
+        self.exhaustion_radius = require_positive("exhaustion radius", exhaustion_radius)
         self.ambient_dim = int(ambient_dim)
         self.closed_form = closed_form
         self.box_hint = box_hint
-        if self.exhaustion_radius <= 0:
-            raise ParameterError("exhaustion radius must be positive")
 
     def pieces(self):
         out = [("sigma1", self.sigma1)]

@@ -256,12 +256,13 @@ def caccioppoli_check(solution, domain):
 
 
 def energy_report(solution, domain, radii):
-    """Full energy bookkeeping for one solution."""
+    """Full energy bookkeeping for one solution; the total energy is half
+    the Caccioppoli left side, which is twice the energy (exact in binary)."""
     entries = energy_growth_profile(solution, radii)
     cac = caccioppoli_check(solution, domain)
     tail = max((e.value for e in entries[len(entries) // 2:]), default=0.0)
     return EnergyReport(
-        total_energy=dirichlet_energy(solution),
+        total_energy=0.5 * cac.lhs,
         growth_profile=entries,
         caccioppoli_lhs=cac.lhs,
         caccioppoli_rhs=cac.rhs,

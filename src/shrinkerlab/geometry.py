@@ -505,7 +505,8 @@ class ParametrizedPatch:
         return self.lo.size
 
     def sample(self, s):
-        """Build a SurfaceSample at parameter s via finite differences."""
+        """Build a SurfaceSample at parameter s via finite differences, from
+        1 + 2 m^2 chart calls."""
         s = np.asarray(s, dtype=float)
         h = self.fd_step
         m = self.param_dim
@@ -515,8 +516,11 @@ class ParametrizedPatch:
             raise ParameterError("chart must map into R^(m+1)")
 
         steps = h * np.eye(m)  # row i is h e_i
-        jac = np.stack([np.asarray(self.chart(s + e)) - np.asarray(self.chart(s - e))
-                        for e in steps], axis=1) / (2 * h)
+        # chart(s + h e_i) and chart(s - h e_i), shared by the Jacobian and
+        # the diagonal second differences
+        fwd = [np.asarray(self.chart(s + e)) for e in steps]
+        bwd = [np.asarray(self.chart(s - e)) for e in steps]
+        jac = np.stack([p - q for p, q in zip(fwd, bwd)], axis=1) / (2 * h)
         u, svals, _ = np.linalg.svd(jac)
         if svals[-1] <= 1e-8:
             raise ParameterError("chart fails the immersion check (singular Jacobian)")
@@ -525,9 +529,7 @@ class ParametrizedPatch:
         # coordinate second fundamental form b_ij = <d2 chart, nu>
         b = np.empty((m, m))
         for i, ei in enumerate(steps):
-            b[i, i] = np.dot(
-                np.asarray(self.chart(s + ei)) - 2 * x + np.asarray(self.chart(s - ei)), nu
-            ) / (h * h)
+            b[i, i] = np.dot(fwd[i] - 2 * x + bwd[i], nu) / (h * h)
             for j, ej in enumerate(steps[i + 1:], i + 1):
                 mixed = (np.asarray(self.chart(s + ei + ej)) - np.asarray(self.chart(s + ei - ej))
                          - np.asarray(self.chart(s - ei + ej)) + np.asarray(self.chart(s - ei - ej)))

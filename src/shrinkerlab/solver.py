@@ -12,12 +12,12 @@ multigrid V-cycle on the lattice's h -> 2h hierarchy, so iteration counts do
 not grow as h shrinks.
 
 A solve holds one copy of its operator.  `_assemble` stages every row in a
-fixed-width block of 2n + 1 slots in descending column order and compresses
-the block once to int32 CSR, with no COO stage; rows whose arms are both h
-long read their coefficients from a per-line table, and only the rows with
-a cut or mirrored leg evaluate the unequal-arm formula.  The solve scales
-the rows in place to D^-1 A.  Descending order is the order in which
-scipy's sparse product of a diagonal with a sorted A stores the rows, so the
+fixed-width block of 2n + 1 slots in descending column order, scales it in
+place to D^-1 A and compresses the block once to int32 CSR, with no COO
+stage; rows whose arms are both h long read their coefficients from a
+per-line table, and only the rows with a cut or mirrored leg evaluate the
+unequal-arm formula.  Descending order is the order in which scipy's
+sparse product of a diagonal with a sorted A stores the rows, so the
 scaled arrays equal that product's bit for bit and the smoother's sums keep
 their last bits.  Each level's prolongation is built row-sorted with its
 repeated parents already merged and is converted to CSC once, which gives
@@ -317,28 +317,29 @@ def _arm_coefficients(v, L_p, L_m):
 
 
 def _assemble(grid):
-    """Sparse operator rows for Lap_f at all solved nodes.
+    """The Jacobi-scaled system D^-1 A x = D^-1 b of Lap_f at all solved nodes.
 
-    Returns (A, b, unknown_flat_indices, counters).  Dirichlet legs contribute
-    to b via the cut fraction theta on the signed-distance zero crossing; legs
-    leaving the exhaustion ball are mirrored (homogeneous Neumann).  `counters`
-    holds the deterministic counts `defensive_mirrors`, `upwind_rows` (rows
-    with the drift upwinded along some axis), `cut_legs` (legs ending at a
-    Dirichlet crossing) and `irregular_rows` (rows with a cut or mirrored
-    leg, which take the unequal-arm formula).
+    Returns (D^-1 A, D^-1 b, unknown_flat_indices, counters).  Dirichlet legs
+    contribute to b via the cut fraction theta on the signed-distance zero
+    crossing; legs leaving the exhaustion ball are mirrored (homogeneous
+    Neumann).  `counters` holds the deterministic counts `defensive_mirrors`,
+    `upwind_rows` (rows with the drift upwinded along some axis), `cut_legs`
+    (legs ending at a Dirichlet crossing) and `irregular_rows` (rows with a
+    cut or mirrored leg, which take the unequal-arm formula).
 
     A is built in its final CSR form (Saad, Iterative Methods for Sparse
     Linear Systems, 2003, 3.4), with no COO stage.  Every row is staged in a
     fixed-width (n, 2d + 1) block in descending column order, the column of
     an arm to an unsolved neighbor being -1, and the block is compressed
-    once to the int32 `indices` and float64 `data`.  Descending order is the
-    order of scipy's sparse product of a diagonal with a sorted A, so that
-    scaling the rows in place gives that product's arrays bit for bit (see
-    the module docstring).  Along each axis a row with both arms h long reads
-    its coefficients from a table over the lattice line, computed once by
-    the same formula; only the irregular rows evaluate it on their own arms.
-    A coefficient that is exactly zero (the drift at the central/upwind
-    switch) is stored; the scaling drops it.
+    once to the int32 `indices` and float64 `data`, after each row is
+    multiplied by 1/d in place.  Descending order is the order of scipy's
+    sparse product of a diagonal with a sorted A, so the scaled arrays are
+    that product's bit for bit (see the module docstring); as that product
+    does, the compression drops a coefficient that is exactly zero (the
+    drift at the central/upwind switch).  b is divided by d, which rounds
+    unlike b * (1/d).  Along each axis a row with both arms h long reads its
+    coefficients from a table over the lattice line, computed once by the
+    same formula; only the irregular rows evaluate it on their own arms.
     """
     import scipy.sparse as sps
 
@@ -362,7 +363,6 @@ def _assemble(grid):
     width = 2 * grid.ndim + 1
     cols = np.empty((n_unknown, width), dtype=np.int32)
     vals = np.empty((n_unknown, width))
-    counts = np.full(n_unknown, width, dtype=np.int32)
     diag = np.zeros(n_unknown)
     rhs = np.zeros(n_unknown)
     upwinded = np.zeros(n_unknown, dtype=bool)
@@ -375,7 +375,6 @@ def _assemble(grid):
             cols[:, slot] = unknown_of[flat_solved + step]
             off = np.flatnonzero(cols[:, slot] < 0)
             legs[sgn] = (off, *_leg(grid, flat_solved[off], step))
-            counts[off] -= 1
         # rows with both arms h long take their coefficients from a table
         # over the lattice line; the others from their own arm lengths
         v = -grid.axes[ax]
@@ -411,18 +410,23 @@ def _assemble(grid):
         raise SingularSystemError(
             "no Dirichlet data anywhere on the boundary: the pure-Neumann weighted "
             "Laplacian is singular and only constant fields solve it (f-parabolicity)")
+    if np.any(diag == 0.0):
+        raise SingularSystemError("zero diagonal entry in the discrete operator")
 
     cols[:, grid.ndim] = np.arange(n_unknown, dtype=np.int32)
     vals[:, grid.ndim] = diag
+    vals *= (1.0 / diag)[:, None]
+    rhs /= diag
     del diag
-    indptr = np.zeros(n_unknown + 1, dtype=np.int32)
-    np.cumsum(counts, out=indptr[1:])
-    present = cols.reshape(-1) >= 0
-    indices, data = cols.reshape(-1)[present], vals.reshape(-1)[present]
-    del cols, vals, present
+    present = cols >= 0
     counters["upwind_rows"] = int(np.count_nonzero(upwinded))
     # a row with a cut or mirrored leg misses that arm's slot
-    counters["irregular_rows"] = int(np.count_nonzero(counts < width))
+    counters["irregular_rows"] = int(np.count_nonzero(~present.all(axis=1)))
+    present &= vals != 0.0
+    indptr = np.zeros(n_unknown + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(present, axis=1), out=indptr[1:])
+    indices, data = cols[present], vals[present]
+    del cols, vals, present
     A = sps.csr_matrix((data, indices, indptr), shape=(n_unknown, n_unknown))
     return A, rhs, flat_solved, counters
 
@@ -641,43 +645,25 @@ def solve_mixed_bvp(domain, h, tol=1e-10, initial_guess=None):
     (0 / 1) on the two pieces, homogeneous Neumann across the exhaustion sphere,
     on the classified `Grid(domain, h)` returned as the solution's `grid`.
 
-    The Jacobi-scaled system D^-1 A u = D^-1 b is solved by BiCGStab,
-    preconditioned with one Galerkin geometric-multigrid V-cycle (damped
-    Jacobi smoothing, sparse LU on the coarsest level), so the iteration
-    count does not grow as h shrinks.  Convergence is declared in the
-    Gaussian-weighted residual norm of the scaled system.  The returned field
-    satisfies 0 <= u <= 1 (discrete maximum principle).
+    The Jacobi-scaled system D^-1 A u = D^-1 b that `_assemble` returns is
+    solved by BiCGStab, preconditioned with one Galerkin geometric-multigrid
+    V-cycle (damped Jacobi smoothing, sparse LU on the coarsest level), so
+    the iteration count does not grow as h shrinks.  It starts from zeros,
+    or from the one finite number `initial_guess` at every unknown.
+    Convergence is declared in the Gaussian-weighted residual norm of the
+    scaled system.  The returned field satisfies 0 <= u <= 1 (discrete
+    maximum principle).
     """
     require_positive("tol", tol)
+    if initial_guess is not None and not math.isfinite(initial_guess):
+        raise ParameterError(f"initial guess must be finite, got {initial_guess!r}")
     grid = Grid(domain, h)
-    A, b, flat_solved, counters = _assemble(grid)
-    n = b.size
-
-    # Jacobi scaling in place: A becomes D^-1 A, the one operator copy.  An
-    # entry that is exactly zero is dropped, as the sparse product D^-1 A
-    # drops it.
-    d = A.diagonal()
-    if np.any(d == 0.0):
-        raise SingularSystemError("zero diagonal entry in the discrete operator")
-    A.data *= np.repeat(1.0 / d, np.diff(A.indptr))
-    if not A.data.all():
-        A.eliminate_zeros()
-    b_s = b / d
-    del b, d
+    A, b_s, flat_solved, counters = _assemble(grid)
+    n = b_s.size
     weights = np.exp(-0.5 * grid.r[flat_solved] ** 2)
     del flat_solved
-
-    if initial_guess is None:
-        x0 = None           # BiCGStab starts from zeros
-    elif np.isscalar(initial_guess):
-        x0 = np.full(n, float(initial_guess))
-    else:
-        x0 = np.asarray(initial_guess, dtype=float)
-        if x0.shape != (n,):
-            raise ParameterError(f"initial guess must have {n} entries")
-    if x0 is not None and not np.isfinite(x0).all():
-        bad = np.flatnonzero(~np.isfinite(x0))[0]
-        raise ParameterError(f"initial guess must be finite, got {x0[bad]} at entry {bad}")
+    # None starts BiCGStab from zeros
+    x0 = None if initial_guess is None else np.full(n, float(initial_guess))
 
     x, history, level_unknowns, level_nnz = _multigrid_bicgstab(A, b_s, x0, grid, weights, tol)
     iterations = len(history)

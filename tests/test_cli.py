@@ -370,6 +370,23 @@ def test_acceptance_subset(tmp_path):
     assert "runtime" not in open(os.path.join(out, "report.json")).read()
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("solve", ["--h", "0.25"]),
+    ("mc", ["--x0", "0,0", "--n-paths", "10"]),
+    ("reilly", ["--mesh-h", "0.25"]),
+])
+@pytest.mark.parametrize("radius", ["NaN", "Infinity"])
+def test_non_finite_exhaustion_radius_is_a_usage_error(tmp_path, capsys, command, flags, radius):
+    # JSON as Python writes and reads it: NaN and Infinity are numbers
+    path = tmp_path / "domain.json"
+    path.write_text(f'{{"kind": "slab", "h1": -1, "h2": 1, "radius": {radius}}}')
+    out = _out(tmp_path, command)
+    assert main([command, "--domain", str(path), *flags, "--output-dir", out]) == 1
+    assert capsys.readouterr().err == ("usage error: exhaustion radius must be positive and "
+                                       f"finite, got {float(radius)!r}\n")
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("criteria", ["13", "0", "3,13"])
 def test_unknown_acceptance_criterion_is_a_usage_error(tmp_path, capsys, criteria):
     out = _out(tmp_path, "acc")

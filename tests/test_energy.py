@@ -116,6 +116,23 @@ def test_energy_report_serializes(slab_grid_solution, slab_dom):
     assert rep.growth_csv().splitlines()[0] == "R,value"
 
 
+def test_energy_report_makes_two_cell_passes(slab_grid_solution, slab_dom, monkeypatch):
+    # one for the growth profile, one for the Caccioppoli side, whose half
+    # is the total energy bit for bit
+    energy = en.dirichlet_energy(slab_grid_solution)
+    passes = []
+    cells = en.weighted_gradient_cells
+
+    def counted(solution):
+        passes.append(solution)
+        return cells(solution)
+
+    monkeypatch.setattr(en, "weighted_gradient_cells", counted)
+    rep = en.energy_report(slab_grid_solution, slab_dom, [1, 2, 4])
+    assert len(passes) == 2
+    assert rep.total_energy.hex() == energy.hex()
+
+
 def test_batched_boundary_integral_matches_segment_loop(annulus_grid_solution, annulus_dom):
     # reference for the flux: one normal and two field reads per segment
     sol, ob, h = annulus_grid_solution, annulus_dom.sigma2, annulus_grid_solution.grid.h

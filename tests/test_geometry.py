@@ -226,6 +226,21 @@ def test_patch_immersion_check():
         patch.sample(np.array([0.3, 0.4]))
 
 
+@pytest.mark.parametrize("m, calls", [(1, 3), (2, 9), (3, 19)])
+def test_patch_sample_calls_the_chart_once_per_stencil_point(m, calls):
+    # the point, chart(s +- h e_i) shared by the Jacobian and the diagonal
+    # second differences, and four points per mixed pair: 1 + 2 m^2
+    seen = []
+
+    def chart(s):
+        seen.append(s)
+        return np.append(s, np.sum(np.sin(s)) + s[0] * s[-1])
+
+    patch = geo.ParametrizedPatch(chart=chart, lo=(-1,) * m, hi=(1,) * m)
+    patch.sample(np.linspace(0.2, 0.6, m))
+    assert len(seen) == calls == 1 + 2 * m * m
+
+
 def test_zero_direction_is_a_parameter_error():
     with pytest.raises(ParameterError, match=r"direction \[0.0, 0.0, 0.0\] has zero length"):
         geo.Sphere(m=2).sample([0, 0, 0])
