@@ -12,6 +12,7 @@ the Hessian (n, n, N), so `row_dot` contracts them component by component.
 evaluator.
 """
 
+import functools
 import io
 import os
 import struct
@@ -215,6 +216,23 @@ def ordered_map(fn, items):
 _GRID_MAGIC = b"SLGRID01"
 
 
+def _interpolate(origin, spacing, values, p):
+    """Multilinear value of a grid at an (n,) point, or (N,) values at (N, n) points."""
+    t = (np.asarray(p, dtype=float) - origin) / spacing
+    idx = np.clip(np.floor(t).astype(int), 0, np.array(values.shape) - 2)
+    frac = t - idx
+    acc = 0.0
+    for corner in range(1 << origin.size):
+        w = 1.0
+        offs = []
+        for ax in range(origin.size):
+            bit = (corner >> ax) & 1
+            w = w * (frac[..., ax] if bit else (1.0 - frac[..., ax]))
+            offs.append(idx[..., ax] + bit)
+        acc = acc + np.where(w == 0.0, 0.0, w * values[tuple(offs)])
+    return acc
+
+
 class GridField(ScalarField):
     """Uniform tensor grid with multilinear interpolation.
 
@@ -233,9 +251,12 @@ class GridField(ScalarField):
         if self.values.ndim != self.origin.size or self.origin.size != self.spacing.size:
             raise ParameterError("grid dims, origin and spacing are inconsistent")
         hi = self.origin + (np.array(self.values.shape) - 1) * self.spacing
-        super().__init__(self._interpolate,
+        # the evaluator holds the arrays, not the field: a bound method would
+        # make each field a reference cycle, freed only by the cyclic collector
+        interpolate = functools.partial(_interpolate, self.origin, self.spacing, self.values)
+        super().__init__(interpolate,
                          declared_domain=BoundingBox(tuple(self.origin), tuple(hi)),
-                         batch_evaluator=self._interpolate)
+                         batch_evaluator=interpolate)
         self.values.setflags(write=False)
 
     @property
@@ -245,28 +266,6 @@ class GridField(ScalarField):
     @property
     def shape(self):
         return self.values.shape
-
-    def _locate(self, p):
-        t = (np.asarray(p, dtype=float) - self.origin) / self.spacing
-        idx = np.floor(t).astype(int)
-        idx = np.clip(idx, 0, np.array(self.shape) - 2)
-        frac = t - idx
-        return idx, frac
-
-    def _interpolate(self, p):
-        """Multilinear value at an (n,) point, or (N,) values at (N, n) points."""
-        idx, frac = self._locate(p)
-        n = self.ndim
-        acc = 0.0
-        for corner in range(1 << n):
-            w = 1.0
-            offs = []
-            for ax in range(n):
-                bit = (corner >> ax) & 1
-                w = w * (frac[..., ax] if bit else (1.0 - frac[..., ax]))
-                offs.append(idx[..., ax] + bit)
-            acc = acc + np.where(w == 0.0, 0.0, w * self.values[tuple(offs)])
-        return acc
 
     # -- serialization -----------------------------------------------------
 

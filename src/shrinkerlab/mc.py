@@ -159,7 +159,8 @@ def _run_block(x0, start_depths, pieces, cfg, rng, n):
         exit_steps[live[retired]] = done + j + 1
         keep = np.ones(live.size, dtype=bool)
         keep[retired] = False
-        live, x, d = live[keep], x[keep], d[:, keep]
+        live = np.compress(keep, live)
+        x, d = np.compress(keep, x, axis=0), np.compress(keep, d, axis=1)
         done += steps
     return labels, exit_steps
 

@@ -19,10 +19,12 @@ per-line table, and only the rows with a cut or mirrored leg evaluate the
 unequal-arm formula.  Descending order is the order in which scipy's
 sparse product of a diagonal with a sorted A stores the rows, so the
 scaled arrays equal that product's bit for bit and the smoother's sums keep
-their last bits.  Each level's prolongation is built row-sorted with its
-repeated parents already merged and is converted to CSC once, which gives
-P^T in CSR for the Galerkin product.  The grid keeps no coordinate array;
-coordinates are rebuilt from the axes for the nodes that need them.
+their last bits.  Each level's prolongation is the Kronecker product of
+per-axis 1D linear interpolation, restricted to the unknowns and the
+parents they reference, and is converted to CSC once, which finds those
+parents and gives P^T in CSR for the Galerkin product.  The grid keeps no
+coordinate array; coordinates are rebuilt from the axes for the nodes that
+need them.
 
 The discrete maximum principle is a hard postcondition: produced solutions
 live in [0, 1].  scipy is imported where it is called: a closed-form
@@ -431,8 +433,8 @@ def _assemble(grid):
     return A, rhs, flat_solved, counters
 
 
-def _weighted_residual(A_scaled, b_scaled, x, weights):
-    r = _residual(A_scaled, b_scaled, x)
+def _weighted_norm(r, weights):
+    """The Gaussian-weighted root mean square of a residual r."""
     wr2 = weights * r
     wr2 *= r
     return float(math.sqrt(np.sum(wr2) / np.sum(weights)))
@@ -451,12 +453,14 @@ _MAX_ITER = 200         # BiCGStab iterations before a solve is declared stalled
 def _prolongation(idx):
     """Multilinear prolongation from the even sublattice of global indices.
 
-    `idx` is the (n, d) array of global lattice indices of the unknowns.  Each
-    index i takes the parents floor(i/2) and ceil(i/2) with weight 1/2 along
-    every axis (one parent of weight 1 for even i), so a node with o odd
-    indices has 2^o parents, each of weight 2^-o.  Returns (P, PT,
-    coarse_idx): P is n x m in CSR over the m parents that some node
-    references, numbered in lexicographic order of their indices, and PT is
+    `idx` is the (n, d) array of global lattice indices of the unknowns.  In
+    1D, index i takes the parents floor(i/2) and ceil(i/2) with weight 1/2
+    each, or the one parent i/2 with weight 1; the d-dimensional P is the
+    Kronecker product of the per-axis 1D matrices over the bounding box,
+    restricted to the rows of the unknowns and the columns of the parents
+    they reference, so a node with o odd indices has 2^o parents of weight
+    2^-o.  Returns (P, PT, coarse_idx): P is n x m in CSR over the m
+    parents, numbered in lexicographic order of their indices, and PT is
     P^T in CSR (the arrays of P's one CSC conversion).
 
     Parents referenced by exactly the same nodes (a lone node with two odd
@@ -466,66 +470,49 @@ def _prolongation(idx):
     """
     import scipy.sparse as sps
 
-    n, d = idx.shape
+    n = idx.shape[0]
     lo = idx.min(axis=0) >> 1
-    shape = tuple(int(s) for s in ((idx.max(axis=0) + 1) >> 1) - lo + 1)
-    # each node's parent corners in the coarse bounding box, as flat int32
-    # indices, built axis by axis from (floor, ceil) pairs: in this product
-    # order the corners of a row ascend
-    corners = [np.zeros(n, dtype=np.int32)]
-    odd = np.zeros(n, dtype=np.int32)     # bit d - 1 - ax set: idx[:, ax] is odd
-    for ax in range(d):
-        i = idx[:, ax] - np.int32(2 * lo[ax])
-        floor, ceil = i >> 1, (i + 1) >> 1
-        corners = [c * np.int32(shape[ax]) + f for c in corners for f in (floor, ceil)]
-        odd <<= 1
-        odd |= i & 1
-    del i, floor, ceil
-    # an even index repeats its parent: keep the corners that step up along
-    # odd axes only, so each row keeps its 2^o distinct parents in ascending
-    # order, each of weight 2^-o, the exact sum of its 2^-d copies
-    cols = np.empty((n, 2 ** d), dtype=np.int32)
-    keep = np.empty((n, 2 ** d), dtype=bool)
-    for k, c in enumerate(corners):
-        cols[:, k] = c
-        np.equal(odd & np.int32(k), k, out=keep[:, k])
-    del corners
-    cols = cols.reshape(-1)[keep.reshape(-1)]
-    del keep
-    odd_axes = np.array([bin(k).count("1") for k in range(2 ** d)], dtype=np.int32)[odd]
-    del odd
-    counts = np.left_shift(1, odd_axes)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(counts, out=indptr[1:])
-    # a mask and its running count number the parents like a 1-D np.unique
-    # would, without sorting the keys
-    used = np.zeros(math.prod(shape), dtype=bool)
-    used[cols] = True
+    fine = idx - 2 * lo         # box indices from an even corner
+    fine_shape = tuple(int(s) for s in fine.max(axis=0) + 1)
+    shape = tuple(s // 2 + 1 for s in fine_shape)
+    P = None
+    for size, coarse_size in zip(fine_shape, shape):
+        i = np.arange(size)
+        # for even i the two halves fall on one parent, and the conversion to
+        # CSR sums them into weight 1
+        P1 = sps.csr_matrix((np.full(2 * size, 0.5),
+                             (np.repeat(i, 2), np.column_stack([i >> 1, (i + 1) >> 1]).ravel())),
+                            shape=(size, coarse_size))
+        P = P1 if P is None else sps.kron(P, P1, format="csr")
+    P = P[np.ravel_multi_index(fine.T, fine_shape)]
+    del fine
+    # the parents some unknown references are the non-empty columns of P's
+    # one CSC conversion; without the empty ones, its arrays are P^T in CSR
+    Pc = P.tocsc()
+    used = np.diff(Pc.indptr) > 0
+    m = np.count_nonzero(used)
+    PT = sps.csr_matrix((Pc.data, Pc.indices, Pc.indptr[np.insert(used, 0, True)]), shape=(m, n))
+    del Pc
     number = np.cumsum(used, dtype=np.int32)
     number -= 1
-    np.take(number, cols, out=cols)
+    P = sps.csr_matrix((P.data, np.take(number, P.indices), P.indptr), shape=(n, m))
     del number
-    P = sps.csr_matrix((np.repeat(0.5 ** odd_axes, counts), cols, indptr),
-                       shape=(n, np.count_nonzero(used)))
-    del cols, counts, odd_axes
     coarse_idx = np.array(np.unravel_index(np.flatnonzero(used), shape), dtype=np.int32).T + lo
     del used
     # columns with one row support share their first and their last row,
-    # which few columns share with others; the CSC rows come sorted
-    Pc = P.tocsc()
-    first, last = Pc.indices[Pc.indptr[:-1]], Pc.indices[Pc.indptr[1:] - 1]
-    m = P.shape[1]
+    # which few columns share with others; the rows of P^T come sorted
+    first, last = PT.indices[PT.indptr[:-1]], PT.indices[PT.indptr[1:] - 1]
     target = np.arange(m)
     support = {}
     for c in np.flatnonzero((np.bincount(first, minlength=n)[first] > 1)
                             & (np.bincount(last, minlength=n)[last] > 1)):
-        rows = Pc.indices[Pc.indptr[c]:Pc.indptr[c + 1]].tobytes()
+        rows = PT.indices[PT.indptr[c]:PT.indptr[c + 1]].tobytes()
         target[c] = support.setdefault(rows, c)
     del first, last
     keep = target == np.arange(m)
     if keep.all():
-        return P, sps.csr_matrix((Pc.data, Pc.indices, Pc.indptr), shape=(m, n)), coarse_idx
-    del Pc
+        return P, PT, coarse_idx
+    del PT
     merge = sps.csr_matrix((np.ones(m), (np.arange(m), (np.cumsum(keep) - 1)[target])),
                            shape=(m, np.count_nonzero(keep)))
     P = (P @ merge).tocsr()
@@ -600,14 +587,15 @@ def _jacobi_sweep(A, wdinv, b, x):
 def _multigrid_bicgstab(A_s, b_s, x0, grid, weights, tol):
     """BiCGStab on A_s x = b_s, preconditioned with one V-cycle per application.
 
-    Returns (x, weighted residual after every iteration, unknowns per level,
-    stored entries per level).
-    An iteration applies the V-cycle twice, so the iteration count is half
-    the number of applications, rounded up: scipy returns from a half-step
-    that converges without calling back, and that last half iteration still
-    counts.  The hierarchy lives only inside this call, so it is freed before
-    the caller allocates the long-lived output field; allocated the other way
-    round, that field would keep the hierarchy's heap memory resident.
+    Returns (x, weighted residual of every iterate, unknowns per level,
+    stored entries per level); entry 0 is the initial guess's, and entry k
+    the k-th iteration's.  An iteration applies the V-cycle twice, so the
+    iteration count is half the number of applications, rounded up: scipy
+    returns from a half-step that converges without calling back, and only
+    then is the last iterate's residual evaluated here.  The hierarchy lives
+    only inside this call, so it is freed before the caller allocates the
+    long-lived output field; allocated the other way round, that field would
+    keep the hierarchy's heap memory resident.
 
     A_s is the caller's one operator copy and is the hierarchy's finest
     level; x0 None starts from zeros without a vector of ours.  At the peak,
@@ -621,7 +609,8 @@ def _multigrid_bicgstab(A_s, b_s, x0, grid, weights, tol):
     # frees them after the first coarsening
     vcycle = _VCycle(A_s, np.array(np.unravel_index(np.flatnonzero(grid.solved_mask), grid.shape),
                                    dtype=np.int32).T + grid.lo_idx.astype(np.int32))
-    history = []
+    # the zero guess leaves the residual b_s, with no product
+    history = [_weighted_norm(b_s if x0 is None else _residual(A_s, b_s, x0), weights)]
     applications = 0
 
     def _precondition(r):
@@ -630,13 +619,13 @@ def _multigrid_bicgstab(A_s, b_s, x0, grid, weights, tol):
         return vcycle(r)
 
     def _callback(xk):
-        history.append(_weighted_residual(A_s, b_s, xk, weights))
+        history.append(_weighted_norm(_residual(A_s, b_s, xk), weights))
 
     M = spla.LinearOperator(A_s.shape, matvec=_precondition, dtype=float)
     x, _ = spla.bicgstab(A_s, b_s, x0=x0, rtol=1e-14, atol=0.01 * tol,
                          maxiter=_MAX_ITER, M=M, callback=_callback)
-    if len(history) < (applications + 1) // 2:
-        history.append(_weighted_residual(A_s, b_s, x, weights))
+    if len(history) <= (applications + 1) // 2:
+        _callback(x)
     return x, history, vcycle.unknowns, vcycle.nnz
 
 
@@ -651,8 +640,10 @@ def solve_mixed_bvp(domain, h, tol=1e-10, initial_guess=None):
     the iteration count does not grow as h shrinks.  It starts from zeros,
     or from the one finite number `initial_guess` at every unknown.
     Convergence is declared in the Gaussian-weighted residual norm of the
-    scaled system.  The returned field satisfies 0 <= u <= 1 (discrete
-    maximum principle).
+    scaled system; the report's `residual_history` holds that norm for the
+    initial guess and for each iterate once, so it has iterations + 1
+    entries and ends at `linear_residual`.  The returned field satisfies
+    0 <= u <= 1 (discrete maximum principle).
     """
     require_positive("tol", tol)
     if initial_guess is not None and not math.isfinite(initial_guess):
@@ -666,12 +657,10 @@ def solve_mixed_bvp(domain, h, tol=1e-10, initial_guess=None):
     x0 = None if initial_guess is None else np.full(n, float(initial_guess))
 
     x, history, level_unknowns, level_nnz = _multigrid_bicgstab(A, b_s, x0, grid, weights, tol)
-    iterations = len(history)
-    wres = _weighted_residual(A, b_s, x, weights)
+    iterations, wres = len(history) - 1, history[-1]
     operator_nnz = A.nnz
     # freed before the long-lived output field is allocated
     del A, b_s, x0, weights
-    history.append(wres)
     if not wres <= tol:     # a NaN residual fails too
         raise SolverConvergenceError(
             f"linear solve stalled at weighted residual {wres:.3e} > tol {tol:.3e} "

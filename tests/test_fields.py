@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -173,6 +175,18 @@ class TestGridField:
         assert g([0.5, 1.0]) == 0.5 ** 2 + 1.0
         assert g([0.375, 0.125]) == pytest.approx(
             (g([0.25, 0.125]) + g([0.5, 0.125])) / 2)
+
+    def test_freed_without_the_cycle_collector(self):
+        # a solved field holds the whole grid of values, so a reference
+        # cycle would keep it resident until the next cyclic collection
+        g = self._grid()
+        ref = weakref.ref(g)
+        gc.disable()
+        try:
+            del g
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_binary_round_trip(self):
         g = self._grid()

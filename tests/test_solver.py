@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import re
 import tracemalloc
@@ -50,14 +51,29 @@ SCALED_SYSTEM_SHA256 = {
 }
 # sha256 of each level's prolongation P (CSR data, indices, indptr) and of
 # the coarse operator it makes (CSR, and the CSC factored on the coarsest
-# level), for the grid_solve slab at h = 1/64
+# level), for the grid_solve slab at h = 1/64 and the 3D slab at h = 1/16
+# (four levels: 94,224, 13,733, 2,137 and 385 unknowns)
+HIERARCHY_CASES = {
+    "slab": (lambda: dm.slab_domain(*GRID_SOLVE_SLAB, ambient_dim=2, radius=5.0), 1 / 64),
+    "slab3d": (SCALED_SYSTEM_CASES["slab3d"][0], 1 / 16),
+}
 HIERARCHY_SHA256 = {
-    "P": ["3b26654bebaeed4b2b5bac2131815303baba22e7ffedf83629a610b514a59547",
-          "c570cdbc885229b8eb09d29eae2fdadfadd4607b091b676b68a46dcd9bdb6cb9",
-          "e373a4c935f173f49753b0bbc31f881d156535fa9bbc39dcef27fa139b5ecc94"],
-    "coarse": ["07400d36cd5e816eda5cc6f0e10d6e81b5c9402f38f16669a6b52093958a0b5f",
-               "fe22926944c88bc9eac8e794a08768fc72c661b7cb4c795d316942c4f4746c07",
-               "23a62b162ddd795962b7f056a39071b7e1f04357685abfe037deef8c5bf2ebcf"],
+    "slab": {
+        "P": ["3b26654bebaeed4b2b5bac2131815303baba22e7ffedf83629a610b514a59547",
+              "c570cdbc885229b8eb09d29eae2fdadfadd4607b091b676b68a46dcd9bdb6cb9",
+              "e373a4c935f173f49753b0bbc31f881d156535fa9bbc39dcef27fa139b5ecc94"],
+        "coarse": ["07400d36cd5e816eda5cc6f0e10d6e81b5c9402f38f16669a6b52093958a0b5f",
+                   "fe22926944c88bc9eac8e794a08768fc72c661b7cb4c795d316942c4f4746c07",
+                   "23a62b162ddd795962b7f056a39071b7e1f04357685abfe037deef8c5bf2ebcf"],
+    },
+    "slab3d": {
+        "P": ["191594313c0eb0a8aef5e8ccda55d650685a1904e03d8e3ef8d696bd8c6725b4",
+              "a23ad020bb3fa336abc3db4a55e719625ff66944b5da21696ca3d0372777dbff",
+              "1734e8070616168f5c44113802b5446652a9286b14c6b8acc2261cd2c03def33"],
+        "coarse": ["83cb462e9f7aca60babfa755b5bc4954d74dd0c984827e0496a5310a68d7ad6a",
+                   "9f398e1f0e05673ccb9b643a960aaae5d543b148ff5c25643cc06c4f9fa1a572",
+                   "71e9bec787cab10758318f2fe86138f056426e331fbd562c77a62093c926f4aa"],
+    },
 }
 
 
@@ -256,14 +272,15 @@ class TestMixedBvp:
             sv.solve_mixed_bvp(annulus_dom, h=1 / 16, initial_guess=float(guess))
 
     def test_nan_solution_is_not_converged(self, annulus_dom, monkeypatch):
-        def nan_solve(A_s, b_s, x0, *args):
-            return np.full(b_s.size, np.nan), [], [b_s.size], [A_s.nnz]
+        def nan_solve(A_s, b_s, *args):
+            return np.full(b_s.size, np.nan), [1.0, final], [b_s.size], [A_s.nnz]
 
         monkeypatch.setattr(sv, "_multigrid_bicgstab", nan_solve)
+        final = math.nan
         with pytest.raises(SolverConvergenceError, match="nan"):
             sv.solve_mixed_bvp(annulus_dom, h=1 / 16)
         # a NaN that passes the residual test still breaks the maximum principle
-        monkeypatch.setattr(sv, "_weighted_residual", lambda *args: 0.0)
+        final = 0.0
         with pytest.raises(ContractViolation, match="maximum principle"):
             sv.solve_mixed_bvp(annulus_dom, h=1 / 16)
 
@@ -538,6 +555,44 @@ def test_assembly_equals_the_arm_by_arm_reference(case):
     assert counters == expected
 
 
+def _reference_prolongation(idx):
+    """The prolongation by its definition, node by node: a node's parents
+    are the products of its per-axis pairs floor(i/2), ceil(i/2), each of
+    weight 2^-o for a node with o odd indices; the parents some node
+    references are numbered in lexicographic order, and parents referenced
+    by exactly the same nodes share the column of the first of them, their
+    weights summed.  When columns merge, P is a sparse product, which stores
+    each row in reverse order of first appearance.  Returns the CSR arrays
+    and the coarse indices of the columns."""
+    rows = []
+    for node in idx.tolist():
+        pairs = [sorted({i // 2, -(-i // 2)}) for i in node]
+        weight = 0.5 ** sum(i % 2 for i in node)
+        rows.append({parent: weight for parent in itertools.product(*pairs)})
+    support = {}
+    for r, row in enumerate(rows):
+        for parent in row:
+            support.setdefault(parent, []).append(r)
+    column, first, kept = {}, {}, []
+    for parent in sorted(support):
+        key = tuple(support[parent])
+        if key not in first:
+            first[key] = len(kept)
+            kept.append(parent)
+        column[parent] = first[key]
+    merged = len(kept) < len(support)
+    indptr, indices, data = [0], [], []
+    for row in rows:
+        entries = {}
+        for parent, weight in row.items():
+            entries[column[parent]] = entries.get(column[parent], 0.0) + weight
+        items = list(entries.items())[::-1] if merged else list(entries.items())
+        indices += [c for c, _ in items]
+        data += [w for _, w in items]
+        indptr.append(len(indices))
+    return np.array(data), np.array(indices), np.array(indptr), np.array(kept)
+
+
 class TestMultigrid:
     @pytest.mark.parametrize("geom", ["slab", "annulus"])
     def test_iterations_flat_in_h(self, geom, slab_dom, annulus_dom):
@@ -574,7 +629,8 @@ class TestMultigrid:
         sv.solve_mixed_bvp(make_domain(), h=h, tol=1e-11)
         assert (seen["A"], seen["b"]) == SCALED_SYSTEM_SHA256[case]
 
-    def test_hierarchy_is_bit_identical(self, monkeypatch):
+    @pytest.mark.parametrize("case", sorted(HIERARCHY_CASES))
+    def test_hierarchy_is_bit_identical(self, case, monkeypatch):
         import scipy.sparse.linalg as spla
 
         seen = {"P": [], "coarse": []}
@@ -595,11 +651,11 @@ class TestMultigrid:
 
         monkeypatch.setattr(sv, "_VCycle", Recorded)
         monkeypatch.setattr(spla, "splu", spy)
-        dom = dm.slab_domain(*GRID_SOLVE_SLAB, ambient_dim=2, radius=5.0)
-        sv.solve_mixed_bvp(dom, h=1 / 64, tol=1e-11)
+        make_domain, h = HIERARCHY_CASES[case]
+        sv.solve_mixed_bvp(make_domain(), h=h, tol=1e-11)
         # level 0 holds the finest operator, level l > 0 the coarse one of l - 1
-        assert seen["P"] == HIERARCHY_SHA256["P"]
-        assert seen["coarse"][1:] + [seen["factored"]] == HIERARCHY_SHA256["coarse"]
+        assert seen["P"] == HIERARCHY_SHA256[case]["P"]
+        assert seen["coarse"][1:] + [seen["factored"]] == HIERARCHY_SHA256[case]["coarse"]
 
     def test_two_solves_bit_identical(self, slab_dom):
         a = sv.solve_mixed_bvp(slab_dom, h=1 / 16, tol=1e-11)
@@ -616,6 +672,17 @@ class TestMultigrid:
         assert all(a > b for a, b in zip(det["level_unknowns"], det["level_unknowns"][1:]))
         assert len(det["residual_history"]) == rep.iterations + 1
         assert det["residual_history"][-1] == rep.linear_residual <= 1e-11
+        # each iterate is recorded once
+        assert det["residual_history"][-2] != det["residual_history"][-1]
+
+    @pytest.mark.parametrize("guess", [None, 0.5])
+    def test_residual_history_starts_at_the_initial_guess(self, slab_dom, guess):
+        sol = sv.solve_mixed_bvp(slab_dom, h=1 / 16, tol=1e-11, initial_guess=guess)
+        A, b, flat, _ = sv._assemble(sol.grid)
+        r = b - A @ np.full(b.size, 0.0 if guess is None else guess)
+        w = np.exp(-0.5 * sol.grid.r[flat] ** 2)
+        assert sol.report.details["residual_history"][0] == pytest.approx(
+            math.sqrt(np.sum(w * r * r) / np.sum(w)), rel=1e-12)
 
     @pytest.mark.parametrize("radius, unknowns", [(2.0, 1899), (3.0, None)])
     def test_iterations_count_every_vcycle_half_step(self, radius, unknowns, monkeypatch):
@@ -639,6 +706,7 @@ class TestMultigrid:
         assert rep.iterations == (len(calls) + 1) // 2 >= 1
         assert len(rep.details["residual_history"]) == rep.iterations + 1
         assert rep.details["residual_history"][-1] == rep.linear_residual <= 1e-10
+        assert rep.details["residual_history"][-2] != rep.details["residual_history"][-1]
 
     def test_singular_coarse_operator(self):
         with pytest.raises(SingularSystemError, match="coarsest"):
@@ -657,6 +725,11 @@ class TestMultigrid:
         for d in (1, 2, 3):
             idx = np.unique(rng.integers(-9, 9, size=(60, d)), axis=0)
             P, PT, coarse = sv._prolongation(idx)
+            data, indices, indptr, parents = _reference_prolongation(idx)
+            assert P.indices.dtype == P.indptr.dtype == np.int32
+            for got, want in ((P.data, data), (P.indices, indices), (P.indptr, indptr),
+                              (coarse, parents)):
+                assert np.array_equal(got, want)
             dense = P.toarray()
             assert PT.format == "csr" and np.array_equal(PT.toarray(), dense.T)
             assert np.allclose(P.sum(axis=1), 1.0)
