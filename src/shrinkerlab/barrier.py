@@ -14,14 +14,13 @@ gradient bound (R+1)^m / R^m * e^|z| / dist implemented by
 The Lipschitz separation barriers (clamped distance quotients) provide finite
 energy competitors pinned to 0 and 1 on the two boundary pieces, and
 `separation_check` evaluates the finite-sample analogue of the asymptotic
-separation hypothesis dist(z, Sigma_1) >= const * e^(-b|z|^2) / P(|z|) on
-two separation surfaces: `geometry.Hyperplane` and `geometry.Cylinder`,
-which answer the separation protocol documented in `geometry`, or a
-`GraphSurface` as Sigma_2.
+separation hypothesis dist(z, Sigma_1) >= const * e^(-b|z|^2) / P(|z|) in
+the separation protocol documented in `geometry`: Sigma_1 is a
+`geometry.Hyperplane`, read through `raw_signed`, and Sigma_2 a Hyperplane,
+a `geometry.Cylinder` or a `GraphSurface`, sampled by `sample_at_norm`.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,12 +112,11 @@ def supersolution_check(params, samples, profile="ode"):
     tangent to |z| e_1; the ODE profile must give a nonpositive maximum up to
     differencing noise (central differences of step _FD_STEP, one batched
     `weighted_laplacian` call).  profile="linear" replaces psi by d/a as a
-    control that the check actually detects sign violations.
+    control that the check actually detects sign violations.  Fewer than one
+    sample raises ParameterError.
     """
-    if samples <= 0:
-        warnings.warn("empty shell sample: supersolution check is vacuous",
-                      RuntimeWarning, stacklevel=2)
-        return 0.0
+    if samples < 1:
+        raise ParameterError(f"sample count must be at least 1, got {samples}")
     n = params.m + 1
     center = np.zeros(n)
     center[0] = params.z_norm + params.R
@@ -159,10 +157,6 @@ def estimate_gradient(z, R, dist_to_sigma1, m):
 # Lipschitz separation barriers
 
 
-def _clamp01(t):
-    return np.clip(t, 0.0, 1.0)
-
-
 def boundary_separation(domain):
     """inf dist(Sigma_1, Sigma_2); exact for the model pairs, sampled otherwise."""
     if domain.sigma2 is None:
@@ -173,7 +167,7 @@ def boundary_separation(domain):
         return abs(p2.offset - p1.offset)
     if isinstance(p1, Sphere) and isinstance(p2, Sphere):
         return abs(p2.radius - p1.radius)
-    nodes, _ = domain.sigma1.quad_nodes(domain.exhaustion_radius, per_dim=128)
+    nodes, _ = domain.sigma1.shape.quad_nodes(domain.exhaustion_radius, per_dim=128)
     return float(np.min(np.abs(domain.sigma2.depth(nodes))))
 
 
@@ -200,13 +194,13 @@ def lipschitz_barrier(mode, domain):
             pts = np.atleast_2d(np.asarray(pts, dtype=float))
             d1 = np.abs(ob1.depth(pts))
             d2 = np.abs(ob2.depth(pts))
-            return _clamp01((d1 - d2 + D) / (2.0 * D))
+            return np.clip((d1 - d2 + D) / (2.0 * D), 0.0, 1.0)
     elif mode == "projection":
         def batch(pts):
             pts = np.atleast_2d(np.asarray(pts, dtype=float))
             d1 = np.abs(ob1.depth(pts))
-            denom = np.abs(ob2.depth(ob1.project(pts)))
-            return _clamp01(d1 / np.maximum(denom, 1e-300))
+            denom = np.abs(ob2.depth(ob1.shape.project(pts)))
+            return np.clip(d1 / np.maximum(denom, 1e-300), 0.0, 1.0)
     else:
         raise ParameterError(f"unknown barrier mode {mode!r}")
 
@@ -252,15 +246,12 @@ CylinderSurface = Cylinder
 
 
 class GraphSurface:
-    """Graph {x_n = height(|x_hat|)} over the horizontal hyperplane, a
-    separation surface (see `geometry`) that is only ever sigma2."""
+    """Graph {x_n = height(|x_hat|)} over the horizontal hyperplane; only
+    ever sigma2 (see `geometry`), so it answers `sample_at_norm` alone."""
 
     def __init__(self, height, ambient_dim=3):
         self.height = height
         self.ambient_dim = ambient_dim
-
-    def distance(self, pts):
-        raise ParameterError("graph surface is used only as a sampled sigma2")
 
     def sample_at_norm(self, norm, count):
         lo, hi = 0.0, norm
@@ -293,17 +284,13 @@ class SeparationReport:
     passes: bool
     truncated: bool
 
-    def to_csv(self):
-        lines = ["z_norm,ratio"]
-        lines += [f"{z!r},{r!r}" for z, r in self.ratios]
-        return "\n".join(lines) + "\n"
-
 
 def separation_check(hyp, sigma1, sigma2, sample_norms):
     """Finite-sample check of the separation hypothesis along sigma2.
 
     For 8 quasi-random points z on sigma2 at each requested norm (positive,
-    finite and increasing), evaluates dist(z, sigma1) * e^(b |z|^2) * P(|z|)
+    finite and increasing), evaluates dist(z, sigma1) * e^(b |z|^2) * P(|z|),
+    with dist(z, sigma1) = abs(sigma1.raw_signed(z)) for a hyperplane sigma1,
     and requires the worst ratio over the top half of the norms to clear
     the margin 1e-6.  This is an explicitly finite-sample heuristic, not a
     liminf.
@@ -317,7 +304,7 @@ def separation_check(hyp, sigma1, sigma2, sample_norms):
         if pts is None:
             truncated = True
             continue
-        dists = sigma1.distance(pts)
+        dists = np.abs(sigma1.raw_signed(pts))
         norms = np.linalg.norm(pts, axis=1)
         scale = np.exp(hyp.b * norms ** 2) * np.polyval(list(hyp.poly_p), norms)
         ratios.append((s, float(np.min(dists * scale))))

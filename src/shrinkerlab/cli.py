@@ -154,7 +154,8 @@ def cmd_volume_growth(args):
     bound = args.model.hypersurface_dim + 0.05
     report = {"model": args.model.to_json(), "radii": args.radii,
               "fitted_exponent": res.fitted_exponent, "bound": bound}
-    return Outcome(report, {"volume.csv": res.to_csv()},
+    csv = _csv("R,area", [f"{r!r},{a!r}" for r, a in res.table])
+    return Outcome(report, {"volume.csv": csv},
                    f"fitted exponent {res.fitted_exponent:.4f} (bound {bound})")
 
 
@@ -176,7 +177,8 @@ def cmd_energy(args):
     rep = en.energy_report(sol, args.domain, args.radii)
     violated = rep.caccioppoli_lhs > rep.caccioppoli_rhs * en.CACCIOPPOLI_SLACK
     return Outcome({"domain": args.domain_obj, "energy": rep},
-                   {"growth.csv": rep.growth_csv()},
+                   {"growth.csv": _csv("R,value", [f"{e.R!r},{e.value!r}"
+                                                  for e in rep.growth_profile])},
                    f"total energy {rep.total_energy:.6f}; Caccioppoli lhs/rhs = "
                    f"{rep.caccioppoli_lhs / rep.caccioppoli_rhs:.3f}",
                    "Caccioppoli inequality violated beyond 5% slack" if violated else None)
@@ -234,7 +236,8 @@ def cmd_separation(args):
                               br.SEPARATION_CASES[case][0](), norms)
     return Outcome({"case": case, "b": b, "ratios": [[z, r] for z, r in rep.ratios],
                     "passes": rep.passes, "truncated": rep.truncated},
-                   {"separation.csv": rep.to_csv()},
+                   {"separation.csv": _csv("z_norm,ratio",
+                                           [f"{z!r},{r!r}" for z, r in rep.ratios])},
                    f"separation check {'passes' if rep.passes else 'fails'} "
                    f"(finite-sample heuristic)")
 

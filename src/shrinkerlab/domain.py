@@ -6,9 +6,10 @@ ball.  A piece is an OrientedBoundary: a `geometry.Hyperplane` or
 `geometry.Sphere`, which answers the batched piece protocol documented in
 `geometry`, together with the side of its zero set that Omega occupies.
 From these it answers `depth` (positive inside Omega), `exterior_normal`
-(pointing out of Omega), `principal_curvatures`, `weighted_mean_curvature`,
-`project` and `quad_nodes` for that side.  That is everything the solver,
-the energy bookkeeping, the barriers and the Reilly integrals need.  A slab
+(pointing out of Omega), `principal_curvatures` and `weighted_mean_curvature`
+for that side; `project` and `quad_nodes` do not depend on the side and are
+read off `shape`.  That is everything the solver, the energy bookkeeping,
+the barriers and the Reilly integrals need.  A slab
 or annulus also carries its exact solution (`solver.SlabProfile` or
 `RadialProfile`) as `closed_form`, for the checks of grids and Monte Carlo.
 
@@ -68,12 +69,6 @@ class OrientedBoundary:
         x = np.asarray(x, dtype=float)
         return (np.sum(self.principal_curvatures(x), axis=-1)
                 + np.einsum("...i,...i->...", x, self.exterior_normal(x)))
-
-    def project(self, x):
-        return self.shape.project(x)
-
-    def quad_nodes(self, max_radius, per_dim=256):
-        return self.shape.quad_nodes(max_radius, per_dim)
 
 
 class DomainSpec:

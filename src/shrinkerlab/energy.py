@@ -61,11 +61,6 @@ class EnergyReport:
     tail_sup_estimate: float = 0.0
     details: dict = dataclass_field(default_factory=dict)
 
-    def growth_csv(self):
-        lines = ["R,value"]
-        lines += [f"{e.R!r},{e.value!r}" for e in self.growth_profile]
-        return "\n".join(lines) + "\n"
-
 
 # --------------------------------------------------------------------------
 # volume energies

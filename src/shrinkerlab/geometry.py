@@ -9,20 +9,20 @@ default radius these are the model shrinkers (Colding-Minicozzi).
 
 Each shape is one class used in up to three roles:
 
-* Model shrinker (all three): `signed_distance`, `clipped_area` (|Sigma cap
-  B_R|, in closed form from `sphere_measure`), `to_json` (the config that
-  `model_from_json` reads) and `quasi_random_samples`, which builds, frames
-  and checks its samples as one stack; `sample` is that builder on one row.
+* Model shrinker (all three): `clipped_area` (|Sigma cap B_R|, in closed
+  form from `sphere_measure`), `to_json` (the config that `model_from_json`
+  reads) and `quasi_random_samples`, which builds, frames and checks its
+  samples as one stack; `sample` is that builder on one row.
 * Dirichlet boundary piece (Hyperplane, Sphere), through one batched
   protocol: points are arrays of shape (n,) or (N, n) and answers carry one
-  entry (or row) per point.  A piece provides `raw_signed`, `raw_normal`,
+  entry (or row) per point.  A piece answers `raw_signed`, `raw_normal`,
   `principal_curvatures(x, exterior_sign)`, `project` and
   `quad_nodes(max_radius, per_dim)`; `domain.OrientedBoundary` adds the side
   of the zero set that Omega occupies.
-* Separation surface (Hyperplane, Cylinder): `distance(pts)` maps (N, n)
-  points to their (N,) unsigned distances to the surface, and
-  `sample_at_norm(norm, count)` returns surface points z with |z| = norm, or
-  None when the surface does not reach that norm.
+* Separation pair (`barrier.separation_check`): sigma2 (Hyperplane,
+  Cylinder) answers `sample_at_norm(norm, count)`, surface points z with
+  |z| = norm, or None when the surface does not reach that norm; sigma1 is
+  read through `raw_signed`, whose absolute value is a plane's distance.
 
 Orientation convention: the stored unit normal is outward for spheres and
 cylinders and the given unit normal for hyperplanes.  The scalar second
@@ -31,7 +31,6 @@ H = (tr A) nu, so the models satisfy x_perp + H = 0 exactly.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,9 +153,6 @@ class Hyperplane:
     def hypersurface_dim(self):
         return self.ambient_dim - 1
 
-    def signed_distance(self, p):
-        return float(self.raw_signed(as_point(p, self.ambient_dim)))
-
     def sample(self, y):
         """Surface sample at the orthogonal projection of y onto the plane."""
         return self._samples(as_point(y, self.ambient_dim)[None, :])[0]
@@ -228,9 +224,6 @@ class Hyperplane:
             return pts, w
         raise MissingGeometryError("plane surface quadrature implemented for ambient 2 and 3")
 
-    def distance(self, pts):
-        return np.abs(self.raw_signed(pts))
-
     def sample_at_norm(self, norm, count):
         off = self.offset
         if norm < abs(off):
@@ -267,10 +260,6 @@ class Sphere:
     @property
     def hypersurface_dim(self):
         return self.m
-
-    def signed_distance(self, p):
-        p = as_point(p, self.ambient_dim)
-        return float(np.linalg.norm(p) - self.radius)
 
     def sample(self, direction):
         return self._samples(as_point(direction, self.ambient_dim)[None, :])[0]
@@ -351,16 +340,6 @@ class Cylinder:
     def radius(self):
         return math.sqrt(self.k)
 
-    def signed_distance(self, p):
-        """Distance to the cylinder, negative inside the solid tube."""
-        p = as_point(p, self.ambient_dim)
-        rho = float(np.linalg.norm(p[: self.k + 1]))
-        if rho == 0.0:
-            warnings.warn("cylinder signed distance queried on the axis; returning the "
-                          "infimum -sqrt(k)", RuntimeWarning, stacklevel=2)
-            return -self.radius
-        return rho - self.radius
-
     def sample(self, spherical_direction, axial):
         """Sample at sqrt(k) * d on the spherical factor, offset axially."""
         d = np.asarray(spherical_direction, dtype=float)
@@ -398,10 +377,6 @@ class Cylinder:
 
     def to_json(self):
         return {"type": "cylinder", "m": self.m, "k": self.k}
-
-    def distance(self, pts):
-        rho = np.linalg.norm(np.asarray(pts, dtype=float)[:, : self.k + 1], axis=1)
-        return np.abs(rho - self.radius)
 
     def sample_at_norm(self, norm, count):
         k = self.k
@@ -505,9 +480,12 @@ class ParametrizedPatch:
         return self.lo.size
 
     def sample(self, s):
-        """Build a SurfaceSample at parameter s via finite differences, from
-        1 + 2 m^2 chart calls."""
+        """Build a SurfaceSample at parameter s, a point of the rectangle
+        lo <= s <= hi, via finite differences, from 1 + 2 m^2 chart calls."""
         s = np.asarray(s, dtype=float)
+        if s.shape != self.lo.shape or not np.all((self.lo <= s) & (s <= self.hi)):
+            raise ParameterError(f"parameter {s.tolist()} is not a point of the rectangle "
+                                 f"{self.lo.tolist()} .. {self.hi.tolist()}")
         h = self.fd_step
         m = self.param_dim
         x = np.asarray(self.chart(s), dtype=float)
@@ -638,8 +616,11 @@ def cylinder_identities(k, sample):
 def identity_extremes(samples, ks):
     """(largest |residual|, smallest sqrt slack), each from 0.0, of
     `cylinder_identities` over every sample and k, keeping a NaN; the
-    identities hold when the first is < 1e-6 and the second >= -1e-8."""
+    identities hold when the first is < 1e-6 and the second >= -1e-8.
+    No sample or no k raises ParameterError: nothing would be checked."""
     reps = [cylinder_identities(k, s) for s in samples for k in ks]
+    if not reps:  # ambient dimension n has a k only in 1..n-2, none for n = 2
+        raise ParameterError(f"no identity to check: {len(samples)} samples, k values {ks}")
     res = [abs(x) for r in reps for x in (r.grad_id_residual, r.laplu_residual)]
     slack = [r.sqrtu_slack for r in reps if r.sqrtu_slack is not None]
     return float(np.max([0.0, *res])), float(np.min([0.0, *slack]))
@@ -653,11 +634,6 @@ def identity_extremes(samples, ks):
 class VolumeGrowthResult:
     table: list                # (R, area) pairs
     fitted_exponent: float
-
-    def to_csv(self):
-        lines = ["R,area"]
-        lines += [f"{r!r},{a!r}" for r, a in self.table]
-        return "\n".join(lines) + "\n"
 
 
 def extrinsic_volume_growth(model, radii):

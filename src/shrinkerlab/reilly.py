@@ -84,9 +84,6 @@ class CutoffFamily:
     def profile(self, r):
         return self._value(self._transition(r))
 
-    def profile_derivative(self, r):
-        return self._slope(self._transition(r))
-
     def __call__(self, x):
         return self.profile(radii(np.asarray(x, dtype=float)))
 

@@ -102,10 +102,12 @@ class TestSupersolution:
         assert br.supersolution_check(params, samples) == pytest.approx(exact.max(),
                                                                         abs=5e-5)
 
-    def test_empty_sample_is_vacuous(self):
-        with pytest.warns(RuntimeWarning, match="vacuous"):
-            v = br.supersolution_check(br.BarrierParams(R=1.0, a=1.0, m=2), 0)
-        assert v == 0.0
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_empty_sample_is_a_parameter_error(self, samples):
+        # it used to warn and return 0.0, a passing violation of nothing
+        with pytest.raises(ParameterError,
+                           match=f"sample count must be at least 1, got {samples}"):
+            br.supersolution_check(br.BarrierParams(R=1.0, a=1.0, m=2), samples)
 
 
 class TestGradientEstimate:
@@ -226,12 +228,6 @@ class TestSeparation:
         # np.polyval reads () as p = 0, which would zero every ratio
         with pytest.raises(ParameterError, match="'poly_p'"):
             br.SeparationHypothesis(b=0.0, poly_p=())
-
-    def test_csv(self):
-        rep = br.separation_check(br.SeparationHypothesis(b=0.0),
-                                  geo.Hyperplane(normal=(0, 0, 1.0)),
-                                  geo.Cylinder(k=1, m=2), [2, 3, 4])
-        assert rep.to_csv().splitlines()[0] == "z_norm,ratio"
 
 
 @pytest.mark.parametrize("kwargs, message", [

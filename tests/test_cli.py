@@ -127,13 +127,24 @@ def test_verify_shrinker(tmp_path):
 
 
 @pytest.mark.parametrize("command, count", [
-    ("verify-shrinker", "0"), ("verify-shrinker", "-2"), ("identities", "0")])
+    ("verify-shrinker", "0"), ("verify-shrinker", "-2"), ("identities", "0"),
+    ("barrier", "0"), ("barrier", "-3")])
 def test_sample_counts_below_one_are_usage_errors(tmp_path, capsys, command, count):
+    # barrier used to print a passing "supersolution violation 0.000e+00"
     out = _out(tmp_path, "none")
-    assert main([command, "--model", '{"type":"sphere","m":2}', "--samples", count,
-                 "--output-dir", out]) == 1
+    model = [] if command == "barrier" else ["--model", '{"type":"sphere","m":2}']
+    assert main([command, *model, "--samples", count, "--output-dir", out]) == 1
     assert f"usage error: sample count must be at least 1, got {count}" in \
         capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_identities_in_the_plane_are_a_usage_error(tmp_path, capsys):
+    # ambient dimension 2 has no k in 1..n-2; this wrote k_values [] and exited 0
+    out = _out(tmp_path, "circle")
+    assert main(["identities", "--model", '{"type":"sphere","m":1}', "--output-dir", out]) == 1
+    assert capsys.readouterr().err == "usage error: no identity to check: 200 samples, " \
+                                      "k values []\n"
     assert not os.path.exists(out)
 
 
@@ -346,6 +357,31 @@ def test_separation_cases(tmp_path):
                  "--output-dir", out2]) == 0
     rep2 = json.loads(open(os.path.join(out2, "report.json")).read())
     assert rep2["passes"] is False
+
+
+_CSV_CASES = {
+    "volume": (["volume-growth", "--model", '{"type":"sphere","m":2}', "--radii", "2,3,4,5,6"],
+               "volume.csv", "R,area",
+               lambda rep: [[r, geo.Sphere(m=2).clipped_area(r)] for r in rep["radii"]]),
+    "energy": (["energy", "--domain", "SLAB", "--h", "0.0625", "--radii", "1,2,4"],
+               "growth.csv", "R,value",
+               lambda rep: [[e["R"], e["value"]] for e in rep["energy"]["growth_profile"]]),
+    **{case: (["separation", "--case", case, "--b", repr(b)], "separation.csv", "z_norm,ratio",
+              lambda rep: rep["ratios"]) for case, (_, b, _) in br.SEPARATION_CASES.items()},
+}
+
+
+@pytest.mark.parametrize("case", list(_CSV_CASES))
+def test_csv_rows_read_back_to_the_report(tmp_path, slab_config, case):
+    # the CSV is written by the CLI from the report's own fields, bit for bit
+    argv, name, header, expected = _CSV_CASES[case]
+    out = _out(tmp_path, case)
+    assert main([slab_config if a == "SLAB" else a for a in argv] + ["--output-dir", out]) == 0
+    lines = open(os.path.join(out, name)).read().splitlines()
+    rows = [[float(v).hex() for v in line.split(",")] for line in lines[1:]]
+    report = json.loads(open(os.path.join(out, "report.json")).read())
+    assert lines[0] == header and len(rows) > 0
+    assert rows == [[float(v).hex() for v in row] for row in expected(report)]
 
 
 def test_separation_cases_are_one_table(monkeypatch):

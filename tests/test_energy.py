@@ -113,7 +113,6 @@ def test_energy_report_serializes(slab_grid_solution, slab_dom):
     obj = dataclasses.asdict(rep)
     assert set(obj) >= {"total_energy", "growth_profile", "caccioppoli_lhs",
                         "caccioppoli_rhs", "boundary_flux", "tail_sup_estimate"}
-    assert rep.growth_csv().splitlines()[0] == "R,value"
 
 
 def test_energy_report_makes_two_cell_passes(slab_grid_solution, slab_dom, monkeypatch):

@@ -12,25 +12,19 @@ from shrinkerlab.quadrature import halton, sphere_directions
 
 
 def test_signed_distance_examples():
-    assert geo.Cylinder(k=1, m=2).signed_distance([2, 0, 5]) == pytest.approx(1.0)
-    assert geo.Sphere(m=2).signed_distance([0, 0, 0]) == pytest.approx(-math.sqrt(2))
-    assert geo.Hyperplane(normal=(0, 0, 1.0)).signed_distance(
+    assert geo.Sphere(m=2).raw_signed([0, 0, 0]) == pytest.approx(-math.sqrt(2))
+    assert geo.Sphere(m=2).raw_signed([3.0, 0, 4.0]) == pytest.approx(5.0 - math.sqrt(2))
+    assert geo.Hyperplane(normal=(0, 0, 1.0)).raw_signed(
         [7, -1, 0.25]) == pytest.approx(0.25)
 
 
-def test_cylinder_on_axis_is_flagged():
-    cyl = geo.Cylinder(k=1, m=2)
-    with pytest.warns(RuntimeWarning, match="axis"):
-        assert cyl.signed_distance([0, 0, 3.0]) == pytest.approx(-1.0)
-
-
 def test_inside_outside_sign_convention():
-    cyl = geo.Cylinder(k=1, m=2)
-    assert cyl.signed_distance([0.3, 0.2, -4.0]) < 0
-    assert cyl.signed_distance([1.5, 0.0, 2.0]) > 0
     sph = geo.Sphere(m=2)
-    assert sph.signed_distance([0.5, 0.5, 0.5]) < 0
-    assert sph.signed_distance([2.0, 0, 0]) > 0
+    assert sph.raw_signed([0.5, 0.5, 0.5]) < 0
+    assert sph.raw_signed([2.0, 0, 0]) > 0
+    plane = geo.Hyperplane(normal=(0, 0, -1.0), offset=1.0)
+    assert plane.raw_signed([0, 0, -2.0]) > 0
+    assert plane.raw_signed([0, 0, 0]) < 0
 
 
 MODELS = [
@@ -60,18 +54,15 @@ def test_unit_sphere_is_not_a_shrinker():
     assert np.linalg.norm(geo.shrinker_residual(s)) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("model", [geo.Sphere(m=2), geo.Cylinder(k=1, m=2),
-                                   geo.Hyperplane(normal=(0, 0, 1.0))],
-                         ids=["sphere", "cylinder", "plane"])
+@pytest.mark.parametrize("model", [geo.Sphere(m=2), geo.Hyperplane(normal=(0, 0, 1.0))],
+                         ids=["sphere", "plane"])
 def test_distance_gradient_is_unit(model, quasi_points):
     h = 1e-5
     for p in quasi_points[3]:
-        if isinstance(model, geo.Cylinder) and np.linalg.norm(p[:2]) < 0.3:
-            continue  # near the singular axis
         if isinstance(model, geo.Sphere) and np.linalg.norm(p) < 0.3:
-            continue
+            continue  # near the centre, where the sphere's distance has a kink
         g = np.array([
-            (model.signed_distance(p + h * e) - model.signed_distance(p - h * e))
+            (model.raw_signed(p + h * e) - model.raw_signed(p - h * e))
             / (2 * h)
             for e in np.eye(3)])
         assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-6)
@@ -193,12 +184,6 @@ class TestVolumeGrowth:
             with pytest.raises(ParameterError, match="volume-growth radii must be positive"):
                 geo.extrinsic_volume_growth(pl, radii)
 
-    def test_csv(self):
-        res = geo.extrinsic_volume_growth(geo.Sphere(m=2), [2, 3, 4])
-        lines = res.to_csv().splitlines()
-        assert lines[0] == "R,area"
-        assert len(lines) == 4
-
 
 def test_model_json_round_trip():
     for model in (geo.Hyperplane(normal=(0, 0, 1.0)), geo.Sphere(m=2),
@@ -224,6 +209,29 @@ def test_patch_immersion_check():
                                   lo=(0, 0), hi=(1, 1))
     with pytest.raises(ParameterError, match="immersion"):
         patch.sample(np.array([0.3, 0.4]))
+
+
+@pytest.mark.parametrize("s", [[5.0, -3.0], [0.5, 1.0 + 1e-12], [math.nan, 0.5],
+                               [0.5, 0.5, 0.5], [0.5]],
+                         ids=["outside", "past-hi", "nan", "three-entries", "one-entry"])
+def test_patch_sample_must_lie_in_its_rectangle(s):
+    # the rectangle was validated and never read: any point, and any length
+    # the chart accepted, gave a sample
+    calls = []
+    patch = geo.ParametrizedPatch(chart=lambda s: calls.append(s) or np.array([*s[:2], 0.0]),
+                                  lo=(0, 0), hi=(1, 1))
+    with pytest.raises(ParameterError, match="is not a point of the rectangle"):
+        patch.sample(np.array(s))
+    assert calls == []
+    assert patch.sample(np.array([1.0, 0.0])).point.tolist() == [1.0, 0.0, 0.0]
+
+
+def test_identities_need_a_sample_and_a_k():
+    circle = geo.surface_samples(geo.Sphere(m=1), 5)
+    with pytest.raises(ParameterError, match=re.escape("5 samples, k values []")):
+        geo.identity_extremes(circle, [])
+    with pytest.raises(ParameterError, match=re.escape("0 samples, k values [1]")):
+        geo.identity_extremes([], [1])
 
 
 @pytest.mark.parametrize("m, calls", [(1, 3), (2, 9), (3, 19)])
@@ -279,7 +287,9 @@ def test_samples_lie_on_the_shape_with_its_normal(shape, count):
     samples = shape.quasi_random_samples(count)
     pts = np.array([s.point for s in samples])
     if isinstance(shape, geo.Cylinder):
-        assert np.max(shape.distance(pts)) <= 1e-12
+        # the spherical factor has radius sqrt(k) in the first k + 1 coordinates
+        rho = np.linalg.norm(pts[:, : shape.k + 1], axis=1)
+        assert np.max(np.abs(rho - math.sqrt(shape.k))) <= 1e-12
         return
     assert np.max(np.abs(shape.raw_signed(pts))) <= 1e-12
     np.testing.assert_allclose(np.array([s.normal for s in samples]),

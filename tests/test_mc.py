@@ -8,6 +8,7 @@ import pytest
 
 from shrinkerlab import mc
 from shrinkerlab.errors import ParameterError
+from shrinkerlab.quadrature import gauss_legendre
 
 N_FAST = 4000
 
@@ -173,6 +174,26 @@ def test_exit_time_quantiles(slab_dom):
         tuple(np.quantile(times, [0.5, 0.9, 0.99]))
     assert 0 < est.exit_time_q50 <= est.exit_time_q90 <= est.exit_time_q99
     assert {"exit_time_q50", "exit_time_q90", "exit_time_q99"} <= set(dataclasses.asdict(est))
+
+
+def _slab_mean_exit_time(t):
+    """Mean exit time of the OU process from the slab (-1, 1) at height t:
+    T(t) = int_|t|^1 e^(s^2/2) int_0^s e^(-r^2/2) dr ds, the solution of
+    T'' - t T' = -1 with T(+-1) = 0."""
+    s, w = gauss_legendre(64, abs(t), 1.0)
+    inner = math.sqrt(math.pi / 2.0) * np.array([math.erf(v / math.sqrt(2.0)) for v in s])
+    return float(np.sum(w * np.exp(0.5 * s * s) * inner))
+
+
+@pytest.mark.parametrize("height", [0.0, 0.5, -0.5])
+def test_mean_exit_time_matches_its_closed_form(slab_dom, height):
+    # within 3 sigma, sigma the standard error of the per-path exit times
+    trace = []
+    est = mc.ou_hitting_probability(np.array([0.0, height]), slab_dom,
+                                    mc.McConfig(n_paths=20_000, seed=3), trace=trace)
+    times = np.array([t for _, t, label in trace if label != "truncated"])
+    sigma = np.std(times, ddof=1) / math.sqrt(times.size)
+    assert abs(est.mean_exit_time - _slab_mean_exit_time(height)) <= 3.0 * sigma
 
 
 def test_bias_study_reports_gap_ladder(slab_dom, slab_profile):

@@ -32,6 +32,13 @@ def unit_ball():
     return dm.ball_domain(1.0, ambient_dim=3)
 
 
+def _cutoff_slope(phi, r):
+    """phi'(r) of the quintic transition: -30 s^2 (1 - s)^2 / R for
+    s = (r - R) / R in (0, 1), and 0 elsewhere."""
+    s = (r - phi.R) / phi.R
+    return np.where((s > 0.0) & (s < 1.0), -30.0 * s ** 2 * (1.0 - s) ** 2 / phi.R, 0.0)
+
+
 @pytest.mark.parametrize("R", [1.0, 2.0, 5.0, 10.0])
 def test_cutoff_invariants(R):
     phi = rl.CutoffFamily(R)
@@ -40,7 +47,11 @@ def test_cutoff_invariants(R):
     assert vals.min() >= -1e-12 and vals.max() <= 1.0 + 1e-12
     assert np.all(vals[r <= R] == 1.0)
     assert np.all(vals[r >= 2.0 * R] == 0.0)
-    max_gradient = float(np.max(np.abs(phi.profile_derivative(np.linspace(R, 2.0 * R, 20001)))))
+    band = np.linspace(R, 2.0 * R, 20001)
+    slope, h = _cutoff_slope(phi, band), 1e-6 * R
+    np.testing.assert_allclose((phi.profile(band + h) - phi.profile(band - h)) / (2.0 * h),
+                               slope, rtol=0, atol=1e-6 / R)
+    max_gradient = float(np.max(np.abs(slope)))
     assert max_gradient <= 2.0 / R + 1e-8
     assert max_gradient == pytest.approx(15.0 / (8.0 * R), rel=1e-6)
     assert phi.profile(0.5 * R) == 1.0
@@ -222,11 +233,11 @@ def test_constant_cutoff_transport_is_positive_zero(unit_ball):
 def test_f_minimal_pieces_have_zero_weighted_curvature():
     # sphere of radius sqrt(2) in R^3 and a plane through the origin
     ball = dm.ball_domain(np.sqrt(2.0), ambient_dim=3)
-    pts, _ = ball.sigma1.quad_nodes(3.0, per_dim=16)
+    pts, _ = ball.sigma1.shape.quad_nodes(3.0, per_dim=16)
     worst = max(abs(ball.sigma1.weighted_mean_curvature(p)) for p in pts)
     assert worst <= 1e-8
     slab = dm.slab_domain(0.0, 1.0, ambient_dim=2, radius=3.0)
-    pts, _ = slab.sigma1.quad_nodes(3.0, per_dim=16)
+    pts, _ = slab.sigma1.shape.quad_nodes(3.0, per_dim=16)
     worst = max(abs(slab.sigma1.weighted_mean_curvature(p)) for p in pts)
     assert worst <= 1e-8
 
@@ -441,7 +452,7 @@ def _einsum_volume(u, phi, dom, h):
             phi_sq, gps = 1.0, np.zeros_like(pts)
         else:
             phi_sq = np.asarray(phi(pts)) ** 2
-            gps = (2.0 * phi.profile(r) * phi.profile_derivative(r) / r)[:, None] * pts
+            gps = (2.0 * phi.profile(r) * _cutoff_slope(phi, r) / r)[:, None] * pts
         transport = np.einsum("ki,ki->k", gps, np.einsum("kij,kj->ki", hess, grad)
                               - lap_f[:, None] * grad)
         w = np.exp(-0.5 * np.sum(pts ** 2, axis=1)) * frac * h ** 3
@@ -519,7 +530,7 @@ def test_component_major_boundary_sums_match_einsum(quadratic, cubic, piece, cut
     dom = _PIECES[piece][0]
     phi = None if cutoff is None else rl.CutoffFamily(cutoff)
     for _, ob in dom.pieces():
-        nodes, weights = ob.quad_nodes(dom.exhaustion_radius, per_dim=24)
+        nodes, weights = ob.shape.quad_nodes(dom.exhaustion_radius, per_dim=24)
         lean = np.array(rl._boundary_sums(u, phi, ob, nodes, weights, 1e-4))
         reference, scale = _einsum_boundary(u, phi, ob, nodes, weights, 1e-4)
         assert np.all(np.abs(lean - reference) <= 1e-13 * scale)
@@ -533,5 +544,5 @@ def test_cutoff_squared_with_gradient_is_the_product_rule():
     r = np.linalg.norm(P, axis=1)
     np.testing.assert_array_equal(phi_sq, phi(P) ** 2)
     assert gps.shape == (3, 200) and np.all(gps[:, 0] == 0.0)
-    expected = 2.0 * phi(P[1:]) * phi.profile_derivative(r[1:]) * P[1:].T / r[1:]
+    expected = 2.0 * phi(P[1:]) * _cutoff_slope(phi, r[1:]) * P[1:].T / r[1:]
     np.testing.assert_allclose(gps[:, 1:], expected, rtol=1e-14, atol=1e-300)
