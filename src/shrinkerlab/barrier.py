@@ -147,10 +147,10 @@ def estimate_gradient(z, R, dist_to_sigma1, m):
     The shell width is a = min(1, dist): the bound is continuous in a, so the
     epsilon in a = min(1, dist - eps) is taken to zero.
     """
-    if R <= 0 or dist_to_sigma1 <= 0:
-        raise ParameterError("need R > 0 and a positive distance to sigma1")
+    dist = require_positive("distance to sigma1", dist_to_sigma1)
     z_norm = float(z) if np.isscalar(z) else float(np.linalg.norm(np.asarray(z, dtype=float)))
-    return (R + 1.0) ** m / R ** m * math.exp(z_norm) / dist_to_sigma1
+    BarrierParams(R, min(1.0, dist), m, z_norm)  # that shell's checks of R, m and |z|
+    return (R + 1.0) ** m / R ** m * math.exp(z_norm) / dist
 
 
 # --------------------------------------------------------------------------
@@ -247,7 +247,8 @@ CylinderSurface = Cylinder
 
 class GraphSurface:
     """Graph {x_n = height(|x_hat|)} over the horizontal hyperplane; only
-    ever sigma2 (see `geometry`), so it answers `sample_at_norm` alone."""
+    ever sigma2 (see `geometry`), so it answers `sample_at_norm` alone,
+    with None at a norm the graph does not reach."""
 
     def __init__(self, height, ambient_dim=3):
         self.height = height
@@ -262,10 +263,13 @@ class GraphSurface:
             else:
                 hi = mid
         rho = 0.5 * (lo + hi)
+        height = self.height(rho)
+        if abs(math.hypot(rho, height) - norm) > 1e-9 * norm:
+            return None  # bisection found no point of the graph at this norm
         dirs = sphere_directions(count, self.ambient_dim - 1)
         pts = np.zeros((count, self.ambient_dim))
         pts[:, :-1] = rho * dirs
-        pts[:, -1] = self.height(rho)
+        pts[:, -1] = height
         return pts
 
 

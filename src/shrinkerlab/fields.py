@@ -150,22 +150,13 @@ def trace(hess):
 
 
 def _shifted(batch, pts, h):
-    """at(sign, *axes): batch at pts moved by sign * h along each of axes,
-    written column by column into one reused buffer (a column is put back
-    only when the next call does not move it too); a result that is a view
-    of the buffer is copied, so batch may return a view of its input."""
-    buf = np.array(pts, dtype=float)
-    moved = []
-
+    """at(sign, *axes): batch at a fresh copy of pts moved by sign * h along
+    each of axes, as a new float array (batch may return a view of its input)."""
     def at(sign, *axes):
-        for i in moved:
-            if i not in axes:
-                buf[:, i] = pts[:, i]
+        moved = pts.copy()
         for i in axes:
-            np.add(pts[:, i], sign * h, out=buf[:, i])
-        moved[:] = axes
-        vals = np.asarray(batch(buf), dtype=float)
-        return vals.copy() if np.may_share_memory(vals, buf) else vals
+            moved[:, i] += sign * h
+        return np.array(batch(moved), dtype=float)
     return at
 
 

@@ -12,7 +12,7 @@ Each shape is one class used in up to three roles:
 * Model shrinker (all three): `clipped_area` (|Sigma cap B_R|, in closed
   form from `sphere_measure`), `to_json` (the config that `model_from_json`
   reads) and `quasi_random_samples`, which builds, frames and checks its
-  samples as one stack; `sample` is that builder on one row.
+  samples as one stack; the first k rows of a stack are the k-sample stack.
 * Dirichlet boundary piece (Hyperplane, Sphere), through one batched
   protocol: points are arrays of shape (n,) or (N, n) and answers carry one
   entry (or row) per point.  A piece answers `raw_signed`, `raw_normal`,
@@ -59,15 +59,13 @@ __all__ = [
 ]
 
 
-def as_point(p, dim=None):
+def as_point(p):
     """Coerce to a finite 1D float array (an ambient point)."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 1:
         raise ParameterError(f"point must be a 1D coordinate vector, got shape {p.shape}")
     if p.size < 2:
         raise ParameterError("ambient dimension must be at least 2")
-    if dim is not None and p.size != dim:
-        raise ParameterError(f"expected a point in R^{dim}, got R^{p.size}")
     if not np.all(np.isfinite(p)):
         raise ParameterError("point has non-finite coordinates")
     return p
@@ -133,17 +131,12 @@ class Hyperplane:
 
     normal: tuple
     offset: float = 0.0
-    # (i, +-1) when the normal is exactly +-e_i, else None
-    _axis: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = as_point(self.normal)
         if abs(np.linalg.norm(n) - 1.0) > 1e-12:
             raise ParameterError("hyperplane normal must be unit length (within 1e-12)")
         object.__setattr__(self, "normal", tuple(float(x) for x in n))
-        i = np.flatnonzero(n)
-        if i.size == 1 and abs(n[i[0]]) == 1.0:
-            object.__setattr__(self, "_axis", (int(i[0]), float(n[i[0]])))
 
     @property
     def ambient_dim(self):
@@ -153,19 +146,12 @@ class Hyperplane:
     def hypersurface_dim(self):
         return self.ambient_dim - 1
 
-    def sample(self, y):
-        """Surface sample at the orthogonal projection of y onto the plane."""
-        return self._samples(as_point(y, self.ambient_dim)[None, :])[0]
-
     def quasi_random_samples(self, count, span=3.0):
-        return self._samples((halton(count, self.ambient_dim) - 0.5) * 2.0 * span)
-
-    def _samples(self, ys):
-        # heights as one row's raw_signed rounds them: an axis normal reads a
-        # column; any other takes np.dot per row (gemv differs in the last bit)
-        nu, m, count = np.asarray(self.normal), self.hypersurface_dim, len(ys)
-        signed = (self.raw_signed(ys) if self._axis is not None
-                  else (ys[:, None, :] @ nu[:, None])[:, 0, 0] - self.offset)
+        """Samples at the orthogonal projections of quasi-random points."""
+        ys = (halton(count, self.ambient_dim) - 0.5) * 2.0 * span
+        # stacked matmul heights round each row as np.dot; gemv may not
+        nu, m = np.asarray(self.normal), self.hypersurface_dim
+        signed = (ys[:, None, :] @ nu[:, None])[:, 0, 0] - self.offset
         return _sample_rows(ys - signed[:, None] * nu, np.tile(nu, (count, 1)),
                             np.zeros((count, m, m)), np.tile(complement_frame(nu), (count, 1, 1)))
 
@@ -180,15 +166,8 @@ class Hyperplane:
         return {"type": "hyperplane", "normal": list(self.normal)}
 
     def raw_signed(self, x):
-        """<x, normal> - offset.  An axis normal +-e_i reads column i, which
-        gives gemv's value exactly (up to the sign of a zero) at a fraction
-        of its cost; any other normal keeps gemv, because the faster forms
-        round differently in the last bit."""
-        x = np.asarray(x, dtype=float)
-        if self._axis is None:
-            return x @ np.asarray(self.normal) - self.offset
-        i, sign = self._axis
-        return x[..., i] - self.offset if sign > 0 else -self.offset - x[..., i]
+        """<x, normal> - offset."""
+        return np.asarray(x, dtype=float) @ np.asarray(self.normal) - self.offset
 
     def raw_normal(self, x):
         return np.broadcast_to(np.asarray(self.normal), np.shape(x))
@@ -261,15 +240,9 @@ class Sphere:
     def hypersurface_dim(self):
         return self.m
 
-    def sample(self, direction):
-        return self._samples(as_point(direction, self.ambient_dim)[None, :])[0]
-
     def quasi_random_samples(self, count, span=None):
-        return self._samples(sphere_directions(count, self.ambient_dim))
-
-    def _samples(self, directions):
-        d = _unit_rows(directions)
-        a = np.tile(-np.eye(self.m) / self.radius, (len(d), 1, 1))
+        d = _unit_rows(sphere_directions(count, self.ambient_dim))
+        a = np.tile(-np.eye(self.m) / self.radius, (count, 1, 1))
         return _sample_rows(self.radius * d, d, a, complement_frame(d))
 
     def clipped_area(self, R):
@@ -340,24 +313,11 @@ class Cylinder:
     def radius(self):
         return math.sqrt(self.k)
 
-    def sample(self, spherical_direction, axial):
-        """Sample at sqrt(k) * d on the spherical factor, offset axially."""
-        d = np.asarray(spherical_direction, dtype=float)
-        if d.size != self.k + 1:
-            raise ParameterError(f"spherical direction must live in R^{self.k + 1}")
-        axial = np.asarray(axial, dtype=float)
-        if axial.size != self.m - self.k:
-            raise ParameterError(f"axial part must live in R^{self.m - self.k}")
-        return self._samples(d.reshape(1, -1), axial.reshape(1, -1))[0]
-
     def quasi_random_samples(self, count, span=3.0):
-        dirs = sphere_directions(count, self.k + 1)
-        axials = (halton(count, max(self.m - self.k, 1)) - 0.5) * 2.0 * span
-        return self._samples(dirs, axials[:, : self.m - self.k])
-
-    def _samples(self, directions, axials):
-        k, m, count = self.k, self.m, len(directions)
-        d = _unit_rows(directions)
+        """Samples at sqrt(k) * d on the spherical factor, offset axially."""
+        k, m = self.k, self.m
+        d = _unit_rows(sphere_directions(count, k + 1))
+        axials = ((halton(count, max(m - k, 1)) - 0.5) * 2.0 * span)[:, : m - k]
         x, nu = np.hstack([self.radius * d, axials]), np.hstack([d, np.zeros_like(axials)])
         # frame: k directions tangent to the spherical factor, then the flat axes
         frame = np.zeros((count, m, self.ambient_dim))
@@ -481,7 +441,9 @@ class ParametrizedPatch:
 
     def sample(self, s):
         """Build a SurfaceSample at parameter s, a point of the rectangle
-        lo <= s <= hi, via finite differences, from 1 + 2 m^2 chart calls."""
+        lo <= s <= hi, via finite differences, from 1 + 2 m^2 chart calls.
+        The chart is evaluated up to fd_step outside the rectangle in each
+        coordinate, so it must be defined on the rectangle grown by fd_step."""
         s = np.asarray(s, dtype=float)
         if s.shape != self.lo.shape or not np.all((self.lo <= s) & (s <= self.hi)):
             raise ParameterError(f"parameter {s.tolist()} is not a point of the rectangle "

@@ -1,5 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# every run draws the same examples, and no saved example changes what it tests
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 from shrinkerlab import domain as dm
 from shrinkerlab import solver as sv

@@ -123,6 +123,15 @@ class TestGradientEstimate:
             br.estimate_gradient(0.0, -1.0, 1.0, 2)
         with pytest.raises(ParameterError):
             br.estimate_gradient(0.0, 1.0, 0.0, 2)
+        # impossible inputs: a negative or NaN |z|, a NaN R, an infinite distance
+        for args, message in [((-1.0, 1, 1, 2), "|z| must be nonnegative and finite, got -1.0"),
+                              ((math.nan, 1, 1, 2), "|z| must be nonnegative and finite, got nan"),
+                              ((0.0, math.nan, 1, 2),
+                               "barrier radius R must be positive and finite, got nan"),
+                              ((0.0, 1, math.inf, 2),
+                               "distance to sigma1 must be positive and finite, got inf")]:
+            with pytest.raises(ParameterError, match=re.escape(message)):
+                br.estimate_gradient(*args)
 
     def test_annulus_boundary_gradient_respects_bound(self, annulus_grid_solution,
                                                       annulus_dom):
@@ -212,11 +221,13 @@ class TestSeparation:
         assert not rep.passes
 
     def test_truncation_flag(self):
-        rep = br.separation_check(br.SeparationHypothesis(b=0.0),
-                                  geo.Hyperplane(normal=(0, 0, 1.0)),
-                                  geo.Cylinder(k=1, m=2),
-                                  [0.5, 2, 3, 4])
-        assert rep.truncated
+        # the graph of e^(-r^2) has no point with |z| < 0.9201, so 0.5 is skipped
+        for sigma2 in (geo.Cylinder(k=1, m=2),
+                       br.GraphSurface(height=lambda r: math.exp(-r * r), ambient_dim=3)):
+            rep = br.separation_check(br.SeparationHypothesis(b=0.0),
+                                      geo.Hyperplane(normal=(0, 0, 1.0)), sigma2, [0.5, 2, 3, 4])
+            assert rep.truncated
+            assert rep.ratios[0][0] == 2.0
 
     def test_hypothesis_validation(self):
         with pytest.raises(ParameterError):

@@ -357,6 +357,15 @@ def test_separation_cases(tmp_path):
                  "--output-dir", out2]) == 0
     rep2 = json.loads(open(os.path.join(out2, "report.json")).read())
     assert rep2["passes"] is False
+    # the graph has no point at |z| = 0.5: that norm is skipped and flagged
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"case": "gaussian-graph", "b": 0.4,
+                                "norms": [0.5, 2, 3, 4, 5, 6, 8]}))
+    out3 = _out(tmp_path, "sep3")
+    assert main(["separation", "--config", str(path), "--output-dir", out3]) == 0
+    rep3 = json.loads(open(os.path.join(out3, "report.json")).read())
+    assert rep3["truncated"] is True and rep2["truncated"] is False
+    assert rep3["ratios"] == rep2["ratios"] and rep3["passes"] is False
 
 
 _CSV_CASES = {

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from shrinkerlab import geometry as geo
 from shrinkerlab.errors import ContractViolation, ParameterError
-from shrinkerlab.quadrature import halton, sphere_directions
+from shrinkerlab.quadrature import halton
 
 
 def test_signed_distance_examples():
@@ -68,18 +68,23 @@ def test_distance_gradient_is_unit(model, quasi_points):
         assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-6)
 
 
+# samples written out by hand (point, normal, A, frame), independent of the model builders
+E1, E2, E3 = np.eye(3)
+
+
 class TestCylinderIdentities:
     def test_on_cylinder(self):
-        cyl = geo.Cylinder(k=1, m=2)
-        rep = geo.cylinder_identities(1, cyl.sample([1, 0], [3.0]))
+        # the cylinder S^1 x R at (1, 0, 3): nu = e1, A = diag(-1, 0)
+        rep = geo.cylinder_identities(1, geo.SurfaceSample([1, 0, 3.0], E1, np.diag([-1.0, 0.0]),
+                                                           [E2, E3]))
         assert rep.u == pytest.approx(1.0)
         assert abs(rep.grad_id_residual) < 1e-6
         assert abs(rep.laplu_residual) < 1e-6
 
     def test_on_plane_hand_values(self):
         # u = x1^2 + x2^2 at (2,0,0) on {x3=0}: u=4, both identities exact
-        pl = geo.Hyperplane(normal=(0, 0, 1.0))
-        rep = geo.cylinder_identities(1, pl.sample([2.0, 0, 0]))
+        rep = geo.cylinder_identities(1, geo.SurfaceSample([2.0, 0, 0], E3, np.zeros((2, 2)),
+                                                           [E1, E2]))
         assert rep.u == pytest.approx(4.0)
         assert abs(rep.grad_id_residual) < 1e-6
         assert abs(rep.laplu_residual) < 1e-6
@@ -87,8 +92,9 @@ class TestCylinderIdentities:
     def test_on_sphere_symbolic_oracle(self):
         # on S^2_sqrt2 at (sqrt2,0,0): u = 2, and the symbolic surface
         # computation gives (1/2) Lap_f u = -1 = k+1-|Nbar|^2-u
-        sph = geo.Sphere(m=2)
-        rep = geo.cylinder_identities(1, sph.sample([1.0, 0, 0]))
+        r2 = math.sqrt(2.0)
+        rep = geo.cylinder_identities(1, geo.SurfaceSample([r2, 0, 0], E1, -np.eye(2) / r2,
+                                                           [E2, E3]))
         assert rep.u == pytest.approx(2.0)
         assert abs(rep.grad_id_residual) < 1e-6
         assert abs(rep.laplu_residual) < 1e-6
@@ -103,8 +109,9 @@ class TestCylinderIdentities:
                     assert rep.sqrtu_slack >= -1e-8
 
     def test_sqrt_slack_undefined_on_axis_plane(self):
-        pl = geo.Hyperplane(normal=(1.0, 0, 0))
-        rep = geo.cylinder_identities(1, pl.sample([0.0, 0.0, 0.0]))
+        # the plane {x1 = 0} at the origin
+        rep = geo.cylinder_identities(1, geo.SurfaceSample([0.0, 0, 0], E1, np.zeros((2, 2)),
+                                                           [E2, E3]))
         assert rep.u == pytest.approx(0.0, abs=1e-15)
         assert rep.sqrtu_slack is None
 
@@ -234,6 +241,21 @@ def test_identities_need_a_sample_and_a_k():
         geo.identity_extremes([], [1])
 
 
+def test_patch_sample_reads_the_chart_within_fd_step_of_its_rectangle():
+    # at s = hi the stencil leaves the rectangle by fd_step in each coordinate
+    lo, hi, h = np.array([-1.0, 0.5]), np.array([1.0, 2.0]), 1e-3
+    seen = []
+
+    def chart(s):
+        seen.append(np.array(s))
+        return np.array([s[0], s[1], s[0] * s[1]])
+
+    geo.ParametrizedPatch(chart=chart, lo=tuple(lo), hi=tuple(hi), fd_step=h).sample(hi)
+    seen = np.array(seen)
+    assert np.all(seen >= lo - h) and np.all(seen <= hi + h)
+    assert np.any(seen > hi)
+
+
 @pytest.mark.parametrize("m, calls", [(1, 3), (2, 9), (3, 19)])
 def test_patch_sample_calls_the_chart_once_per_stencil_point(m, calls):
     # the point, chart(s +- h e_i) shared by the Jacobian and the diagonal
@@ -247,13 +269,6 @@ def test_patch_sample_calls_the_chart_once_per_stencil_point(m, calls):
     patch = geo.ParametrizedPatch(chart=chart, lo=(-1,) * m, hi=(1,) * m)
     patch.sample(np.linspace(0.2, 0.6, m))
     assert len(seen) == calls == 1 + 2 * m * m
-
-
-def test_zero_direction_is_a_parameter_error():
-    with pytest.raises(ParameterError, match=r"direction \[0.0, 0.0, 0.0\] has zero length"):
-        geo.Sphere(m=2).sample([0, 0, 0])
-    with pytest.raises(ParameterError, match=r"direction \[0.0, 0.0\] has zero length"):
-        geo.Cylinder(k=1, m=2).sample([0, 0], [1.0])
 
 
 def test_model_validation():
@@ -320,21 +335,14 @@ def _fields(s):
 
 
 @settings(max_examples=150, deadline=None)
-@given(shape=shapes(), count=st.integers(1, 12), span=st.floats(0.5, 4.0))
-def test_stacked_samples_equal_one_row_samples(shape, count, span):
-    # quasi_random_samples builds its rows as one stack; sample() builds one row
-    rows = shape.quasi_random_samples(count, span=span)
-    n = shape.ambient_dim
-    if isinstance(shape, geo.Hyperplane):
-        singles = [shape.sample(y) for y in (halton(count, n) - 0.5) * 2.0 * span]
-    elif isinstance(shape, geo.Sphere):
-        singles = [shape.sample(d) for d in sphere_directions(count, n)]
-    else:
-        j = shape.m - shape.k
-        axials = (halton(count, max(j, 1)) - 0.5) * 2.0 * span
-        singles = [shape.sample(d, ax[:j])
-                   for d, ax in zip(sphere_directions(count, shape.k + 1), axials)]
-    assert [_fields(s) for s in rows] == [_fields(s) for s in singles]
+@given(shape=shapes(), total=st.integers(1, 200), data=st.data(), span=st.floats(0.5, 4.0))
+def test_a_shorter_stack_is_a_prefix_of_a_longer_one(shape, total, data, span):
+    # quasi_random_samples builds its rows as one stack; each row is built
+    # as in a stack of any other length, bit for bit
+    count = data.draw(st.integers(1, total))
+    rows = shape.quasi_random_samples(total, span=span)
+    prefix = shape.quasi_random_samples(count, span=span)
+    assert [_fields(s) for s in prefix] == [_fields(s) for s in rows[:count]]
 
 
 def _contracts_one_by_one(normal, a, frame, h_vec):

@@ -185,15 +185,39 @@ def _slab_mean_exit_time(t):
     return float(np.sum(w * np.exp(0.5 * s * s) * inner))
 
 
-@pytest.mark.parametrize("height", [0.0, 0.5, -0.5])
-def test_mean_exit_time_matches_its_closed_form(slab_dom, height):
+def _annulus_mean_exit_time(r, a=0.5, b=2.0):
+    """Mean exit time of the 2D OU process from the annulus a < |x| < b at
+    radius r: T(r) = int_a^r (C - W(s)) / w(s) ds with w(s) = s e^(-s^2/2),
+    W(s) = e^(-a^2/2) - e^(-s^2/2) and C = int_a^b W/w / int_a^b 1/w, the
+    solution of (w T')' = -w with T(a) = T(b) = 0."""
+    def w(s):
+        return s * np.exp(-0.5 * s * s)
+
+    def big_w(s):
+        return math.exp(-0.5 * a * a) - np.exp(-0.5 * s * s)
+
+    s, q = gauss_legendre(64, a, b)
+    c = np.sum(q * big_w(s) / w(s)) / np.sum(q / w(s))
+    s, q = gauss_legendre(64, a, r)
+    return float(np.sum(q * (c - big_w(s)) / w(s)))
+
+
+@pytest.mark.parametrize("domain, x0", [
+    ("slab", (0.0, 0.0)), ("slab", (0.0, 0.5)), ("slab", (0.0, -0.5)),
+    ("annulus", (0.8, 0.0)), ("annulus", (1.0, 0.0)), ("annulus", (1.5, 0.0)),
+], ids=["0.0", "0.5", "-0.5", "annulus-0.8", "annulus-1.0", "annulus-1.5"])
+def test_mean_exit_time_matches_its_closed_form(slab_dom, annulus_dom, domain, x0):
     # within 3 sigma, sigma the standard error of the per-path exit times
+    if domain == "slab":
+        dom, closed_form = slab_dom, _slab_mean_exit_time(x0[1])
+    else:
+        dom, closed_form = annulus_dom, _annulus_mean_exit_time(x0[0])
     trace = []
-    est = mc.ou_hitting_probability(np.array([0.0, height]), slab_dom,
-                                    mc.McConfig(n_paths=20_000, seed=3), trace=trace)
+    est = mc.ou_hitting_probability(np.array(x0), dom, mc.McConfig(n_paths=20_000, seed=3),
+                                    trace=trace)
     times = np.array([t for _, t, label in trace if label != "truncated"])
     sigma = np.std(times, ddof=1) / math.sqrt(times.size)
-    assert abs(est.mean_exit_time - _slab_mean_exit_time(height)) <= 3.0 * sigma
+    assert abs(est.mean_exit_time - closed_form) <= 3.0 * sigma
 
 
 def test_bias_study_reports_gap_ladder(slab_dom, slab_profile):
