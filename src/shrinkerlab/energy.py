@@ -272,7 +272,8 @@ def energy_report(solution, domain, radii):
 # energies of plain fields (barrier competitors)
 
 
-# cells of a box mesh, or Reilly boundary nodes, per streamed chunk
+# cells of a box mesh per streamed chunk; a Reilly boundary item holds
+# CHUNK // 2 nodes, each costing about two cells
 CHUNK = 32_768
 
 

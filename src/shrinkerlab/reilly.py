@@ -25,18 +25,22 @@ The boundary uses Gauss-Legendre panels at fixed high order, so the
 reported residual tracks the volume mesh: 384^(n-1) nodes per piece, and a
 second pass on 256^(n-1) nodes for `mixed_term_uncertainty`.  Each pass
 takes one differencing step per piece from the largest radius of its nodes
-and then streams the nodes in chunks of the same size.  A piece's nodes,
+and then streams the nodes in order, in items of `energy.CHUNK` // 2
+(16,384) nodes: a node's stencil, normals and curvatures cost about twice a
+cell's, so such an item peaks near a chunk of cells.  A piece's nodes,
 weights and largest radius are built once per (shape, exhaustion radius,
 nodes per dimension) and cached read-only (`_piece_quadrature`), so
 repeated residuals and energy chains on one domain only slice them.
 
 One residual is one ordered stream of work items -- the cell chunks, then
-the node chunks of both boundary passes -- run on os.cpu_count() threads by
-`fields.ordered_map`, so no stage holds more than a chunk of points per
-thread.  The items' partial sums are added in item order, so the result
-does not depend on the worker count.  The report's field_evaluations
-counts every point at which u is evaluated: the stencil's evaluations per
-point times the kept cells and the nodes of both boundary passes.
+the node items of both boundary passes -- run on os.cpu_count() threads by
+`fields.ordered_map`, so a thread holds at most one item at a time: 32,768
+cells or 16,384 nodes with their stencil temporaries, at most about 7 MB
+traced on the 3D unit ball.  The items' partial sums are added in item
+order, so the result does not depend on the worker count.  The report's
+field_evaluations counts every point at which u is evaluated: the
+stencil's evaluations per point times the kept cells and the nodes of both
+boundary passes.
 """
 
 import math
@@ -305,10 +309,15 @@ def _piece_quadrature(shape, max_radius, per_dim):
 
 def _boundary_items(u, phi, domain, fd_h, per_dim):
     """Work items of the boundary integrals on per_dim^(n-1) Gauss-Legendre
-    nodes of each piece, one per chunk of CHUNK nodes, each returning
-    `_boundary_sums`; and the node count."""
+    nodes of each piece, one per CHUNK // 2 nodes in node order, each
+    returning `_boundary_sums`; and the node count.
+
+    CHUNK is read at call time.  On the 3D unit ball an item of 16,384
+    nodes peaks at 5.1-5.8 MB traced and a chunk of 32,768 cells at up to
+    5.6-7.1 MB; twice the nodes would peak at 10.3-11.3 MB."""
     items = []
     total = 0
+    size = CHUNK // 2
     for _, ob in domain.pieces():
         nodes, weights, reach = _piece_quadrature(ob.shape, domain.exhaustion_radius, per_dim)
         if nodes.shape[0] == 0:
@@ -316,9 +325,9 @@ def _boundary_items(u, phi, domain, fd_h, per_dim):
         # one step per piece over all of its nodes, so that no sum depends
         # on the chunking
         step = fd_h if fd_h is not None else 1e-5 * (1.0 + reach)
-        items += [partial(_boundary_sums, u, phi, ob, nodes[start:start + CHUNK],
-                          weights[start:start + CHUNK], step)
-                  for start in range(0, nodes.shape[0], CHUNK)]
+        items += [partial(_boundary_sums, u, phi, ob, nodes[start:start + size],
+                          weights[start:start + size], step)
+                  for start in range(0, nodes.shape[0], size)]
         total += nodes.shape[0]
     return items, total
 

@@ -103,7 +103,8 @@ def _residual(ball, phi, h):
 
 def test_volume_side_does_not_depend_on_chunks_or_threads(unit_ball, monkeypatch):
     # the whole residual: by default 1/16 is one chunk of cells and each
-    # boundary pass several chunks of nodes; 4,096-item chunks cut all finer
+    # boundary pass several items of nodes; 4,096-cell chunks (and so
+    # 2,048-node items) cut all finer
     phi = rl.CutoffFamily(0.5)
     rep = _residual(unit_ball, phi, 1 / 16)
     monkeypatch.setattr(rl, "CHUNK", 4096)
@@ -130,9 +131,10 @@ def test_volume_side_does_not_depend_on_chunks_or_threads(unit_ball, monkeypatch
         sys.setswitchinterval(interval)
 
 
-def test_cutoff_residual_peaks_below_36_mb(unit_ball, monkeypatch):
-    # two workers hold two chunks at a time; a whole 147,456-node boundary
-    # pass needs about 50 MB of temporaries
+def test_cutoff_residual_peaks_below_24_mb(unit_ball, monkeypatch):
+    # two workers hold two items at a time, at most 32,768 cells or 16,384
+    # nodes each; a whole 147,456-node boundary pass needs about 50 MB of
+    # temporaries
     monkeypatch.setattr("shrinkerlab.fields._WORKERS", 2)
     # the cached boundary nodes are built inside the measured call
     rl._piece_quadrature.cache_clear()
@@ -142,7 +144,26 @@ def test_cutoff_residual_peaks_below_36_mb(unit_ball, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 36 * 2 ** 20
+    assert peak < 24 * 2 ** 20
+
+
+def test_boundary_items_cover_each_pass_in_half_chunks(unit_ball):
+    # 9 items of the 384 x 384 pass and 4 of the 256 x 256 pass, in node order
+    sphere = unit_ball.sigma1.shape
+    for per_dim, count in ((384, 9), (256, 4)):
+        items, total = rl._boundary_items(U_X1, None, unit_ball, None, per_dim)
+        nodes, weights, _ = rl._piece_quadrature(sphere, unit_ball.exhaustion_radius, per_dim)
+        assert len(items) == count
+        assert total == nodes.shape[0] == per_dim ** 2
+        # each item is partial(_boundary_sums, u, phi, ob, nodes, weights, step)
+        assert all(item.args[3].shape[0] <= rl.CHUNK // 2 for item in items)
+        assert np.array_equal(np.concatenate([item.args[3] for item in items]), nodes)
+        assert np.array_equal(np.concatenate([item.args[4] for item in items]), weights)
+    # the counters do not depend on the item size
+    assert _residual(unit_ball, None, 1 / 16).details == {
+        "ricci_mode": "gaussian identity", "volume_cells": 19544, "cut_cells": 4760,
+        "volume_fd_step": 2e-05, "stencil_evaluations_per_point": 13,
+        "boundary_nodes": 147456, "field_evaluations": 3022968}
 
 
 def test_umbilic_check_reaches_the_last_boundary_chunk(unit_ball, monkeypatch):
