@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ContractViolation, ParameterError, require_positive, require_radii
 from .fields import ScalarField, gradient, weighted_laplacian
-from .geometry import Cylinder, Hyperplane, Sphere
+from .geometry import Cylinder, Hyperplane
 from .quadrature import CumulativeProfile, halton, sphere_directions
 
 __all__ = [
@@ -157,25 +157,13 @@ def estimate_gradient(z, R, dist_to_sigma1, m):
 # Lipschitz separation barriers
 
 
-def boundary_separation(domain):
-    """inf dist(Sigma_1, Sigma_2); exact for the model pairs, sampled otherwise."""
-    if domain.sigma2 is None:
-        raise ParameterError("separation needs two boundary pieces")
-    p1, p2 = domain.sigma1.shape, domain.sigma2.shape
-    if isinstance(p1, Hyperplane) and isinstance(p2, Hyperplane) \
-            and np.allclose(p1.normal, p2.normal):
-        return abs(p2.offset - p1.offset)
-    if isinstance(p1, Sphere) and isinstance(p2, Sphere):
-        return abs(p2.radius - p1.radius)
-    nodes, _ = domain.sigma1.shape.quad_nodes(domain.exhaustion_radius, per_dim=128)
-    return float(np.min(np.abs(domain.sigma2.depth(nodes))))
-
-
 def lipschitz_barrier(mode, domain):
     """Locally Lipschitz field pinned to 0 on Sigma_1 and 1 on Sigma_2.
 
     mode="positive-distance" uses the clamped symmetric distance quotient
-    (d1 - d2 + D) / (2D) and requires a strictly positive separation D;
+    (d1 - d2 + D) / (2D) and requires a strictly positive separation D, the
+    least |depth| below Sigma_2 of Sigma_1's quadrature nodes (`quad_nodes`
+    at 128 per dimension, within the exhaustion ball for a plane);
     mode="projection" uses d1(z) / dist(Pi_1(z), Sigma_2) with the nearest
     point projection onto Sigma_1.
     """
@@ -184,11 +172,12 @@ def lipschitz_barrier(mode, domain):
     ob1, ob2 = domain.sigma1, domain.sigma2
 
     if mode == "positive-distance":
-        D = boundary_separation(domain)
-        if D <= 0:
+        nodes, _ = ob1.shape.quad_nodes(domain.exhaustion_radius, per_dim=128)
+        D = float(np.min(np.abs(ob2.depth(nodes)), initial=np.inf))
+        if not 0.0 < D < np.inf:
             raise ParameterError(
-                "measured boundary separation is not positive; the positive-distance "
-                "barrier requires dist(Sigma_1, Sigma_2) > 0")
+                f"measured boundary separation {D!r} is not positive and finite; the "
+                "positive-distance barrier requires dist(Sigma_1, Sigma_2) > 0")
 
         def batch(pts):
             pts = np.atleast_2d(np.asarray(pts, dtype=float))

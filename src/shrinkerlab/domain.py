@@ -109,24 +109,19 @@ class DomainSpec:
 
 def slab_domain(h1, h2, ambient_dim=2, radius=4.0, axis=-1):
     """Domain between the parallel hyperplanes {s = h1} (data 0), {s = h2} (data 1)."""
-    if not h1 < h2:
-        raise ParameterError("slab requires h1 < h2")
-    axis = axis % ambient_dim
+    profile = SlabProfile(h1, h2, ambient_dim, axis)
     normal = np.zeros(ambient_dim)
-    normal[axis] = 1.0
+    normal[profile.axis] = 1.0
     s1 = OrientedBoundary(Hyperplane(tuple(normal), h1), side=+1)
     s2 = OrientedBoundary(Hyperplane(tuple(normal), h2), side=-1)
     lo = np.full(ambient_dim, -np.inf)
     hi = np.full(ambient_dim, np.inf)
-    lo[axis], hi[axis] = h1, h2
-    return DomainSpec(s1, s2, radius, ambient_dim, SlabProfile(h1, h2, ambient_dim, axis),
-                      box_hint=(lo, hi))
+    lo[profile.axis], hi[profile.axis] = h1, h2
+    return DomainSpec(s1, s2, radius, ambient_dim, profile, box_hint=(lo, hi))
 
 
 def annulus_domain(a, b, ambient_dim=2, radius=None):
     """Domain between concentric spheres r = a (data 0) and r = b (data 1)."""
-    if not 0 < a < b:
-        raise ParameterError("annulus requires 0 < a < b")
     if radius is None:
         radius = b + 1.0
     s1 = OrientedBoundary(Sphere(ambient_dim - 1, a), side=+1)
@@ -139,8 +134,6 @@ def annulus_domain(a, b, ambient_dim=2, radius=None):
 
 def ball_domain(rho, ambient_dim=3, radius=None):
     """Ball of radius rho; single boundary piece labeled sigma1."""
-    if rho <= 0:
-        raise ParameterError("ball radius must be positive")
     if radius is None:
         radius = rho + 1.0
     s1 = OrientedBoundary(Sphere(ambient_dim - 1, rho), side=-1)

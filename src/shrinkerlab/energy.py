@@ -72,9 +72,7 @@ def weighted_gradient_cells(solution):
     Only cells with every corner classified non-exterior contribute; this is
     the documented first-order treatment of the boundary band.
     """
-    grid = solution.grid
-    if grid is None:
-        raise ParameterError("weighted_gradient_cells needs a grid-backed solution")
+    grid = solution.grid_for("weighted_gradient_cells")
     V = solution.field.values
     n = V.ndim
     h = grid.h
@@ -164,7 +162,7 @@ def interface_segments(solution, label):
     crossing on all four edges), which are dropped, as are segments whose
     midpoint lies beyond the exhaustion ball.
     """
-    grid = solution.grid
+    grid = solution.grid_for("interface_segments")
     if grid.ndim != 2:
         raise MissingGeometryError(
             "grid surface reconstruction implemented for 2D grids; profile-backed "
@@ -205,11 +203,12 @@ def normal_derivative(solution, domain, label, points):
     drops stencils that read an unsolved (NaN) node and points within 3h of
     the exhaustion sphere (mirrored ghost values; the Gaussian weight makes
     that collar negligible); du/dnu is given at the kept points."""
-    h = solution.grid.h
+    grid = solution.grid_for("normal_derivative")
+    h = grid.h
     nu = dict(domain.pieces())[label].exterior_normal(points)
     u1 = solution.field.batch(points - h * nu)
     u2 = solution.field.batch(points - 2.0 * h * nu)
-    ok = ((np.linalg.norm(points, axis=1) <= solution.grid.radius - 3.0 * h)
+    ok = ((np.linalg.norm(points, axis=1) <= grid.radius - 3.0 * h)
           & ~np.isnan(u1) & ~np.isnan(u2))
     return ok, (3.0 * DIRICHLET_DATA[label] - 4.0 * u1[ok] + u2[ok]) / (2.0 * h)
 

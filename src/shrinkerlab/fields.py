@@ -14,6 +14,7 @@ evaluator.
 
 import functools
 import io
+import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -279,13 +280,17 @@ class GridField(ScalarField):
 
     @classmethod
     def from_binary(cls, payload):
-        buf = io.BytesIO(payload)
-        if buf.read(8) != _GRID_MAGIC:
+        """The field that `to_binary` wrote; a payload shorter or longer than
+        its header declares is a ParameterError."""
+        if payload[:8] != _GRID_MAGIC:
             raise ParameterError("not a grid-field binary payload")
-        (ndim,) = struct.unpack("<q", buf.read(8))
-        dims = struct.unpack(f"<{ndim}q", buf.read(8 * ndim))
-        spacing = struct.unpack(f"<{ndim}d", buf.read(8 * ndim))
-        origin = struct.unpack(f"<{ndim}d", buf.read(8 * ndim))
-        count = int(np.prod(dims))
-        values = np.frombuffer(buf.read(8 * count), dtype="<f8").reshape(dims)
+        size = len(payload)
+        ndim = struct.unpack_from("<q", payload, 8)[0] if size >= 16 else -1
+        header = 16 + 24 * ndim
+        dims = struct.unpack_from(f"<{ndim}q", payload, 16) if 0 <= header <= size else (-1,)
+        if min(dims, default=0) < 0 or size != header + 8 * math.prod(dims):
+            raise ParameterError(f"grid-field payload of {size} bytes does not match its header")
+        spacing = struct.unpack_from(f"<{ndim}d", payload, 16 + 8 * ndim)
+        origin = struct.unpack_from(f"<{ndim}d", payload, 16 + 16 * ndim)
+        values = np.frombuffer(payload, dtype="<f8", offset=header).reshape(dims)
         return cls(origin=origin, spacing=spacing, values=values.copy())

@@ -137,6 +137,8 @@ class Hyperplane:
         if abs(np.linalg.norm(n) - 1.0) > 1e-12:
             raise ParameterError("hyperplane normal must be unit length (within 1e-12)")
         object.__setattr__(self, "normal", tuple(float(x) for x in n))
+        if not math.isfinite(self.offset):
+            raise ParameterError(f"hyperplane offset must be finite, got {self.offset!r}")
 
     @property
     def ambient_dim(self):
@@ -227,10 +229,8 @@ class Sphere:
     def __post_init__(self):
         if not (isinstance(self.m, int) and self.m >= 1):
             raise ParameterError("sphere dimension m must be an integer >= 1")
-        if self.radius is None:
-            object.__setattr__(self, "radius", math.sqrt(self.m))
-        elif not self.radius > 0:
-            raise ParameterError("sphere radius must be positive")
+        object.__setattr__(self, "radius", math.sqrt(self.m) if self.radius is None
+                           else require_positive("sphere radius", self.radius))
 
     @property
     def ambient_dim(self):
@@ -432,8 +432,7 @@ class ParametrizedPatch:
         self.hi = np.asarray(self.hi, dtype=float)
         if self.lo.shape != self.hi.shape or np.any(self.hi <= self.lo):
             raise ParameterError("invalid parameter rectangle")
-        if self.fd_step <= 0:
-            raise ParameterError("fd_step must be positive")
+        self.fd_step = require_positive("fd_step", self.fd_step)
 
     @property
     def param_dim(self):

@@ -14,6 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import ParameterError
 from .fields import ScalarField
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -44,10 +45,13 @@ class CumulativeProfile:
     an (N,) array to an (N,) array, with exactly 0 at and below lo and
     exactly 1 at and above hi; `derivative(t)` is g(t) / F(hi) at a scalar
     t; `as_field` wraps a subclass's `__call__` as a scalar field with the
-    same batch evaluator.
+    same batch evaluator.  A non-finite or empty interval [lo, hi] is a
+    ParameterError.
     """
 
     def __init__(self, lo, hi):
+        if not -np.inf < lo < hi < np.inf:
+            raise ParameterError(f"profile interval [{lo!r}, {hi!r}] must be finite and non-empty")
         self._nodes = np.linspace(lo, hi, 257)
         cum = np.cumsum(self._integral_from(self._nodes[:-1], self._nodes[1:]))
         self.normalization = float(cum[-1])

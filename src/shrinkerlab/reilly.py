@@ -51,8 +51,7 @@ from itertools import combinations
 import numpy as np
 
 from .energy import CHUNK, ball_masses, box_cells, cell_centres, normal_derivative
-from .errors import (ContractViolation, MissingGeometryError, ParameterError,
-                     require_positive, require_radii)
+from .errors import ContractViolation, MissingGeometryError, require_positive, require_radii
 from .fields import (GridField, fd_gradient_hessian, ordered_map, row_dot, stencil_evaluations,
                      trace)
 from .geometry import radii
@@ -406,11 +405,9 @@ def energy_growth_chain(solution, domain, radii):
     to the dropped boundary term containing H_f (du/dnu)^2 on non-f-minimal
     boundary pieces, read at each piece's exact quadrature nodes (so in any
     dimension).  The radii must be positive, finite and increasing."""
-    if solution.grid is None:
-        raise ParameterError("chain evaluation expects a grid-backed solution")
+    reach = solution.grid_for("energy_growth_chain").radius
     radii = require_radii(radii, "energy chain radii")
     masses = ball_masses(solution, [*radii, *(2.0 * R for R in radii)])
-    reach = solution.grid.radius
 
     per_R = []
     consistent = True

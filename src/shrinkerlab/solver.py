@@ -84,6 +84,13 @@ class Solution:
     grid: object = None
     profile: object = None
 
+    def grid_for(self, reader):
+        """The classified grid, for the grid-only `reader` (its name); a
+        profile-backed solution has none, a ParameterError naming the reader."""
+        if self.grid is None:
+            raise ParameterError(f"{reader} needs a grid-backed solution")
+        return self.grid
+
 
 # --------------------------------------------------------------------------
 # closed-form 1D reductions: `__call__` maps an (n,) point to a float and
@@ -91,11 +98,20 @@ class Solution:
 # int |grad u|^2 e^-f = c / F(hi) (Green's identity) and its part in B_R
 
 
+def _ambient_dim(n):
+    """The ambient dimension n of a closed form as an int; below 2 a ParameterError."""
+    if int(n) < 2:
+        raise ParameterError(f"ambient dimension must be at least 2, got {n!r}")
+    return int(n)
+
+
 class RadialProfile(CumulativeProfile):
     """u(r) = int_a^r s^(1-n) e^(s^2/2) ds, normalized to u(b) = 1."""
 
     def __init__(self, a, b, ambient_dim):
-        self.a, self.b, self.ambient_dim = float(a), float(b), int(ambient_dim)
+        self.a, self.b, self.ambient_dim = float(a), float(b), _ambient_dim(ambient_dim)
+        if not self.a > 0:
+            raise ParameterError("radial reduction needs a > 0 (drift is singular at the origin)")
         super().__init__(self.a, self.b)
 
     def density(self, s):
@@ -119,7 +135,7 @@ class SlabProfile(CumulativeProfile):
 
     def __init__(self, h1, h2, ambient_dim=2, axis=-1):
         self.h1, self.h2 = float(h1), float(h2)
-        self.ambient_dim = int(ambient_dim)
+        self.ambient_dim = _ambient_dim(ambient_dim)
         self.axis = axis % self.ambient_dim
         super().__init__(self.h1, self.h2)
 
@@ -153,12 +169,6 @@ class SlabProfile(CumulativeProfile):
 
 def solve_radial(a, b, n):
     """Closed-form radial Dirichlet solution on the annulus a <= r <= b in R^n."""
-    if a <= 0:
-        raise ParameterError("radial reduction needs a > 0 (drift is singular at the origin)")
-    if not a < b:
-        raise ParameterError("radial annulus requires a < b")
-    if n < 2:
-        raise ParameterError("ambient dimension must be >= 2")
     profile = RadialProfile(a, b, n)
     report = SolveReport(details={"kind": "radial", "a": a, "b": b, "n": n})
     return Solution(field=profile.as_field(), report=report, profile=profile)
@@ -166,8 +176,6 @@ def solve_radial(a, b, n):
 
 def solve_slab(h1, h2, ambient_dim=2, axis=-1):
     """Closed-form slab Dirichlet solution between {s = h1} and {s = h2}."""
-    if not h1 < h2:
-        raise ParameterError("slab requires h1 < h2")
     profile = SlabProfile(h1, h2, ambient_dim, axis)
     report = SolveReport(details={"kind": "slab", "h1": h1, "h2": h2})
     return Solution(field=profile.as_field(), report=report, profile=profile)
@@ -327,7 +335,8 @@ def _assemble(grid):
     Neumann).  `counters` holds the deterministic counts `defensive_mirrors`,
     `upwind_rows` (rows with the drift upwinded along some axis), `cut_legs`
     (legs ending at a Dirichlet crossing) and `irregular_rows` (rows with a
-    cut or mirrored leg, which take the unequal-arm formula).
+    cut or mirrored leg, which take the unequal-arm formula).  With no cut
+    leg no row sees Dirichlet data, and SingularSystemError is raised.
 
     A is built in its final CSR form (Saad, Iterative Methods for Sparse
     Linear Systems, 2003, 3.4), with no COO stage.  Every row is staged in a
@@ -346,18 +355,15 @@ def _assemble(grid):
     import scipy.sparse as sps
 
     h = grid.h
-    codes = grid.codes
     solved = grid.solved_mask
     flat_solved = np.flatnonzero(solved)
     n_unknown = flat_solved.size
     if n_unknown == 0:
         raise ParameterError("no solvable nodes: grid too coarse for the domain")
 
-    unknown_of = np.full(codes.size, -1, dtype=np.int32)
+    unknown_of = np.full(solved.size, -1, dtype=np.int32)
     unknown_of[solved] = np.arange(n_unknown, dtype=np.int32)
     strides = [math.prod(grid.shape[ax + 1:]) for ax in range(grid.ndim)]
-    any_dirichlet = (np.count_nonzero(codes == DIRICHLET0)
-                     + np.count_nonzero(codes == DIRICHLET1)) > 0
 
     # each row's 2n + 1 slots in descending column order: the + arms from
     # the largest stride down, the diagonal, the - arms from the smallest
@@ -404,13 +410,12 @@ def _assemble(grid):
             rhs[off[is_dir]] -= coef[is_dir] * uB[is_dir]
             is_mirror = kind == 2
             diag[off[is_mirror]] += coef[is_mirror]
-            any_dirichlet = any_dirichlet or is_dir.any()
             counters["defensive_mirrors"] += strays
             counters["cut_legs"] += int(np.count_nonzero(is_dir))
 
-    if not any_dirichlet:
+    if counters["cut_legs"] == 0:
         raise SingularSystemError(
-            "no Dirichlet data anywhere on the boundary: the pure-Neumann weighted "
+            "no stencil leg reaches Dirichlet data: the pure-Neumann weighted "
             "Laplacian is singular and only constant fields solve it (f-parabolicity)")
     if np.any(diag == 0.0):
         raise SingularSystemError("zero diagonal entry in the discrete operator")
@@ -706,7 +711,7 @@ def max_node_error(solution, reference, within_radius=None):
     Restricting to a fixed interior compact separates discretization error
     from the exhaustion truncation collar near Gamma_k.
     """
-    grid = solution.grid
+    grid = solution.grid_for("max_node_error")
     mask = grid.solved_mask
     if within_radius is not None:
         mask = mask & (grid.r <= within_radius)

@@ -187,6 +187,20 @@ class TestLipschitzBarrier:
         with pytest.raises(ParameterError, match="positive"):
             br.lipschitz_barrier("positive-distance", degenerate)
 
+    @pytest.mark.parametrize("kind, lo, hi, n", [
+        ("slab", -1.0, 1.0, 2), ("slab", -1.0, 1.0, 3), ("slab", 0.0, 1.0, 2),
+        ("annulus", 0.5, 2.0, 2), ("annulus", 0.5, 2.0, 3)])
+    def test_positive_distance_is_the_exact_quotient(self, kind, lo, hi, n):
+        # the separation sampled at sigma1's quadrature nodes is the model
+        # pair's |offset difference| or |b - a| to the last bit
+        dom = (dm.slab_domain(lo, hi, ambient_dim=n) if kind == "slab"
+               else dm.annulus_domain(lo, hi, ambient_dim=n))
+        D = abs(hi - lo)
+        pts = (halton(400, n) - 0.5) * 6.0
+        d1, d2 = np.abs(dom.sigma1.depth(pts)), np.abs(dom.sigma2.depth(pts))
+        np.testing.assert_array_equal(br.lipschitz_barrier("positive-distance", dom).batch(pts),
+                                      np.clip((d1 - d2 + D) / (2.0 * D), 0.0, 1.0))
+
     def test_measured_lipschitz_slab(self):
         dom = dm.slab_domain(0.0, 1.0, ambient_dim=2, radius=5.0)
         psi = br.lipschitz_barrier("positive-distance", dom)

@@ -276,6 +276,53 @@ def test_library_errors_map_to_exit_codes(tmp_path, capsys, domain, flags, expec
                  "--output-dir", _out(tmp_path, "err")]) == expected
     assert "Traceback" not in capsys.readouterr().err
 
+
+@pytest.mark.parametrize("command, flags", [
+    ("solve", ["--h", "0.25"]),
+    ("mc", ["--x0", "0,0", "--n-paths", "10"]),
+    ("reilly", ["--mesh-h", "0.25"]),
+])
+@pytest.mark.parametrize("text, message", [
+    (json.dumps({**_GENERIC, "sigma2": {**_SPHERE, "radius": math.inf}}),
+     "sphere radius must be positive and finite, got inf"),
+    (json.dumps({**_GENERIC, "sigma2": {**_SPHERE, "radius": math.nan}}),
+     "sphere radius must be positive and finite, got nan"),
+    (json.dumps({**_GENERIC, "sigma1": {**_PLANE, "offset": math.inf}}),
+     "hyperplane offset must be finite, got inf"),
+    (json.dumps({**_GENERIC, "sigma1": {**_PLANE, "offset": math.nan}}),
+     "hyperplane offset must be finite, got nan"),
+    ('{"kind": "slab", "h1": -1, "h2": 1e400}',
+     "profile interval [-1.0, inf] must be finite and non-empty"),
+    ('{"kind": "annulus", "a": 0.5, "b": Infinity}',
+     "sphere radius must be positive and finite, got inf"),
+    ('{"kind": "ball", "rho": -1}', "sphere radius must be positive and finite, got -1.0"),
+    ('{"kind": "slab", "h1": -1, "h2": 1, "ambient_dim": 0}',
+     "ambient dimension must be at least 2, got 0"),
+], ids=["inf-sphere", "nan-sphere", "inf-plane", "nan-plane", "overflowing-slab",
+        "inf-annulus", "negative-ball", "zero-dim-slab"])
+def test_non_finite_or_empty_geometry_is_a_usage_error(tmp_path, capsys, command, flags,
+                                                       text, message):
+    # the piece or closed form rejects it when the domain is built
+    path = tmp_path / "domain.json"
+    path.write_text(text)
+    out = _out(tmp_path, command)
+    assert main([command, "--domain", str(path), *flags, "--output-dir", out]) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("radius, h", [(0.5, "0.25"), (0.6, "0.2")])
+def test_a_slab_outside_the_exhaustion_ball_is_singular(tmp_path, capsys, radius, h):
+    # the ghost band holds Dirichlet nodes, but every leg leaving a solved
+    # node is mirrored at the sphere: no row sees Dirichlet data
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps({**_SLAB, "radius": radius}))
+    assert main(["solve", "--domain", str(path), "--h", h,
+                 "--output-dir", _out(tmp_path, "singular")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "usage error: no stencil leg reaches Dirichlet data: the pure-Neumann")
+
+
 @pytest.mark.parametrize("command, domain, flags, message", [
     ("reilly", "ball", ["--mesh-h", "-0.1"], "mesh_h must be positive and finite, got -0.1"),
     ("reilly", "ball", ["--mesh-h", "0"], "mesh_h must be positive and finite, got 0.0"),

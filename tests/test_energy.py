@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from shrinkerlab import domain as dm
 from shrinkerlab import energy as en
+from shrinkerlab import reilly as rl
 from shrinkerlab import solver as sv
 from shrinkerlab.errors import ParameterError
 from shrinkerlab.fields import ScalarField
@@ -25,6 +26,21 @@ SLAB_GRAD_ON_SIGMA2 = 0.6898659773704978
 def test_profile_energies_frozen(slab_profile, radial_profile):
     assert en.dirichlet_energy(slab_profile) == pytest.approx(E_SLAB, abs=1e-9)
     assert en.dirichlet_energy(radial_profile) == pytest.approx(E_RADIAL, abs=1e-9)
+
+
+@pytest.mark.parametrize("reader, read", [
+    ("max_node_error", lambda sol, dom: sv.max_node_error(sol, sol.profile)),
+    ("interface_segments", lambda sol, dom: en.interface_segments(sol, "sigma2")),
+    ("normal_derivative", lambda sol, dom: en.normal_derivative(sol, dom, "sigma2",
+                                                                np.array([[0.0, 1.0]]))),
+    ("weighted_gradient_cells", lambda sol, dom: en.weighted_gradient_cells(sol)),
+    ("energy_growth_chain", lambda sol, dom: rl.energy_growth_chain(sol, dom, [1.0, 2.0])),
+])
+def test_grid_only_readers_reject_a_profile_backed_solution(slab_profile, slab_dom, reader,
+                                                            read):
+    # a profile-backed solution carries no grid: each reader names itself
+    with pytest.raises(ParameterError, match=f"^{reader} needs a grid-backed solution$"):
+        read(slab_profile, slab_dom)
 
 
 def test_constant_solution_has_zero_energy(annulus_dom, constant_solution):

@@ -197,6 +197,23 @@ class TestGridField:
         with pytest.raises(ParameterError):
             fl.GridField.from_binary(b"bogus payload")
 
+    def test_binary_round_trip_is_exact(self):
+        payload = self._grid().to_binary()
+        assert fl.GridField.from_binary(payload).to_binary() == payload
+
+    # 8 bytes of magic, the 8-byte ndim, a 48-byte header of the 5 x 9
+    # grid's dims, spacing and origin, and 360 bytes of values
+    @pytest.mark.parametrize("cut", [8, 12, 16, 40, 63, 64, 100, 416, 423])
+    def test_a_truncated_binary_is_a_parameter_error(self, cut):
+        payload = self._grid().to_binary()
+        assert len(payload) == 424
+        with pytest.raises(ParameterError, match=f"payload of {cut} bytes does not match"):
+            fl.GridField.from_binary(payload[:cut])
+
+    def test_trailing_bytes_are_a_parameter_error(self):
+        with pytest.raises(ParameterError, match="payload of 432 bytes does not match"):
+            fl.GridField.from_binary(self._grid().to_binary() + bytes(8))
+
     def test_slab_solution_gradient_matches_profile(self, slab_grid_solution,
                                                     slab_profile):
         field = slab_grid_solution.field

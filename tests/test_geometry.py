@@ -271,6 +271,23 @@ def test_patch_sample_calls_the_chart_once_per_stencil_point(m, calls):
     assert len(seen) == calls == 1 + 2 * m * m
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: geo.Hyperplane(normal=(0, 1.0), offset=math.inf),
+     "hyperplane offset must be finite, got inf"),
+    (lambda: geo.Hyperplane(normal=(0, 1.0), offset=math.nan),
+     "hyperplane offset must be finite, got nan"),
+    (lambda: geo.Sphere(1, math.inf), "sphere radius must be positive and finite, got inf"),
+    (lambda: geo.Sphere(2, 0.0), "sphere radius must be positive and finite, got 0.0"),
+    (lambda: geo.ParametrizedPatch(chart=lambda s: np.append(s, 0.0), lo=(0, 0), hi=(1, 1),
+                                   fd_step=math.nan),
+     "fd_step must be positive and finite, got nan"),
+], ids=["inf-offset", "nan-offset", "inf-radius", "zero-radius", "nan-fd-step"])
+def test_pieces_reject_non_finite_geometry(build, message):
+    # a NaN fd_step used to end in numpy's LinAlgError at the first sample
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 def test_model_validation():
     with pytest.raises(ParameterError):
         geo.Hyperplane(normal=(0, 0, 2.0))

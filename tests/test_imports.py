@@ -1,8 +1,9 @@
 """Imports and lints: scipy is imported where it is called, so the package,
 the CLI and the paths that need no sparse solve or special function load no
 scipy module; no package module keeps a top-level import it does not use or
-reads another module's underscore name; and every module-level function
-reads each parameter it takes."""
+reads another module's underscore name; every module-level function
+reads each parameter it takes; and no module dispatches on the type of a
+geometry shape."""
 
 import ast
 import glob
@@ -129,6 +130,31 @@ def _unread_parameters(path):
                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         unread += [f"{node.name}({p})" for p in params if p not in read]
     return unread
+
+
+_SHAPE_CLASSES = {"Hyperplane", "Sphere", "Cylinder", "GraphSurface"}
+
+
+def _shape_type_checks(path):
+    """The isinstance calls of a module whose class argument names a shape."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                and len(node.args) == 2):
+            names = {getattr(n, "id", None) or getattr(n, "attr", None)
+                     for n in ast.walk(node.args[1])}
+            found += [f"line {node.lineno}: {name}" for name in sorted(names & _SHAPE_CLASSES)]
+    return found
+
+
+def test_no_module_dispatches_on_a_shape_type():
+    # a piece answers the batched protocol of `geometry` itself, so no caller
+    # branches on whether it is a plane, sphere, cylinder or graph
+    modules = sorted(glob.glob(os.path.join(SRC, "shrinkerlab", "*.py")))
+    checks = {os.path.basename(p): _shape_type_checks(p) for p in modules}
+    assert {name: found for name, found in checks.items() if found} == {}
 
 
 def test_every_module_function_reads_its_parameters():

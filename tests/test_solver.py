@@ -103,6 +103,21 @@ class TestClosedForms:
         with pytest.raises(ParameterError):
             sv.solve_radial(-0.5, 1.0, 2)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: sv.SlabProfile(-1.0, 1e400), "profile interval [-1.0, inf] must be finite "
+                                              "and non-empty"),
+        (lambda: sv.SlabProfile(1.0, 1.0), "profile interval [1.0, 1.0] must be finite and "
+                                           "non-empty"),
+        (lambda: sv.SlabProfile(-1.0, 1.0, ambient_dim=0), "ambient dimension must be at "
+                                                           "least 2, got 0"),
+        (lambda: sv.RadialProfile(0.5, math.nan, 2), "profile interval [0.5, nan] must be "
+                                                     "finite and non-empty"),
+        (lambda: sv.RadialProfile(0.5, 2.0, 1), "ambient dimension must be at least 2, got 1"),
+    ], ids=["infinite-slab", "empty-slab", "zero-dim-slab", "nan-annulus", "one-dim-annulus"])
+    def test_profiles_check_their_interval_and_dimension(self, build, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            build()
+
     def test_slab_symmetry_and_regression(self):
         assert sv.solve_slab(-1, 1).profile.value(0.0) == pytest.approx(0.5, abs=1e-12)
         sol = sv.solve_slab(-1, 1)
@@ -290,6 +305,14 @@ class TestMixedBvp:
             exhaustion_radius=2.0, ambient_dim=2)
         with pytest.raises(SingularSystemError, match="constant"):
             sv.solve_mixed_bvp(far_ball, h=1 / 8)
+
+    @pytest.mark.parametrize("radius, h", [(0.5, 1 / 4), (0.6, 0.2)])
+    def test_a_slab_outside_the_exhaustion_ball_is_singular(self, radius, h):
+        # Dirichlet nodes lie in the ghost band, but no stencil leg reaches them
+        grid = sv.Grid(dm.slab_domain(-1, 1, ambient_dim=2, radius=radius), h)
+        assert grid.node_count(sv.DIRICHLET0) > 0
+        with pytest.raises(SingularSystemError, match="no stencil leg reaches Dirichlet data"):
+            sv._assemble(grid)
 
     def test_grid_invariant_and_classification(self, annulus_dom):
         grid = sv.Grid(annulus_dom, h=1 / 16)
