@@ -21,16 +21,20 @@ grad(phi^2) from one radius and one clipped transition per row.  For
 phi == 1 (phi None) both sides skip the factor phi^2, and the volume side
 skips the transport term, which is then exactly +0.0.
 
-The boundary uses Gauss-Legendre panels at fixed high order, so the
-reported residual tracks the volume mesh: 384^(n-1) nodes per piece, and a
-second pass on 256^(n-1) nodes for `mixed_term_uncertainty`.  Each pass
-takes one differencing step per piece from the largest radius of its nodes
-and then streams the nodes in order, in items of `energy.CHUNK` // 2
-(16,384) nodes: a node's stencil, normals and curvatures cost about twice a
-cell's, so such an item peaks near a chunk of cells.  A piece's nodes,
-weights and largest radius are built once per (shape, exhaustion radius,
-nodes per dimension) and cached read-only (`_piece_quadrature`), so
-repeated residuals and energy chains on one domain only slice them.
+The boundary uses a tensor Gauss-Legendre rule on each piece's exact
+parametrization: 128^(n-1) nodes per piece, and a second pass on 96^(n-1)
+nodes for `mixed_term_uncertainty`.  Every caller passes an analytic
+field, so the rule converges geometrically and the reported residual
+tracks the volume mesh alone: on the unit ball and the annuli (0.5, 2), at a step where
+central differences are exact, 384^(n-1) and 256^(n-1) nodes move no
+boundary term by more than 1e-11 relative.  Each pass takes one
+differencing step per piece from the largest radius of its nodes and then
+streams the nodes in order, in items of `energy.CHUNK` // 2 (16,384)
+nodes: a node's stencil, normals and curvatures cost about twice a cell's,
+so such an item peaks near a chunk of cells.  A piece's nodes, weights and
+largest radius are built once per (shape, exhaustion radius, nodes per
+dimension) and cached read-only (`_piece_quadrature`), so repeated
+residuals and energy chains on one domain only slice them.
 
 One residual is one ordered stream of work items -- the cell chunks, then
 the node items of both boundary passes -- run on os.cpu_count() threads by
@@ -59,7 +63,12 @@ from .geometry import radii
 __all__ = ["CutoffFamily", "ReillyReport", "reilly_residual",
            "energy_growth_chain", "ChainReport"]
 
-_NODES_PER_DIM = 384  # Gauss-Legendre nodes per direction of a boundary piece
+# Gauss-Legendre nodes per direction of a boundary piece: every caller of the
+# residual passes an analytic field, while the energy chain reads du/dnu off
+# a grid field, which has a kink in every cell, so its rule converges slowly.
+_BOUNDARY_NODES_PER_DIM = 128
+_CHECK_NODES_PER_DIM = 96
+_CHAIN_NODES_PER_DIM = 384
 
 
 class CutoffFamily:
@@ -110,13 +119,18 @@ class ReillyReport:
     """Both sides of the identity, their mismatch and its terms.
 
     mixed_term_uncertainty is the change of the mixed boundary term between
-    384^(n-1) and 256^(n-1) Gauss-Legendre nodes per piece, a check of the
-    boundary quadrature.  For a GridField u the differencing step is its
-    smallest spacing, and the second pass halves it; for any other u each
-    pass takes the step of its own nodes, the same on a sphere.  details
-    holds deterministic counters: volume_cells, cut_cells, volume_fd_step,
+    128^(n-1) and 96^(n-1) Gauss-Legendre nodes per piece, a check of the
+    boundary quadrature.  It also holds the stencil's rounding, which
+    averages down differently over the two node sets: for u = x1 on the
+    unit ball it reads 1.5e-13, for the CLI's x1sq 4e-9 to 6e-8 on the
+    ball and the annuli (0.5, 2) (1e-9 to 2e-8 on 384^(n-1) and 256^(n-1)
+    nodes), and that is rounding, not quadrature error.  For a GridField u
+    the differencing step is its smallest spacing, and the second pass
+    halves it; for any other u each pass takes the step of its own nodes,
+    the same on a sphere.  details holds deterministic counters:
+    volume_cells, cut_cells, volume_fd_step,
     stencil_evaluations_per_point, boundary_nodes (the nodes of the
-    384^(n-1) pass) and field_evaluations (stencil_evaluations_per_point
+    128^(n-1) pass) and field_evaluations (stencil_evaluations_per_point
     times the volume cells and the nodes of both passes).
     """
 
@@ -311,9 +325,10 @@ def _boundary_items(u, phi, domain, fd_h, per_dim):
     nodes of each piece, one per CHUNK // 2 nodes in node order, each
     returning `_boundary_sums`; and the node count.
 
-    CHUNK is read at call time.  On the 3D unit ball an item of 16,384
-    nodes peaks at 5.1-5.8 MB traced and a chunk of 32,768 cells at up to
-    5.6-7.1 MB; twice the nodes would peak at 10.3-11.3 MB."""
+    CHUNK is read at call time.  On the 3D unit ball the residual's passes
+    are one item each, of 16,384 and 9,216 nodes.  An item of 16,384 nodes
+    peaks at 5.1-5.8 MB traced and a chunk of 32,768 cells at up to 5.6-7.1
+    MB; twice the nodes would peak at 10.3-11.3 MB."""
     items = []
     total = 0
     size = CHUNK // 2
@@ -350,12 +365,13 @@ def reilly_residual(u, phi, domain, mesh_h):
     mesh_h = require_positive("mesh_h", mesh_h)
     fd_h = float(u.spacing.min()) if isinstance(u, GridField) else None
     volume_items, counters = _volume_items(u, phi, domain, mesh_h, fd_h)
-    boundary_items, nodes = _boundary_items(u, phi, domain, fd_h, per_dim=_NODES_PER_DIM)
+    boundary_items, nodes = _boundary_items(u, phi, domain, fd_h,
+                                            per_dim=_BOUNDARY_NODES_PER_DIM)
     # the mixed term on fewer nodes (and half a grid field's step) gives
     # mixed_term_uncertainty, a check of the boundary quadrature
     second_items, second_nodes = _boundary_items(u, phi, domain,
                                                  None if fd_h is None else 0.5 * fd_h,
-                                                 per_dim=256)
+                                                 per_dim=_CHECK_NODES_PER_DIM)
     # one ordered stream, so the boundary chunks share the pool with the cells
     parts = ordered_map(lambda item: item(),
                         volume_items + boundary_items + second_items)
@@ -422,7 +438,8 @@ def energy_growth_chain(solution, domain, radii):
     boundary_terms = {}
     f_minimal = {}
     for label, ob in domain.pieces():
-        nodes, weights, _ = _piece_quadrature(ob.shape, domain.exhaustion_radius, _NODES_PER_DIM)
+        nodes, weights, _ = _piece_quadrature(ob.shape, domain.exhaustion_radius,
+                                              _CHAIN_NODES_PER_DIM)
         h_f = ob.weighted_mean_curvature(nodes)
         ok, dudnu = normal_derivative(solution, domain, label, nodes)
         weight = np.exp(-0.5 * np.sum(nodes[ok] ** 2, axis=1)) * weights[ok]

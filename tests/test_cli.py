@@ -193,6 +193,76 @@ def test_energy_and_reilly(tmp_path, slab_config, ball_config):
     assert rep["reilly"]["residual"] < 1e-2
 
 
+_REILLY_DOMAINS = {
+    "ball": {"kind": "ball", "rho": 1.0, "ambient_dim": 3},
+    "annulus2d": {"kind": "annulus", "a": 0.5, "b": 2.0, "ambient_dim": 2},
+    "annulus3d": {"kind": "annulus", "a": 0.5, "b": 2.0, "ambient_dim": 3},
+    "slab3d": {"kind": "slab", "h1": -1.0, "h2": 1.0, "ambient_dim": 3},
+}
+# the line `shrinkerlab reilly --mesh-h 0.0625` prints, keyed by domain,
+# --field and --cutoff-radius: sides to 8 decimals, the residual to 3 digits
+_REILLY_LINES = {
+    ("ball", "x1", None):
+        "volume side 2.54060711, boundary side 2.54062969, "
+        "residual 2.258e-05 at mesh_h 0.0625",
+    ("ball", "x1", "0.5"):
+        "volume side -0.00007743, boundary side 0.00000000, "
+        "residual 7.743e-05 at mesh_h 0.0625",
+    ("ball", "x1sq", None):
+        "volume side 6.10731672, boundary side 6.09751125, "
+        "residual 9.805e-03 at mesh_h 0.0625",
+    ("ball", "x1sq", "0.5"):
+        "volume side -0.00006267, boundary side 0.00000000, "
+        "residual 6.267e-05 at mesh_h 0.0625",
+    ("annulus2d", "x1", None):
+        "volume side 1.00688945, boundary side 1.00756188, "
+        "residual 6.724e-04 at mesh_h 0.0625",
+    ("annulus2d", "x1", "0.5"):
+        "volume side -0.69365805, boundary side -0.69311145, "
+        "residual 5.466e-04 at mesh_h 0.0625",
+    ("annulus2d", "x1sq", None):
+        "volume side 19.87961337, boundary side 19.88824633, "
+        "residual 8.633e-03 at mesh_h 0.0625",
+    ("annulus2d", "x1sq", "0.5"):
+        "volume side -0.52270905, boundary side -0.51983358, "
+        "residual 2.875e-03 at mesh_h 0.0625",
+    ("annulus3d", "x1", None):
+        "volume side 4.07060998, boundary side 4.07305457, "
+        "residual 2.445e-03 at mesh_h 0.0625",
+    ("annulus3d", "x1", "0.5"):
+        "volume side -0.46320492, boundary side -0.46207430, "
+        "residual 1.131e-03 at mesh_h 0.0625",
+    ("annulus3d", "x1sq", None):
+        "volume side 43.24269785, boundary side 43.25999258, "
+        "residual 1.729e-02 at mesh_h 0.0625",
+    ("annulus3d", "x1sq", "0.5"):
+        "volume side -0.28028067, boundary side -0.27724458, "
+        "residual 3.036e-03 at mesh_h 0.0625",
+    ("slab3d", "x1", None):
+        "volume side 0.01148791, boundary side 0.00000000, "
+        "residual 1.149e-02 at mesh_h 0.0625",
+    ("slab3d", "x1", "0.5"):
+        "volume side -0.00007904, boundary side 0.00000000, "
+        "residual 7.904e-05 at mesh_h 0.0625",
+    ("slab3d", "x1sq", None):
+        "volume side 0.73565977, boundary side 0.00000000, "
+        "residual 7.357e-01 at mesh_h 0.0625",
+    ("slab3d", "x1sq", "0.5"):
+        "volume side -0.00006621, boundary side 0.00000000, "
+        "residual 6.621e-05 at mesh_h 0.0625",
+}
+
+
+@pytest.mark.parametrize("domain, field, cutoff", list(_REILLY_LINES))
+def test_reilly_prints_the_pinned_line(tmp_path, capsys, domain, field, cutoff):
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(_REILLY_DOMAINS[domain]))
+    flags = [] if cutoff is None else ["--cutoff-radius", cutoff]
+    assert main(["reilly", "--domain", str(path), "--mesh-h", "0.0625", "--field", field,
+                 *flags, "--output-dir", _out(tmp_path, "reilly")]) == 0
+    assert capsys.readouterr().out.strip() == _REILLY_LINES[domain, field, cutoff]
+
+
 def test_mc_with_trace(tmp_path, slab_config):
     out = _out(tmp_path, "mc")
     code = main(["mc", "--domain", slab_config, "--x0", "0,0",

@@ -103,8 +103,8 @@ def _residual(ball, phi, h):
 
 def test_volume_side_does_not_depend_on_chunks_or_threads(unit_ball, monkeypatch):
     # the whole residual: by default 1/16 is one chunk of cells and each
-    # boundary pass several items of nodes; 4,096-cell chunks (and so
-    # 2,048-node items) cut all finer
+    # boundary pass one item of nodes; 4,096-cell chunks (and so 2,048-node
+    # items) cut the cells and split each boundary pass into several items
     phi = rl.CutoffFamily(0.5)
     rep = _residual(unit_ball, phi, 1 / 16)
     monkeypatch.setattr(rl, "CHUNK", 4096)
@@ -131,10 +131,9 @@ def test_volume_side_does_not_depend_on_chunks_or_threads(unit_ball, monkeypatch
         sys.setswitchinterval(interval)
 
 
-def test_cutoff_residual_peaks_below_24_mb(unit_ball, monkeypatch):
+def test_cutoff_residual_peaks_below_16_mb(unit_ball, monkeypatch):
     # two workers hold two items at a time, at most 32,768 cells or 16,384
-    # nodes each; a whole 147,456-node boundary pass needs about 50 MB of
-    # temporaries
+    # nodes each, and the cached nodes of both boundary passes take 0.8 MB
     monkeypatch.setattr("shrinkerlab.fields._WORKERS", 2)
     # the cached boundary nodes are built inside the measured call
     rl._piece_quadrature.cache_clear()
@@ -144,13 +143,14 @@ def test_cutoff_residual_peaks_below_24_mb(unit_ball, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2 ** 20
+    assert peak < 16 * 2 ** 20
 
 
 def test_boundary_items_cover_each_pass_in_half_chunks(unit_ball):
-    # 9 items of the 384 x 384 pass and 4 of the 256 x 256 pass, in node order
+    # one item of the 128 x 128 pass (16,384 nodes) and one of the 96 x 96
+    # pass (9,216 nodes), in node order
     sphere = unit_ball.sigma1.shape
-    for per_dim, count in ((384, 9), (256, 4)):
+    for per_dim, count in ((rl._BOUNDARY_NODES_PER_DIM, 1), (rl._CHECK_NODES_PER_DIM, 1)):
         items, total = rl._boundary_items(U_X1, None, unit_ball, None, per_dim)
         nodes, weights, _ = rl._piece_quadrature(sphere, unit_ball.exhaustion_radius, per_dim)
         assert len(items) == count
@@ -163,7 +163,9 @@ def test_boundary_items_cover_each_pass_in_half_chunks(unit_ball):
     assert _residual(unit_ball, None, 1 / 16).details == {
         "ricci_mode": "gaussian identity", "volume_cells": 19544, "cut_cells": 4760,
         "volume_fd_step": 2e-05, "stencil_evaluations_per_point": 13,
-        "boundary_nodes": 147456, "field_evaluations": 3022968}
+        "boundary_nodes": rl._BOUNDARY_NODES_PER_DIM ** 2,
+        "field_evaluations": 13 * (19544 + rl._BOUNDARY_NODES_PER_DIM ** 2
+                                   + rl._CHECK_NODES_PER_DIM ** 2)}
 
 
 def test_umbilic_check_reaches_the_last_boundary_chunk(unit_ball, monkeypatch):
@@ -197,8 +199,8 @@ def test_report_carries_volume_counters(unit_ball):
     assert {"volume_cells", "cut_cells", "volume_fd_step", "stencil_evaluations_per_point",
             "boundary_nodes", "field_evaluations"} <= set(rep.details)
     assert 0 < rep.details["cut_cells"] < rep.details["volume_cells"] <= 16 ** 3
-    # the unit sphere on 384 x 384 Gauss-Legendre nodes
-    assert rep.details["boundary_nodes"] == 384 ** 2
+    # the unit sphere on 128 x 128 Gauss-Legendre nodes
+    assert rep.details["boundary_nodes"] == rl._BOUNDARY_NODES_PER_DIM ** 2
 
 
 def test_field_evaluations_count_every_point_the_field_is_read_at(unit_ball):
@@ -206,13 +208,58 @@ def test_field_evaluations_count_every_point_the_field_is_read_at(unit_ball):
     u = ScalarField(lambda x: x[0], batch_evaluator=lambda P: rows.append(len(P)) or P[:, 0])
     details = rl.reilly_residual(u, None, unit_ball, mesh_h=1 / 16).details
     # the 13-point stencil at every kept cell and at the nodes of both passes
-    assert details["field_evaluations"] == 13 * (details["volume_cells"] + 384 ** 2 + 256 ** 2)
+    assert details["field_evaluations"] == 13 * (details["volume_cells"]
+                                                 + rl._BOUNDARY_NODES_PER_DIM ** 2
+                                                 + rl._CHECK_NODES_PER_DIM ** 2)
     assert details["field_evaluations"] == sum(rows)
 
 
 # u = <x, (0.36, 0.48, 0.8)>, a unit direction off every axis
 U_OBLIQUE = ScalarField(lambda x: float(x @ [0.36, 0.48, 0.8]),
                         batch_evaluator=lambda P: P @ np.array([0.36, 0.48, 0.8]))
+
+
+# u = x1^2, the CLI's x1sq field
+U_X1SQ = ScalarField(lambda x: x[0] ** 2, batch_evaluator=lambda P: P[:, 0] ** 2)
+_UNIT_BALL = dm.ball_domain(1.0, ambient_dim=3)
+_ANNULUS_2D = dm.annulus_domain(0.5, 2.0, ambient_dim=2)
+_ANNULUS_3D = dm.annulus_domain(0.5, 2.0, ambient_dim=3)
+
+
+def _boundary_terms(u, phi, domain, per_dim, step):
+    items, _ = rl._boundary_items(u, phi, domain, step, per_dim)
+    return rl._column_sums([item() for item in items], 3)
+
+
+@pytest.mark.parametrize("u, phi, domain", [
+    (U_X1, None, _UNIT_BALL), (U_X1, rl.CutoffFamily(0.5), _UNIT_BALL),
+    (U_X1, rl.CutoffFamily(0.6), _UNIT_BALL), (U_OBLIQUE, None, _UNIT_BALL),
+    (U_OBLIQUE, rl.CutoffFamily(0.5), _UNIT_BALL), (U_OBLIQUE, rl.CutoffFamily(0.6), _UNIT_BALL),
+    (U_X1SQ, None, _ANNULUS_2D), (U_X1SQ, None, _ANNULUS_3D),
+], ids=["x1-ball", "x1-ball-cutoff0.5", "x1-ball-cutoff0.6", "oblique-ball",
+        "oblique-ball-cutoff0.5", "oblique-ball-cutoff0.6", "x1sq-annulus2d", "x1sq-annulus3d"])
+def test_boundary_quadrature_is_converged(u, phi, domain):
+    # central differences are exact on linear and quadratic fields, so at a
+    # step of 1e-2 (rounding about eps / step^2 = 2e-12 a node) the terms
+    # differ only by the quadrature; at the residual's 2e-5 step the
+    # stencil's rounding alone moves them by up to 1e-8 between node sets.
+    # CutoffFamily(0.5) vanishes on the unit sphere but for rounding, so its
+    # terms there are about 1e-32.
+    passes = [_boundary_terms(u, phi, domain, per_dim, 1e-2)
+              for per_dim in (rl._BOUNDARY_NODES_PER_DIM, rl._CHECK_NODES_PER_DIM)]
+    for terms, per_dim in zip(passes, (384, 256)):
+        assert terms == pytest.approx(_boundary_terms(u, phi, domain, per_dim, 1e-2),
+                                      rel=1e-11, abs=1e-30)
+    if u is not U_X1SQ:
+        # the mixed term of the two passes, as mixed_term_uncertainty
+        assert abs(passes[0][1] - passes[1][1]) <= 1e-12
+
+
+def test_mixed_term_uncertainty_of_x1_is_below_1e_12(unit_ball):
+    # at the residual's own step the stencil's rounding stays out of the
+    # mixed term of u = x1 (1.5e-13 here, 1.4e-11 between 384 and 256 nodes
+    # per direction), but not out of U_OBLIQUE's (about 6e-9)
+    assert _residual(unit_ball, None, 1 / 16).mixed_term_uncertainty <= 1e-12
 
 
 @pytest.mark.parametrize("phi", [None, rl.CutoffFamily(0.53)], ids=["phi1", "cutoff"])
