@@ -5,8 +5,9 @@ of its flags.  `main` loads `--model` and `--domain`, runs the command and
 writes what it returns into the output directory: its artifacts (CSV tables,
 the binary solution grid) and a deterministic report.json (all floats at 17
 significant digits, so regression constants can be frozen byte-for-byte).
-Timestamps and wall seconds live in a separate run_meta.json, so reruns
-with identical configuration reproduce report bytes exactly.
+Timestamps, wall seconds and the command's process usage (minor page
+faults, user and system seconds) live in a separate run_meta.json, so
+reruns with identical configuration reproduce report bytes exactly.
 
 Exit codes: 0 success; 1 usage/parameter error, including a problem with no
 Dirichlet data; 2 contract violation (a module invariant failed or a linear
@@ -22,6 +23,11 @@ import os
 import sys
 import time
 from typing import NamedTuple
+
+try:
+    import resource
+except ImportError:         # not POSIX: run_meta.json records no usage
+    resource = None
 
 import numpy as np
 
@@ -85,14 +91,23 @@ class Outcome(NamedTuple):
     meta: dict = None       # wall-clock entries added to run_meta.json
 
 
-def _write_outcome(outdir, out):
+def _usage():
+    """This process's minor page faults and user and system CPU seconds,
+    all threads included; empty where `resource` is missing."""
+    if resource is None:
+        return {}
+    r = resource.getrusage(resource.RUSAGE_SELF)
+    return {"minor_faults": r.ru_minflt, "user_s": r.ru_utime, "system_s": r.ru_stime}
+
+
+def _write_outcome(outdir, out, usage):
     os.makedirs(outdir, exist_ok=True)
     files = dict(out.artifacts)
     if out.report is not None:
         files["report.json"] = dumps17(out.report) + "\n"
         files["run_meta.json"] = dumps17({
             "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "version": __version__, **(out.meta or {})}) + "\n"
+            "version": __version__, **usage, **(out.meta or {})}) + "\n"
     for name, data in files.items():
         with open(os.path.join(outdir, name), "wb" if isinstance(data, bytes) else "w") as fh:
             fh.write(data)
@@ -350,8 +365,11 @@ def main(argv=None):
         if getattr(args, "domain", None) is not None:
             args.domain_obj = _load_json(args.domain)
             args.domain = dm.domain_from_json(args.domain_obj)
+        before = _usage()
         out = args.func(args)
-        _write_outcome(args.output_dir, out)
+        after = _usage()
+        _write_outcome(args.output_dir, out,
+                       {k: round(after[k] - before[k], 6) for k in after})
         print(out.line)
         if out.violation is not None:
             raise ContractViolation(out.violation)

@@ -198,9 +198,8 @@ def ordered_map(fn, items):
 
     One worker per core: more only add items in flight.  On a 2-core x86-64
     machine the reilly_ball benchmark (seed 1, 10 s runs, four each) took
-    0.52-0.63 s a pass with 2 workers, 0.67-0.70 s with 3 and 0.68-0.87 s
-    with 4, and each extra worker added about 8 MB of peak RSS (66.6, 74.1
-    to 74.7 and 81.9 to 82.5 MB)."""
+    0.49-0.54 s a pass with 2 workers and 0.54-0.63 s with 3, and the third
+    worker added about 8 MB of peak RSS (57.4-57.8 against 65.2-65.5 MB)."""
     items = list(items)
     if len(items) == 1:
         return [fn(items[0])]

@@ -179,6 +179,12 @@ def test_solve_rerun_is_byte_identical(tmp_path, slab_config):
     ra = open(os.path.join(a, "report.json"), "rb").read()
     rb = open(os.path.join(b, "report.json"), "rb").read()
     assert ra == rb
+    for out in (a, b):
+        # the command's getrusage deltas go to run_meta.json, never to the report
+        meta = json.load(open(os.path.join(out, "run_meta.json")))
+        assert all(meta[key] >= 0 for key in ("minor_faults", "user_s", "system_s"))
+        assert isinstance(meta["minor_faults"], int)
+    assert b"minor_faults" not in ra and b"user_s" not in ra and b"system_s" not in ra
 
 
 def test_energy_and_reilly(tmp_path, slab_config, ball_config):

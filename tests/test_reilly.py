@@ -1,12 +1,16 @@
+import ctypes
 import math
+import platform
 import re
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import shrinkerlab
 from shrinkerlab import domain as dm
 from shrinkerlab import energy as en
 from shrinkerlab import fields as fl
@@ -144,6 +148,44 @@ def test_cutoff_residual_peaks_below_16_mb(unit_ball, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
+def test_warm_residual_faults_in_no_fresh_pages(unit_ball, monkeypatch):
+    # with glibc's thresholds left dynamic, every work item's last free
+    # trimmed its worker's arena and the next item faulted the pages back in:
+    # 1.4k-2.8k minor faults a call, against about 10 with them at the ceiling
+    import resource
+    monkeypatch.setattr("shrinkerlab.fields._WORKERS", 2)
+    _residual(unit_ball, rl.CutoffFamily(0.5), 1 / 16)
+    faults = []
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        _residual(unit_ball, rl.CutoffFamily(0.5), 1 / 16)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert min(faults) < 500
+
+
+@pytest.mark.parametrize("libc, error", [
+    (("", ""), None), (("musl", "1.2"), None),
+    (("glibc", "2.36"), OSError), (("glibc", "2.36"), AttributeError)])
+def test_malloc_thresholds_are_set_only_on_glibc(monkeypatch, libc, error):
+    calls = []
+
+    def recording_libc(name):
+        return SimpleNamespace(mallopt=lambda *args: calls.append(args) or 1)
+
+    def failing_libc(name):
+        raise error("no usable mallopt")
+
+    monkeypatch.setattr(platform, "libc_ver", lambda: libc)
+    monkeypatch.setattr(ctypes, "CDLL", recording_libc if error is None else failing_libc)
+    shrinkerlab._start_malloc_thresholds_at_ceiling()      # silent in every case
+    assert calls == []
+    monkeypatch.setattr(platform, "libc_ver", lambda: ("glibc", "2.36"))
+    monkeypatch.setattr(ctypes, "CDLL", recording_libc)
+    shrinkerlab._start_malloc_thresholds_at_ceiling()
+    assert calls == [(-3, 32 * 2 ** 20), (-1, 64 * 2 ** 20)]
 
 
 def test_boundary_items_cover_each_pass_in_half_chunks(unit_ball):
