@@ -3,8 +3,9 @@
 `COMMANDS` maps each subcommand to its function and the argparse keywords
 of its flags.  `main` loads `--model` and `--domain`, runs the command and
 writes what it returns into the output directory: its artifacts (CSV tables,
-the binary solution grid) and a deterministic report.json (all floats at 17
-significant digits, so regression constants can be frozen byte-for-byte).
+the binary solution grid) and a deterministic report.json (every float in
+its shortest round-trip repr, so regression constants can be frozen
+byte-for-byte).
 Timestamps, wall seconds and the command's process usage (minor page
 faults, user and system seconds) live in a separate run_meta.json, so
 reruns with identical configuration reproduce report bytes exactly.
@@ -18,7 +19,6 @@ import argparse
 import dataclasses
 import itertools
 import json
-import math
 import os
 import sys
 import time
@@ -48,37 +48,21 @@ from .fields import ScalarField
 # deterministic serialization
 
 
-def dumps17(obj, indent=0):
-    """JSON text with every float rendered at 17 significant digits; whole
-    floats keep a decimal point (1.0, -0.0), so they load back as floats, and
-    non-finite ones are the tokens NaN, Infinity and -Infinity that
-    json.dumps writes and json.loads reads back as floats.  A dataclass is
-    written as `dataclasses.asdict` gives it, fields in declaration order."""
-    pad = "  " * indent
+def _plain(obj):
+    """json.dumps' fallback: a dataclass as `dataclasses.asdict` gives it,
+    fields in declaration order, and a numpy scalar as its Python value."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return dumps17(dataclasses.asdict(obj), indent)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{pad}  {json.dumps(str(k))}: {dumps17(v, indent + 1)}'
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{pad}  {dumps17(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not math.isfinite(x):
-            return json.dumps(x)
-        text = format(x, ".17g")
-        return text if "." in text or "e" in text else text + ".0"
-    return json.dumps(obj)
+        return dataclasses.asdict(obj)
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def dumps(obj):
+    """JSON text of a report: every float in its shortest repr, which reads
+    back as the same double; NaN and infinities as the tokens NaN, Infinity
+    and -Infinity, which json.loads reads back as floats."""
+    return json.dumps(obj, indent=2, default=_plain)
 
 
 class Outcome(NamedTuple):
@@ -104,8 +88,8 @@ def _write_outcome(outdir, out, usage):
     os.makedirs(outdir, exist_ok=True)
     files = dict(out.artifacts)
     if out.report is not None:
-        files["report.json"] = dumps17(out.report) + "\n"
-        files["run_meta.json"] = dumps17({
+        files["report.json"] = dumps(out.report) + "\n"
+        files["run_meta.json"] = dumps({
             "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "version": __version__, **usage, **(out.meta or {})}) + "\n"
     for name, data in files.items():
@@ -344,9 +328,7 @@ def build_parser():
     for name, (fn, flags) in COMMANDS.items():
         p = sub.add_parser(name)
         p.set_defaults(func=fn)
-        p.add_argument("--output-dir",
-                       default=os.environ.get("SHRINKERLAB_OUTPUT_DIR",
-                                              os.path.join("runs", name)))
+        p.add_argument("--output-dir", default=os.path.join("runs", name))
         for flag, keywords in flags.items():
             p.add_argument(flag, **keywords)
     return parser

@@ -105,20 +105,15 @@ def weighted_gradient_cells(solution):
         else:
             grad_sq += d
 
-    # the kept cells' centres, axis by axis, and |centre|^2 summed over the
-    # columns in axis order, as np.sum(centers ** 2, axis=1) sums them
+    # the kept cells' centres, one column per axis; |centre|^2 adds the
+    # columns' squares in axis order, as np.sum(centers ** 2, axis=1) does,
+    # at a fraction of the cost of a reduction along short rows
     mask = cell_ok.reshape(-1)
     grad_sq = grad_sq.reshape(-1)[mask]
-    centers = np.empty((grad_sq.size, n))
-    sq = np.zeros(grad_sq.size)
-    for ax, i in enumerate(np.unravel_index(np.flatnonzero(mask), cell_ok.shape)):
-        coords = grid.axes[ax]
-        c = (0.5 * (coords[:-1] + coords[1:]))[i]
-        centers[:, ax] = c
-        c *= c
-        sq += c
-    w = np.exp(-0.5 * sq) * h ** n
-    return centers, grad_sq * w
+    index = np.unravel_index(np.flatnonzero(mask), cell_ok.shape)
+    cols = [(0.5 * (c[:-1] + c[1:]))[i] for c, i in zip(grid.axes, index)]
+    w = np.exp(-0.5 * sum(c * c for c in cols)) * h ** n
+    return np.stack(cols, axis=1), grad_sq * w
 
 
 def dirichlet_energy(solution):

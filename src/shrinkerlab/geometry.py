@@ -387,12 +387,9 @@ class SurfaceSample:
 def check_sample_contracts(normals, forms, frames, h_vecs):
     """SurfaceSample's contracts on (N, ...) stacks: A symmetric, frame
     orthogonal to the normal (every |<t_i, nu>| <= 1e-10, so a NaN or
-    infinite product fails), H = +-(tr A) nu.  np.allclose per row:
-    |x - y| <= atol + 1e-5 |y|, y finite, or x == y."""
+    infinite product fails), H = +-(tr A) nu.  np.allclose per row."""
     def close(x, y, atol):
-        with np.errstate(invalid="ignore"):
-            ok = (np.abs(x - y) <= atol + 1e-5 * np.abs(y)) & np.isfinite(y) | (x == y)
-        return ok.reshape(len(ok), -1).all(axis=1)
+        return np.isclose(x, y, rtol=1e-5, atol=atol).reshape(len(x), -1).all(axis=1)
     if not close(forms, forms.swapaxes(1, 2), 1e-10).all():
         raise ContractViolation("second fundamental form is not symmetric")
     if not np.all(np.abs(frames @ normals[:, :, None]) <= 1e-10):

@@ -18,6 +18,8 @@ from .errors import ParameterError
 from .fields import ScalarField
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# leading Halton points skipped, to avoid the degenerate early entries
+_HALTON_SKIP = 20
 
 
 @lru_cache(maxsize=64)
@@ -88,19 +90,19 @@ class CumulativeProfile:
         return ScalarField(self.__call__, batch_evaluator=self.__call__)
 
 
-def halton(count, dim, skip=20):
-    """First ``count`` points of the ``dim``-dimensional Halton sequence.
+def halton(count, dim):
+    """First ``count`` points of the ``dim``-dimensional Halton sequence
+    after the first _HALTON_SKIP.
 
-    A small number of leading points is skipped to avoid the degenerate
-    early entries.  Deterministic, no RNG state involved.  All points take
-    one base-b digit per step, so each equals its point-by-point sum exactly.
+    Deterministic, no RNG state involved.  All points take one base-b digit
+    per step, so each equals its point-by-point sum exactly.
     """
     if dim > len(_PRIMES):
         raise ValueError(f"Halton sequence implemented up to dim {len(_PRIMES)}")
     out = np.zeros((count, dim))
     for d in range(dim):
         base = _PRIMES[d]
-        n = np.arange(count) + (skip + 1)
+        n = np.arange(count) + (_HALTON_SKIP + 1)
         invb = 1.0 / base
         while n.any():
             out[:, d] += (n % base) * invb

@@ -13,23 +13,25 @@ index ranges, with no full-box array.  A cell whose centre lies deeper than
 the cube's half-diagonal h sqrt(n) / 2 outside a piece has fraction 0, and
 inside it fraction 1, so normals and fractions are computed only on each
 piece's cut band between.  Each chunk differentiates u with the 13-point
-stencil of `fields.fd_gradient_hessian` (in 3D) at one step per call: the
-smallest spacing of a `GridField` u, else 1e-5 (1 + largest box
-coordinate).  Both sides contract the stencil's component-major arrays
-component by component (`fields.row_dot`), and the cutoff gives phi^2 and
-grad(phi^2) from one radius and one clipped transition per row.  For
-phi == 1 (phi None) both sides skip the factor phi^2, and the volume side
-skips the transport term, which is then exactly +0.0.
+stencil of `fields.fd_gradient_hessian` (in 3D) at one step per call,
+1e-5 (1 + largest box coordinate).  Both sides contract the stencil's
+component-major arrays component by component (`fields.row_dot`), and the
+cutoff gives phi^2 and grad(phi^2) from one radius and one clipped
+transition per row.  For phi == 1 (phi None) both sides skip the factor
+phi^2, and the volume side skips the transport term, which is then
+exactly +0.0.
 
 The boundary uses a tensor Gauss-Legendre rule on each piece's exact
 parametrization: 128^(n-1) nodes per piece, and a second pass on 96^(n-1)
-nodes for `mixed_term_uncertainty`.  Every caller passes an analytic
-field, so the rule converges geometrically and the reported residual
-tracks the volume mesh alone: on the unit ball and the annuli (0.5, 2), at a step where
-central differences are exact, 384^(n-1) and 256^(n-1) nodes move no
-boundary term by more than 1e-11 relative.  Each pass takes one
-differencing step per piece from the largest radius of its nodes and then
-streams the nodes in order, in items of `energy.CHUNK` // 2 (16,384)
+nodes for `mixed_term_uncertainty`.  The field is analytic (a GridField is
+a usage error), so the rule converges geometrically: on the unit ball and
+the annuli (0.5, 2), at a step where central differences are exact,
+384^(n-1) and 256^(n-1) nodes move no boundary term by more than 1e-11
+relative.  The residual then tracks the volume mesh alone, except where
+phi == 1 and the domain meets the exhaustion sphere: neither side has a
+term there, and the residual measures the missing one.  Each pass takes
+one differencing step per piece from the largest radius of its nodes and
+then streams the nodes in order, in items of `energy.CHUNK` // 2 (16,384)
 nodes: a node's stencil, normals and curvatures cost about twice a cell's,
 so such an item peaks near a chunk of cells.  A piece's nodes, weights and
 largest radius are built once per (shape, exhaustion radius, nodes per
@@ -55,7 +57,8 @@ from itertools import combinations
 import numpy as np
 
 from .energy import CHUNK, ball_masses, box_cells, cell_centres, normal_derivative
-from .errors import ContractViolation, MissingGeometryError, require_positive, require_radii
+from .errors import (ContractViolation, MissingGeometryError, ParameterError, require_positive,
+                     require_radii)
 from .fields import (GridField, fd_gradient_hessian, ordered_map, row_dot, stencil_evaluations,
                      trace)
 from .geometry import radii
@@ -124,11 +127,13 @@ class ReillyReport:
     averages down differently over the two node sets: for u = x1 on the
     unit ball it reads 1.5e-13, for the CLI's x1sq 4e-9 to 6e-8 on the
     ball and the annuli (0.5, 2) (1e-9 to 2e-8 on 384^(n-1) and 256^(n-1)
-    nodes), and that is rounding, not quadrature error.  For a GridField u
-    the differencing step is its smallest spacing, and the second pass
-    halves it; for any other u each pass takes the step of its own nodes,
-    the same on a sphere.  details holds deterministic counters:
-    volume_cells, cut_cells, volume_fd_step,
+    nodes), and that is rounding, not quadrature error.  u is analytic, and
+    each pass takes the step of its own nodes, the same on a sphere.  With
+    phi == 1 neither side has a term on the exhaustion sphere, so where the
+    domain meets that sphere the residual measures the missing term, not
+    the mesh: for x1sq on the 3D slab (-1, 1) at radius 4 it reads 0.7326,
+    0.7357 and 0.7364 at mesh 1/8, 1/16 and 1/32.  details holds
+    deterministic counters: volume_cells, cut_cells, volume_fd_step,
     stencil_evaluations_per_point, boundary_nodes (the nodes of the
     128^(n-1) pass) and field_evaluations (stencil_evaluations_per_point
     times the volume cells and the nodes of both passes).
@@ -225,7 +230,7 @@ def _cell_fractions(pieces, pts, h):
     return frac
 
 
-def _volume_items(u, phi, domain, mesh_h, fd_h):
+def _volume_items(u, phi, domain, mesh_h):
     """Work items of the volume integrals, one per chunk of CHUNK cells, each
     returning (hess_sq, lap_f_sq, ricci, transport, kept cells, cut cells);
     and the counters fixed before any item runs."""
@@ -235,7 +240,7 @@ def _volume_items(u, phi, domain, mesh_h, fd_h):
     n = len(counts)
     pieces = [ob for _, ob in domain.pieces()]
     # one step per call, so that no sum depends on the chunking
-    step = fd_h if fd_h is not None else 1e-5 * (1.0 + float(np.max(np.abs([lo, hi]))))
+    step = 1e-5 * (1.0 + float(np.max(np.abs([lo, hi]))))
 
     def chunk_sums(start):
         pts = cell_centres(lo, counts, h, start, start + CHUNK)
@@ -320,7 +325,7 @@ def _piece_quadrature(shape, max_radius, per_dim):
     return nodes, weights, float(np.max(np.linalg.norm(nodes, axis=1), initial=0.0))
 
 
-def _boundary_items(u, phi, domain, fd_h, per_dim):
+def _boundary_items(u, phi, domain, per_dim):
     """Work items of the boundary integrals on per_dim^(n-1) Gauss-Legendre
     nodes of each piece, one per CHUNK // 2 nodes in node order, each
     returning `_boundary_sums`; and the node count.
@@ -338,7 +343,7 @@ def _boundary_items(u, phi, domain, fd_h, per_dim):
             continue
         # one step per piece over all of its nodes, so that no sum depends
         # on the chunking
-        step = fd_h if fd_h is not None else 1e-5 * (1.0 + reach)
+        step = 1e-5 * (1.0 + reach)
         items += [partial(_boundary_sums, u, phi, ob, nodes[start:start + size],
                           weights[start:start + size], step)
                   for start in range(0, nodes.shape[0], size)]
@@ -355,23 +360,21 @@ def _column_sums(parts, width):
 def reilly_residual(u, phi, domain, mesh_h):
     """Evaluate both sides of the localized identity and their mismatch.
 
-    u must be C^2 on a neighborhood of the closed domain (stencils cross the
-    boundary).  phi may be a CutoffFamily or None for phi == 1.  mesh_h, the
+    u must be an analytic field, C^2 on a neighborhood of the closed domain
+    (stencils cross the boundary); a GridField is a ParameterError, since a
+    Hessian differenced through its multilinear interpolant does not
+    converge.  phi may be a CutoffFamily or None for phi == 1.  mesh_h, the
     volume mesh step, must be positive and finite.  A side with a non-finite
-    term raises ContractViolation naming the side and its first such term; a
-    solved GridField is NaN beyond its pieces and the exhaustion ball, where
-    the stencils reach.
+    term raises ContractViolation naming the side and its first such term.
     """
+    if isinstance(u, GridField):
+        raise ParameterError("reilly_residual takes an analytic field, not a GridField")
     mesh_h = require_positive("mesh_h", mesh_h)
-    fd_h = float(u.spacing.min()) if isinstance(u, GridField) else None
-    volume_items, counters = _volume_items(u, phi, domain, mesh_h, fd_h)
-    boundary_items, nodes = _boundary_items(u, phi, domain, fd_h,
-                                            per_dim=_BOUNDARY_NODES_PER_DIM)
-    # the mixed term on fewer nodes (and half a grid field's step) gives
-    # mixed_term_uncertainty, a check of the boundary quadrature
-    second_items, second_nodes = _boundary_items(u, phi, domain,
-                                                 None if fd_h is None else 0.5 * fd_h,
-                                                 per_dim=_CHECK_NODES_PER_DIM)
+    volume_items, counters = _volume_items(u, phi, domain, mesh_h)
+    boundary_items, nodes = _boundary_items(u, phi, domain, per_dim=_BOUNDARY_NODES_PER_DIM)
+    # the mixed term on fewer nodes gives mixed_term_uncertainty, a check of
+    # the boundary quadrature
+    second_items, second_nodes = _boundary_items(u, phi, domain, per_dim=_CHECK_NODES_PER_DIM)
     # one ordered stream, so the boundary chunks share the pool with the cells
     parts = ordered_map(lambda item: item(),
                         volume_items + boundary_items + second_items)

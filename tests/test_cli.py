@@ -1,15 +1,17 @@
+import dataclasses
 import itertools
 import json
 import math
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from shrinkerlab import acceptance as acc
 from shrinkerlab import barrier as br
 from shrinkerlab import geometry as geo
-from shrinkerlab.cli import COMMANDS, dumps17, main
+from shrinkerlab.cli import COMMANDS, dumps, main
 from shrinkerlab.domain import domain_from_json
 from shrinkerlab.errors import ParameterError
 
@@ -33,13 +35,44 @@ def _out(tmp_path, name):
     return str(tmp_path / name)
 
 
-def test_dumps17_is_round_trip_exact():
+def test_dumps_is_round_trip_exact():
     payload = {"a": 0.1 + 0.2, "b": [1.0 / 3.0, 2], "c": {"d": True, "e": None}}
-    text = dumps17(payload)
+    text = dumps(payload)
     back = json.loads(text)
     assert back["a"] == 0.1 + 0.2
     assert back["b"][0] == 1.0 / 3.0
-    assert "30000000000000004" in text  # all 17 digits present
+    assert "0.30000000000000004" in text  # the 17 digits this double needs
+
+
+def test_dumps_writes_the_shortest_repr():
+    # 17 significant digits would write 0.10000000000000001
+    assert dumps({"a": 0.1, "b": [1.0, -0.0]}).splitlines() == [
+        '{', '  "a": 0.1,', '  "b": [', '    1.0,', '    -0.0', '  ]', '}']
+
+
+@dataclasses.dataclass
+class _Inner:
+    count: object
+    value: float
+
+
+@dataclasses.dataclass
+class _Outer:
+    inner: _Inner
+    rows: list
+
+
+def test_dumps_writes_numpy_scalars_and_nested_dataclasses():
+    payload = _Outer(_Inner(np.int64(3), np.float32(0.5)), [np.int64(-1), np.bool_(True)])
+    assert json.loads(dumps(payload)) == {"inner": {"count": 3, "value": 0.5},
+                                          "rows": [-1, True]}
+    assert json.loads(dumps({"n": np.int64(2 ** 62)}))["n"] == 2 ** 62
+
+
+@pytest.mark.parametrize("obj", [object(), np.zeros(2), {1, 2}, _Inner])
+def test_dumps_rejects_unknown_objects(obj):
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        dumps({"x": obj})
 
 
 _EDGE_FLOATS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2250738585072009e-308,
@@ -62,10 +95,10 @@ def _same_floats(a, b):
 @settings(max_examples=300, deadline=None)
 @given(st.recursive(_FLOATS, lambda inner: st.lists(inner, max_size=4)
                     | st.dictionaries(st.text(max_size=5), inner, max_size=4), max_leaves=20))
-def test_dumps17_round_trips_floats(payload):
+def test_dumps_round_trips_floats(payload):
     # whole values and -0.0 load back as floats of the same sign, NaN and
     # +-inf as floats
-    assert _same_floats(payload, json.loads(dumps17(payload)))
+    assert _same_floats(payload, json.loads(dumps(payload)))
 
 
 def test_schema_rejects_unknown_keys():

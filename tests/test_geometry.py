@@ -338,12 +338,13 @@ def _radical_inverse(i, base):
 
 
 @settings(max_examples=60, deadline=None)
-@given(count=st.integers(0, 300), dim=st.integers(1, 12), skip=st.integers(0, 50))
-def test_halton_matches_the_scalar_radical_inverse(count, dim, skip):
+@given(count=st.integers(0, 300), dim=st.integers(1, 12))
+def test_halton_matches_the_scalar_radical_inverse(count, dim):
+    # the first 20 points are skipped
     primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    ref = np.array([[_radical_inverse(i + skip + 1, primes[d]) for d in range(dim)]
+    ref = np.array([[_radical_inverse(i + 21, primes[d]) for d in range(dim)]
                     for i in range(count)]).reshape(count, dim)
-    assert halton(count, dim, skip=skip).tobytes() == ref.tobytes()
+    assert halton(count, dim).tobytes() == ref.tobytes()
 
 
 def _fields(s):

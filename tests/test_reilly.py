@@ -193,7 +193,7 @@ def test_boundary_items_cover_each_pass_in_half_chunks(unit_ball):
     # pass (9,216 nodes), in node order
     sphere = unit_ball.sigma1.shape
     for per_dim, count in ((rl._BOUNDARY_NODES_PER_DIM, 1), (rl._CHECK_NODES_PER_DIM, 1)):
-        items, total = rl._boundary_items(U_X1, None, unit_ball, None, per_dim)
+        items, total = rl._boundary_items(U_X1, None, unit_ball, per_dim)
         nodes, weights, _ = rl._piece_quadrature(sphere, unit_ball.exhaustion_radius, per_dim)
         assert len(items) == count
         assert total == nodes.shape[0] == per_dim ** 2
@@ -269,8 +269,11 @@ _ANNULUS_3D = dm.annulus_domain(0.5, 2.0, ambient_dim=3)
 
 
 def _boundary_terms(u, phi, domain, per_dim, step):
-    items, _ = rl._boundary_items(u, phi, domain, step, per_dim)
-    return rl._column_sums([item() for item in items], 3)
+    parts = []
+    for _, ob in domain.pieces():
+        nodes, weights, _ = rl._piece_quadrature(ob.shape, domain.exhaustion_radius, per_dim)
+        parts.append(rl._boundary_sums(u, phi, ob, nodes, weights, step))
+    return rl._column_sums(parts, 3)
 
 
 @pytest.mark.parametrize("u, phi, domain", [
@@ -427,11 +430,26 @@ class TestChain3D:
 
 @pytest.mark.parametrize("phi", [None, rl.CutoffFamily(0.5)], ids=["phi1", "cutoff"])
 def test_solved_field_with_nan_reads_raises(phi):
-    # the solved field is NaN beyond the pieces, where the stencils reach
+    # a solved grid field is a usage error: it is NaN beyond the pieces, where
+    # the stencils reach, and its multilinear Hessian does not converge
     dom = dm.slab_domain(-1, 1, ambient_dim=2, radius=4.0)
     sol = sv.solve_mixed_bvp(dom, h=1 / 16, tol=1e-11)
-    with pytest.raises(ContractViolation, match="volume side is not finite: its hess_sq term"):
+    with pytest.raises(ParameterError, match="analytic field, not a GridField"):
         rl.reilly_residual(sol.field, phi, dom, mesh_h=1 / 16)
+
+
+@pytest.mark.parametrize("phi", [None, rl.CutoffFamily(0.5)], ids=["phi1", "cutoff"])
+def test_field_with_nan_reads_fails_the_volume_side(phi):
+    # an analytic field that is NaN in the outer cells of the slab, within
+    # the exhaustion radius 4
+    dom = dm.slab_domain(-1, 1, ambient_dim=2, radius=4.0)
+
+    def inside(P):
+        return np.where(np.sum(P ** 2, axis=1) <= 3.5 ** 2, P[:, 0], np.nan)
+
+    u = ScalarField(lambda x: float(inside(x[None, :])[0]), batch_evaluator=inside)
+    with pytest.raises(ContractViolation, match="volume side is not finite: its hess_sq term"):
+        rl.reilly_residual(u, phi, dom, mesh_h=1 / 16)
 
 
 def test_box_fraction_basics():
@@ -626,7 +644,7 @@ def test_component_major_volume_sums_match_einsum(quadratic, cubic, piece, cutof
     u = _polynomial(quadratic, cubic)
     dom = _PIECES[piece][0]
     phi = None if cutoff is None else rl.CutoffFamily(cutoff)
-    items, _ = rl._volume_items(u, phi, dom, 1 / 8, None)
+    items, _ = rl._volume_items(u, phi, dom, 1 / 8)
     lean = np.sum([item()[:4] for item in items], axis=0)
     reference, scale = _einsum_volume(u, phi, dom, 1 / 8)
     assert np.all(np.abs(lean - reference) <= 1e-13 * scale)
