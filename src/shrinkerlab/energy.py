@@ -266,8 +266,10 @@ def energy_report(solution, domain, radii):
 # energies of plain fields (barrier competitors)
 
 
-# cells of a box mesh per streamed chunk; a Reilly boundary item holds
-# CHUNK // 2 nodes, each costing about two cells
+# box cells per streamed step: a chunk of `energy_of_field`, and the runs of
+# cells that `reilly` classifies at a time; a Reilly boundary item holds
+# CHUNK // 2 nodes, each costing about two cells.  A Reilly volume item is
+# cut by the cells it can keep instead (`reilly._ITEM_CELLS`).
 CHUNK = 32_768
 
 
@@ -278,13 +280,13 @@ def box_cells(lo, hi, h):
     return counts, int(np.prod(counts))
 
 
-def cell_centres(lo, counts, h, start, stop):
-    """Centres lo + (index + 1/2) h of the cells with flat C-order indices
-    start .. stop - 1 of a box of `counts` cells per axis, as (m, n) rows.
-    Each axis index is peeled off the flat one, last axis first, by divmod
-    as q = i // c and i - q c (np.divmod is several times slower on int64),
-    and written straight into its column."""
-    rest = np.arange(start, min(stop, int(np.prod(counts))))
+def cell_centres(lo, counts, h, index):
+    """Centres lo + (axis index + 1/2) h of the cells with flat C-order
+    indices `index` (an int array) in a box of `counts` cells per axis, as
+    (m, n) rows.  Each axis index is peeled off the flat one, last axis
+    first, by divmod as q = i // c and i - q c (np.divmod is several times
+    slower on int64), and written straight into its column."""
+    rest = np.asarray(index)
     out = np.empty((rest.size, len(counts)))
     for ax in range(len(counts) - 1, 0, -1):
         quot = rest // counts[ax]
@@ -306,12 +308,15 @@ def energy_of_field(fld, domain, resolution=1 / 128, radius=None):
     counts, cells = box_cells(lo, hi, h)
     total = 0.0
     for start in range(0, cells, CHUNK):
-        centers = cell_centres(lo, counts, h, start, start + CHUNK)
-        inside = np.linalg.norm(centers, axis=1) <= radius
+        centers = cell_centres(lo, counts, h, np.arange(start, min(start + CHUNK, cells)))
+        # |centre|^2 adds the columns' squares in axis order, the bits of a
+        # row's np.sum and of np.linalg.norm's before its square root
+        r_sq = row_dot(centers.T, centers.T)
+        inside = np.sqrt(r_sq) <= radius
         for _, ob in domain.pieces():
             inside &= np.asarray(ob.depth(centers)) > 0
         centers = np.compress(inside, centers, axis=0)
         grad = gradient(fld, centers, h=0.5 * h).T
-        w = np.exp(-0.5 * np.sum(centers ** 2, axis=1))
+        w = np.exp(-0.5 * np.compress(inside, r_sq))
         total += float(np.sum(row_dot(grad, grad) * w))
     return 0.5 * total * h ** len(counts)

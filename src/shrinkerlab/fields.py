@@ -12,12 +12,14 @@ the Hessian (n, n, N), so `row_dot` contracts them component by component.
 evaluator.
 """
 
+import ctypes
 import functools
 import io
 import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,33 @@ import numpy as np
 from .errors import BoundaryStencilError, ParameterError
 
 _WORKERS = os.cpu_count() or 1      # threads of `ordered_map`
+
+
+def _openblas_thread_calls():
+    """(get, set) of the thread count of the OpenBLAS that numpy loaded, or
+    None when there is none.  dlsym on numpy's own extension module searches
+    the libraries it links, so no path is needed; numpy's wheels bundle
+    OpenBLAS with the scipy_openblas prefix and 64_ suffix, a system build
+    has the plain names."""
+    try:
+        from numpy._core import _multiarray_umath as extension
+    except ImportError:             # numpy < 2
+        from numpy.core import _multiarray_umath as extension
+    try:
+        lib = ctypes.CDLL(extension.__file__)
+    except OSError:
+        return None
+    for get, put in (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                     ("openblas_get_num_threads", "openblas_set_num_threads")):
+        if hasattr(lib, get) and hasattr(lib, put):
+            getter, setter = getattr(lib, get), getattr(lib, put)
+            getter.argtypes, getter.restype = (), ctypes.c_int
+            setter.argtypes, setter.restype = (ctypes.c_int,), None
+            return getter, setter
+    return None
+
+
+_OPENBLAS_THREADS = _openblas_thread_calls()
 
 
 @dataclass(frozen=True)
@@ -152,12 +181,13 @@ def trace(hess):
 
 def _shifted(batch, pts, h):
     """at(sign, *axes): batch at a fresh copy of pts moved by sign * h along
-    each of axes, as a new float array (batch may return a view of its input)."""
+    each of axes, as a contiguous float array: a strided view of the moved
+    copy (batch may return one) is compacted, so it does not hold the copy."""
     def at(sign, *axes):
         moved = pts.copy()
         for i in axes:
             moved[:, i] += sign * h
-        return np.array(batch(moved), dtype=float)
+        return np.ascontiguousarray(batch(moved), dtype=float)
     return at
 
 
@@ -175,20 +205,45 @@ def fd_gradient_hessian(batch, pts, h):
     N, n = pts.shape
     h = np.asarray(h, dtype=float).reshape(-1)
     at = _shifted(batch, pts, h)
-    f0 = at(0.0)
+    f0_2 = at(0.0)
+    f0_2 *= 2.0     # every formula reads 2 f0
     fp = [at(1.0, i) for i in range(n)]
     fm = [at(-1.0, i) for i in range(n)]
     grad = np.empty((n, N))
     hess = np.empty((n, n, N))
     for i in range(n):
         grad[i] = (fp[i] - fm[i]) / (2.0 * h)
-        hess[i, i] = (fp[i] - 2.0 * f0 + fm[i]) / (h * h)
+        hess[i, i] = (fp[i] - f0_2 + fm[i]) / (h * h)
+    # the mixed terms are formed in place, in the formula's order, so that a
+    # pair's temporaries are its two evaluations only
     for i in range(n):
         for j in range(i + 1, n):
-            hess[i, j] = (at(1.0, i, j) - fp[i] - fp[j] + 2.0 * f0
-                          - fm[i] - fm[j] + at(-1.0, i, j)) / (2.0 * h * h)
-            hess[j, i] = hess[i, j]
+            mixed = np.subtract(at(1.0, i, j), fp[i], out=hess[i, j])
+            mixed -= fp[j]
+            mixed += f0_2
+            mixed -= fm[i]
+            mixed -= fm[j]
+            mixed += at(-1.0, i, j)
+            mixed /= 2.0 * h * h
+            hess[j, i] = mixed
     return grad, hess
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread, and restore the count it had on exit; a
+    no-op without OpenBLAS.  The count is process-wide: in a pthread build
+    `openblas_set_num_threads_local` changed the caller's count as well."""
+    if _OPENBLAS_THREADS is None:
+        yield
+        return
+    get, put = _OPENBLAS_THREADS
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 def ordered_map(fn, items):
@@ -199,11 +254,18 @@ def ordered_map(fn, items):
     One worker per core: more only add items in flight.  On a 2-core x86-64
     machine the reilly_ball benchmark (seed 1, 10 s runs, four each) took
     0.49-0.54 s a pass with 2 workers and 0.54-0.63 s with 3, and the third
-    worker added about 8 MB of peak RSS (57.4-57.8 against 65.2-65.5 MB)."""
+    worker added about 8 MB of peak RSS (57.4-57.8 against 65.2-65.5 MB).
+
+    While the pool runs, OpenBLAS is held at one thread (`_one_blas_thread`):
+    the workers already fill the cores, and a BLAS call inside one (a
+    plane's depth is a gemv) would start threads of its own.  On that
+    machine a 100k-path Monte Carlo estimate on the slab took 1.8 s instead
+    of 3.2 s, and on an oblique slab 1.7 s instead of 2.9 s, with
+    bit-identical estimates."""
     items = list(items)
     if len(items) == 1:
         return [fn(items[0])]
-    with ThreadPoolExecutor(_WORKERS) as pool:
+    with _one_blas_thread(), ThreadPoolExecutor(_WORKERS) as pool:
         return list(pool.map(fn, items))
 
 

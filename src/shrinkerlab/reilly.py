@@ -8,18 +8,30 @@ parametrized) boundary.  Ric_f is the identity (Gaussian space).
 
 Volume quadrature is a midpoint rule on a Cartesian mesh with cut cells
 weighted by the exact plane-cut fraction of the signed-distance crossing.
-The cells stream in chunks of `energy.CHUNK` (32,768) built from flat
-index ranges, with no full-box array.  A cell whose centre lies deeper than
-the cube's half-diagonal h sqrt(n) / 2 outside a piece has fraction 0, and
-inside it fraction 1, so normals and fractions are computed only on each
-piece's cut band between.  Each chunk differentiates u with the 13-point
+The mesh is read in runs of 8 consecutive cells along its last axis, with
+each piece's depth read once at a run's middle.  Depths are exact signed
+distances, so a run whose middle lies 3.5 h plus the cell half-diagonal
+h sqrt(n) / 2 outside a piece is skipped (no centres, no depth), a run that
+deep inside every piece has fraction exactly 1, and only the cells of the
+other, mixed, runs get depths of their own.  There a cell whose centre lies
+deeper than the half-diagonal outside a piece has fraction 0 and inside it
+fraction 1, so normals and fractions are computed only on each piece's cut
+band between.  Every cell thus gets the fraction that a scan of the whole
+box gives it, in the same flat order.  The runs are classified 4,096 at a
+time, so no array spans the mesh, and cut into work items of consecutive
+runs holding at most 30,720 candidate cells (those of inside and mixed
+runs), so an item's memory follows the cells it keeps, not the box.  On the
+3D unit ball at 1/64, 37% of the 262,144 runs are skipped, 42% are inside
+and 21% mixed, and 43 items hold the 1,136,840 kept cells, where box chunks
+of 32,768 cells took 64.  Each item differentiates u with the 13-point
 stencil of `fields.fd_gradient_hessian` (in 3D) at one step per call,
-1e-5 (1 + largest box coordinate).  Both sides contract the stencil's
-component-major arrays component by component (`fields.row_dot`), and the
-cutoff gives phi^2 and grad(phi^2) from one radius and one clipped
-transition per row.  For phi == 1 (phi None) both sides skip the factor
-phi^2, and the volume side skips the transport term, which is then
-exactly +0.0.
+1e-5 (1 + largest box coordinate), and drops each array once read, so it
+peaks in the stencil at about 216 bytes a kept cell (5.9 MB traced at
+28,657 kept cells).  Both sides contract the stencil's component-major
+arrays component by component (`fields.row_dot`), and the cutoff gives
+phi^2 and grad(phi^2) from one radius and one clipped transition per row.
+For phi == 1 (phi None) both sides skip the factor phi^2, and the volume
+side skips the transport term, which is then exactly +0.0.
 
 The boundary uses a tensor Gauss-Legendre rule on each piece's exact
 parametrization: 128^(n-1) nodes per piece, and a second pass on 96^(n-1)
@@ -38,13 +50,13 @@ largest radius are built once per (shape, exhaustion radius, nodes per
 dimension) and cached read-only (`_piece_quadrature`), so repeated
 residuals and energy chains on one domain only slice them.
 
-One residual is one ordered stream of work items -- the cell chunks, then
+One residual is one ordered stream of work items -- the cell items, then
 the node items of both boundary passes -- run on os.cpu_count() threads by
-`fields.ordered_map`, so a thread holds at most one item at a time: 32,768
-cells or 16,384 nodes with their stencil temporaries, at most about 7 MB
-traced on the 3D unit ball.  The items' partial sums are added in item
-order, so the result does not depend on the worker count.  The report's
-field_evaluations counts every point at which u is evaluated: the
+`fields.ordered_map`, so a thread holds at most one item at a time: 30,720
+candidate cells or 16,384 nodes with their stencil temporaries, at most
+about 6 MB traced on the 3D unit ball.  The items' partial sums are added
+in item order, so the result does not depend on the worker count.  The
+report's field_evaluations counts every point at which u is evaluated: the
 stencil's evaluations per point times the kept cells and the nodes of both
 boundary passes.
 """
@@ -93,9 +105,6 @@ class CutoffFamily:
     def _value(s):
         return 1.0 - s ** 3 * (10.0 - 15.0 * s + 6.0 * s * s)
 
-    def _slope(self, s):
-        return np.where((s > 0.0) & (s < 1.0), -30.0 * s ** 2 * (1.0 - s) ** 2 / self.R, 0.0)
-
     def profile(self, r):
         return self._value(self._transition(r))
 
@@ -104,17 +113,42 @@ class CutoffFamily:
 
     def squared_with_gradient(self, x):
         """phi^2 (N,) and grad(phi^2) = 2 phi phi' x/|x| (n, N, component-major)
-        at the (N, n) rows of x, from one radius and one clipped s per row."""
+        at the (N, n) rows of x, from one radius and one clipped s per row.
+
+        Computed in place, with the operations of `_transition`, `_value`
+        and phi' = -30 s^2 (1 - s)^2 / R in their order (products swap their
+        factors, which is exact), so the bits are theirs."""
         r = radii(x)
-        s = self._transition(r)
-        phi = self._value(s)
-        fac = 2.0 * phi * self._slope(s)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            unit = x.T / np.maximum(r, 1e-300)
+        s = r - self.R
+        s /= self.R
+        np.clip(s, 0.0, 1.0, out=s)
+        phi = s ** 3
+        poly = 15.0 * s
+        np.subtract(10.0, poly, out=poly)
+        sq = 6.0 * s
+        sq *= s
+        poly += sq
+        phi *= poly
+        np.subtract(1.0, phi, out=phi)
+        # fac = 2 phi phi', phi' = 0 off the transition (0, 1)
+        fac = s ** 2
+        fac *= -30.0
+        np.subtract(1.0, s, out=sq)
+        sq **= 2
+        fac *= sq
+        fac /= self.R
+        np.copyto(fac, 0.0, where=~((s > 0.0) & (s < 1.0)))
+        np.multiply(2.0, phi, out=sq)
+        fac *= sq
         centre = ~(r > 0)
+        np.maximum(r, 1e-300, out=r)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            grad = x.T / r
         if np.any(centre):  # no direction at the origin (or a NaN radius)
-            unit[:, centre] = 0.0
-        return phi ** 2, fac * unit
+            grad[:, centre] = 0.0
+        grad *= fac
+        phi *= phi
+        return phi, grad
 
 
 @dataclass
@@ -230,48 +264,167 @@ def _cell_fractions(pieces, pts, h):
     return frac
 
 
+# The volume side reads each piece's depth once per run of _RUN consecutive
+# cells along the last axis, at the run's middle, and classes the run.  A
+# volume item holds at most _ITEM_CELLS cells of _MIXED and _IN runs (its
+# candidate cells): on the 3D unit ball, with two workers and a cutoff of
+# radius 0.5, the residual's traced peak at 1/32 and 1/64 was 10.3-12.1 and
+# 12.3-12.9 MB at 30,720, 12.1-12.3 and 13.0-13.3 MB at 31,744, and
+# 12.4-13.2 and 13.4-13.7 MB at 32,768; box chunks of 32,768 cells gave
+# 12.8-13.8 and 14.4-15.0 MB.
+_RUN = 8
+_OUT, _MIXED, _IN = 0, 1, 2
+_ITEM_CELLS = 30_720
+
+
+def _runs(counts, run):
+    """Flat index of the first cell of each run (an int array of run
+    numbers, row by row of the mesh's lines along its last axis), its index
+    along that axis and its length (_RUN, or less at a line's end)."""
+    per_row = -(-counts[-1] // _RUN)
+    row = run // per_row
+    start = _RUN * (run - row * per_row)
+    return row * counts[-1] + start, start, np.minimum(_RUN, counts[-1] - start)
+
+
+def _classify_runs(pieces, lo, counts, h, run):
+    """Class (int8) and candidate cells (0 for _OUT, else the length) of
+    each run.
+
+    Depths are exact signed distances, so a cell's depth differs from its
+    run middle's by at most (_RUN - 1) h / 2.  With the cell half-diagonal
+    added (both times 1 + 1e-9, which covers rounding), a run whose middle
+    lies that margin or more outside some piece has only cells of fraction
+    0 (_OUT), and one whose middle lies that deep inside every piece only
+    cells of fraction exactly 1 (_IN), as `_cell_fractions` would give
+    them; the rest are _MIXED."""
+    first_cell, start, length = _runs(counts, run)
+    mids = cell_centres(lo, counts, h, first_cell)
+    mids[:, -1] = lo[-1] + (start + 0.5 * length) * h
+    margin = 0.5 * h * (_RUN - 1 + math.sqrt(len(counts))) * (1.0 + 1e-9)
+    classes = np.full(run.size, _IN, dtype=np.int8)
+    out = np.zeros(run.size, dtype=bool)
+    for ob in pieces:
+        d = ob.depth(mids)
+        classes[d < margin] = _MIXED
+        out |= d <= -margin
+    classes[out] = _OUT
+    length[out] = 0
+    return classes, length
+
+
+def _run_cells(lo, counts, h, first, classes):
+    """Centres (m, n), in flat order, of the candidate cells of the runs
+    first, first + 1, ... of the given classes, and which of them lie in _IN
+    runs.  A run's cells share its first cell's centre but for the last
+    axis, whose index is the run's start plus the cell's place in the run."""
+    candidate = np.flatnonzero(classes)
+    first_cell, start, length = _runs(counts, first + candidate)
+    pts = np.repeat(cell_centres(lo, counts, h, first_cell), length, axis=0)
+    along = np.repeat(start + length - np.cumsum(length), length)
+    along += np.arange(along.size)
+    pts[:, -1] = lo[-1] + (along + 0.5) * h
+    return pts, np.repeat(classes[candidate] == _IN, length)
+
+
+def _kept_cells(pieces, lo, counts, h, first, classes):
+    """Centres (m, n) and fractions (m,) of the candidate cells of positive
+    fraction in the runs first, first + 1, ... of the given classes."""
+    pts, inside = _run_cells(lo, counts, h, first, classes)
+    frac = np.ones(pts.shape[0])
+    if np.all(inside):
+        return pts, frac
+    mixed = ~inside
+    frac[mixed] = _cell_fractions(pieces, np.compress(mixed, pts, axis=0), h)
+    keep = frac > 0.0
+    # np.compress gathers rows several times faster than a boolean index
+    return np.compress(keep, pts, axis=0), frac[keep]
+
+
+def _run_items(pieces, lo, counts, h):
+    """(first run, classes of its runs) of each volume item: consecutive runs
+    in flat order with at most _ITEM_CELLS candidate cells (read at call
+    time, at least _RUN), each item after the first starting at a candidate
+    run; at least one item.  The runs are classified CHUNK // _RUN at a
+    time, so no array spans the mesh."""
+    runs = int(np.prod(counts[:-1])) * -(-counts[-1] // _RUN)
+    items = []
+    pending = []        # classes of the open item's runs before this step
+    first = 0           # the open item's first run
+    taken = total = 0   # candidate cells before that run, and before this step
+    for begin in range(0, runs, CHUNK // _RUN):
+        classes, cells = _classify_runs(pieces, lo, counts, h,
+                                        np.arange(begin, min(begin + CHUNK // _RUN, runs)))
+        cum = total + np.cumsum(cells)
+        while True:
+            # the open item ends before the first run that overfills it
+            cut = int(np.searchsorted(cum, taken + _ITEM_CELLS, side="right"))
+            if cut == cum.size:
+                break
+            items.append((first, np.concatenate(pending + [classes[max(first - begin, 0):cut]])))
+            pending = []
+            first, taken = begin + cut, int(cum[cut - 1]) if cut else total
+        pending.append(classes[max(first - begin, 0):])
+        total = int(cum[-1])
+    if total > taken or not items:
+        items.append((first, np.concatenate(pending)))
+    return items
+
+
 def _volume_items(u, phi, domain, mesh_h):
-    """Work items of the volume integrals, one per chunk of CHUNK cells, each
+    """Work items of the volume integrals, one per `_run_items` item, each
     returning (hess_sq, lap_f_sq, ricci, transport, kept cells, cut cells);
     and the counters fixed before any item runs."""
     lo, hi = domain.grid_box(domain.exhaustion_radius)
     h = float(mesh_h)
-    counts, cells = box_cells(lo, hi, h)
+    counts, _ = box_cells(lo, hi, h)
     n = len(counts)
     pieces = [ob for _, ob in domain.pieces()]
     # one step per call, so that no sum depends on the chunking
     step = 1e-5 * (1.0 + float(np.max(np.abs([lo, hi]))))
 
-    def chunk_sums(start):
-        pts = cell_centres(lo, counts, h, start, start + CHUNK)
-        frac = _cell_fractions(pieces, pts, h)
-        keep = frac > 0.0
-        if not np.any(keep):
+    def item_sums(first, classes):
+        pts, frac = _kept_cells(pieces, lo, counts, h, first, classes)
+        kept, cut = pts.shape[0], int(np.count_nonzero(frac < 1.0))
+        if kept == 0:
             return 0.0, 0.0, 0.0, 0.0, 0, 0
-        # np.compress gathers rows several times faster than a boolean index
-        pts = np.compress(keep, pts, axis=0)
-        frac = frac[keep]
 
+        # each array is dropped once read, so the item peaks in its stencil
         grad, hess = fd_gradient_hessian(u.batch, pts, step)
+        if phi is not None:
+            phi_sq, gps = phi.squared_with_gradient(pts)
         x = pts.T.copy()
-        lap_f = trace(hess) - row_dot(x, grad)
-        hess_sq = row_dot(hess.reshape(n * n, -1), hess.reshape(n * n, -1))
-        lap_f_sq = lap_f ** 2
-        ricci = row_dot(grad, grad)  # Ric_f = identity (Gaussian)
-        w = np.exp(-0.5 * row_dot(x, x)) * frac * h ** n
+        del pts
+        w = np.exp(-0.5 * row_dot(x, x))
+        w *= frac
+        w *= h ** n
+        del frac
+        lap_f = trace(hess)
+        lap_f -= row_dot(x, grad)
+        del x
+
+        def weighted_sum(term):
+            """sum of phi^2 term w over the cells (phi^2 == 1 for phi None);
+            term is a fresh array and is scaled in place"""
+            if phi is not None:
+                term *= phi_sq
+            term *= w
+            return float(np.sum(term))
+
+        # each term is summed as soon as it is formed
+        hess_sq = weighted_sum(row_dot(hess.reshape(n * n, -1), hess.reshape(n * n, -1)))
+        lap_f_sq = weighted_sum(lap_f ** 2)
+        ricci = weighted_sum(row_dot(grad, grad))  # Ric_f = identity (Gaussian)
         if phi is None:
             # phi^2 == 1 and grad(phi^2) == 0: no factor, and no transport
             transport = 0.0
         else:
-            phi_sq, gps = phi.squared_with_gradient(pts)
-            hess_sq, lap_f_sq, ricci = phi_sq * hess_sq, phi_sq * lap_f_sq, phi_sq * ricci
             transport = float(np.sum(
                 row_dot(gps, [row_dot(hess[i], grad) - lap_f * grad[i] for i in range(n)]) * w))
-        return (float(np.sum(hess_sq * w)), float(np.sum(lap_f_sq * w)),
-                float(np.sum(ricci * w)), transport,
-                pts.shape[0], int(np.count_nonzero(frac < 1.0)))
+        return hess_sq, lap_f_sq, ricci, transport, kept, cut
 
-    items = [partial(chunk_sums, start) for start in range(0, cells, CHUNK)]
+    items = [partial(item_sums, first, classes)
+             for first, classes in _run_items(pieces, lo, counts, h)]
     return items, {"volume_fd_step": float(step),
                    "stencil_evaluations_per_point": stencil_evaluations(n)}
 
@@ -332,8 +485,8 @@ def _boundary_items(u, phi, domain, per_dim):
 
     CHUNK is read at call time.  On the 3D unit ball the residual's passes
     are one item each, of 16,384 and 9,216 nodes.  An item of 16,384 nodes
-    peaks at 5.1-5.8 MB traced and a chunk of 32,768 cells at up to 5.6-7.1
-    MB; twice the nodes would peak at 10.3-11.3 MB."""
+    peaks at 5.1-5.8 MB traced and a volume item of 30,720 candidate cells
+    at up to 5.9 MB; twice the nodes would peak at 10.3-11.3 MB."""
     items = []
     total = 0
     size = CHUNK // 2

@@ -285,7 +285,7 @@ def test_energy_of_field_checks_its_scalars(slab_dom, keywords, message):
 @pytest.mark.parametrize("counts", [(7,), (5, 9), (3, 4, 6), (40, 50, 60)])
 def test_cell_centres_match_unravel_index(counts):
     # the divmod index block gives the unravel_index centres bit for bit,
-    # on chunks that start and stop inside a row
+    # on index ranges that start and stop inside a row
     counts = np.array(counts)
     lo = -np.arange(1.0, counts.size + 1.0) / 3.0
     h = 1 / 64
@@ -294,7 +294,7 @@ def test_cell_centres_match_unravel_index(counts):
         flat = np.arange(start, min(stop, cells))
         index = np.unravel_index(flat, tuple(counts))
         expected = np.stack([lo[ax] + (index[ax] + 0.5) * h for ax in range(counts.size)], axis=1)
-        got = en.cell_centres(lo, counts, h, start, stop)
+        got = en.cell_centres(lo, counts, h, flat)
         assert got.shape == expected.shape
         np.testing.assert_array_equal(got, expected)
 

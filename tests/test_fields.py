@@ -1,6 +1,8 @@
+import ctypes
 import gc
 import math
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -148,6 +150,52 @@ def test_stencil_copies_a_batch_that_returns_a_view():
                                    rtol=0, atol=1e-10)
         np.testing.assert_allclose(hess, 0.0, rtol=0, atol=1e-6)
         np.testing.assert_array_equal(fl.gradient(view, P, h=h).T, grad)
+
+
+def test_ordered_map_holds_blas_at_one_thread_and_restores_it(monkeypatch):
+    count, calls = [3], []
+
+    def put(n):
+        calls.append(n)
+        count[0] = n
+
+    monkeypatch.setattr(fl, "_OPENBLAS_THREADS", (lambda: count[0], put))
+    assert fl.ordered_map(lambda i: (i, count[0]), range(5)) == [(i, 1) for i in range(5)]
+    assert count[0] == 3 and calls == [1, 3]
+    # restored when an item raises, too
+    with pytest.raises(ZeroDivisionError):
+        fl.ordered_map(lambda i: 1 / (i - 2), range(4))
+    assert count[0] == 3
+    # one item runs in the caller's thread, with the count as it is
+    calls.clear()
+    assert fl.ordered_map(lambda i: count[0], [0]) == [3] and calls == []
+    # without OpenBLAS the pool runs as it is
+    monkeypatch.setattr(fl, "_OPENBLAS_THREADS", None)
+    assert fl.ordered_map(lambda i: i * i, range(5)) == [0, 1, 4, 9, 16]
+
+
+@pytest.mark.skipif(fl._OPENBLAS_THREADS is None, reason="numpy links no OpenBLAS")
+def test_ordered_map_leaves_the_openblas_thread_count_as_it_found_it():
+    get, put = fl._OPENBLAS_THREADS
+    before = get()
+    try:
+        for count in (1, 2):
+            put(count)
+            assert fl.ordered_map(lambda i: get(), range(4)) == [1] * 4
+            assert get() == count
+    finally:
+        put(before)
+
+
+@pytest.mark.parametrize("lib", [SimpleNamespace(), OSError])
+def test_openblas_is_not_found_without_its_symbols(monkeypatch, lib):
+    def load(path):
+        if lib is OSError:
+            raise OSError("no such library")
+        return lib
+
+    monkeypatch.setattr(ctypes, "CDLL", load)
+    assert fl._openblas_thread_calls() is None
 
 
 def test_declared_domain_guard_rejects_a_batch_with_one_bad_row():

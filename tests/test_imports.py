@@ -2,8 +2,8 @@
 the CLI and the paths that need no sparse solve or special function load no
 scipy module; no package module keeps a top-level import it does not use or
 reads another module's underscore name; every module-level function
-reads each parameter it takes; and no module dispatches on the type of a
-geometry shape."""
+reads each parameter it takes; no module dispatches on the type of a
+geometry shape; and only `fields.ordered_map` starts a thread pool."""
 
 import ast
 import glob
@@ -163,3 +163,37 @@ def test_every_module_function_reads_its_parameters():
     modules = sorted(glob.glob(os.path.join(SRC, "shrinkerlab", "*.py")))
     unread = {os.path.basename(p): _unread_parameters(p) for p in modules}
     assert {name: params for name, params in unread.items() if params} == {}
+
+
+def _thread_pools(path):
+    """The functions (dotted, or <module>) that construct a ThreadPoolExecutor,
+    under any name it is imported as."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names
+             if alias.name == "ThreadPoolExecutor"} | {"ThreadPoolExecutor"}
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and (getattr(child.func, "id", None) in names
+                                                or getattr(child.func, "attr", None)
+                                                == "ThreadPoolExecutor"):
+                found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_only_ordered_map_starts_a_thread_pool():
+    # its pool holds OpenBLAS at one thread and runs one work item per
+    # worker, so that hold and the items' memory budget cover every pool
+    modules = sorted(glob.glob(os.path.join(SRC, "shrinkerlab", "*.py")))
+    pools = {os.path.basename(p): _thread_pools(p) for p in modules}
+    assert {name: found for name, found in pools.items() if found} == {
+        "fields.py": ["ordered_map"]}

@@ -106,20 +106,24 @@ def _residual(ball, phi, h):
 
 
 def test_volume_side_does_not_depend_on_chunks_or_threads(unit_ball, monkeypatch):
-    # the whole residual: by default 1/16 is one chunk of cells and each
-    # boundary pass one item of nodes; 4,096-cell chunks (and so 2,048-node
-    # items) cut the cells and split each boundary pass into several items
+    # the whole residual: by default 1/16 is one volume item and each
+    # boundary pass one item of nodes; items of 4,096 candidate cells, runs
+    # classified 512 at a time and 2,048-node boundary items split them all
     phi = rl.CutoffFamily(0.5)
     rep = _residual(unit_ball, phi, 1 / 16)
     monkeypatch.setattr(rl, "CHUNK", 4096)
+    monkeypatch.setattr(rl, "_ITEM_CELLS", 4096)
     chunked = _residual(unit_ball, phi, 1 / 16)
     assert chunked.volume_side == pytest.approx(rep.volume_side, rel=1e-12)
     assert chunked.boundary_side == pytest.approx(rep.boundary_side, rel=1e-12)
     for key, value in rep.term_breakdown.items():
         assert chunked.term_breakdown[key] == pytest.approx(value, rel=1e-12, abs=1e-15)
-    # differences of nearly equal sums, so relative to the sides
+    # differences of nearly equal sums, so relative to what they cancel: the
+    # volume terms for the residual (phi vanishes on the sphere, so the
+    # boundary side is ~1e-32), the boundary side for the mixed term's change
+    terms = sum(abs(value) for value in rep.term_breakdown.values())
+    assert chunked.residual == pytest.approx(rep.residual, abs=1e-12 * terms)
     scale = abs(rep.boundary_side)
-    assert chunked.residual == pytest.approx(rep.residual, abs=1e-12 * scale)
     assert chunked.mixed_term_uncertainty == pytest.approx(
         rep.mixed_term_uncertainty, abs=1e-12 * scale)
     assert chunked.details == rep.details
@@ -545,7 +549,7 @@ def test_band_fractions_equal_the_whole_row_product(name):
     pieces = [ob for _, ob in dom.pieces()]
     interior = cut = 0
     for start in range(0, cells, en.CHUNK):
-        pts = en.cell_centres(lo, counts, h, start, start + en.CHUNK)
+        pts = en.cell_centres(lo, counts, h, np.arange(start, min(start + en.CHUNK, cells)))
         whole = np.ones(pts.shape[0])
         for ob in pieces:
             whole = whole * rl._box_fraction(ob.depth(pts), -ob.exterior_normal(pts), h)
@@ -554,6 +558,70 @@ def test_band_fractions_equal_the_whole_row_product(name):
         interior += np.count_nonzero(whole == 1.0)
         cut += np.count_nonzero((whole > 0.0) & (whole < 1.0))
     assert interior > 0 and cut > 0
+
+
+def _every_run_mixed(pieces, lo, counts, h, run):
+    """A box scan: no run is skipped or taken whole, so `_cell_fractions`
+    decides every cell."""
+    return np.full(run.size, rl._MIXED, dtype=np.int8), rl._runs(counts, run)[2]
+
+
+def _box_scan_counts(dom, h):
+    """Kept and cut cells of `_cell_fractions` over every cell of the box."""
+    lo, hi = dom.grid_box(dom.exhaustion_radius)
+    counts, cells = en.box_cells(lo, hi, h)
+    pieces = [ob for _, ob in dom.pieces()]
+    kept = cut = 0
+    for start in range(0, cells, en.CHUNK):
+        frac = rl._cell_fractions(
+            pieces, en.cell_centres(lo, counts, h, np.arange(start, min(start + en.CHUNK, cells))), h)
+        kept += np.count_nonzero(frac > 0.0)
+        cut += np.count_nonzero((frac > 0.0) & (frac < 1.0))
+    return kept, cut
+
+
+def _run_domain(shape, dim, size, shift):
+    if shape == "ball":
+        return dm.ball_domain(0.5 + size, ambient_dim=dim)
+    if shape == "annulus":
+        return dm.annulus_domain(0.3 + 0.5 * shift, 0.8 + shift + size, ambient_dim=dim)
+    return dm.slab_domain(-shift, 0.3 + size, ambient_dim=dim, radius=1.5)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(shape=st.sampled_from(["ball", "annulus", "slab"]), dim=st.sampled_from([2, 3]),
+       size=st.floats(0.0, 1.0), shift=st.floats(0.0, 1.0), per_unit=st.integers(3, 13),
+       cap=st.integers(rl._RUN, 3000), cutoff=st.sampled_from([None, 0.4, 0.7]))
+def test_run_classification_keeps_the_box_scan_cells(shape, dim, size, shift, per_unit,
+                                                     cap, cutoff):
+    # runs classed outside or inside by their middle's depth give the cells
+    # and fractions of a scan over every box cell, in items of at most `cap`
+    # candidate cells; only the sums' grouping differs
+    dom = _run_domain(shape, dim, size, shift)
+    h = 1.0 / (per_unit * (3 if dim == 2 else 1))
+    rng = np.random.default_rng(dim)
+    b, A = rng.standard_normal(dim), rng.standard_normal((dim, dim))
+    u = ScalarField(None, batch_evaluator=lambda P: P @ b + 0.5 * np.einsum(
+        "ki,ij,kj->k", P, A + A.T, P) + P[:, 0] ** 3)
+    phi = None if cutoff is None else rl.CutoffFamily(cutoff)
+    lo, hi = dom.grid_box(dom.exhaustion_radius)
+    counts, _ = en.box_cells(lo, hi, h)
+
+    def volume():
+        items, _ = rl._volume_items(u, phi, dom, h)
+        return items, rl._column_sums([item() for item in items], 6)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rl, "_ITEM_CELLS", cap)
+        items, (*sums, kept, cut) = volume()
+        assert all(rl._run_cells(lo, counts, h, *item.args)[0].shape[0] <= cap
+                   for item in items)
+        mp.setattr(rl, "_classify_runs", _every_run_mixed)
+        _, (*scan, scan_kept, scan_cut) = volume()
+    assert (kept, cut) == (scan_kept, scan_cut) == _box_scan_counts(dom, h)
+    assert sums == pytest.approx(scan, rel=1e-12, abs=1e-300)
+    side, scan_side = (s[0] - s[1] + s[2] + s[3] for s in (sums, scan))
+    assert side == pytest.approx(scan_side, rel=1e-12, abs=1e-12 * sum(map(abs, scan)))
 
 
 def _row_major(grad, hess):
@@ -568,7 +636,7 @@ def _einsum_volume(u, phi, dom, h):
     step = 1e-5 * (1.0 + float(np.max(np.abs([lo, hi]))))
     sums, scale = np.zeros(4), np.zeros(4)
     for start in range(0, cells, en.CHUNK):
-        pts = en.cell_centres(lo, counts, h, start, start + en.CHUNK)
+        pts = en.cell_centres(lo, counts, h, np.arange(start, min(start + en.CHUNK, cells)))
         frac = np.ones(pts.shape[0])
         for _, ob in dom.pieces():
             frac = frac * rl._box_fraction(ob.depth(pts), -ob.exterior_normal(pts), h)
