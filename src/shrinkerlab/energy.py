@@ -266,10 +266,8 @@ def energy_report(solution, domain, radii):
 # energies of plain fields (barrier competitors)
 
 
-# box cells per streamed step: a chunk of `energy_of_field`, and the runs of
-# cells that `reilly` classifies at a time; a Reilly boundary item holds
-# CHUNK // 2 nodes, each costing about two cells.  A Reilly volume item is
-# cut by the cells it can keep instead (`reilly._ITEM_CELLS`).
+# box cells per chunk of `energy_of_field`; a Reilly boundary item holds
+# CHUNK // 2 nodes, each costing about two cells.
 CHUNK = 32_768
 
 

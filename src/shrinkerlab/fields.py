@@ -32,9 +32,9 @@ _WORKERS = os.cpu_count() or 1      # threads of `ordered_map`
 def _openblas_thread_calls():
     """(get, set) of the thread count of the OpenBLAS that numpy loaded, or
     None when there is none.  dlsym on numpy's own extension module searches
-    the libraries it links, so no path is needed; numpy's wheels bundle
-    OpenBLAS with the scipy_openblas prefix and 64_ suffix, a system build
-    has the plain names."""
+    the libraries it links, so no path is needed.  numpy 2's wheels bundle
+    OpenBLAS with the scipy_openblas prefix and 64_ suffix, numpy 1's with
+    the 64_ suffix alone, and a system build has the plain names."""
     try:
         from numpy._core import _multiarray_umath as extension
     except ImportError:             # numpy < 2
@@ -44,6 +44,7 @@ def _openblas_thread_calls():
     except OSError:
         return None
     for get, put in (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
                      ("openblas_get_num_threads", "openblas_set_num_threads")):
         if hasattr(lib, get) and hasattr(lib, put):
             getter, setter = getattr(lib, get), getattr(lib, put)
@@ -261,7 +262,10 @@ def ordered_map(fn, items):
     plane's depth is a gemv) would start threads of its own.  On that
     machine a 100k-path Monte Carlo estimate on the slab took 1.8 s instead
     of 3.2 s, and on an oblique slab 1.7 s instead of 2.9 s, with
-    bit-identical estimates."""
+    bit-identical estimates.  The count is process-wide and saved and
+    restored without a lock, so ordered_map must not be called from several
+    threads at once: two overlapping calls could leave OpenBLAS at one
+    thread."""
     items = list(items)
     if len(items) == 1:
         return [fn(items[0])]

@@ -11,27 +11,26 @@ weighted by the exact plane-cut fraction of the signed-distance crossing.
 The mesh is read in runs of 8 consecutive cells along its last axis, with
 each piece's depth read once at a run's middle.  Depths are exact signed
 distances, so a run whose middle lies 3.5 h plus the cell half-diagonal
-h sqrt(n) / 2 outside a piece is skipped (no centres, no depth), a run that
-deep inside every piece has fraction exactly 1, and only the cells of the
-other, mixed, runs get depths of their own.  There a cell whose centre lies
-deeper than the half-diagonal outside a piece has fraction 0 and inside it
-fraction 1, so normals and fractions are computed only on each piece's cut
-band between.  Every cell thus gets the fraction that a scan of the whole
-box gives it, in the same flat order.  The runs are classified 4,096 at a
-time, so no array spans the mesh, and cut into work items of consecutive
-runs holding at most 30,720 candidate cells (those of inside and mixed
-runs), so an item's memory follows the cells it keeps, not the box.  On the
-3D unit ball at 1/64, 37% of the 262,144 runs are skipped, 42% are inside
-and 21% mixed, and 43 items hold the 1,136,840 kept cells, where box chunks
-of 32,768 cells took 64.  Each item differentiates u with the 13-point
-stencil of `fields.fd_gradient_hessian` (in 3D) at one step per call,
-1e-5 (1 + largest box coordinate), and drops each array once read, so it
-peaks in the stencil at about 216 bytes a kept cell (5.9 MB traced at
-28,657 kept cells).  Both sides contract the stencil's component-major
-arrays component by component (`fields.row_dot`), and the cutoff gives
-phi^2 and grad(phi^2) from one radius and one clipped transition per row.
-For phi == 1 (phi None) both sides skip the factor phi^2, and the volume
-side skips the transport term, which is then exactly +0.0.
+h sqrt(n) / 2 outside a piece is skipped (no centres, no depth), and only
+the cells of the other, candidate, runs get depths of their own.  There a
+cell whose centre lies deeper than the half-diagonal outside a piece has
+fraction 0 and inside it fraction 1, so normals and fractions are computed
+only on each piece's cut band between.  Every cell thus gets the fraction
+that a scan of the whole box gives it, in the same flat order.  The runs
+are classified 4,096 at a time, so no array spans the mesh, and cut into
+work items of consecutive runs holding at most 30,720 candidate cells, so
+an item's memory follows the cells it keeps, not the box.  On the 3D unit
+ball at 1/64, 37% of the 262,144 runs are skipped, and 43 items hold the
+1,136,840 kept cells, where box chunks of 32,768 cells took 64.  Each item
+differentiates u with the 13-point stencil of `fields.fd_gradient_hessian`
+(in 3D) at one step per call, 1e-5 (1 + largest box coordinate), and drops
+each array once read, so it peaks in the stencil at about 216 bytes a kept
+cell (5.9 MB traced at 28,657 kept cells).  Both sides contract the
+stencil's component-major arrays component by component (`fields.row_dot`),
+and the cutoff gives phi^2 and grad(phi^2) from one radius and one clipped
+transition per row.  For phi == 1 (phi None) both sides skip the factor
+phi^2, and the volume side skips the transport term, which is then exactly
++0.0.
 
 The boundary uses a tensor Gauss-Legendre rule on each piece's exact
 parametrization: 128^(n-1) nodes per piece, and a second pass on 96^(n-1)
@@ -265,16 +264,17 @@ def _cell_fractions(pieces, pts, h):
 
 
 # The volume side reads each piece's depth once per run of _RUN consecutive
-# cells along the last axis, at the run's middle, and classes the run.  A
-# volume item holds at most _ITEM_CELLS cells of _MIXED and _IN runs (its
-# candidate cells): on the 3D unit ball, with two workers and a cutoff of
-# radius 0.5, the residual's traced peak at 1/32 and 1/64 was 10.3-12.1 and
-# 12.3-12.9 MB at 30,720, 12.1-12.3 and 13.0-13.3 MB at 31,744, and
+# cells along the last axis, at the run's middle, and skips the runs that lie
+# outside.  A volume item holds at most _ITEM_CELLS cells of the other runs
+# (its candidate cells): on the 3D unit ball, with two workers and a cutoff
+# of radius 0.5, the residual's traced peak at 1/32 and 1/64 was 10.3-12.1
+# and 12.3-12.9 MB at 30,720, 12.1-12.3 and 13.0-13.3 MB at 31,744, and
 # 12.4-13.2 and 13.4-13.7 MB at 32,768; box chunks of 32,768 cells gave
-# 12.8-13.8 and 14.4-15.0 MB.
+# 12.8-13.8 and 14.4-15.0 MB.  The runs are classified _CLASSIFY_RUNS (about
+# a box chunk's worth of cells) at a time, so no array spans the mesh.
 _RUN = 8
-_OUT, _MIXED, _IN = 0, 1, 2
 _ITEM_CELLS = 30_720
+_CLASSIFY_RUNS = 4096
 
 
 def _runs(counts, run):
@@ -287,84 +287,72 @@ def _runs(counts, run):
     return row * counts[-1] + start, start, np.minimum(_RUN, counts[-1] - start)
 
 
-def _classify_runs(pieces, lo, counts, h, run):
-    """Class (int8) and candidate cells (0 for _OUT, else the length) of
-    each run.
+def _candidate_runs(pieces, lo, counts, h, run):
+    """Whether each run is a candidate, and its candidate cells (its length,
+    or 0).
 
     Depths are exact signed distances, so a cell's depth differs from its
     run middle's by at most (_RUN - 1) h / 2.  With the cell half-diagonal
     added (both times 1 + 1e-9, which covers rounding), a run whose middle
-    lies that margin or more outside some piece has only cells of fraction
-    0 (_OUT), and one whose middle lies that deep inside every piece only
-    cells of fraction exactly 1 (_IN), as `_cell_fractions` would give
-    them; the rest are _MIXED."""
+    lies that margin or more outside some piece has only cells that
+    `_cell_fractions` gives fraction 0; every other run is a candidate."""
     first_cell, start, length = _runs(counts, run)
     mids = cell_centres(lo, counts, h, first_cell)
     mids[:, -1] = lo[-1] + (start + 0.5 * length) * h
     margin = 0.5 * h * (_RUN - 1 + math.sqrt(len(counts))) * (1.0 + 1e-9)
-    classes = np.full(run.size, _IN, dtype=np.int8)
-    out = np.zeros(run.size, dtype=bool)
+    candidate = np.ones(run.size, dtype=bool)
     for ob in pieces:
-        d = ob.depth(mids)
-        classes[d < margin] = _MIXED
-        out |= d <= -margin
-    classes[out] = _OUT
-    length[out] = 0
-    return classes, length
+        candidate &= ob.depth(mids) > -margin
+    return candidate, length * candidate
 
 
-def _run_cells(lo, counts, h, first, classes):
-    """Centres (m, n), in flat order, of the candidate cells of the runs
-    first, first + 1, ... of the given classes, and which of them lie in _IN
-    runs.  A run's cells share its first cell's centre but for the last
-    axis, whose index is the run's start plus the cell's place in the run."""
-    candidate = np.flatnonzero(classes)
-    first_cell, start, length = _runs(counts, first + candidate)
+def _run_cells(lo, counts, h, first, candidate):
+    """Centres (m, n), in flat order, of the cells of the candidate runs
+    among first, first + 1, ...  A run's cells share its first cell's centre
+    but for the last axis, whose index is the run's start plus the cell's
+    place in the run."""
+    first_cell, start, length = _runs(counts, first + np.flatnonzero(candidate))
     pts = np.repeat(cell_centres(lo, counts, h, first_cell), length, axis=0)
     along = np.repeat(start + length - np.cumsum(length), length)
     along += np.arange(along.size)
     pts[:, -1] = lo[-1] + (along + 0.5) * h
-    return pts, np.repeat(classes[candidate] == _IN, length)
+    return pts
 
 
-def _kept_cells(pieces, lo, counts, h, first, classes):
-    """Centres (m, n) and fractions (m,) of the candidate cells of positive
-    fraction in the runs first, first + 1, ... of the given classes."""
-    pts, inside = _run_cells(lo, counts, h, first, classes)
-    frac = np.ones(pts.shape[0])
-    if np.all(inside):
-        return pts, frac
-    mixed = ~inside
-    frac[mixed] = _cell_fractions(pieces, np.compress(mixed, pts, axis=0), h)
+def _kept_cells(pieces, lo, counts, h, first, candidate):
+    """Centres (m, n) and fractions (m,) of the cells of positive fraction
+    in the candidate runs among first, first + 1, ..."""
+    pts = _run_cells(lo, counts, h, first, candidate)
+    frac = _cell_fractions(pieces, pts, h)
     keep = frac > 0.0
     # np.compress gathers rows several times faster than a boolean index
     return np.compress(keep, pts, axis=0), frac[keep]
 
 
 def _run_items(pieces, lo, counts, h):
-    """(first run, classes of its runs) of each volume item: consecutive runs
-    in flat order with at most _ITEM_CELLS candidate cells (read at call
-    time, at least _RUN), each item after the first starting at a candidate
-    run; at least one item.  The runs are classified CHUNK // _RUN at a
-    time, so no array spans the mesh."""
+    """(first run, which of its runs are candidates) of each volume item:
+    consecutive runs in flat order with at most _ITEM_CELLS candidate cells
+    (read at call time, at least _RUN), each item after the first starting
+    at a candidate run; at least one item.  The runs are classified
+    _CLASSIFY_RUNS at a time."""
     runs = int(np.prod(counts[:-1])) * -(-counts[-1] // _RUN)
     items = []
-    pending = []        # classes of the open item's runs before this step
+    pending = []        # candidate masks of the open item's runs before this step
     first = 0           # the open item's first run
     taken = total = 0   # candidate cells before that run, and before this step
-    for begin in range(0, runs, CHUNK // _RUN):
-        classes, cells = _classify_runs(pieces, lo, counts, h,
-                                        np.arange(begin, min(begin + CHUNK // _RUN, runs)))
+    for begin in range(0, runs, _CLASSIFY_RUNS):
+        candidate, cells = _candidate_runs(pieces, lo, counts, h,
+                                           np.arange(begin, min(begin + _CLASSIFY_RUNS, runs)))
         cum = total + np.cumsum(cells)
         while True:
             # the open item ends before the first run that overfills it
             cut = int(np.searchsorted(cum, taken + _ITEM_CELLS, side="right"))
             if cut == cum.size:
                 break
-            items.append((first, np.concatenate(pending + [classes[max(first - begin, 0):cut]])))
+            items.append((first, np.concatenate(pending + [candidate[max(first - begin, 0):cut]])))
             pending = []
             first, taken = begin + cut, int(cum[cut - 1]) if cut else total
-        pending.append(classes[max(first - begin, 0):])
+        pending.append(candidate[max(first - begin, 0):])
         total = int(cum[-1])
     if total > taken or not items:
         items.append((first, np.concatenate(pending)))
@@ -383,8 +371,8 @@ def _volume_items(u, phi, domain, mesh_h):
     # one step per call, so that no sum depends on the chunking
     step = 1e-5 * (1.0 + float(np.max(np.abs([lo, hi]))))
 
-    def item_sums(first, classes):
-        pts, frac = _kept_cells(pieces, lo, counts, h, first, classes)
+    def item_sums(first, candidate):
+        pts, frac = _kept_cells(pieces, lo, counts, h, first, candidate)
         kept, cut = pts.shape[0], int(np.count_nonzero(frac < 1.0))
         if kept == 0:
             return 0.0, 0.0, 0.0, 0.0, 0, 0
@@ -423,8 +411,8 @@ def _volume_items(u, phi, domain, mesh_h):
                 row_dot(gps, [row_dot(hess[i], grad) - lap_f * grad[i] for i in range(n)]) * w))
         return hess_sq, lap_f_sq, ricci, transport, kept, cut
 
-    items = [partial(item_sums, first, classes)
-             for first, classes in _run_items(pieces, lo, counts, h)]
+    items = [partial(item_sums, first, candidate)
+             for first, candidate in _run_items(pieces, lo, counts, h)]
     return items, {"volume_fd_step": float(step),
                    "stencil_evaluations_per_point": stencil_evaluations(n)}
 

@@ -315,3 +315,19 @@ def test_solved_slab_reads_its_dirichlet_band(slab_grid_solution):
     assert np.isnan(field.values).any()
     assert field([0.0, 1.0 + h]) == 1.0
     assert field.batch(np.array([[0.01, 1.0 + h]]))[0] == 1.0
+
+
+@pytest.mark.parametrize("get_name, put_name", [
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),  # numpy 2 wheels
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),  # numpy 1 wheels
+    ("openblas_get_num_threads", "openblas_set_num_threads")])  # system builds
+def test_openblas_is_found_by_its_symbol_names(monkeypatch, get_name, put_name):
+    def get():
+        return 4
+
+    def put(n):
+        pass
+
+    lib = SimpleNamespace(**{get_name: get, put_name: put})
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: lib)
+    assert fl._openblas_thread_calls() == (get, put)
