@@ -3,7 +3,8 @@ the CLI and the paths that need no sparse solve or special function load no
 scipy module; no package module keeps a top-level import it does not use or
 reads another module's underscore name; every module-level function
 reads each parameter it takes; no module dispatches on the type of a
-geometry shape; and only `fields.ordered_map` starts a thread pool."""
+geometry shape; only `fields.ordered_map` starts a thread pool; and only
+`energy` walks a box in cells."""
 
 import ast
 import glob
@@ -197,3 +198,42 @@ def test_only_ordered_map_starts_a_thread_pool():
     pools = {os.path.basename(p): _thread_pools(p) for p in modules}
     assert {name: found for name, found in pools.items() if found} == {
         "fields.py": ["ordered_map"]}
+
+
+# the cell stream's definitions: the runs, their classification, the work
+# items, the cut fractions and the box cells
+_CELL_STREAM = {"_RUN", "_ITEM_CELLS", "_CLASSIFY_RUNS", "_runs", "_candidate_runs", "_run_cells",
+                "_run_items", "_box_fraction", "box_cells", "cell_centres", "cell_stream",
+                "kept_fractions"}
+
+
+def _cell_stream_uses(path):
+    """The cell stream names a module defines at top level, and its calls of
+    `box_cells` or `cell_centres`."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        found += [f"defines {name}" for name in names if name in _CELL_STREAM]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in ("box_cells", "cell_centres"):
+                found.append(f"line {node.lineno}: calls {name}")
+    return found
+
+
+def test_only_energy_walks_the_box_in_cells():
+    # the Reilly volume side and energy_of_field read one cell stream, with
+    # two keep rules, so the runs and their items are defined once
+    modules = sorted(glob.glob(os.path.join(SRC, "shrinkerlab", "*.py")))
+    uses = {os.path.basename(p): _cell_stream_uses(p) for p in modules}
+    assert {name: found for name, found in uses.items() if found and name != "energy.py"} == {}
+    assert {f"defines {name}" for name in _CELL_STREAM} <= set(uses["energy.py"])

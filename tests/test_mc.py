@@ -2,10 +2,12 @@ import dataclasses
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from shrinkerlab import domain as dm
 from shrinkerlab import mc
 from shrinkerlab.errors import ParameterError
 from shrinkerlab.quadrature import gauss_legendre
@@ -106,6 +108,16 @@ def test_truncation_warning(slab_dom):
         mc.ou_hitting_probability(np.array([0.0, 0.0]), slab_dom, dead)
 
 
+def test_few_truncations_raise_no_warning(slab_dom):
+    # 8 of 200 paths run past max_time: some truncation, under the 10% flag
+    cfg = mc.McConfig(n_paths=200, dt=1e-3, seed=5, max_time=1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = mc.ou_hitting_probability(np.array([0.0, 0.0]), slab_dom, cfg)
+    assert 0 < est.truncated <= 0.1 * cfg.n_paths
+    assert not est.truncation_warning
+
+
 def test_mean_exit_decreases_toward_boundary(slab_dom):
     cfg = mc.McConfig(n_paths=N_FAST, dt=1e-3, seed=21)
     center = mc.ou_hitting_probability(np.array([0.0, 0.0]), slab_dom, cfg)
@@ -163,6 +175,25 @@ def test_bridge_removes_coarse_step_bias(domain, x0, slab_dom, annulus_dom,
     x0 = np.array(x0)
     est = mc.ou_hitting_probability(x0, dom, mc.McConfig(n_paths=20_000, dt=1e-2))
     assert abs(est.p_hat - profile.profile(x0)) <= 3.0 * est.stderr
+
+
+def test_bridge_splits_a_step_near_both_pieces():
+    # one step of dt = 1e-2 from the middle of a slab of width 0.3: a path
+    # that ends inside crosses sigma1 with probability p1 = exp(-d0 d1 / dt)
+    # and else sigma2 with probability p2, so sigma2 takes (1 - p1) p2
+    dom = dm.slab_domain(-0.15, 0.15, ambient_dim=2, radius=3.0)
+    pieces = (dom.sigma1, dom.sigma2)
+    dt, n = 1e-2, 20_000
+    decay = math.exp(-dt)
+    d0 = np.full((2, n), 0.15)
+    retired, _, label, _, d1 = mc._chunk(
+        np.zeros((n, 2)), d0, pieces, np.array([math.sqrt(-math.expm1(-2.0 * dt)) / decay]),
+        np.array([decay]), dt, np.random.Generator(np.random.SFC64(7)))
+    inside = np.all(d1 > 0.0, axis=0)
+    p1, p2 = np.exp(-d0 * d1 / dt)[:, inside]
+    for hits, q in ((retired[label == 1], p1), (retired[label == 2], (1.0 - p1) * p2)):
+        observed = np.count_nonzero(inside[hits])
+        assert abs(observed - q.sum()) <= 3.0 * math.sqrt(np.sum(q * (1.0 - q)))
 
 
 def test_exit_time_quantiles(slab_dom):

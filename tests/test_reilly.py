@@ -111,9 +111,9 @@ def test_volume_side_does_not_depend_on_chunks_or_threads(unit_ball, monkeypatch
     # classified 512 at a time and 2,048-node boundary items split them all
     phi = rl.CutoffFamily(0.5)
     rep = _residual(unit_ball, phi, 1 / 16)
-    monkeypatch.setattr(rl, "CHUNK", 4096)
-    monkeypatch.setattr(rl, "_CLASSIFY_RUNS", 512)
-    monkeypatch.setattr(rl, "_ITEM_CELLS", 4096)
+    monkeypatch.setattr(rl, "_BOUNDARY_ITEM_NODES", 2048)
+    monkeypatch.setattr(en, "_CLASSIFY_RUNS", 512)
+    monkeypatch.setattr(en, "_ITEM_CELLS", 4096)
     chunked = _residual(unit_ball, phi, 1 / 16)
     # the volume side and the residual are differences of nearly equal sums
     # (phi vanishes on the sphere, so the boundary side is ~1e-32): regrouping
@@ -205,7 +205,7 @@ def test_boundary_items_cover_each_pass_in_half_chunks(unit_ball):
         assert len(items) == count
         assert total == nodes.shape[0] == per_dim ** 2
         # each item is partial(_boundary_sums, u, phi, ob, nodes, weights, step)
-        assert all(item.args[3].shape[0] <= rl.CHUNK // 2 for item in items)
+        assert all(item.args[3].shape[0] <= rl._BOUNDARY_ITEM_NODES for item in items)
         assert np.array_equal(np.concatenate([item.args[3] for item in items]), nodes)
         assert np.array_equal(np.concatenate([item.args[4] for item in items]), weights)
     # the counters do not depend on the item size
@@ -235,7 +235,7 @@ def test_volume_side_keeps_every_cell_with_a_positive_fraction(unit_ball):
     axes = [(np.arange(32) + 0.5) * h - 1.0] * 3
     P = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     ob = unit_ball.sigma1
-    frac = rl._box_fraction(ob.depth(P), -ob.exterior_normal(P), h)
+    frac = en._box_fraction(ob.depth(P), -ob.exterior_normal(P), h)
     counters = _residual(unit_ball, None, h).details
     assert counters["volume_cells"] == np.count_nonzero(frac > 0.0)
     assert counters["cut_cells"] == np.count_nonzero((frac > 0.0) & (frac < 1.0))
@@ -462,12 +462,12 @@ def test_field_with_nan_reads_fails_the_volume_side(phi):
 def test_box_fraction_basics():
     # half cell, full cell, empty cell, and an oblique case checked by
     # dense subsampling
-    f = rl._box_fraction(np.array([0.0, 1.0, -1.0]),
+    f = en._box_fraction(np.array([0.0, 1.0, -1.0]),
                          np.array([[1.0, 0], [1, 0], [1, 0]]), 1.0)
     np.testing.assert_allclose(f, [0.5, 1.0, 0.0])
     normal = np.array([[0.6, 0.8]])
     depth = np.array([0.21])
-    f = rl._box_fraction(depth, normal, 1.0)
+    f = en._box_fraction(depth, normal, 1.0)
     xs = np.linspace(-0.5, 0.5, 201)
     X, Y = np.meshgrid(xs, xs)
     exact = np.mean(depth[0] + 0.6 * X + 0.8 * Y >= 0)
@@ -497,7 +497,7 @@ def test_box_fraction_matches_midpoint_count(comps, scale, h, shift):
     sub = ((np.arange(k) + 0.5) / k - 0.5) * h
     Y = np.stack(np.meshgrid(*[sub] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
     brute = float(np.mean(depth + Y @ normal >= 0.0))
-    frac = rl._box_fraction(np.array([depth]), normal[None, :], h)[0]
+    frac = en._box_fraction(np.array([depth]), normal[None, :], h)[0]
     assert abs(frac - brute) <= dim / k
 
 
@@ -534,6 +534,9 @@ def test_chain_radii_are_checked(annulus_dom, constant_solution, radii, message)
 # --------------------------------------------------------------------------
 # the lean kernels against whole-row and row-major references
 
+# box cells per chunk of the whole-box reference scans
+_SCAN = 32_768
+
 _PIECES = {
     "ball": (dm.ball_domain(1.0, ambient_dim=3), 1 / 32),
     # the top plane cuts the last layer of cells
@@ -551,36 +554,57 @@ def test_band_fractions_equal_the_whole_row_product(name):
     counts, cells = en.box_cells(lo, hi, h)
     pieces = [ob for _, ob in dom.pieces()]
     interior = cut = 0
-    for start in range(0, cells, en.CHUNK):
-        pts = en.cell_centres(lo, counts, h, np.arange(start, min(start + en.CHUNK, cells)))
+    for start in range(0, cells, _SCAN):
+        pts = en.cell_centres(lo, counts, h, np.arange(start, min(start + _SCAN, cells)))
         whole = np.ones(pts.shape[0])
         for ob in pieces:
-            whole = whole * rl._box_fraction(ob.depth(pts), -ob.exterior_normal(pts), h)
-        band = rl._cell_fractions(pieces, pts, h)
-        np.testing.assert_array_equal(band.view(np.int64), whole.view(np.int64))
+            whole = whole * en._box_fraction(ob.depth(pts), -ob.exterior_normal(pts), h)
+        kept, band = en.kept_fractions(pieces, pts, h)
+        np.testing.assert_array_equal(kept, pts[whole > 0.0])
+        np.testing.assert_array_equal(band.view(np.int64), whole[whole > 0.0].view(np.int64))
         interior += np.count_nonzero(whole == 1.0)
         cut += np.count_nonzero((whole > 0.0) & (whole < 1.0))
     assert interior > 0 and cut > 0
 
 
 def _every_run_a_candidate(pieces, lo, counts, h, run):
-    """A box scan: no run is skipped, so `_cell_fractions` decides every
+    """A box scan: no run is skipped, so the keep rule decides every
     cell."""
-    return np.ones(run.size, dtype=bool), rl._runs(counts, run)[2]
+    return np.ones(run.size, dtype=bool), en._runs(counts, run)[2]
 
 
 def _box_scan_counts(dom, h):
-    """Kept and cut cells of `_cell_fractions` over every cell of the box."""
+    """Kept and cut cells of `energy.kept_fractions` over every cell of the
+    box."""
     lo, hi = dom.grid_box(dom.exhaustion_radius)
     counts, cells = en.box_cells(lo, hi, h)
     pieces = [ob for _, ob in dom.pieces()]
     kept = cut = 0
-    for start in range(0, cells, en.CHUNK):
-        frac = rl._cell_fractions(
-            pieces, en.cell_centres(lo, counts, h, np.arange(start, min(start + en.CHUNK, cells))), h)
-        kept += np.count_nonzero(frac > 0.0)
-        cut += np.count_nonzero((frac > 0.0) & (frac < 1.0))
+    for start in range(0, cells, _SCAN):
+        _, frac = en.kept_fractions(
+            pieces, en.cell_centres(lo, counts, h, np.arange(start, min(start + _SCAN, cells))), h)
+        kept += frac.size
+        cut += np.count_nonzero(frac < 1.0)
     return kept, cut
+
+
+def _centre_rule_scan(fld, dom, h):
+    """`energy.energy_of_field`'s centre rule over every cell of the box, as
+    a whole-box scan: the energy and the cells it keeps."""
+    radius = min(dom.exhaustion_radius, 8.0)
+    lo, hi = dom.grid_box(radius)
+    counts, cells = en.box_cells(lo, hi, h)
+    total, kept = 0.0, 0
+    for start in range(0, cells, _SCAN):
+        pts = en.cell_centres(lo, counts, h, np.arange(start, min(start + _SCAN, cells)))
+        inside = np.linalg.norm(pts, axis=1) <= radius
+        for _, ob in dom.pieces():
+            inside &= ob.depth(pts) > 0
+        pts = pts[inside]
+        grad = fl.gradient(fld, pts, h=0.5 * h)
+        total += float(np.sum(np.sum(grad ** 2, axis=1) * np.exp(-0.5 * np.sum(pts ** 2, axis=1))))
+        kept += pts.shape[0]
+    return 0.5 * total * h ** dom.ambient_dim, kept
 
 
 def _run_domain(shape, dim, size, shift):
@@ -594,12 +618,14 @@ def _run_domain(shape, dim, size, shift):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(shape=st.sampled_from(["ball", "annulus", "slab"]), dim=st.sampled_from([2, 3]),
        size=st.floats(0.0, 1.0), shift=st.floats(0.0, 1.0), per_unit=st.integers(3, 13),
-       cap=st.integers(rl._RUN, 3000), cutoff=st.sampled_from([None, 0.4, 0.7]))
+       cap=st.integers(en._RUN, 3000), cutoff=st.sampled_from([None, 0.4, 0.7]))
 def test_run_classification_keeps_the_box_scan_cells(shape, dim, size, shift, per_unit,
                                                      cap, cutoff):
     # skipping the runs whose middle lies deep outside gives the cells and
     # fractions of a scan over every box cell, in items of at most `cap`
-    # candidate cells; only the sums' grouping differs
+    # candidate cells, under both keep rules of the stream: the exact
+    # fractions of the Reilly volume side and the centre rule of
+    # `energy_of_field`; only the sums' grouping differs
     dom = _run_domain(shape, dim, size, shift)
     h = 1.0 / (per_unit * (3 if dim == 2 else 1))
     rng = np.random.default_rng(dim)
@@ -607,20 +633,25 @@ def test_run_classification_keeps_the_box_scan_cells(shape, dim, size, shift, pe
     u = ScalarField(None, batch_evaluator=lambda P: P @ b + 0.5 * np.einsum(
         "ki,ij,kj->k", P, A + A.T, P) + P[:, 0] ** 3)
     phi = None if cutoff is None else rl.CutoffFamily(cutoff)
-    lo, hi = dom.grid_box(dom.exhaustion_radius)
-    counts, _ = en.box_cells(lo, hi, h)
+    rows = []
+    counted = ScalarField(None, batch_evaluator=lambda P: rows.append(len(P)) or u.batch(P))
 
     def volume():
         items, _ = rl._volume_items(u, phi, dom, h)
         return items, rl._column_sums([item() for item in items], 6)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rl, "_ITEM_CELLS", cap)
+        mp.setattr(en, "_ITEM_CELLS", cap)
         items, (*sums, kept, cut) = volume()
-        assert all(rl._run_cells(lo, counts, h, *item.args).shape[0] <= cap
-                   for item in items)
-        mp.setattr(rl, "_candidate_runs", _every_run_a_candidate)
+        # each item is partial(item_sums, cells), cells() its candidate centres
+        assert all(item.args[0]().shape[0] <= cap for item in items)
+        energy = en.energy_of_field(counted, dom, resolution=h)
+        mp.setattr(en, "_candidate_runs", _every_run_a_candidate)
         _, (*scan, scan_kept, scan_cut) = volume()
+    # the centre rule: fields.gradient reads 2 dim points per kept centre
+    scan_energy, centre_kept = _centre_rule_scan(u, dom, h)
+    assert sum(rows) == 2 * dim * centre_kept
+    assert energy == pytest.approx(scan_energy, rel=1e-12, abs=1e-300)
     assert (kept, cut) == (scan_kept, scan_cut) == _box_scan_counts(dom, h)
     assert sums == pytest.approx(scan, rel=1e-12, abs=1e-300)
     side, scan_side = (s[0] - s[1] + s[2] + s[3] for s in (sums, scan))
@@ -638,11 +669,11 @@ def _einsum_volume(u, phi, dom, h):
     counts, cells = en.box_cells(lo, hi, h)
     step = 1e-5 * (1.0 + float(np.max(np.abs([lo, hi]))))
     sums, scale = np.zeros(4), np.zeros(4)
-    for start in range(0, cells, en.CHUNK):
-        pts = en.cell_centres(lo, counts, h, np.arange(start, min(start + en.CHUNK, cells)))
+    for start in range(0, cells, _SCAN):
+        pts = en.cell_centres(lo, counts, h, np.arange(start, min(start + _SCAN, cells)))
         frac = np.ones(pts.shape[0])
         for _, ob in dom.pieces():
-            frac = frac * rl._box_fraction(ob.depth(pts), -ob.exterior_normal(pts), h)
+            frac = frac * en._box_fraction(ob.depth(pts), -ob.exterior_normal(pts), h)
         pts, frac = pts[frac > 0.0], frac[frac > 0.0]
         grad, hess = _row_major(*fl.fd_gradient_hessian(u.batch, pts, step))
         lap_f = np.einsum("kii->k", hess) - np.einsum("ki,ki->k", pts, grad)

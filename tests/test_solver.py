@@ -788,6 +788,17 @@ class TestExhaustion:
         assert diffs == [0.0, 0.0]
         assert sol.report.details["neumann_nodes"] == 0
 
+    def test_history_compares_on_half_the_first_radius(self, slab_dom):
+        # the compact is Omega within half the first exhaustion radius: on
+        # 1.5 instead of 1.0 the differences read 0.0057 and 3.8e-5
+        radii, h = [2.0, 3.0, 4.0], 1 / 16
+        sol = sv.solve_exhaustion(slab_dom, radii, h=h, tol=1e-4, linear_tol=1e-11)
+        solves = [sv.solve_mixed_bvp(slab_dom.with_radius(r), h=h, tol=1e-11) for r in radii]
+        assert sol.report.exhaustion_history == [
+            (r, sv._sup_difference_on_compact(prev, new, 0.5 * radii[0]))
+            for r, prev, new in zip(radii[1:], solves, solves[1:])]
+        assert sol.report.details["compact_radius"] == 0.5 * radii[0]
+
     def test_radius_count_guard(self, slab_dom):
         with pytest.raises(ParameterError):
             sv.solve_exhaustion(slab_dom, [4.0], h=1 / 16)
