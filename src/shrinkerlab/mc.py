@@ -20,8 +20,10 @@ First-crossing detection is the Brownian-bridge test (Gobet, SPA 2000): a
 step whose end lies outside a piece has hit it, and a step that starts and
 ends at depths d0, d1 > 0 has crossed it in between with probability
 exp(-d0 d1 / dt), decided by a uniform from the block's stream wherever that
-probability is not negligible.  This removes the O(sqrt(dt)) discrete-
-monitoring bias of a plain sign test; `bias_study` quantifies what remains.
+probability is not negligible.  A step near both pieces draws one uniform
+u: sigma1 is crossed when u < p1, sigma2 when p1 <= u < p1 + p2.  This
+removes the O(sqrt(dt)) discrete-monitoring bias of a plain sign test;
+`bias_study` quantifies what remains.
 """
 
 import math
@@ -121,13 +123,14 @@ def _chunk(x, d_prev, pieces, grow, shrink, dt, rng):
     np.minimum.at(first, pi[out], 2 * si[out] + (d0[out] > d1[out]))
 
     # bridge test on the candidate steps before a path's first end outside:
-    # one uniform per step, crossing sigma1 with probability p1, else sigma2
-    # with probability p2
+    # one uniform per step, crossing sigma1 with probability p1 and sigma2
+    # with probability min(p2, 1 - p1), since a bridge near both pieces
+    # rarely crosses both
     before = si < first[pi] // 2
     cand, si, pi = cand[before], si[before], pi[before]
     p1, p2 = np.exp(-product[:, cand] / dt)
     u = rng.random(cand.size)
-    crossed = u < p1 + (1.0 - p1) * p2
+    crossed = u < p1 + p2
     np.minimum.at(first, pi[crossed], 2 * si[crossed] + (u[crossed] >= p1[crossed]))
 
     retired = np.flatnonzero(first < 2 * steps)

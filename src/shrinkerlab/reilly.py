@@ -31,11 +31,11 @@ one differencing step per piece from the largest radius of its nodes.  A
 piece's nodes, weights and largest radius are built once per (shape,
 exhaustion radius, nodes per dimension) and cached read-only
 (`_piece_quadrature`), so repeated residuals and energy chains on one
-domain only slice them.
+domain only read them.
 
 One residual is one ordered stream of work items -- the cell items, then
-the node items of both passes, 16,384 nodes each in node order (a node
-costs about twice a cell) -- run on os.cpu_count() threads by
+one item per piece and pass, at most 16,384 nodes (a node costs about
+twice a cell) -- run on os.cpu_count() threads by
 `fields.ordered_map`, so a thread holds one item at a time, at most about
 6 MB traced on the 3D unit ball.  The partial sums are added in item
 order, so the result does not depend on the worker count.  The report's
@@ -66,7 +66,6 @@ __all__ = ["CutoffFamily", "ReillyReport", "reilly_residual",
 _BOUNDARY_NODES_PER_DIM = 128
 _CHECK_NODES_PER_DIM = 96
 _CHAIN_NODES_PER_DIM = 384
-_BOUNDARY_ITEM_NODES = 16_384   # nodes per boundary work item
 
 
 class CutoffFamily:
@@ -96,42 +95,16 @@ class CutoffFamily:
 
     def squared_with_gradient(self, x):
         """phi^2 (N,) and grad(phi^2) = 2 phi phi' x/|x| (n, N, component-major)
-        at the (N, n) rows of x, from one radius and one clipped s per row.
-
-        Computed in place, with the operations of `_transition`, `_value`
-        and phi' = -30 s^2 (1 - s)^2 / R in their order (products swap their
-        factors, which is exact), so the bits are theirs."""
+        at the (N, n) rows of x, with phi' = -30 s^2 (1 - s)^2 / R on the
+        transition (0, 1) and 0 elsewhere; no direction at the origin."""
         r = radii(x)
-        s = r - self.R
-        s /= self.R
-        np.clip(s, 0.0, 1.0, out=s)
-        phi = s ** 3
-        poly = 15.0 * s
-        np.subtract(10.0, poly, out=poly)
-        sq = 6.0 * s
-        sq *= s
-        poly += sq
-        phi *= poly
-        np.subtract(1.0, phi, out=phi)
-        # fac = 2 phi phi', phi' = 0 off the transition (0, 1)
-        fac = s ** 2
-        fac *= -30.0
-        np.subtract(1.0, s, out=sq)
-        sq **= 2
-        fac *= sq
-        fac /= self.R
-        np.copyto(fac, 0.0, where=~((s > 0.0) & (s < 1.0)))
-        np.multiply(2.0, phi, out=sq)
-        fac *= sq
-        centre = ~(r > 0)
-        np.maximum(r, 1e-300, out=r)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            grad = x.T / r
-        if np.any(centre):  # no direction at the origin (or a NaN radius)
-            grad[:, centre] = 0.0
+        s = self._transition(r)
+        phi = self._value(s)
+        fac = 2.0 * phi * np.where((s > 0.0) & (s < 1.0),
+                                   -30.0 * s ** 2 * (1.0 - s) ** 2 / self.R, 0.0)
+        grad = x.T / np.maximum(r, 1e-300)
         grad *= fac
-        phi *= phi
-        return phi, grad
+        return phi ** 2, grad
 
 
 @dataclass
@@ -230,8 +203,8 @@ def _boundary_sums(u, phi, ob, nodes, weights, step):
     grad, hess = fd_gradient_hessian(u.batch, nodes, step)
 
     kappas = ob.principal_curvatures(nodes)
-    # equal curvatures, as on a plane or a sphere, need no tolerance test
-    if not (np.all(kappas == kappas[:, :1]) or np.allclose(kappas, kappas[:, :1])):
+    # planes and spheres, the only pieces, return exactly equal curvatures
+    if not np.all(kappas == kappas[:, :1]):
         raise MissingGeometryError("non-umbilic boundary pieces are not supported")
     kappa = kappas[:, 0]
     tr_a = kappa * (n - 1)
@@ -273,28 +246,18 @@ def _piece_quadrature(shape, max_radius, per_dim):
 
 
 def _boundary_items(u, phi, domain, per_dim):
-    """Work items of the boundary integrals on per_dim^(n-1) Gauss-Legendre
-    nodes of each piece, one per _BOUNDARY_ITEM_NODES nodes in node order,
-    each returning `_boundary_sums`; and the node count.
-
-    _BOUNDARY_ITEM_NODES is read at call time.  On the 3D unit ball the
-    residual's passes are one item each, of 16,384 and 9,216 nodes.  An item
-    of 16,384 nodes peaks at 5.1-5.8 MB traced and a volume item of 30,720
-    candidate cells at up to 5.9 MB; twice the nodes would peak at 10.3-11.3
-    MB."""
+    """Work items of the boundary integrals, one per piece with nodes: its
+    per_dim^(n-1) Gauss-Legendre nodes, each item returning `_boundary_sums`
+    at one differencing step from the piece's largest node radius; and the
+    node count.  Pieces have surface rules in R^2 and R^3 only, so an item
+    holds at most 128^2 = 16,384 nodes, which peak at 5.1-5.8 MB traced."""
     items = []
     total = 0
-    size = _BOUNDARY_ITEM_NODES
     for _, ob in domain.pieces():
         nodes, weights, reach = _piece_quadrature(ob.shape, domain.exhaustion_radius, per_dim)
         if nodes.shape[0] == 0:
             continue
-        # one step per piece over all of its nodes, so that no sum depends
-        # on the chunking
-        step = 1e-5 * (1.0 + reach)
-        items += [partial(_boundary_sums, u, phi, ob, nodes[start:start + size],
-                          weights[start:start + size], step)
-                  for start in range(0, nodes.shape[0], size)]
+        items.append(partial(_boundary_sums, u, phi, ob, nodes, weights, 1e-5 * (1.0 + reach)))
         total += nodes.shape[0]
     return items, total
 
@@ -323,7 +286,7 @@ def reilly_residual(u, phi, domain, mesh_h):
     # the mixed term on fewer nodes gives mixed_term_uncertainty, a check of
     # the boundary quadrature
     second_items, second_nodes = _boundary_items(u, phi, domain, per_dim=_CHECK_NODES_PER_DIM)
-    # one ordered stream, so the boundary chunks share the pool with the cells
+    # one ordered stream, so the boundary items share the pool with the cells
     parts = ordered_map(lambda item: item(),
                         volume_items + boundary_items + second_items)
     a = len(volume_items)

@@ -235,13 +235,22 @@ class TestSeparation:
         assert not rep.passes
 
     def test_truncation_flag(self):
-        # the graph of e^(-r^2) has no point with |z| < 0.9201, so 0.5 is skipped
+        # the graph of e^(-r^2) has no point with |z| < 0.9201, nor the plane
+        # z = 1 with |z| < 1, so 0.5 is skipped
         for sigma2 in (geo.Cylinder(k=1, m=2),
-                       br.GraphSurface(height=lambda r: math.exp(-r * r), ambient_dim=3)):
+                       br.GraphSurface(height=lambda r: math.exp(-r * r), ambient_dim=3),
+                       geo.Hyperplane(normal=(0, 0, 1.0), offset=1.0)):
             rep = br.separation_check(br.SeparationHypothesis(b=0.0),
                                       geo.Hyperplane(normal=(0, 0, 1.0)), sigma2, [0.5, 2, 3, 4])
             assert rep.truncated
             assert rep.ratios[0][0] == 2.0
+
+    def test_plane_has_no_point_below_its_offset(self):
+        plane = geo.Hyperplane(normal=(0, 0, 1.0), offset=-1.5)
+        assert plane.sample_at_norm(1.4, 8) is None
+        pts = plane.sample_at_norm(2.5, 8)
+        np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 2.5, rtol=1e-14)
+        np.testing.assert_allclose(pts[:, 2], -1.5, rtol=1e-14)
 
     def test_hypothesis_validation(self):
         with pytest.raises(ParameterError):

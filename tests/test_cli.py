@@ -159,6 +159,20 @@ def test_verify_shrinker(tmp_path):
     assert os.path.exists(os.path.join(out, "run_meta.json"))
 
 
+def test_model_file_reads_as_the_inline_model(tmp_path):
+    # a --model value not starting with "{" is the path of a JSON file
+    model = '{"type":"cylinder","m":2,"k":1}'
+    path = tmp_path / "cylinder.json"
+    path.write_text(model)
+    reports = []
+    for name, value in (("inline", model), ("file", str(path))):
+        out = _out(tmp_path, name)
+        assert main(["verify-shrinker", "--model", value, "--samples", "50",
+                     "--output-dir", out]) == 0
+        reports.append(open(os.path.join(out, "report.json"), "rb").read())
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("command, count", [
     ("verify-shrinker", "0"), ("verify-shrinker", "-2"), ("identities", "0"),
     ("barrier", "0"), ("barrier", "-3")])

@@ -180,7 +180,8 @@ def test_bridge_removes_coarse_step_bias(domain, x0, slab_dom, annulus_dom,
 def test_bridge_splits_a_step_near_both_pieces():
     # one step of dt = 1e-2 from the middle of a slab of width 0.3: a path
     # that ends inside crosses sigma1 with probability p1 = exp(-d0 d1 / dt)
-    # and else sigma2 with probability p2, so sigma2 takes (1 - p1) p2
+    # and sigma2 with probability p2, both from one uniform, so sigma2 takes
+    # min(p2, 1 - p1)
     dom = dm.slab_domain(-0.15, 0.15, ambient_dim=2, radius=3.0)
     pieces = (dom.sigma1, dom.sigma2)
     dt, n = 1e-2, 20_000
@@ -191,9 +192,20 @@ def test_bridge_splits_a_step_near_both_pieces():
         np.array([decay]), dt, np.random.Generator(np.random.SFC64(7)))
     inside = np.all(d1 > 0.0, axis=0)
     p1, p2 = np.exp(-d0 * d1 / dt)[:, inside]
-    for hits, q in ((retired[label == 1], p1), (retired[label == 2], (1.0 - p1) * p2)):
+    for hits, q in ((retired[label == 1], p1), (retired[label == 2], np.minimum(p2, 1.0 - p1))):
         observed = np.count_nonzero(inside[hits])
         assert abs(observed - q.sum()) <= 3.0 * math.sqrt(np.sum(q * (1.0 - q)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_thin_slab_matches_its_closed_form_at_a_coarse_step(seed):
+    # every step near one piece lies near the other too; a sigma2 share of
+    # (1 - p1) p2 a step read up to 4.5 sigma low here
+    dom = dm.slab_domain(-0.15, 0.15, ambient_dim=2)
+    cfg = mc.McConfig(n_paths=20_000, dt=1e-2, seed=seed)
+    for x0 in (np.array([0.0, 0.0]), np.array([0.0, 0.05])):
+        est = mc.ou_hitting_probability(x0, dom, cfg)
+        assert abs(est.p_hat - dom.closed_form(x0)) <= 3.0 * est.stderr
 
 
 def test_exit_time_quantiles(slab_dom):

@@ -4,6 +4,8 @@ import platform
 import re
 import sys
 import tracemalloc
+from fractions import Fraction
+from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
@@ -106,12 +108,11 @@ def _residual(ball, phi, h):
 
 
 def test_volume_side_does_not_depend_on_chunks_or_threads(unit_ball, monkeypatch):
-    # the whole residual: by default 1/16 is one volume item and each
-    # boundary pass one item of nodes; items of 4,096 candidate cells, runs
-    # classified 512 at a time and 2,048-node boundary items split them all
+    # the whole residual: by default 1/16 is one volume item; items of 4,096
+    # candidate cells and runs classified 512 at a time split it (each
+    # boundary pass is always one item per piece)
     phi = rl.CutoffFamily(0.5)
     rep = _residual(unit_ball, phi, 1 / 16)
-    monkeypatch.setattr(rl, "_BOUNDARY_ITEM_NODES", 2048)
     monkeypatch.setattr(en, "_CLASSIFY_RUNS", 512)
     monkeypatch.setattr(en, "_ITEM_CELLS", 4096)
     chunked = _residual(unit_ball, phi, 1 / 16)
@@ -195,26 +196,40 @@ def test_malloc_thresholds_are_set_only_on_glibc(monkeypatch, libc, error):
     assert calls == [(-3, 32 * 2 ** 20), (-1, 64 * 2 ** 20)]
 
 
-def test_boundary_items_cover_each_pass_in_half_chunks(unit_ball):
+def test_boundary_items_are_one_per_piece_and_pass(unit_ball):
     # one item of the 128 x 128 pass (16,384 nodes) and one of the 96 x 96
-    # pass (9,216 nodes), in node order
+    # pass (9,216 nodes), each holding the piece's cached nodes whole
     sphere = unit_ball.sigma1.shape
-    for per_dim, count in ((rl._BOUNDARY_NODES_PER_DIM, 1), (rl._CHECK_NODES_PER_DIM, 1)):
-        items, total = rl._boundary_items(U_X1, None, unit_ball, per_dim)
-        nodes, weights, _ = rl._piece_quadrature(sphere, unit_ball.exhaustion_radius, per_dim)
-        assert len(items) == count
+    for per_dim in (rl._BOUNDARY_NODES_PER_DIM, rl._CHECK_NODES_PER_DIM):
+        (item,), total = rl._boundary_items(U_X1, None, unit_ball, per_dim)
+        nodes, weights, reach = rl._piece_quadrature(sphere, unit_ball.exhaustion_radius,
+                                                     per_dim)
         assert total == nodes.shape[0] == per_dim ** 2
-        # each item is partial(_boundary_sums, u, phi, ob, nodes, weights, step)
-        assert all(item.args[3].shape[0] <= rl._BOUNDARY_ITEM_NODES for item in items)
-        assert np.array_equal(np.concatenate([item.args[3] for item in items]), nodes)
-        assert np.array_equal(np.concatenate([item.args[4] for item in items]), weights)
-    # the counters do not depend on the item size
+        # the item is partial(_boundary_sums, u, phi, ob, nodes, weights, step)
+        assert item.args[3] is nodes and item.args[4] is weights
+        assert item.args[5] == 1e-5 * (1.0 + reach)
     assert _residual(unit_ball, None, 1 / 16).details == {
         "ricci_mode": "gaussian identity", "volume_cells": 19544, "cut_cells": 4760,
         "volume_fd_step": 2e-05, "stencil_evaluations_per_point": 13,
         "boundary_nodes": rl._BOUNDARY_NODES_PER_DIM ** 2,
         "field_evaluations": 13 * (19544 + rl._BOUNDARY_NODES_PER_DIM ** 2
                                    + rl._CHECK_NODES_PER_DIM ** 2)}
+
+
+def test_a_piece_outside_the_exhaustion_ball_gets_no_boundary_item():
+    # the plane z = -3 lies outside B_2, so only the unit sphere has nodes
+    dom = dm.domain_from_json({
+        "kind": "generic", "ambient_dim": 3, "radius": 2.0,
+        "sigma1": {"type": "plane", "normal": [0, 0, 1], "offset": -3.0, "side": 1},
+        "sigma2": {"type": "sphere", "radius": 1.0, "side": -1}})
+    items, total = rl._boundary_items(U_X1, None, dom, rl._BOUNDARY_NODES_PER_DIM)
+    assert len(items) == 1 and items[0].args[2] is dom.sigma2
+    assert total == rl._BOUNDARY_NODES_PER_DIM ** 2
+    details = rl.reilly_residual(U_X1, None, dom, mesh_h=1 / 8).details
+    assert details["boundary_nodes"] == rl._BOUNDARY_NODES_PER_DIM ** 2
+    assert details["field_evaluations"] == 13 * (details["volume_cells"]
+                                                 + rl._BOUNDARY_NODES_PER_DIM ** 2
+                                                 + rl._CHECK_NODES_PER_DIM ** 2)
 
 
 def test_umbilic_check_reaches_the_last_boundary_chunk(unit_ball, monkeypatch):
@@ -499,6 +514,29 @@ def test_box_fraction_matches_midpoint_count(comps, scale, h, shift):
     brute = float(np.mean(depth + Y @ normal >= 0.0))
     frac = en._box_fraction(np.array([depth]), normal[None, :], h)[0]
     assert abs(frac - brute) <= dim / k
+
+
+def _exact_box_fraction(depth, normal, h):
+    """The inclusion-exclusion fraction of `en._box_fraction` in exact
+    rationals, every component kept (each must be nonzero)."""
+    a = [Fraction(abs(c)) for c in normal]
+    h = Fraction(h)
+    t = Fraction(depth) + h / 2 * sum(a)
+    dim = len(a)
+    vol = sum((-1) ** size * max(t - h * sum(a[i] for i in s), Fraction(0)) ** dim
+              for size in range(dim + 1) for s in combinations(range(dim), size))
+    return vol / (math.factorial(dim) * math.prod(a) * h ** dim)
+
+
+@pytest.mark.parametrize("small", [9.5e-6, 1.2e-5])
+def test_box_fraction_keeps_a_component_above_its_threshold(small):
+    # components above 1e-5 times the largest (8e-6 here) are kept; dropping
+    # one moves the fraction by about its size, 6e-6 to 7.5e-6 here
+    normal = np.array([0.8, -math.sqrt(1.0 - 0.64 - small * small), small])
+    h = 1 / 64
+    for depth in (-0.3 * h, 0.0, 0.2 * h):
+        frac = en._box_fraction(np.array([depth]), normal[None, :], h)[0]
+        assert abs(frac - float(_exact_box_fraction(depth, normal, h))) <= 1e-10
 
 
 def test_chain_needs_grid(annulus_dom, radial_profile):
