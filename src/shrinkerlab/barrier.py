@@ -199,6 +199,7 @@ def lipschitz_barrier(mode, domain):
 def measured_lipschitz(fld, domain):
     """Numerical Lipschitz estimate: the largest |partial derivative| that
     `fields.gradient` reads at quasi-random interior points, NaN if one is."""
+    # 1000 or 3000 points move the 2D annulus's reading 0.66667 by 1e-6; 0.5 or 1.5 delta, 1e-11
     count, delta = 2000, 1e-4    # Halton points; difference step and interior margin
     radius = min(domain.exhaustion_radius, 6.0)
     pts = (halton(count, domain.ambient_dim) - 0.5) * 2.0 * radius
@@ -245,6 +246,7 @@ class GraphSurface:
 
     def sample_at_norm(self, norm, count):
         lo, hi = 0.0, norm
+        # the bracket meets adjacent doubles in about 60 halvings: 100 or 300 give this rho
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if mid * mid + self.height(mid) ** 2 <= norm * norm:
@@ -293,6 +295,7 @@ def separation_check(hyp, sigma1, sigma2, sample_norms):
     ratios = []
     truncated = False
     for s in sample_norms:
+        # SEPARATION_CASES' sigma2 keep one plane distance at a norm: 4 or 12 points agree
         pts = sigma2.sample_at_norm(s, 8)
         if pts is None:
             truncated = True

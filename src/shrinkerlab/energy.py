@@ -1,8 +1,8 @@
 """Weighted Dirichlet energy, growth profiles, the Caccioppoli check, and
 the one cell stream of the weighted volume integrals.
 
-Grid energies use a midpoint rule over cells whose corners are all inside the
-classified region (documented first-order near the boundary).  Profile-backed
+Grid energies use a midpoint rule over cells with data at every corner, where
+the solution's values are not NaN (documented first-order near the boundary).  Profile-backed
 solutions read their closed forms off the profile (see `solver`): the energy
 (1/2) c / F(hi) and the flux c / F(hi) from its `reduced_mass` c and
 `normalization` F(hi), the mass inside B_R from its `ball_mass`.
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import MissingGeometryError, ParameterError, require_positive, require_radii
 from .fields import gradient, row_dot
-from .solver import DIRICHLET_DATA, EXTERIOR
+from .solver import DIRICHLET_DATA
 
 __all__ = [
     "EnergyReport",
@@ -88,20 +88,15 @@ class EnergyReport:
 def weighted_gradient_cells(solution):
     """Cell-midpoint data for grid solutions: centers and |grad u|^2 e^-f h^n.
 
-    Only cells with every corner classified non-exterior contribute; this is
-    the documented first-order treatment of the boundary band.
+    Only cells with data at every corner contribute; this is the documented
+    first-order treatment of the boundary band.  A cell's |grad u|^2 reads
+    all 2^n corners, and the values are NaN where a node has no data, so
+    the kept cells are those where it is not NaN.
     """
     grid = solution.grid_for("weighted_gradient_cells")
     V = solution.field.values
     n = V.ndim
     h = grid.h
-    nonext = (grid.codes != EXTERIOR).reshape(grid.shape)
-
-    cell_ok = None
-    for corner in np.ndindex(*([2] * n)):
-        sl = tuple(slice(c, s - 1 + c) for c, s in zip(corner, V.shape))
-        piece = nonext[sl]
-        cell_ok = piece.copy() if cell_ok is None else (cell_ok & piece)
 
     # |grad u|^2 at the cell centres, each axis's difference averaged over
     # the other axes; built in place, which rounds as 0 + d_0^2 + d_1^2 ...
@@ -127,9 +122,9 @@ def weighted_gradient_cells(solution):
     # the kept cells' centres, one column per axis; |centre|^2 adds the
     # columns' squares in axis order, as np.sum(centers ** 2, axis=1) does,
     # at a fraction of the cost of a reduction along short rows
-    mask = cell_ok.reshape(-1)
+    mask = ~np.isnan(grad_sq.reshape(-1))
+    index = np.unravel_index(np.flatnonzero(mask), grad_sq.shape)
     grad_sq = grad_sq.reshape(-1)[mask]
-    index = np.unravel_index(np.flatnonzero(mask), cell_ok.shape)
     cols = [(0.5 * (c[:-1] + c[1:]))[i] for c, i in zip(grid.axes, index)]
     w = np.exp(-0.5 * sum(c * c for c in cols)) * h ** n
     return np.stack(cols, axis=1), grad_sq * w
@@ -338,7 +333,8 @@ def _box_fraction(depth, normal, h):
     # below divides by their product, so tiny ones would swamp it in rounding
     active = ac > np.maximum(1e-12, 1e-5 * ac.max(axis=0))
     d_eff = np.count_nonzero(active, axis=0)
-    out = np.empty(t.size)
+    # a row with no active component (d_eff 0) is cut by its offset alone
+    out = np.where(t >= 0.0, 1.0, 0.0)
     for d in range(1, n + 1):
         rows = d_eff == d
         if not np.any(rows):
@@ -363,9 +359,6 @@ def _box_fraction(depth, normal, h):
                 vol += corner[k]
         denom = math.factorial(d) * np.prod(comp, axis=0) * h ** d
         out[rows] = np.clip(vol / denom, 0.0, 1.0)
-    zero_rows = d_eff == 0
-    if np.any(zero_rows):
-        out[zero_rows] = np.where(t[zero_rows] >= 0.0, 1.0, 0.0)
     frac[cut] = out
     return frac
 

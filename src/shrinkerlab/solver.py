@@ -24,7 +24,8 @@ per-axis 1D linear interpolation, restricted to the unknowns and the
 parents they reference, and is converted to CSC once, which finds those
 parents and gives P^T in CSR for the Galerkin product.  The grid keeps no
 coordinate array; coordinates are rebuilt from the axes for the nodes that
-need them.
+need them.  It keeps no node classes either: the solved mask marks the
+unknowns, and a solution's values are NaN exactly where a node has no data.
 
 The discrete maximum principle is a hard postcondition: produced solutions
 live in [0, 1].  scipy is imported where it is called: a closed-form
@@ -54,8 +55,7 @@ __all__ = [
     "solve_exhaustion",
 ]
 
-# node classification codes, and the Dirichlet data of each boundary piece
-EXTERIOR, INTERIOR, DIRICHLET0, DIRICHLET1, NEUMANN_GAMMA = 0, 1, 2, 3, 4
+# the Dirichlet data of each boundary piece
 DIRICHLET_DATA = {"sigma1": 0.0, "sigma2": 1.0}
 
 _SNAP = 1e-3          # nodes closer than _SNAP * h to a Dirichlet surface are pinned
@@ -76,7 +76,7 @@ class Solution:
     """A solved scalar field with its diagnostics.
 
     `field` is always callable on ambient points; grid-backed solutions also
-    carry the classified grid, profile-backed ones the 1D profile object.
+    carry their `Grid`, profile-backed ones the 1D profile object.
     """
 
     field: ScalarField
@@ -85,7 +85,7 @@ class Solution:
     profile: object = None
 
     def grid_for(self, reader):
-        """The classified grid, for the grid-only `reader` (its name); a
+        """The `Grid`, for the grid-only `reader` (its name); a
         profile-backed solution has none, a ParameterError naming the reader."""
         if self.grid is None:
             raise ParameterError(f"{reader} needs a grid-backed solution")
@@ -186,15 +186,16 @@ def solve_slab(h1, h2, ambient_dim=2, axis=-1):
 
 
 class Grid:
-    """Classified uniform lattice over Omega intersected with the exhaustion ball.
+    """Uniform lattice over Omega intersected with the exhaustion ball.
 
-    Nodes carry one of the codes exterior / interior / dirichlet0 / dirichlet1 /
-    neumann_gamma.  The lattice is anchored at integer multiples of h so that
+    `solved_mask` marks the unknowns, the nodes in the ball more than snap
+    inside every piece, and `dirichlet_values` gives the data beyond the
+    pieces.  The lattice is anchored at integer multiples of h so that
     axis-aligned boundaries hit nodes exactly; a 2h ghost margin guarantees
     every solved node has in-array neighbors.
 
-    The grid keeps its `axes`, the per-node codes, radii and piece depths, but
-    no coordinate array: the full-box coordinates are built once for the depth
+    The grid keeps its `axes`, `solved_mask`, radii and piece depths, but no
+    coordinate array: the full-box coordinates are built once for the depth
     calls and dropped, and `coordinates` rebuilds those of the nodes asked for.
     """
 
@@ -218,16 +219,14 @@ class Grid:
         del sq
         points = np.stack(np.meshgrid(*self.axes, indexing="ij", copy=False),
                           axis=-1).reshape(-1, self.ndim)
-        self.piece_labels = [label for label, _ in domain.pieces()]
         self.depths = {label: np.asarray(ob.depth(points), dtype=float)
                        for label, ob in domain.pieces()}
         del points
 
-        snap = _SNAP * self.h
-        inside = np.ones(self.r.size, dtype=bool)
+        self.snap = snap = _SNAP * self.h
+        solved = self.r <= self.radius
         for d in self.depths.values():
-            inside &= d > snap
-        solved = inside & (self.r <= self.radius)
+            solved &= d > snap
 
         if "sigma2" in self.depths:
             sep = self.depths["sigma1"] + self.depths["sigma2"]
@@ -235,33 +234,21 @@ class Grid:
                 raise ParameterError(
                     "boundary pieces are closer than 2 grid cells inside the domain")
 
-        codes = np.zeros(self.r.size, dtype=np.int8)
+        self.solved_mask = solved
+
+    def dirichlet_values(self):
+        """NaN at every node, and each piece's `DIRICHLET_DATA` on its ghost
+        band: the nodes at most snap inside and at most `_DIRICHLET_BAND` h
+        beyond it, and inside every other piece.  No band node is solved."""
+        values = np.full(self.r.size, np.nan)
         band = _DIRICHLET_BAND * self.h
-        for label, code in (("sigma1", DIRICHLET0), ("sigma2", DIRICHLET1)):
-            if label not in self.depths:
-                continue
-            d = self.depths[label]
-            others_ok = np.ones_like(d, dtype=bool)
+        for label, d in self.depths.items():
+            on_band = (d <= self.snap) & (d >= -band)
             for other, dother in self.depths.items():
                 if other != label:
-                    others_ok &= dother > snap
-            codes[(d <= snap) & (d >= -band) & others_ok] = code
-
-        codes[solved] = INTERIOR
-        # solved nodes with an axis neighbor beyond the ball are Neumann-gamma
-        solved_nd = solved.reshape(self.shape)
-        beyond = (self.r > self.radius).reshape(self.shape)
-        gamma = np.zeros(self.shape, dtype=bool)
-        for ax in range(self.ndim):
-            for shift in (1, -1):
-                gamma |= solved_nd & np.roll(beyond, -shift, axis=ax)
-        codes[gamma.reshape(-1) & solved] = NEUMANN_GAMMA
-        self.codes = codes
-        self.solved_mask = solved
-        self.snap = snap
-
-    def node_count(self, code):
-        return int(np.count_nonzero(self.codes == code))
+                    on_band &= dother > self.snap
+            values[on_band] = DIRICHLET_DATA[label]
+        return values
 
     def coordinates(self, flat):
         """(N, n) coordinates of the nodes with flat (row-major) indices `flat`."""
@@ -273,20 +260,20 @@ def _leg(grid, node, step):
     """The stencil arms from the solved nodes `node` whose neighbor at flat
     offset `step` is not solved.
 
-    Returns (L, kind, uB, strays): L is the leg length, kind is 1 for a
-    Dirichlet leg (cut at the signed-distance zero crossing, with data uB)
-    and 2 for a leg mirrored across the exhaustion sphere.  `strays` counts
-    the unsolved neighbors that neither a surface nor the sphere explains,
-    mirrored defensively.
+    Returns (L, kind, uB, strays, beyond): L is the leg length, kind is 1
+    for a Dirichlet leg (cut at the signed-distance zero crossing, with data
+    uB) and 2 for a leg mirrored across the exhaustion sphere.  `strays`
+    counts the unsolved neighbors that neither a surface nor the sphere
+    explains, mirrored defensively.  `beyond` marks the neighbors beyond the
+    exhaustion sphere, cut legs included.
     """
     h, snap = grid.h, grid.snap
     nb = node + step
     theta_best = np.full(node.size, np.inf)
     kind = np.zeros(node.size, dtype=np.int8)
     uB = np.zeros(node.size)
-    for label in grid.piece_labels:
-        d0 = grid.depths[label][node]
-        d1 = grid.depths[label][nb]
+    for label, depth in grid.depths.items():
+        d0, d1 = depth[node], depth[nb]
         crossing = d1 <= snap
         with np.errstate(divide="ignore", invalid="ignore"):
             theta = np.where(crossing, d0 / np.maximum(d0 - d1, 1e-300), np.inf)
@@ -297,10 +284,11 @@ def _leg(grid, node, step):
     cut = kind == 1
     L = np.full(node.size, h)
     L[cut] = np.clip(theta_best[cut], _SNAP, 1.0) * h
-    kind[~cut & (grid.r[nb] > grid.radius)] = 2
+    beyond = grid.r[nb] > grid.radius
+    kind[~cut & beyond] = 2
     stray = kind == 0
     kind[stray] = 2
-    return L, kind, uB, int(np.count_nonzero(stray))
+    return L, kind, uB, int(np.count_nonzero(stray)), beyond
 
 
 def _arm_coefficients(v, L_p, L_m):
@@ -334,9 +322,10 @@ def _assemble(grid):
     crossing; legs leaving the exhaustion ball are mirrored (homogeneous
     Neumann).  `counters` holds the deterministic counts `defensive_mirrors`,
     `upwind_rows` (rows with the drift upwinded along some axis), `cut_legs`
-    (legs ending at a Dirichlet crossing) and `irregular_rows` (rows with a
-    cut or mirrored leg, which take the unequal-arm formula).  With no cut
-    leg no row sees Dirichlet data, and SingularSystemError is raised.
+    (legs ending at a Dirichlet crossing), `neumann_rows` (rows with a leg
+    beyond the exhaustion sphere, cut or not) and `irregular_rows` (rows
+    with a cut or mirrored leg, which take the unequal-arm formula).  With
+    no cut leg no row sees Dirichlet data, and SingularSystemError is raised.
 
     A is built in its final CSR form (Saad, Iterative Methods for Sparse
     Linear Systems, 2003, 3.4), with no COO stage.  Every row is staged in a
@@ -374,6 +363,7 @@ def _assemble(grid):
     diag = np.zeros(n_unknown)
     rhs = np.zeros(n_unknown)
     upwinded = np.zeros(n_unknown, dtype=bool)
+    neumann = np.zeros(n_unknown, dtype=bool)
     counters = {"defensive_mirrors": 0, "upwind_rows": 0, "cut_legs": 0}
     for ax in range(grid.ndim):
         slots = {+1: ax, -1: width - 1 - ax}
@@ -404,7 +394,8 @@ def _assemble(grid):
         diag += coef_0
         del coef_0
         for sgn, slot in slots.items():
-            off, _, kind, uB, strays = legs[sgn]
+            off, _, kind, uB, strays, beyond = legs[sgn]
+            neumann[off[beyond]] = True
             coef = vals[off, slot]
             is_dir = kind == 1
             rhs[off[is_dir]] -= coef[is_dir] * uB[is_dir]
@@ -427,6 +418,7 @@ def _assemble(grid):
     del diag
     present = cols >= 0
     counters["upwind_rows"] = int(np.count_nonzero(upwinded))
+    counters["neumann_rows"] = int(np.count_nonzero(neumann))
     # a row with a cut or mirrored leg misses that arm's slot
     counters["irregular_rows"] = int(np.count_nonzero(~present.all(axis=1)))
     present &= vals != 0.0
@@ -637,7 +629,7 @@ def _multigrid_bicgstab(A_s, b_s, x0, grid, weights, tol):
 def solve_mixed_bvp(domain, h, tol=1e-10, initial_guess=None):
     """Solve the mixed problem on Omega_k: Lap_f u = 0, u = DIRICHLET_DATA
     (0 / 1) on the two pieces, homogeneous Neumann across the exhaustion sphere,
-    on the classified `Grid(domain, h)` returned as the solution's `grid`.
+    on the `Grid(domain, h)` returned as the solution's `grid`.
 
     The Jacobi-scaled system D^-1 A u = D^-1 b that `_assemble` returns is
     solved by BiCGStab, preconditioned with one Galerkin geometric-multigrid
@@ -650,7 +642,8 @@ def solve_mixed_bvp(domain, h, tol=1e-10, initial_guess=None):
     SolverConvergenceError.  The report's `residual_history` holds that
     weighted norm for the initial guess and for each iterate once, so it
     has iterations + 1 entries and ends at `linear_residual`.  The returned
-    field satisfies 0 <= u <= 1 (discrete maximum principle).
+    field, the grid's `dirichlet_values` with the unknowns filled in,
+    satisfies 0 <= u <= 1 (discrete maximum principle).
     """
     require_positive("tol", tol)
     if initial_guess is not None and not math.isfinite(initial_guess):
@@ -680,9 +673,8 @@ def solve_mixed_bvp(domain, h, tol=1e-10, initial_guess=None):
             f"discrete maximum principle violated: range [{x.min():.3e}, {x.max():.3e}]")
     x = np.clip(x, lo, hi)
 
-    values = np.full(grid.codes.size, np.nan)
-    values[grid.codes == DIRICHLET0] = DIRICHLET_DATA["sigma1"]
-    values[grid.codes == DIRICHLET1] = DIRICHLET_DATA["sigma2"]
+    values = grid.dirichlet_values()
+    dirichlet_nodes = int(np.count_nonzero(~np.isnan(values)))
     values[grid.solved_mask] = x
     gf = GridField(origin=[ax[0] for ax in grid.axes], spacing=grid.h,
                    values=values.reshape(grid.shape))
@@ -690,9 +682,9 @@ def solve_mixed_bvp(domain, h, tol=1e-10, initial_guess=None):
     report = SolveReport(
         iterations=iterations, linear_residual=wres, converged=True,
         details={"h": grid.h, "radius": grid.radius, "unknowns": n,
-                 "interior_nodes": grid.node_count(INTERIOR),
-                 "neumann_nodes": grid.node_count(NEUMANN_GAMMA),
-                 "dirichlet_nodes": grid.node_count(DIRICHLET0) + grid.node_count(DIRICHLET1),
+                 "interior_nodes": n - counters["neumann_rows"],
+                 "neumann_nodes": counters["neumann_rows"],
+                 "dirichlet_nodes": dirichlet_nodes,
                  "defensive_mirrors": counters["defensive_mirrors"],
                  "upwind_fraction": counters["upwind_rows"] / n,
                  "irregular_rows": counters["irregular_rows"],

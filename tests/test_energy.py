@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 
@@ -297,6 +298,32 @@ def test_cell_centres_match_unravel_index(counts):
         got = en.cell_centres(lo, counts, h, flat)
         assert got.shape == expected.shape
         np.testing.assert_array_equal(got, expected)
+
+
+def test_gradient_cells_equal_the_corner_rule(classified_solution):
+    # the former rule: a cell counts when each of its 2^n corners is solved
+    # or a Dirichlet node, found by a loop over the corners
+    _, sol, (solved, _, dirichlet) = classified_solution
+    grid, V = sol.grid, sol.field.values
+    known = solved | dirichlet
+    n, h = V.ndim, grid.h
+    kept = np.ones([s - 1 for s in V.shape], dtype=bool)
+    for corner in itertools.product((0, 1), repeat=n):
+        kept &= known[tuple(slice(c, s - 1 + c) for c, s in zip(corner, V.shape))]
+    grad_sq = 0.0
+    for ax in range(n):
+        d = np.diff(V, axis=ax) / h
+        for other in range(n):
+            if other != ax:
+                d = 0.5 * (np.delete(d, -1, axis=other) + np.delete(d, 0, axis=other))
+        grad_sq = grad_sq + d * d
+    index = np.nonzero(kept)
+    centres = np.stack([(0.5 * (c[:-1] + c[1:]))[i] for c, i in zip(grid.axes, index)], axis=1)
+    weighted = grad_sq[index] * (np.exp(-0.5 * np.sum(centres ** 2, axis=1)) * h ** n)
+    got_centres, got = en.weighted_gradient_cells(sol)
+    assert got_centres.tobytes() == centres.tobytes()
+    assert got.tobytes() == weighted.tobytes()
+    assert np.all(np.isfinite(got)) and got.size > 0
 
 
 def _saddle_cells(grid, label):

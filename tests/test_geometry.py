@@ -178,6 +178,24 @@ class TestVolumeGrowth:
         assert geo.Hyperplane(normal=(0, 0, 0, 1.0)).clipped_area(R) == pytest.approx(
             4 / 3 * math.pi * R ** 3, rel=1e-12)
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_slope_margin_is_a_twentieth(self, m):
+        # the margin is m + 0.05: an area growing like R^(m + 0.04) passes,
+        # one growing like R^(m + 0.06) raises
+        class PowerArea:
+            hypersurface_dim = m
+
+            def __init__(self, exponent):
+                self.exponent = exponent
+
+            def clipped_area(self, R):
+                return R ** self.exponent
+
+        res = geo.extrinsic_volume_growth(PowerArea(m + 0.04), range(2, 11))
+        assert res.fitted_exponent == pytest.approx(m + 0.04, abs=1e-9)
+        with pytest.raises(ContractViolation, match="exceeds m"):
+            geo.extrinsic_volume_growth(PowerArea(m + 0.06), range(2, 11))
+
     def test_parameter_errors(self):
         pl = geo.Hyperplane(normal=(0, 0, 1.0))
         with pytest.raises(ParameterError):

@@ -144,8 +144,9 @@ def test_volume_side_does_not_depend_on_chunks_or_threads(unit_ball, monkeypatch
 
 
 def test_cutoff_residual_peaks_below_16_mb(unit_ball, monkeypatch):
-    # two workers hold two items at a time, at most 32,768 cells or 16,384
-    # nodes each, and the cached nodes of both boundary passes take 0.8 MB
+    # two workers hold two items at a time: a cell item of at most 30,720
+    # cells (energy._ITEM_CELLS) or one piece's boundary pass (at most 16,384
+    # nodes), and the cached nodes of both boundary passes take 0.8 MB
     monkeypatch.setattr("shrinkerlab.fields._WORKERS", 2)
     # the cached boundary nodes are built inside the measured call
     rl._piece_quadrature.cache_clear()

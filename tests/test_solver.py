@@ -310,23 +310,25 @@ class TestMixedBvp:
     def test_a_slab_outside_the_exhaustion_ball_is_singular(self, radius, h):
         # Dirichlet nodes lie in the ghost band, but no stencil leg reaches them
         grid = sv.Grid(dm.slab_domain(-1, 1, ambient_dim=2, radius=radius), h)
-        assert grid.node_count(sv.DIRICHLET0) > 0
+        assert np.any(grid.dirichlet_values() == sv.DIRICHLET_DATA["sigma1"])
         with pytest.raises(SingularSystemError, match="no stencil leg reaches Dirichlet data"):
             sv._assemble(grid)
 
     def test_grid_invariant_and_classification(self, annulus_dom):
         grid = sv.Grid(annulus_dom, h=1 / 16)
-        # every interior node's axis neighbors inside the ball are non-exterior
-        codes = grid.codes.reshape(grid.shape)
-        beyond = grid.r.reshape(grid.shape) > grid.radius
-        for ax in range(grid.ndim):
-            for shift in (1, -1):
-                nb_exterior = np.roll(codes, -shift, axis=ax) == sv.EXTERIOR
-                assert not np.any((codes == sv.INTERIOR) & nb_exterior
-                                  & ~np.roll(beyond, -shift, axis=ax))
-        assert grid.node_count(sv.INTERIOR) > 0
-        assert grid.node_count(sv.DIRICHLET0) > 0
-        assert grid.node_count(sv.DIRICHLET1) > 0
+        data = grid.dirichlet_values()
+        # every solved node's axis neighbors inside the ball are solved or
+        # carry data, those next to the exhaustion sphere included
+        flat = np.flatnonzero(grid.solved_mask)
+        strides = [math.prod(grid.shape[ax + 1:]) for ax in range(grid.ndim)]
+        for step in strides + [-s for s in strides]:
+            nb = flat + step
+            known = grid.solved_mask[nb] | ~np.isnan(data[nb])
+            assert np.all(known | (grid.r[nb] > grid.radius))
+        assert np.all(np.isnan(data[grid.solved_mask]))
+        assert flat.size > 0
+        for label in ("sigma1", "sigma2"):
+            assert np.any(data == sv.DIRICHLET_DATA[label])
 
     def test_3d_slab_second_order(self):
         # x3 = +-1 at exhaustion radius 4: at radius 3 the Neumann mirror on
@@ -364,8 +366,8 @@ class TestMixedBvp:
         cut = 0
         for step in (1, -1, grid.shape[1], -grid.shape[1]):
             nb = flat + step
-            beyond = np.logical_or.reduce([grid.depths[label][nb] <= grid.snap
-                                           for label in grid.piece_labels])
+            beyond = np.logical_or.reduce([depth[nb] <= grid.snap
+                                           for depth in grid.depths.values()])
             cut += np.count_nonzero(~grid.solved_mask[nb] & beyond)
         assert det["cut_legs"] == cut > 0
         # an irregular row has a cut or a mirrored leg: some unsolved axis neighbor
@@ -454,7 +456,7 @@ def _reference_assemble(grid):
     h, snap = grid.h, grid.snap
     flat = np.flatnonzero(grid.solved_mask)
     n = flat.size
-    unknown_of = np.full(grid.codes.size, -1, dtype=np.int32)
+    unknown_of = np.full(grid.solved_mask.size, -1, dtype=np.int32)
     unknown_of[flat] = np.arange(n, dtype=np.int32)
     strides = [math.prod(grid.shape[ax + 1:]) for ax in range(grid.ndim)]
 
@@ -463,8 +465,8 @@ def _reference_assemble(grid):
         node, nb = flat[off], flat[off] + step
         theta_best = np.full(off.size, np.inf)
         kind, uB = np.zeros(off.size, dtype=np.int8), np.zeros(off.size)
-        for label in grid.piece_labels:
-            d0, d1 = grid.depths[label][node], grid.depths[label][nb]
+        for label, depth in grid.depths.items():
+            d0, d1 = depth[node], depth[nb]
             crossing = d1 <= snap
             with np.errstate(divide="ignore", invalid="ignore"):
                 theta = np.where(crossing, d0 / np.maximum(d0 - d1, 1e-300), np.inf)
@@ -478,8 +480,10 @@ def _reference_assemble(grid):
         kind[~cut & (grid.r[nb] > grid.radius)] = 2
         strays = int(np.count_nonzero(kind == 0))
         kind[kind == 0] = 2
+        neumann[off[grid.r[nb] > grid.radius]] = True
         return off, L, kind, uB, strays
 
+    neumann = np.zeros(n, dtype=bool)
     legs = {(ax, sgn): leg(sgn * strides[ax]) for ax in range(grid.ndim) for sgn in (+1, -1)}
     counts = np.full(n, 2 * grid.ndim + 1)
     for off, *_ in legs.values():
@@ -525,6 +529,7 @@ def _reference_assemble(grid):
     indices[head] = np.arange(n, dtype=np.int32)
     data[head] = diag
     counters["upwind_rows"] = int(np.count_nonzero(upwinded))
+    counters["neumann_rows"] = int(np.count_nonzero(neumann))
     counters["irregular_rows"] = int(np.count_nonzero(irregular))
     return indptr, indices, data, rhs, counters
 
@@ -576,6 +581,20 @@ def test_assembly_equals_the_arm_by_arm_reference(case):
     for got, want in ((A.indptr, indptr), (A.indices, indices), (A.data, data), (b, rhs)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert counters == expected
+
+
+def test_node_counts_equal_the_former_node_classes(classified_solution):
+    config, sol, (solved, neumann, dirichlet) = classified_solution
+    n_neumann = int(np.count_nonzero(neumann))
+    expected = {"interior_nodes": int(np.count_nonzero(solved)) - n_neumann,
+                "neumann_nodes": n_neumann, "dirichlet_nodes": int(np.count_nonzero(dirichlet))}
+    assert {key: sol.report.details[key] for key in expected} == expected
+    # the annulus (0.5, 2) lies inside its exhaustion ball of radius 3
+    assert (expected["neumann_nodes"] > 0) == (config["kind"] != "annulus")
+    assert expected["dirichlet_nodes"] > 0
+    # the values carry data exactly at the solved and the ghost-band nodes
+    known = np.count_nonzero(~np.isnan(sol.field.values))
+    assert known == sol.report.details["unknowns"] + expected["dirichlet_nodes"]
 
 
 def _reference_prolongation(idx):
