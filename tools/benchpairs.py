@@ -7,17 +7,19 @@ Run from anywhere (stdlib only):
 
 Each checkout is a directory with `perfbench/` and the `src/` it imports.
 For each workload and pair, `python3 perfbench/run.py --workload W --seed S
---seconds T --trace 0` runs once in each checkout, one after the other:
+--trace 0` runs once in each checkout, one after the other (run.py takes
+its run length from the checkout's BENCHMARK.json `run_seconds`):
 the parent first in even-indexed pairs (0, 2, ...), the change first in
 the others, so a drift of the machine's load falls on both sides alike.
 The last line of each run's standard output is its JSON result.
 
-It writes `BENCH_<tag>.json` (rewritten after every pair, so an interrupted
-series keeps its finished pairs) with the machine facts and, per workload
-and end-to-end metric, each side's runs, median and quartiles
-(`statistics.quantiles`, n = 4), `change_lower` (the pairs in which the
-change reads strictly lower, as "k/n"), `median_change_frac` (change
-median / parent median - 1), `parent_iqr` and each side's failed counts.
+It writes `BENCH_<tag>.json` in the current directory (rewritten after
+every pair, so an interrupted series keeps its finished pairs) with the
+machine facts and, per workload and end-to-end metric, each side's runs,
+median and quartiles (`statistics.quantiles`, n = 4), `change_lower` (the
+pairs in which the change reads strictly lower, as "k/n"),
+`median_change_frac` (change median / parent median - 1), `parent_iqr` and
+each side's failed counts.
 It reads the metric names from the change's BENCHMARK.json and imports
 nothing from the package.
 """
@@ -35,10 +37,10 @@ from pathlib import Path
 ORDER = "alternating, parent first in even-indexed pairs (0, 2, ...)"
 
 
-def run_once(checkout, workload, seed, seconds):
+def run_once(checkout, workload, seed):
     """The JSON result of one untraced benchmark run in `checkout`."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -93,8 +95,6 @@ def main(argv=None):
     ap.add_argument("--workloads", required=True,
                     help="comma-separated workload:pairs, e.g. grid_solve:10,mc_hitting:3")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=10.0)
-    ap.add_argument("--out-dir", type=Path, default=Path("."))
     ap.add_argument("--parent-rev", default="", help="the parent's revision, recorded as is")
     ap.add_argument("--change-text", default="", help="one line on the change, recorded as is")
     ap.add_argument("--claim", default="none", help="the claimed gain, recorded as is")
@@ -110,18 +110,19 @@ def main(argv=None):
         "change": args.change_text, "parent": args.parent_rev, "claim": args.claim,
         "machine": machine(),
         "method": (f"python3 perfbench/run.py --workload W --seed {args.seed} "
-                   f"--seconds {args.seconds:g} --trace 0 in each checkout, {ORDER}; each "
+                   f"--trace 0 ({config['run_seconds']} s runs, BENCHMARK.json's "
+                   f"run_seconds) in each checkout, {ORDER}; each "
                    "side's median and quartiles (statistics.quantiles, n=4) over its runs; "
                    "change_lower counts the pairs where the change reads strictly lower"),
         "end_to_end": {},
     }
-    out = args.out_dir / f"BENCH_{args.tag}.json"
+    out = Path(f"BENCH_{args.tag}.json")
     for workload, pairs in plan:
         runs = {"parent": [], "change": []}
         for i in range(pairs):
             for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
                 checkout = args.parent if side == "parent" else args.change
-                runs[side].append(run_once(checkout, workload, args.seed, args.seconds))
+                runs[side].append(run_once(checkout, workload, args.seed))
             key = f"{workload}@seed{args.seed}"
             bench["end_to_end"][key] = compare(runs["parent"], runs["change"], metrics)
             out.write_text(json.dumps(bench, indent=2) + "\n")
