@@ -91,11 +91,10 @@ class DomainSpec:
             out.append(("sigma2", self.sigma2))
         return out
 
-    def grid_box(self, radius=None):
-        """Axis box covering Omega intersected with the exhaustion ball."""
-        r = self.exhaustion_radius if radius is None else radius
-        lo = np.full(self.ambient_dim, -r)
-        hi = np.full(self.ambient_dim, r)
+    def grid_box(self, radius):
+        """Axis box covering Omega intersected with the ball of `radius`."""
+        lo = np.full(self.ambient_dim, -radius)
+        hi = np.full(self.ambient_dim, radius)
         if self.box_hint is not None:
             hlo, hhi = self.box_hint
             lo = np.maximum(lo, hlo)

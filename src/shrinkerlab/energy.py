@@ -16,7 +16,8 @@ one cell stream, `cell_stream`: runs of 8 cells along the last axis, with
 each piece's depth read once at a run's middle, and a run skipped when that
 middle lies 3.5 h plus the cell half-diagonal h sqrt(n) / 2 outside a piece
 (depths are exact signed distances).  The other runs, classified 4,096 at a
-time, form work items of at most 30,720 candidate cells, so no array spans
+time, are candidates; a work item starts at every 3,840th of them, so it
+holds at most 30,720 candidate cells and only a mask of one byte a run spans
 the box.  Two keep rules read the items: the fraction rule
 (`kept_fractions`, the Reilly volume side) keeps the cells of positive
 exact plane-cut fraction, the centre rule (`energy_of_field`) the cells
@@ -384,13 +385,12 @@ def _runs(counts, run):
 
 
 def _candidate_runs(pieces, lo, counts, h, run):
-    """Whether each run is a candidate, and its candidate cells (its length
-    or 0).  Depths are exact signed distances, so a cell's depth differs
-    from its run middle's by at most (_RUN - 1) h / 2.  With the cell
-    half-diagonal added (both times 1 + 1e-9, which covers rounding), a run
-    whose middle lies that margin or more outside some piece has only cells
-    of fraction 0 there, whose centres lie outside it too; every other run
-    is a candidate."""
+    """Whether each run is a candidate.  Depths are exact signed distances,
+    so a cell's depth differs from its run middle's by at most
+    (_RUN - 1) h / 2.  With the cell half-diagonal added (both times
+    1 + 1e-9, which covers rounding), a run whose middle lies that margin
+    or more outside some piece has only cells of fraction 0 there, whose
+    centres lie outside it too; every other run is a candidate."""
     first_cell, start, length = _runs(counts, run)
     mids = cell_centres(lo, counts, h, first_cell)
     mids[:, -1] = lo[-1] + (start + 0.5 * length) * h
@@ -398,7 +398,7 @@ def _candidate_runs(pieces, lo, counts, h, run):
     candidate = np.ones(run.size, dtype=bool)
     for ob in pieces:
         candidate &= ob.depth(mids) > -margin
-    return candidate, length * candidate
+    return candidate
 
 
 def _run_cells(lo, counts, h, first, candidate):
@@ -414,45 +414,30 @@ def _run_cells(lo, counts, h, first, candidate):
     return pts
 
 
-def _run_items(pieces, lo, counts, h):
-    """(first run, which of its runs are candidates) of each work item:
-    consecutive runs in flat order with at most _ITEM_CELLS candidate cells
-    (read at call time, at least _RUN), each item after the first starting
-    at a candidate run; at least one item.  The runs are classified
-    _CLASSIFY_RUNS at a time."""
-    runs = int(np.prod(counts[:-1])) * -(-counts[-1] // _RUN)
-    items = []
-    pending = []        # candidate masks of the open item's runs before this step
-    first = 0           # the open item's first run
-    taken = total = 0   # candidate cells before that run, and before this step
-    for begin in range(0, runs, _CLASSIFY_RUNS):
-        candidate, cells = _candidate_runs(pieces, lo, counts, h,
-                                           np.arange(begin, min(begin + _CLASSIFY_RUNS, runs)))
-        cum = total + np.cumsum(cells)
-        while True:
-            # the open item ends before the first run that overfills it
-            cut = int(np.searchsorted(cum, taken + _ITEM_CELLS, side="right"))
-            if cut == cum.size:
-                break
-            items.append((first, np.concatenate(pending + [candidate[max(first - begin, 0):cut]])))
-            pending = []
-            first, taken = begin + cut, int(cum[cut - 1]) if cut else total
-        pending.append(candidate[max(first - begin, 0):])
-        total = int(cum[-1])
-    if total > taken or not items:
-        items.append((first, np.concatenate(pending)))
-    return items
-
-
 def cell_stream(domain, radius, h):
     """The work items of the cells of step h in the box
     `domain.grid_box(radius)`, in flat order: each a partial of `_run_cells`
-    giving the centres (m, n) of its candidate cells to a keep rule."""
+    giving the centres (m, n) of its candidate cells to a keep rule.  The
+    runs are classified _CLASSIFY_RUNS at a time into one mask.  The first
+    item starts at run 0 and item k at the candidate run of rank
+    k (_ITEM_CELLS // _RUN), read at call time, so an item holds at most
+    _ITEM_CELLS candidate cells; there is at least one item."""
     lo, hi = domain.grid_box(radius)
     counts, _ = box_cells(lo, hi, h)
     pieces = [ob for _, ob in domain.pieces()]
-    return [partial(_run_cells, lo, counts, h, first, candidate)
-            for first, candidate in _run_items(pieces, lo, counts, h)]
+    runs = int(np.prod(counts[:-1])) * -(-counts[-1] // _RUN)
+    every = _ITEM_CELLS // _RUN
+    candidate = np.empty(runs, dtype=bool)
+    starts, seen = [0], 0   # the items' first runs, and the candidates before this block
+    for begin in range(0, runs, _CLASSIFY_RUNS):
+        block = candidate[begin:begin + _CLASSIFY_RUNS]
+        block[:] = _candidate_runs(pieces, lo, counts, h, np.arange(begin, begin + block.size))
+        # the block's candidates have ranks seen, seen + 1, ...; rank 0 opens no item
+        where = np.flatnonzero(block)
+        starts += (begin + where[(-seen) % every if seen else every::every]).tolist()
+        seen += where.size
+    return [partial(_run_cells, lo, counts, h, first, candidate[first:end])
+            for first, end in zip(starts, starts[1:] + [runs])]
 
 
 def kept_fractions(pieces, pts, h):

@@ -260,17 +260,16 @@ def _leg(grid, node, step):
     """The stencil arms from the solved nodes `node` whose neighbor at flat
     offset `step` is not solved.
 
-    Returns (L, kind, uB, strays, beyond): L is the leg length, kind is 1
-    for a Dirichlet leg (cut at the signed-distance zero crossing, with data
-    uB) and 2 for a leg mirrored across the exhaustion sphere.  `strays`
-    counts the unsolved neighbors that neither a surface nor the sphere
+    Returns (L, cut, uB, strays, beyond): L is the leg length, `cut` marks
+    the Dirichlet legs (cut at the signed-distance zero crossing, with data
+    uB); every other leg is mirrored across the exhaustion sphere.
+    `strays` counts the mirrored legs that neither a surface nor the sphere
     explains, mirrored defensively.  `beyond` marks the neighbors beyond the
     exhaustion sphere, cut legs included.
     """
     h, snap = grid.h, grid.snap
     nb = node + step
     theta_best = np.full(node.size, np.inf)
-    kind = np.zeros(node.size, dtype=np.int8)
     uB = np.zeros(node.size)
     for label, depth in grid.depths.items():
         d0, d1 = depth[node], depth[nb]
@@ -279,16 +278,12 @@ def _leg(grid, node, step):
             theta = np.where(crossing, d0 / np.maximum(d0 - d1, 1e-300), np.inf)
         better = crossing & (theta < theta_best)
         theta_best = np.where(better, theta, theta_best)
-        kind[better] = 1
         uB[better] = DIRICHLET_DATA[label]
-    cut = kind == 1
+    cut = theta_best < np.inf
     L = np.full(node.size, h)
     L[cut] = np.clip(theta_best[cut], _SNAP, 1.0) * h
     beyond = grid.r[nb] > grid.radius
-    kind[~cut & beyond] = 2
-    stray = kind == 0
-    kind[stray] = 2
-    return L, kind, uB, int(np.count_nonzero(stray)), beyond
+    return L, cut, uB, int(np.count_nonzero(~cut & ~beyond)), beyond
 
 
 def _arm_coefficients(v, L_p, L_m):
@@ -394,15 +389,13 @@ def _assemble(grid):
         diag += coef_0
         del coef_0
         for sgn, slot in slots.items():
-            off, _, kind, uB, strays, beyond = legs[sgn]
+            off, _, cut, uB, strays, beyond = legs[sgn]
             neumann[off[beyond]] = True
             coef = vals[off, slot]
-            is_dir = kind == 1
-            rhs[off[is_dir]] -= coef[is_dir] * uB[is_dir]
-            is_mirror = kind == 2
-            diag[off[is_mirror]] += coef[is_mirror]
+            rhs[off[cut]] -= coef[cut] * uB[cut]
+            diag[off[~cut]] += coef[~cut]
             counters["defensive_mirrors"] += strays
-            counters["cut_legs"] += int(np.count_nonzero(is_dir))
+            counters["cut_legs"] += int(np.count_nonzero(cut))
 
     if counters["cut_legs"] == 0:
         raise SingularSystemError(

@@ -283,6 +283,35 @@ def test_energy_of_field_checks_its_scalars(slab_dom, keywords, message):
         en.energy_of_field(fld, slab_dom, **keywords)
 
 
+@pytest.mark.parametrize("dom, h", [
+    (dm.ball_domain(1.0, ambient_dim=3), 1 / 10),   # lines of 20 cells end in a 4-cell run
+    (dm.ball_domain(1.0, ambient_dim=3), 1 / 16),
+    (dm.annulus_domain(0.5, 2.0, ambient_dim=2), 1 / 32),
+])
+@pytest.mark.parametrize("cap", [8, 100, 3000, 30_720])
+def test_items_start_at_every_cap_over_8th_candidate_run(dom, h, cap, monkeypatch):
+    # an item starts at run 0 and at each candidate run of rank k (cap // 8),
+    # so the items cover the runs in order and every item but the last holds
+    # exactly cap // 8 candidate runs, whatever the lengths of the runs
+    monkeypatch.setattr(en, "_ITEM_CELLS", cap)
+    radius = dom.exhaustion_radius
+    lo, hi = dom.grid_box(radius)
+    counts, _ = en.box_cells(lo, hi, h)
+    runs = int(np.prod(counts[:-1])) * -(-counts[-1] // en._RUN)
+    items = en.cell_stream(dom, radius, h)
+    firsts = [item.args[3] for item in items]
+    masks = [item.args[4] for item in items]
+    assert firsts == [0] + list(np.cumsum([m.size for m in masks[:-1]]))
+    assert firsts[-1] + masks[-1].size == runs
+    np.testing.assert_array_equal(np.concatenate(masks), en._candidate_runs(
+        [ob for _, ob in dom.pieces()], lo, counts, h, np.arange(runs)))
+    assert all(m[0] for m in masks[1:])
+    every = cap // en._RUN
+    held = [int(np.count_nonzero(m)) for m in masks]
+    assert held[:-1] == [every] * (len(items) - 1)
+    assert 1 <= held[-1] <= every
+
+
 @pytest.mark.parametrize("counts", [(7,), (5, 9), (3, 4, 6), (40, 50, 60)])
 def test_cell_centres_match_unravel_index(counts):
     # the divmod index block gives the unravel_index centres bit for bit,

@@ -203,8 +203,7 @@ def test_only_ordered_map_starts_a_thread_pool():
 # the cell stream's definitions: the runs, their classification, the work
 # items, the cut fractions and the box cells
 _CELL_STREAM = {"_RUN", "_ITEM_CELLS", "_CLASSIFY_RUNS", "_runs", "_candidate_runs", "_run_cells",
-                "_run_items", "_box_fraction", "box_cells", "cell_centres", "cell_stream",
-                "kept_fractions"}
+                "_box_fraction", "box_cells", "cell_centres", "cell_stream", "kept_fractions"}
 
 
 def _cell_stream_uses(path):

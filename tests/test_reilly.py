@@ -108,9 +108,9 @@ def _residual(ball, phi, h):
 
 
 def test_volume_side_does_not_depend_on_chunks_or_threads(unit_ball, monkeypatch):
-    # the whole residual: by default 1/16 is one volume item; items of 4,096
-    # candidate cells and runs classified 512 at a time split it (each
-    # boundary pass is always one item per piece)
+    # the whole residual: by default 1/16 is one volume item; items of 512
+    # candidate runs (an item starts at every 512th) and runs classified 512
+    # at a time split it (each boundary pass is always one item per piece)
     phi = rl.CutoffFamily(0.5)
     rep = _residual(unit_ball, phi, 1 / 16)
     monkeypatch.setattr(en, "_CLASSIFY_RUNS", 512)
@@ -609,7 +609,7 @@ def test_band_fractions_equal_the_whole_row_product(name):
 def _every_run_a_candidate(pieces, lo, counts, h, run):
     """A box scan: no run is skipped, so the keep rule decides every
     cell."""
-    return np.ones(run.size, dtype=bool), en._runs(counts, run)[2]
+    return np.ones(run.size, dtype=bool)
 
 
 def _box_scan_counts(dom, h):

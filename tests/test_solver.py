@@ -299,6 +299,25 @@ class TestMixedBvp:
         with pytest.raises(ContractViolation, match="maximum principle"):
             sv.solve_mixed_bvp(annulus_dom, h=1 / 16)
 
+    def test_an_unexplained_unsolved_node_is_mirrored_defensively(self):
+        # sigma1 is the plane x2 = -1 with no depth at the origin: that node
+        # is unsolved, and neither a surface nor the exhaustion sphere
+        # explains any of its 4 legs from solved neighbors, so each is
+        # mirrored and counted (the mirrors at the sphere are not)
+        class PlaneWithAHole:
+            def raw_signed(self, x):
+                x = np.asarray(x, dtype=float)
+                return np.where(np.all(x == 0.0, axis=-1), np.nan, x[..., 1] + 1.0)
+
+        dom = dm.DomainSpec(dm.OrientedBoundary(PlaneWithAHole(), side=+1),
+                            dm.OrientedBoundary(geo.Hyperplane((0.0, 1.0), 1.0), side=-1),
+                            exhaustion_radius=3.0, ambient_dim=2)
+        sol = sv.solve_mixed_bvp(dom, h=1 / 8, tol=1e-11)
+        assert sol.report.details["defensive_mirrors"] == 4
+        assert np.isnan(sol.field.values[tuple(-sol.grid.lo_idx)])
+        assert np.nanmin(sol.field.values) >= 0.0
+        assert np.nanmax(sol.field.values) <= 1.0
+
     def test_pure_neumann_is_singular(self):
         far_ball = dm.DomainSpec(
             dm.OrientedBoundary(geo.Sphere(1, 5.0), side=-1), None,

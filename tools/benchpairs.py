@@ -19,7 +19,9 @@ machine facts and, per workload and end-to-end metric, each side's runs,
 median and quartiles (`statistics.quantiles`, n = 4), `change_lower` (the
 pairs in which the change reads strictly lower, as "k/n"),
 `median_change_frac` (change median / parent median - 1), `parent_iqr` and
-each side's failed counts.
+each side's failed counts.  It refuses to start when that file exists
+already, or when `--workloads` names a workload twice (a series is keyed by
+workload and seed, so a second one would replace the first).
 It reads the metric names from the change's BENCHMARK.json and imports
 nothing from the package.
 """
@@ -100,10 +102,15 @@ def main(argv=None):
     ap.add_argument("--claim", default="none", help="the claimed gain, recorded as is")
     args = ap.parse_args(argv)
 
-    plan = []
+    plan = {}
     for item in args.workloads.split(","):
         workload, _, pairs = item.partition(":")
-        plan.append((workload, int(pairs or 1)))
+        if workload in plan:
+            ap.error(f"workload {workload} is named twice in --workloads")
+        plan[workload] = int(pairs or 1)
+    out = Path(f"BENCH_{args.tag}.json")
+    if out.exists():
+        ap.error(f"{out} exists; pick another --tag or move it away")
     config = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = [m["name"] for m in config["end_to_end"]]
     bench = {
@@ -116,8 +123,7 @@ def main(argv=None):
                    "change_lower counts the pairs where the change reads strictly lower"),
         "end_to_end": {},
     }
-    out = Path(f"BENCH_{args.tag}.json")
-    for workload, pairs in plan:
+    for workload, pairs in plan.items():
         runs = {"parent": [], "change": []}
         for i in range(pairs):
             for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
