@@ -34,11 +34,11 @@ exhaustion radius, nodes per dimension) and cached read-only
 domain only read them.
 
 One residual is one ordered stream of work items -- the cell items, then
-one item per piece and pass, at most 16,384 nodes (a node costs about
-twice a cell) -- run on os.cpu_count() threads by
-`fields.ordered_map`, so a thread holds one item at a time, at most about
-6 MB traced on the 3D unit ball.  The partial sums are added in item
-order, so the result does not depend on the worker count.  The report's
+one item per piece and pass, at most 16,384 nodes -- run on os.cpu_count()
+threads by `fields.ordered_map`, so a thread holds one item at a time: on
+the 3D unit ball a cell item peaks at about 6 MB traced, a boundary item at
+3.9 MB (248 bytes a node).  The partial sums are added in item order, so
+the result does not depend on the worker count.  The report's
 field_evaluations counts every point at which u is evaluated: the
 stencil's evaluations per point times the kept cells and the nodes of both
 boundary passes.
@@ -198,36 +198,31 @@ def _volume_items(u, phi, domain, mesh_h):
 
 def _boundary_sums(u, phi, ob, nodes, weights, step):
     """(second_fundamental, mixed, surface_laplacian) over quadrature nodes
-    of one piece, with its exact geometry."""
-    n = nodes.shape[1]
-    grad, hess = fd_gradient_hessian(u.batch, nodes, step)
-
+    of one piece, with its exact geometry: kappa |grad_Sigma u|^2, <grad_Sigma
+    u, Hess u nu> - kappa |grad_Sigma u|^2 and -(Lap_{Sigma,f} u - H_f u_nu) u_nu
+    on an umbilic piece (A = kappa I), u_nu = <grad u, nu>.  As |nu| = 1,
+    |grad_Sigma u|^2 = |grad u|^2 - u_nu^2 and <grad_Sigma u, Hess u nu> =
+    <grad u, Hess u nu> - u_nu Hess u(nu, nu); in Lap_{Sigma,f} u - H_f u_nu =
+    Lap u - Hess u(nu, nu) + tr A u_nu - <x_T, grad_Sigma u> - (tr A + <x, nu>)
+    u_nu, tr A cancels and the x terms sum to -<x, grad u>."""
     kappas = ob.principal_curvatures(nodes)
     # planes and spheres, the only pieces, return exactly equal curvatures
     if not np.all(kappas == kappas[:, :1]):
         raise MissingGeometryError("non-umbilic boundary pieces are not supported")
     kappa = kappas[:, 0]
-    tr_a = kappa * (n - 1)
-
     x = nodes.T.copy()
-    nu = ob.exterior_normal(nodes).T.copy()
-    du_dnu = row_dot(grad, nu)
-    grad_tan = grad - du_dnu * nu
-    grad_tan_sq = row_dot(grad_tan, grad_tan)
-    x_nu = row_dot(x, nu)
-    x_tan = x - x_nu * nu
-
-    a_term = kappa * grad_tan_sq
-    hess_nu = [row_dot(hess[i], nu) for i in range(n)]
-    mixed = row_dot(grad_tan, hess_nu) - a_term
-    lap_surface = trace(hess) - row_dot(hess_nu, nu) + tr_a * du_dnu
-    lap_f_surface = lap_surface - row_dot(x_tan, grad_tan)
-    h_f = tr_a + x_nu
-    lap_term = -(lap_f_surface - h_f * du_dnu) * du_dnu
-
     w = np.exp(-0.5 * row_dot(x, x)) * weights
     if phi is not None:
         w = w * np.asarray(phi(nodes)) ** 2
+    # the stencil runs once the weights are formed, so the item peaks in it
+    grad, hess = fd_gradient_hessian(u.batch, nodes, step)
+    nu = ob.exterior_normal(nodes).T.copy()
+    du_dnu = row_dot(grad, nu)
+    hess_nu = [row_dot(row, nu) for row in hess]
+    hess_nu_nu = row_dot(hess_nu, nu)
+    a_term = kappa * (row_dot(grad, grad) - du_dnu ** 2)
+    mixed = row_dot(grad, hess_nu) - du_dnu * hess_nu_nu - a_term
+    lap_term = -(trace(hess) - hess_nu_nu - row_dot(x, grad)) * du_dnu
     return float(np.sum(a_term * w)), float(np.sum(mixed * w)), float(np.sum(lap_term * w))
 
 
@@ -250,7 +245,7 @@ def _boundary_items(u, phi, domain, per_dim):
     per_dim^(n-1) Gauss-Legendre nodes, each item returning `_boundary_sums`
     at one differencing step from the piece's largest node radius; and the
     node count.  Pieces have surface rules in R^2 and R^3 only, so an item
-    holds at most 128^2 = 16,384 nodes, which peak at 5.1-5.8 MB traced."""
+    holds at most 128^2 = 16,384 nodes, which peak at 3.9 MB traced."""
     items = []
     total = 0
     for _, ob in domain.pieces():

@@ -97,7 +97,7 @@ def test_plane_quadrature_weights_sum_to_the_clipped_area(data, dim, per_dim, ma
 
 
 def test_plane_outside_the_ball_has_no_nodes():
-    nodes, weights = geo.Hyperplane((0.0, 1.0), 3.0).quad_nodes(2.0)
+    nodes, weights = geo.Hyperplane((0.0, 1.0), 3.0).quad_nodes(2.0, per_dim=16)
     assert nodes.shape == (0, 2) and weights.shape == (0,)
 
 

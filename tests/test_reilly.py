@@ -159,6 +159,19 @@ def test_cutoff_residual_peaks_below_16_mb(unit_ball, monkeypatch):
     assert peak < 16 * 2 ** 20
 
 
+def test_a_boundary_item_on_the_unit_ball_peaks_below_4_6_mb(unit_ball):
+    # one 128 x 128 pass on the unit sphere; its cached nodes are built first
+    (item,), _ = rl._boundary_items(U_OBLIQUE, rl.CutoffFamily(0.5), unit_ball,
+                                    rl._BOUNDARY_NODES_PER_DIM)
+    tracemalloc.start()
+    try:
+        item()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.6 * 2 ** 20
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
 def test_warm_residual_faults_in_no_fresh_pages(unit_ball, monkeypatch):
     # with glibc's thresholds left dynamic, every work item's last free
@@ -803,6 +816,63 @@ def test_component_major_boundary_sums_match_einsum(quadratic, cubic, piece, cut
         lean = np.array(rl._boundary_sums(u, phi, ob, nodes, weights, 1e-4))
         reference, scale = _einsum_boundary(u, phi, ob, nodes, weights, 1e-4)
         assert np.all(np.abs(lean - reference) <= 1e-13 * scale)
+
+
+class _RowPiece:
+    """An umbilic piece given row by row: its unit normals and curvatures."""
+
+    def __init__(self, normals, kappa):
+        self.normals, self.kappa = normals, kappa
+
+    def exterior_normal(self, nodes):
+        return self.normals
+
+    def principal_curvatures(self, nodes):
+        return np.repeat(self.kappa[:, None], nodes.shape[1] - 1, axis=1)
+
+
+def _projected_integrand(grad, hess, nu, x, kappa):
+    """The boundary integrand of one row from the tangential projections:
+    kappa |grad_T|^2, <grad_T, Hess nu> - kappa |grad_T|^2 and
+    -(Lap_{Sigma,f} u - H_f u_nu) u_nu, with tr A = (n - 1) kappa."""
+    tr_a = (len(x) - 1) * kappa
+    du_dnu = grad @ nu
+    grad_tan, x_tan = grad - du_dnu * nu, x - (x @ nu) * nu
+    a_term = kappa * (grad_tan @ grad_tan)
+    lap_surface = np.trace(hess) - nu @ hess @ nu + tr_a * du_dnu
+    lap_f_surface = lap_surface - x_tan @ grad_tan
+    h_f = tr_a + x @ nu
+    return np.array([a_term, grad_tan @ hess @ nu - a_term,
+                     -(lap_f_surface - h_f * du_dnu) * du_dnu])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_boundary_integrand_equals_the_projected_formula_row_by_row(dim):
+    # random rows: points, unit normals and curvatures of both signs, and a
+    # cubic field, so every row has its own gradient and symmetric Hessian
+    rng = np.random.default_rng(dim)
+    b, c = rng.normal(size=dim), rng.normal(size=dim)
+    A = rng.normal(size=(dim, dim))
+    A = A + A.T
+    u = ScalarField(lambda x: float(x @ b + 0.5 * x @ A @ x + x ** 3 @ c),
+                    batch_evaluator=lambda P: (P @ b + 0.5 * np.einsum("ki,ij,kj->k", P, A, P)
+                                               + P ** 3 @ c))
+    x = rng.normal(size=(40, dim))
+    nus = rng.normal(size=(40, dim))
+    nus /= np.linalg.norm(nus, axis=1)[:, None]
+    kappas = rng.uniform(-2.0, 2.0, size=40)
+    assert kappas.min() < 0.0 < kappas.max()
+    for k in range(40):
+        # one row a call, so that both read the stencil's bits of that row
+        row = x[k:k + 1]
+        lean = rl._boundary_sums(u, None, _RowPiece(nus[k:k + 1], kappas[k:k + 1]), row,
+                                 np.ones(1), 1e-4)
+        (grad,), (hess,) = _row_major(*fl.fd_gradient_hessian(u.batch, row, 1e-4))
+        w = math.exp(-0.5 * x[k] @ x[k])
+        reference = w * _projected_integrand(grad, hess, nus[k], x[k], kappas[k])
+        g, H = np.linalg.norm(grad), np.linalg.norm(hess)
+        scale = w * (1.0 + abs(kappas[k]) + np.linalg.norm(x[k])) * (g + H) ** 2
+        assert np.all(np.abs(np.array(lean) - reference) <= 1e-13 * scale)
 
 
 def test_cutoff_squared_with_gradient_is_the_product_rule():

@@ -18,12 +18,14 @@ every pair, so an interrupted series keeps its finished pairs) with the
 machine facts and, per workload and end-to-end metric, each side's runs,
 median and quartiles (`statistics.quantiles`, n = 4), `change_lower` (the
 pairs in which the change reads strictly lower, as "k/n"),
-`median_change_frac` (change median / parent median - 1), `parent_iqr` and
-each side's failed counts.  It refuses to start when that file exists
-already, or when `--workloads` names a workload twice (a series is keyed by
-workload and seed, so a second one would replace the first).
-It reads the metric names from the change's BENCHMARK.json and imports
-nothing from the package.
+`median_change_frac` (change median / parent median - 1), `parent_iqr`,
+a `verdict` (see `verdict`) and each side's failed counts.  It refuses to
+start when that file exists already, or when `--workloads` names a workload
+twice (a series is keyed by workload and seed, so a second one would
+replace the first).
+It reads the metric names and bounds from the change's BENCHMARK.json, whose
+end-to-end metrics all read better lower, and imports nothing from the
+package.
 """
 
 import argparse
@@ -58,11 +60,36 @@ def summary(runs):
             "q3": round(q3, 4), "runs": [round(r, 4) for r in runs]}
 
 
-def compare(parent, change, metrics):
-    """One workload's entry: per metric both sides and their comparison."""
+def verdict(parent, change, bound):
+    """One lower-is-better metric's verdict from its paired runs (parent[i]
+    and change[i] ran as pair i) and its BENCHMARK.json bound, checked in
+    this order:
+
+    - "worse": the change median is above the parent median * (1 + bound);
+    - "unresolved": the parent's quartile spread is above bound * its median,
+      and some change run reads no lower than some parent run;
+    - "gain": at least 10 pairs, the change lower in at least 9/10 of them,
+      and the medians further apart than the parent's quartile spread;
+    - "within_bound" otherwise.
+    """
+    p_median, c_median = statistics.median(parent), statistics.median(change)
+    q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else parent * 3
+    if c_median > p_median * (1.0 + bound):
+        return "worse"
+    if q3 - q1 > bound * p_median and max(change) >= min(parent):
+        return "unresolved"
+    lower = sum(c < p for p, c in zip(parent, change))
+    if len(parent) >= 10 and lower >= 0.9 * len(parent) and p_median - c_median > q3 - q1:
+        return "gain"
+    return "within_bound"
+
+
+def compare(parent, change, bounds):
+    """One workload's entry: per metric (name -> bound) both sides and their
+    comparison."""
     pairs = len(parent)
     entry = {"pairs": pairs, "order": ORDER}
-    for name in metrics:
+    for name, bound in bounds.items():
         p = [run["metrics"][name]["value"] for run in parent]
         c = [run["metrics"][name]["value"] for run in change]
         sp, sc = summary(p), summary(c)
@@ -71,6 +98,7 @@ def compare(parent, change, metrics):
             "change_lower": f"{sum(b < a for a, b in zip(p, c))}/{pairs}",
             "median_change_frac": round(statistics.median(c) / statistics.median(p) - 1.0, 4),
             "parent_iqr": round(sp["q3"] - sp["q1"], 4),
+            "verdict": verdict(p, c, bound),
         }
     entry["failed"] = {"parent": [run["failed"] for run in parent],
                        "change": [run["failed"] for run in change]}
@@ -112,7 +140,8 @@ def main(argv=None):
     if out.exists():
         ap.error(f"{out} exists; pick another --tag or move it away")
     config = json.loads((args.change / "BENCHMARK.json").read_text())
-    metrics = [m["name"] for m in config["end_to_end"]]
+    bounds = {m["name"]: m["bound"] for m in config["end_to_end"]}
+    first = next(iter(bounds))
     bench = {
         "change": args.change_text, "parent": args.parent_rev, "claim": args.claim,
         "machine": machine(),
@@ -120,7 +149,8 @@ def main(argv=None):
                    f"--trace 0 ({config['run_seconds']} s runs, BENCHMARK.json's "
                    f"run_seconds) in each checkout, {ORDER}; each "
                    "side's median and quartiles (statistics.quantiles, n=4) over its runs; "
-                   "change_lower counts the pairs where the change reads strictly lower"),
+                   "change_lower counts the pairs where the change reads strictly lower; "
+                   "verdict per metric from its BENCHMARK.json bound (benchpairs.verdict)"),
         "end_to_end": {},
     }
     for workload, pairs in plan.items():
@@ -130,10 +160,10 @@ def main(argv=None):
                 checkout = args.parent if side == "parent" else args.change
                 runs[side].append(run_once(checkout, workload, args.seed))
             key = f"{workload}@seed{args.seed}"
-            bench["end_to_end"][key] = compare(runs["parent"], runs["change"], metrics)
+            bench["end_to_end"][key] = compare(runs["parent"], runs["change"], bounds)
             out.write_text(json.dumps(bench, indent=2) + "\n")
-            wall = bench["end_to_end"][key][metrics[0]]
-            print(f"{workload} pair {i + 1}/{pairs}: {metrics[0]} parent "
+            wall = bench["end_to_end"][key][first]
+            print(f"{workload} pair {i + 1}/{pairs}: {first} parent "
                   f"{wall['parent']['runs'][-1]} change {wall['change']['runs'][-1]}", flush=True)
     print(f"wrote {out}")
 
